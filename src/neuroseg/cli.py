@@ -26,7 +26,6 @@ from . import transforms as tf
 from .core import StructureTable, Volume, normalize_intensity
 from .inference import (
     CV_THRESHOLDS,
-    DEFAULT_DROPOUT_RATE,
     DEFAULT_MC_SAMPLES,
     hard_segment,
     mc_segment,
@@ -41,14 +40,6 @@ from .unet import ModelSpec, UNet3D, load_checkpoint, save_checkpoint
 
 MODALITIES = ("mprage", "flair", "dwi", "ct")
 
-# full-scale per-modality input dims; desk-scale runs override via config
-MODALITY_DIMS = {
-    "mprage": (128, 128, 128),
-    "flair": (128, 128, 128),
-    "dwi": (160, 160, 32),
-    "ct": (96, 128, 128),
-}
-
 
 @dataclass
 class PipelineConfig:
@@ -61,7 +52,7 @@ class PipelineConfig:
     seed: int
     mc: bool
     mc_samples: int
-    dropout_rate: float
+    dropout_rate: Optional[float]  # None: the rate the checkpoint was trained with
     cv_threshold: float
 
     def __post_init__(self):
@@ -70,19 +61,6 @@ class PipelineConfig:
         for path in (self.reference, self.checkpoint):
             if path is not None and not Path(path).exists():
                 raise FileNotFoundError(f"missing input: {path}")
-
-
-def _load_config_file(path) -> Dict:
-    if path is None:
-        return {}
-    return json.loads(Path(path).read_text())
-
-
-def _resolve(args, key, default, cast=lambda x: x):
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is None:
-        value = _load_config_file(getattr(args, "config", None)).get(key, default)
-    return cast(value) if value is not None else value
 
 
 def _write_run_record(out_dir: Path, command: str, resolved: Dict) -> None:
@@ -95,26 +73,35 @@ def _write_run_record(out_dir: Path, command: str, resolved: Dict) -> None:
 
 
 def _pipeline_config(args) -> PipelineConfig:
-    modality = _resolve(args, "modality", "mprage")
-    threshold = _resolve(args, "cv-threshold", None, float)
-    if threshold is None:
-        threshold = CV_THRESHOLDS[modality]
+    """Each setting comes from its flag, else the ``--config`` JSON file,
+    else its default."""
+    from_file = json.loads(Path(args.config).read_text()) if args.config else {}
+
+    def resolve(key, default, cast):
+        for value in (getattr(args, key.replace("-", "_")), from_file.get(key), default):
+            if value is not None:
+                return cast(value)
+        return None
+
+    modality = resolve("modality", "mprage", str)
+    threshold = resolve("cv-threshold", CV_THRESHOLDS.get(modality), float)
     return PipelineConfig(
         modality=modality,
         reference=Path(args.reference) if getattr(args, "reference", None) else None,
         checkpoint=Path(args.checkpoint) if getattr(args, "checkpoint", None) else None,
         out_dir=Path(args.out),
-        seed=int(_resolve(args, "seed", 0)),
-        mc=_resolve(args, "mc", "on") == "on",
-        mc_samples=int(_resolve(args, "mc-samples", DEFAULT_MC_SAMPLES)),
-        dropout_rate=float(_resolve(args, "dropout-rate", DEFAULT_DROPOUT_RATE)),
-        cv_threshold=float(threshold),
+        seed=resolve("seed", 0, int),
+        mc=resolve("mc", "on", str) == "on",
+        mc_samples=resolve("mc-samples", DEFAULT_MC_SAMPLES, int),
+        dropout_rate=resolve("dropout-rate", None, float),
+        cv_threshold=threshold,
     )
 
 
 def _load_model(cfg: PipelineConfig) -> UNet3D:
+    """Load the checkpoint; a set dropout rate replaces the trained one."""
     model = load_checkpoint(cfg.checkpoint)
-    if cfg.dropout_rate != model.spec.dropout_rate:
+    if cfg.dropout_rate is not None:
         model.spec = dataclasses.replace(model.spec, dropout_rate=cfg.dropout_rate)
     return model
 
@@ -279,7 +266,7 @@ def cmd_segment(args) -> int:
             "modality": cfg.modality,
             "mc": cfg.mc,
             "mc_samples": cfg.mc_samples,
-            "dropout_rate": cfg.dropout_rate,
+            "dropout_rate": model.spec.dropout_rate,
             "cv_threshold": cfg.cv_threshold,
             "seed": cfg.seed,
             "registration_converged": reg.converged,
@@ -344,6 +331,7 @@ def cmd_evaluate(args) -> int:
             "checkpoint": str(cfg.checkpoint),
             "mc": cfg.mc,
             "mc_samples": cfg.mc_samples,
+            "dropout_rate": model.spec.dropout_rate,
             "seed": cfg.seed,
             **summary,
         },
@@ -375,6 +363,7 @@ def cmd_uncertainty(args) -> int:
             "input": str(args.input),
             "checkpoint": str(cfg.checkpoint),
             "mc_samples": cfg.mc_samples,
+            "dropout_rate": model.spec.dropout_rate,
             "cv_threshold": cfg.cv_threshold,
             "seed": cfg.seed,
             "cv": report.cv,
@@ -419,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", type=int, default=8)
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--bottleneck", type=int, default=2)
-    p.add_argument("--dropout-rate", type=float, default=DEFAULT_DROPOUT_RATE)
+    p.add_argument("--dropout-rate", type=float, default=ModelSpec.dropout_rate)
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--epochs", type=int, default=400)
     p.add_argument("--patience", type=int, default=100)

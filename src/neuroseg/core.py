@@ -15,7 +15,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 NUM_CLASSES = 28  # 27 anatomical structures plus background
-BACKGROUND = 0
 INTENSITY_MAX = 100.0
 
 

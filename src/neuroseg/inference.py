@@ -12,7 +12,7 @@ structures present in every statistic's denominator sense (mu_s > 0).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -22,7 +22,6 @@ from .core import NUM_CLASSES, LabelMap, StructureTable, Volume
 from .unet import UNet3D
 
 DEFAULT_MC_SAMPLES = 15
-DEFAULT_DROPOUT_RATE = 0.2
 CV_THRESHOLDS = {"mprage": 0.01, "flair": 0.025, "dwi": 0.025, "ct": 0.025}
 
 
@@ -33,7 +32,6 @@ class McSampleSet:
     n: int
     volumes: np.ndarray  # (N, num_classes) int64
     seeds: List[int]
-    fields: Optional[List[np.ndarray]] = None  # per-sample softmax, optional
 
 
 @dataclass
@@ -71,7 +69,6 @@ def mc_segment(
     v: Volume,
     n: int = DEFAULT_MC_SAMPLES,
     seed: int = 0,
-    keep_fields: bool = False,
 ):
     """Monte Carlo dropout segmentation of a preprocessed volume.
 
@@ -91,7 +88,6 @@ def mc_segment(
     num_classes = model.spec.num_classes
     total = np.zeros((num_classes,) + v.dims, dtype=np.float64)
     volumes = np.zeros((n, num_classes), dtype=np.int64)
-    fields = [] if keep_fields else None
     for i, child in enumerate(children):
         rng = np.random.default_rng(child)
         with ad.no_grad():
@@ -99,14 +95,11 @@ def mc_segment(
         sample = P.data[0]
         total += sample
         volumes[i] = _structure_volumes(np.argmax(sample, axis=0), num_classes)
-        if fields is not None:
-            fields.append(sample.copy())
     fused = LabelMap(np.argmax(total, axis=0).astype(np.uint8), v.spacing, v.affine)
     sample_set = McSampleSet(
         n=n,
         volumes=volumes,
         seeds=[int(c.generate_state(1)[0]) for c in children],
-        fields=fields,
     )
     return fused, sample_set
 

@@ -116,12 +116,6 @@ class Adam:
             vh = self.v[k] / b2c
             p.data = p.data - self.lr * mh / (np.sqrt(vh) + self.eps)
 
-    def state_arrays(self) -> Dict[str, np.ndarray]:
-        out = {f"adam.m.{k}": v for k, v in self.m.items()}
-        out.update({f"adam.v.{k}": v for k, v in self.v.items()})
-        out["adam.t"] = np.asarray([self.t], dtype=np.int64)
-        return out
-
 
 def augment(
     v: Volume,
@@ -223,7 +217,7 @@ def train(model: UNet3D, manifest, cfg: TrainConfig) -> Tuple[UNet3D, TrainLog]:
     opt = Adam(model.parameters(), cfg.learning_rate)
     log = TrainLog()
     best_val = np.inf
-    best_snapshot = None
+    best_state = None
     history: List[float] = []
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -271,37 +265,14 @@ def train(model: UNet3D, manifest, cfg: TrainConfig) -> Tuple[UNet3D, TrainLog]:
         if val_loss < best_val:
             best_val = val_loss
             log.best_epoch = epoch
-            best_snapshot = _snapshot(model, opt)
+            arrays, bn_initialized = model.named_state()
+            best_state = ({k: a.copy() for k, a in arrays.items()}, bn_initialized)
         if epoch - log.best_epoch >= cfg.patience:
             log.stop_reason = "early-stop"
             break
     else:
         log.stop_reason = "max-epochs"
 
-    if best_snapshot is not None:
-        _restore(model, opt, best_snapshot)
+    if best_state is not None:
+        model.assign_state(*best_state)
     return model, log
-
-
-def _snapshot(model: UNet3D, opt: Adam):
-    params = {k: p.data.copy() for k, p in model.parameters().items()}
-    bn = {
-        name: (layer.state.running_mean.copy(), layer.state.running_var.copy(), layer.state.initialized)
-        for name, layer in model.bn_layers().items()
-    }
-    ostate = ({k: v.copy() for k, v in opt.m.items()}, {k: v.copy() for k, v in opt.v.items()}, opt.t)
-    return params, bn, ostate
-
-
-def _restore(model: UNet3D, opt: Adam, snapshot):
-    params, bn, ostate = snapshot
-    for k, p in model.parameters().items():
-        p.data = params[k].copy()
-    for name, layer in model.bn_layers().items():
-        rm, rv, init = bn[name]
-        layer.state.running_mean = rm.copy()
-        layer.state.running_var = rv.copy()
-        layer.state.initialized = init
-    opt.m = {k: v.copy() for k, v in ostate[0].items()}
-    opt.v = {k: v.copy() for k, v in ostate[1].items()}
-    opt.t = ostate[2]

@@ -30,7 +30,6 @@ __all__ = [
     "map_back",
     "rotation_transform",
     "translation_transform",
-    "scaling_transform",
     "grid_scaling",
     "save_transform",
     "load_transform",
@@ -48,13 +47,6 @@ class RegistrationResult:
 
 def translation_transform(offset) -> AffineTransform:
     return AffineTransform(np.eye(3), np.asarray(offset, dtype=np.float64))
-
-
-def scaling_transform(factors, center=(0.0, 0.0, 0.0)) -> AffineTransform:
-    """Scale voxel coordinates about ``center``."""
-    f = np.asarray(factors, dtype=np.float64)
-    c = np.asarray(center, dtype=np.float64)
-    return AffineTransform(np.diag(f), c - f * c)
 
 
 def rotation_transform(angles_deg, center=(0.0, 0.0, 0.0)) -> AffineTransform:

@@ -15,7 +15,7 @@ import struct
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -73,67 +73,37 @@ class ModelSpec:
         return self.features * 2 ** self.depth
 
 
-def count_parameters(spec: ModelSpec) -> int:
-    """Total trainable scalars: conv/transpose-conv weights and biases plus
-    batch-norm gamma/beta. Running statistics are not trainable."""
-    k = int(np.prod(spec.kernel))
-
-    def conv(c_in, c_out):
-        return k * c_in * c_out + c_out
-
-    def bn(c):
-        return 2 * c
-
-    total = 0
-    c_prev = spec.in_channels
-    for f in spec.encoder_features:
-        total += conv(c_prev, f) + bn(f) + conv(f, f) + bn(f)
-        c_prev = f
-    fb = spec.bottleneck_features
-    for i in range(spec.bottleneck_layers):
-        total += conv(c_prev if i == 0 else fb, fb) + bn(fb)
-    c_prev = fb
-    for f in reversed(spec.encoder_features):
-        total += 8 * c_prev * f + f  # 2x2x2 transpose conv
-        total += conv(2 * f, f) + bn(f) + conv(f, f) + bn(f)
-        c_prev = f
-    total += c_prev * spec.num_classes + spec.num_classes  # 1x1x1 head
-    return total
-
-
 class _Conv:
-    def __init__(self, c_in, c_out, kernel, rng, dtype):
+    """Convolution with bias, or with ``transpose`` the 2x2x2 stride-2
+    transpose convolution; registers ``<name>.w`` and ``<name>.b``."""
+
+    def __init__(self, table, name, c_in, c_out, kernel, rng, dtype, transpose=False):
         fan_in = c_in * int(np.prod(kernel))
         bound = np.sqrt(6.0 / fan_in)
-        self.w = Tensor(
-            rng.uniform(-bound, bound, (c_out, c_in) + tuple(kernel)).astype(dtype),
-            requires_grad=True,
+        shape = ((c_in, c_out) if transpose else (c_out, c_in)) + tuple(kernel)
+        self.transpose = transpose
+        self.w = table[f"{name}.w"] = Tensor(
+            rng.uniform(-bound, bound, shape).astype(dtype), requires_grad=True
         )
-        self.b = Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True)
+        self.b = table[f"{name}.b"] = Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True)
 
     def __call__(self, x):
-        return ad.conv3d(x, self.w, self.b)
-
-
-class _UpConv:
-    def __init__(self, c_in, c_out, rng, dtype):
-        fan_in = c_in * 8
-        bound = np.sqrt(6.0 / fan_in)
-        self.w = Tensor(
-            rng.uniform(-bound, bound, (c_in, c_out, 2, 2, 2)).astype(dtype),
-            requires_grad=True,
-        )
-        self.b = Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True)
-
-    def __call__(self, x):
-        return ad.transpose_conv3d(x, self.w, self.b)
+        op = ad.transpose_conv3d if self.transpose else ad.conv3d
+        return op(x, self.w, self.b)
 
 
 class _BatchNorm:
-    def __init__(self, channels, eps, momentum, dtype):
-        self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
-        self.state = BatchNormState.for_channels(channels)
+    """Registers ``<name>.gamma``, ``<name>.beta`` and its running state as
+    ``<name>``."""
+
+    def __init__(self, table, name, channels, eps, momentum, dtype):
+        self.gamma = table[f"{name}.gamma"] = Tensor(
+            np.ones(channels, dtype=dtype), requires_grad=True
+        )
+        self.beta = table[f"{name}.beta"] = Tensor(
+            np.zeros(channels, dtype=dtype), requires_grad=True
+        )
+        self.state = table[name] = BatchNormState.for_channels(channels)
         self.eps = eps
         self.momentum = momentum
 
@@ -144,18 +114,26 @@ class _BatchNorm:
 
 
 class _ConvStage:
-    """conv -> batch norm -> relu"""
+    """conv -> batch norm -> relu, registered as ``<prefix>.conv<tag>`` and
+    ``<prefix>.bn<tag>``."""
 
-    def __init__(self, c_in, c_out, spec, rng, dtype):
-        self.conv = _Conv(c_in, c_out, spec.kernel, rng, dtype)
-        self.bn = _BatchNorm(c_out, spec.bn_eps, spec.bn_momentum, dtype)
+    def __init__(self, table, prefix, tag, c_in, c_out, spec, rng, dtype):
+        self.conv = _Conv(table, f"{prefix}.conv{tag}", c_in, c_out, spec.kernel, rng, dtype)
+        self.bn = _BatchNorm(
+            table, f"{prefix}.bn{tag}", c_out, spec.bn_eps, spec.bn_momentum, dtype
+        )
 
     def __call__(self, x, mode):
         return ad.relu(self.bn(self.conv(x), mode))
 
 
 class UNet3D:
-    """Model handle: owns the parameter store, batch-norm state and modes."""
+    """Model handle: owns the parameter store, batch-norm state and modes.
+
+    Every layer registers its named parameters and batch-norm state in one
+    ordered table as it is built. Parameters, checkpoint arrays and the
+    named state are read from that table, in construction order.
+    """
 
     def __init__(self, spec: ModelSpec, seed: int, dtype=np.float32):
         self.spec = spec
@@ -163,79 +141,43 @@ class UNet3D:
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(self.seed)
         self.extras: Dict[str, np.ndarray] = {}
+        table: "OrderedDict[str, Union[Tensor, BatchNormState]]" = OrderedDict()
+
+        def stage(prefix, tag, c_in, c_out):
+            return _ConvStage(table, prefix, tag, c_in, c_out, spec, rng, dtype)
 
         self.encoders = []
         c_prev = spec.in_channels
-        for f in spec.encoder_features:
-            self.encoders.append(
-                (
-                    _ConvStage(c_prev, f, spec, rng, dtype),
-                    _ConvStage(f, f, spec, rng, dtype),
-                )
-            )
+        for d, f in enumerate(spec.encoder_features, start=1):
+            self.encoders.append((stage(f"enc{d}", 1, c_prev, f), stage(f"enc{d}", 2, f, f)))
             c_prev = f
         fb = spec.bottleneck_features
         self.bottleneck = []
-        for i in range(spec.bottleneck_layers):
-            self.bottleneck.append(
-                _ConvStage(c_prev if i == 0 else fb, fb, spec, rng, dtype)
-            )
+        for i in range(1, spec.bottleneck_layers + 1):
+            self.bottleneck.append(stage(f"bott{i}", "", c_prev if i == 1 else fb, fb))
         self.decoders = []
         c_prev = fb
-        for f in reversed(spec.encoder_features):
+        for d, f in enumerate(reversed(spec.encoder_features), start=1):
             self.decoders.append(
                 (
-                    _UpConv(c_prev, f, rng, dtype),
-                    _ConvStage(2 * f, f, spec, rng, dtype),
-                    _ConvStage(f, f, spec, rng, dtype),
+                    _Conv(table, f"dec{d}.up", c_prev, f, (2, 2, 2), rng, dtype, transpose=True),
+                    stage(f"dec{d}", 1, 2 * f, f),
+                    stage(f"dec{d}", 2, f, f),
                 )
             )
             c_prev = f
-        self.head = _Conv(c_prev, spec.num_classes, (1, 1, 1), rng, dtype)
-        self._params = self._collect_params()
-
-    def _collect_params(self) -> "OrderedDict[str, Tensor]":
-        params = OrderedDict()
-        for d, (s1, s2) in enumerate(self.encoders, start=1):
-            for i, stage in enumerate((s1, s2), start=1):
-                params[f"enc{d}.conv{i}.w"] = stage.conv.w
-                params[f"enc{d}.conv{i}.b"] = stage.conv.b
-                params[f"enc{d}.bn{i}.gamma"] = stage.bn.gamma
-                params[f"enc{d}.bn{i}.beta"] = stage.bn.beta
-        for i, stage in enumerate(self.bottleneck, start=1):
-            params[f"bott{i}.conv.w"] = stage.conv.w
-            params[f"bott{i}.conv.b"] = stage.conv.b
-            params[f"bott{i}.bn.gamma"] = stage.bn.gamma
-            params[f"bott{i}.bn.beta"] = stage.bn.beta
-        for d, (up, s1, s2) in enumerate(self.decoders, start=1):
-            params[f"dec{d}.up.w"] = up.w
-            params[f"dec{d}.up.b"] = up.b
-            for i, stage in enumerate((s1, s2), start=1):
-                params[f"dec{d}.conv{i}.w"] = stage.conv.w
-                params[f"dec{d}.conv{i}.b"] = stage.conv.b
-                params[f"dec{d}.bn{i}.gamma"] = stage.bn.gamma
-                params[f"dec{d}.bn{i}.beta"] = stage.bn.beta
-        params["out.w"] = self.head.w
-        params["out.b"] = self.head.b
-        return params
+        self.head = _Conv(table, "out", c_prev, spec.num_classes, (1, 1, 1), rng, dtype)
+        self._params = OrderedDict((k, v) for k, v in table.items() if isinstance(v, Tensor))
+        self._bn_states = OrderedDict(
+            (k, v) for k, v in table.items() if isinstance(v, BatchNormState)
+        )
 
     def parameters(self) -> "OrderedDict[str, Tensor]":
         return self._params
 
     def parameter_count(self) -> int:
+        """Trainable scalars; batch-norm running statistics are not trainable."""
         return sum(int(t.data.size) for t in self._params.values())
-
-    def bn_layers(self) -> "OrderedDict[str, _BatchNorm]":
-        layers = OrderedDict()
-        for d, (s1, s2) in enumerate(self.encoders, start=1):
-            layers[f"enc{d}.bn1"] = s1.bn
-            layers[f"enc{d}.bn2"] = s2.bn
-        for i, stage in enumerate(self.bottleneck, start=1):
-            layers[f"bott{i}.bn"] = stage.bn
-        for d, (up, s1, s2) in enumerate(self.decoders, start=1):
-            layers[f"dec{d}.bn1"] = s1.bn
-            layers[f"dec{d}.bn2"] = s2.bn
-        return layers
 
     def layer_summary(self) -> dict:
         """Feature-count layout, e.g. for checking a depth-2 schematic."""
@@ -295,27 +237,67 @@ class UNet3D:
         logits = self.head(h)
         return ad.softmax_channels(logits)
 
+    def _slots(self):
+        """(array name, owner, attribute) of every named array in checkpoint
+        order: parameters, then batch-norm running statistics."""
+        for name, t in self._params.items():
+            yield name, t, "data"
+        for name, state in self._bn_states.items():
+            yield f"{name}.running_mean", state, "running_mean"
+            yield f"{name}.running_var", state, "running_var"
+
     def named_arrays(self) -> "OrderedDict[str, np.ndarray]":
         """Parameters plus batch-norm running statistics, checkpoint order."""
-        arrays = OrderedDict((name, t.data) for name, t in self._params.items())
-        for name, bn in self.bn_layers().items():
-            arrays[f"{name}.running_mean"] = bn.state.running_mean
-            arrays[f"{name}.running_var"] = bn.state.running_var
-        return arrays
+        return OrderedDict((name, getattr(owner, attr)) for name, owner, attr in self._slots())
+
+    def named_state(self) -> Tuple["OrderedDict[str, np.ndarray]", Dict[str, bool]]:
+        """``named_arrays()`` and each batch norm's ``initialized`` flag: all
+        the state ``assign_state`` needs to reproduce this model. The arrays
+        are the model's own, not copies."""
+        flags = {name: state.initialized for name, state in self._bn_states.items()}
+        return self.named_arrays(), flags
+
+    def assign_state(
+        self, arrays: Mapping[str, np.ndarray], bn_initialized: Mapping[str, bool]
+    ) -> None:
+        """Take over a full named state, as returned by ``named_state``.
+
+        Arrays already of the model's dtype are assigned without a copy. A
+        missing, unknown or mis-shaped entry raises CheckpointError and
+        leaves the model unchanged.
+        """
+        slots = list(self._slots())
+        _require_names("array", arrays, [name for name, _, _ in slots])
+        _require_names("batch-norm flag", bn_initialized, self._bn_states)
+        for name, owner, attr in slots:
+            have, want = np.shape(arrays[name]), getattr(owner, attr).shape
+            if have != want:
+                raise CheckpointError(
+                    f"array {name!r} has shape {have}, the model needs {want}"
+                )
+        for name, owner, attr in slots:
+            arr = np.asarray(arrays[name])
+            setattr(owner, attr, arr.astype(getattr(owner, attr).dtype, copy=False))
+        for name, state in self._bn_states.items():
+            state.initialized = bool(bn_initialized[name])
 
 
-def build_unet(spec: ModelSpec, seed: int, dtype=np.float32) -> UNet3D:
-    return UNet3D(spec, seed, dtype)
+def _require_names(kind, given, expected) -> None:
+    missing = sorted(set(expected) - set(given))
+    unknown = sorted(set(given) - set(expected))
+    if missing or unknown:
+        raise CheckpointError(
+            f"{kind} names do not match the model: missing {missing}, unknown {unknown}"
+        )
 
 
 def save_checkpoint(model: UNet3D, path, extras: Optional[Dict[str, np.ndarray]] = None) -> None:
     """Versioned container: JSON header (spec, seed, array table) + raw
     little-endian array payloads. Extras (e.g. optimizer state) ride along."""
-    arrays = model.named_arrays()
+    arrays, bn_init = model.named_state()
     if extras:
         for name, arr in extras.items():
             arrays[f"extra.{name}"] = np.asarray(arr)
-    bn_init = {name: bn.state.initialized for name, bn in model.bn_layers().items()}
     table = []
     blobs = []
     for name, arr in arrays.items():
@@ -342,44 +324,39 @@ def save_checkpoint(model: UNet3D, path, extras: Optional[Dict[str, np.ndarray]]
 
 def load_checkpoint(path, into: Optional[UNet3D] = None) -> UNet3D:
     """Restore a model bitwise. ``into`` loads in place and must match the
-    stored spec."""
+    stored spec. Any malformed, truncated or mismatched file raises
+    CheckpointError and leaves ``into`` unchanged."""
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
-    (hlen,) = struct.unpack_from("<I", raw, 4)
-    header = json.loads(raw[8 : 8 + hlen].decode())
-    spec_dict = dict(header["spec"])
-    spec_dict["kernel"] = tuple(spec_dict["kernel"])
-    spec_dict["input_dims"] = tuple(spec_dict["input_dims"])
-    spec = ModelSpec(**spec_dict)
-    if into is not None:
-        if into.spec != spec:
+    try:
+        (hlen,) = struct.unpack_from("<I", raw, 4)
+        header = json.loads(raw[8 : 8 + hlen])
+        spec = ModelSpec(**header["spec"])
+        if into is not None and into.spec != spec:
             raise CheckpointError(
                 f"checkpoint spec {spec} does not match target model {into.spec}"
             )
+        # built before the payload is read, so that the float64 draws of the
+        # initialisation do not raise the peak memory on top of it
         model = into
-    else:
-        model = UNet3D(spec, header["seed"], np.dtype(header["dtype"]))
-    offset = 8 + hlen
-    arrays = {}
-    for name, shape, dtype_str in header["arrays"]:
-        dt = np.dtype(dtype_str)
-        n = int(np.prod(shape)) if shape else 1
-        arrays[name] = np.frombuffer(raw, dt, count=n, offset=offset).reshape(shape).copy()
-        offset += n * dt.itemsize
-    params = model.parameters()
-    bn_layers = model.bn_layers()
-    for name, arr in arrays.items():
-        if name in params:
-            params[name].data = arr.astype(model.dtype, copy=False)
-        elif name.endswith(".running_mean"):
-            bn_layers[name[: -len(".running_mean")]].state.running_mean = arr
-        elif name.endswith(".running_var"):
-            bn_layers[name[: -len(".running_var")]].state.running_var = arr
-        elif name.startswith("extra."):
-            model.extras[name[len("extra.") :]] = arr
-        else:
-            raise CheckpointError(f"{path}: unknown array {name!r}")
-    for name, bn in bn_layers.items():
-        bn.state.initialized = bool(header["bn_initialized"][name])
+        if model is None:
+            model = UNet3D(spec, header["seed"], np.dtype(header["dtype"]))
+        bn_initialized = dict(header["bn_initialized"])
+        offset = 8 + hlen
+        arrays = {}
+        for name, shape, dtype_str in header["arrays"]:
+            dt = np.dtype(dtype_str)
+            n = int(np.prod(shape))
+            arrays[name] = np.frombuffer(raw, dt, count=n, offset=offset).reshape(shape).copy()
+            offset += n * dt.itemsize
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
+    extras = {name: arr for name, arr in arrays.items() if name.startswith("extra.")}
+    state = {name: arr for name, arr in arrays.items() if name not in extras}
+    try:
+        model.assign_state(state, bn_initialized)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    model.extras.update((name[len("extra.") :], arr) for name, arr in extras.items())
     return model

@@ -150,6 +150,15 @@ class TestTrainLoop:
         model, log = train(_tiny_model(seed=3), records, cfg)
         best = log.best_epoch
         assert best == int(np.argmin([e.val_loss for e in log.epochs])) + 1
+        assert best < log.epochs[-1].epoch
+        # the same run cut at the best epoch ends in exactly the returned state
+        short = TrainConfig(max_epochs=best, patience=best, seed=7)
+        at_best, _ = train(_tiny_model(seed=3), records, short)
+        arrays, want_arrays = model.named_arrays(), at_best.named_arrays()
+        assert list(arrays) == list(want_arrays)
+        for name, arr in arrays.items():  # parameters and batch-norm statistics
+            assert arr.dtype == want_arrays[name].dtype
+            assert np.array_equal(arr, want_arrays[name]), name
 
     def test_needs_two_volumes(self, tmp_path):
         records = _tiny_records(tmp_path)[:1]

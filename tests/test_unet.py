@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -14,8 +17,6 @@ from neuroseg.unet import (
     ModelSpec,
     ModelSpecError,
     UNet3D,
-    build_unet,
-    count_parameters,
     load_checkpoint,
     save_checkpoint,
 )
@@ -53,7 +54,7 @@ def oracle_parameter_count(in_channels, num_classes, features, depth, bottleneck
 class TestParameterCount:
     def test_reference_architecture_is_5_65M(self):
         spec = ModelSpec(features=16, depth=4, bottleneck_layers=2)
-        count = count_parameters(spec)
+        count = UNet3D(spec, seed=0).parameter_count()
         assert count == oracle_parameter_count(1, 28, 16, 4, 2)
         assert count == 5_648_316
         assert round(count / 1e6, 2) == 5.65
@@ -62,12 +63,12 @@ class TestParameterCount:
         spec = ModelSpec(
             features=1, depth=1, bottleneck_layers=1, num_classes=2, input_dims=(8, 8, 8)
         )
-        assert count_parameters(spec) == oracle_parameter_count(1, 2, 1, 1, 1)
+        assert UNet3D(spec, seed=0).parameter_count() == oracle_parameter_count(1, 2, 1, 1, 1)
 
     def test_doubling_features_roughly_quadruples(self):
         base = ModelSpec(features=16, depth=4, bottleneck_layers=2)
         doubled = dataclasses.replace(base, features=32)
-        ratio = count_parameters(doubled) / count_parameters(base)
+        ratio = UNet3D(doubled, seed=0).parameter_count() / UNet3D(base, seed=0).parameter_count()
         assert 3.5 < ratio < 4.05
 
     @given(
@@ -90,8 +91,7 @@ class TestParameterCount:
             input_dims=(8, 8, 8),
         )
         model = UNet3D(spec, seed=0)
-        assert model.parameter_count() == count_parameters(spec)
-        assert count_parameters(spec) == oracle_parameter_count(
+        assert model.parameter_count() == oracle_parameter_count(
             in_channels, num_classes, features, depth, bottleneck
         )
 
@@ -260,11 +260,11 @@ class TestCheckpoint:
 
     def test_checkpoint_records_init_seed(self, tmp_path):
         spec = ModelSpec(features=2, depth=1, num_classes=3, input_dims=(8, 8, 8))
-        model = build_unet(spec, seed=41)
+        model = UNet3D(spec, seed=41)
         path = tmp_path / "fresh.ckpt"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
-        rebuilt = build_unet(loaded.spec, loaded.seed)
+        rebuilt = UNet3D(loaded.spec, loaded.seed)
         for name, t in rebuilt.parameters().items():
             assert np.array_equal(t.data, loaded.parameters()[name].data)
 
@@ -279,8 +279,71 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path, into=other)
 
-    def test_bad_file_rejected(self, tmp_path):
+    def test_bad_file_rejected(self, tiny_model, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+        path.write_bytes(b"NSU1\x00")  # shorter than the 8-byte preamble
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        save_checkpoint(tiny_model, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-4])  # truncated payload
+        with pytest.raises(CheckpointError, match="malformed"):
+            load_checkpoint(path)
+        _rewrite_header(path, raw, lambda h: h["bn_initialized"].pop("enc1.bn1"))
+        with pytest.raises(CheckpointError, match="enc1.bn1"):
+            load_checkpoint(path)
+        _rewrite_header(path, raw, lambda h: h.pop("bn_initialized"))
+        with pytest.raises(CheckpointError, match="bn_initialized"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            # same payload bytes, so only the stated name or shape is wrong
+            (lambda table: table[1].__setitem__(0, "enc1.conv1.bias"), "enc1.conv1.bias"),
+            (lambda table: table.pop(), "missing"),
+            (lambda table: table[1].__setitem__(1, [1, table[1][1][0]]), "shape"),
+        ],
+        ids=["unknown", "missing", "mis-shaped"],
+    )
+    def test_arrays_must_match_model_exactly(self, tiny_model, tmp_path, edit, match):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model, path)
+        _rewrite_header(path, path.read_bytes(), lambda h: edit(h["arrays"]))
+        target = UNet3D(tiny_model.spec, seed=12)
+        before = {k: v.copy() for k, v in target.named_arrays().items()}
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path, into=target)
+        for name, arr in target.named_arrays().items():
+            assert np.array_equal(arr, before[name])  # a failed load changes nothing
+
+    def test_bytes_pinned(self, tmp_path):
+        # digests of the format as first written; a fresh model, then the same
+        # model after a train-mode forward of zeros (exactly zero statistics)
+        spec = ModelSpec(
+            features=2, depth=2, bottleneck_layers=1, num_classes=4, input_dims=(8, 8, 8)
+        )
+        model = UNet3D(spec, seed=11)
+        path = tmp_path / "pinned.ckpt"
+        digests = []
+        for _ in range(2):
+            save_checkpoint(model, path)
+            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+            with ad.no_grad():
+                model.forward(np.zeros((1, 1, 8, 8, 8), np.float32), "train", False)
+        assert digests == [
+            "cc05b6f4316384da0b5e9d2d0efd2f14982c302e6e5a6b7dedccd8f6fc7b6e3a",
+            "ad90436abc5d42ad783c3d9152e3f3fce6961c99cba399dbcefa6f08fc5f6134",
+        ]
+
+
+def _rewrite_header(path, raw, edit):
+    """Write ``raw`` back to ``path`` with ``edit`` applied to its JSON header."""
+    (hlen,) = struct.unpack_from("<I", raw, 4)
+    header = json.loads(raw[8 : 8 + hlen])
+    edit(header)
+    payload = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(raw[:4] + struct.pack("<I", len(payload)) + payload + raw[8 + hlen :])
