@@ -10,8 +10,11 @@ The op set is exactly what the segmentation network needs: 3-D convolution
 (same padding), batch normalization, relu, 2x max pooling, 2x transpose
 convolution, inverted dropout, channel softmax, channel concatenation, and
 elementwise/reduction basics for building small test graphs. Convolutions are
-evaluated as one matrix product per kernel offset so BLAS does the heavy
-lifting without an im2col memory blowup.
+lowered to matrix products by im2col (Chetlur et al., cuDNN, arXiv:1410.0759):
+the input is unfolded one slab of x-planes at a time into a (C·kx·ky·kz,
+B·slab·Y·Z) block, so BLAS sees one large GEMM per slab while a block stays
+about the size of the input. The forward pass and both gradients read these
+blocks.
 """
 
 from __future__ import annotations
@@ -97,32 +100,6 @@ class Tensor:
             if node._backward is not None:
                 node._backward(node.grad)
 
-    # -- scalar-lifting arithmetic for small test graphs --
-
-    def _lift(self, other):
-        if isinstance(other, Tensor):
-            return other
-        return Tensor(np.asarray(other, dtype=self.data.dtype))
-
-    def __add__(self, other):
-        return add(self, self._lift(other))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, self._lift(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, Tensor(np.asarray(-1.0, dtype=self.data.dtype)))
-
-    def __sub__(self, other):
-        return add(self, -self._lift(other))
-
-    def sum(self):
-        return sum_all(self)
-
 
 def _make(data, parents, backward):
     if _grad_enabled and any(p.requires_grad for p in parents):
@@ -186,11 +163,44 @@ def _check_5d(x: Tensor, name="input"):
         raise ShapeError(f"{name} must be (batch, channels, x, y, z), got {x.shape}")
 
 
+def _pad(a, w):
+    """Zero 'same' padding of a (B, C, X, Y, Z) array for the odd kernel ``w``."""
+    return np.pad(a, ((0, 0), (0, 0)) + tuple((k // 2, k // 2) for k in w.shape[2:]))
+
+
+def _slabs(xp, w, dims):
+    """Yield ``(planes, block)`` for each slab of output x-planes: ``block`` is
+    the im2col matrix (C·kx·ky·kz, B·slab·Y·Z) of the padded input ``xp``,
+    rows in ``w.reshape(O, -1)`` order. A slab is X // (kx·ky·kz) planes (at
+    least one), so a block holds about one copy of the input, not kx·ky·kz."""
+    X = dims[0]
+    kernel = w.shape[2:]
+    windows = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=(2, 3, 4))
+    slab = max(1, X // int(np.prod(kernel)))
+    for x0 in range(0, X, slab):
+        view = windows[:, :, x0 : x0 + slab].transpose(1, 5, 6, 7, 0, 2, 3, 4)
+        yield slice(x0, x0 + slab), view.reshape(w[0].size, -1)
+
+
+def _correlate(xp, w, dims):
+    """Cross-correlation of the padded input ``xp`` (B, C, ...) with kernel
+    ``w`` (O, C, kx, ky, kz): one GEMM per slab. Returns a (B, O, X, Y, Z) view."""
+    B, O = xp.shape[0], w.shape[0]
+    w2 = w.reshape(O, -1)
+    acc = np.empty((O, B, *dims), dtype=xp.dtype)
+    for planes, block in _slabs(xp, w, dims):
+        acc[:, :, planes] = (w2 @ block).reshape(acc[:, :, planes].shape)
+    return acc.transpose(1, 0, 2, 3, 4)
+
+
 def conv3d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Cross-correlation with odd kernel and zero 'same' padding.
 
     x: (B, C_in, X, Y, Z); w: (C_out, C_in, kx, ky, kz); b: (C_out,).
-    Output spatial dims equal input dims. One GEMM per kernel offset.
+    Output spatial dims equal input dims. The forward pass and the input
+    gradient are ``_correlate`` calls (the latter with the kernel flipped in
+    space and its channel axes swapped); the weight gradient reads the same
+    im2col slabs as the forward pass.
     """
     _check_5d(x)
     if w.data.ndim != 5:
@@ -203,42 +213,23 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"bias must be ({O},), got {b.shape}")
     if kx % 2 == 0 or ky % 2 == 0 or kz % 2 == 0:
         raise ShapeError(f"kernel dims must be odd for same padding, got {(kx, ky, kz)}")
-    px, py, pz = kx // 2, ky // 2, kz // 2
-    if px or py or pz:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (px, px), (py, py), (pz, pz)))
-    else:
-        xp = x.data
-    acc = np.zeros((O, B, X, Y, Z), dtype=x.dtype)
-    for i in range(kx):
-        for j in range(ky):
-            for k in range(kz):
-                view = xp[:, :, i : i + X, j : j + Y, k : k + Z]
-                acc += np.tensordot(w.data[:, :, i, j, k], view, axes=([1], [1]))
-    out_data = acc.transpose(1, 0, 2, 3, 4) + b.data.reshape(1, O, 1, 1, 1)
+    dims = (X, Y, Z)
+    xp = _pad(x.data, w.data)
+    out_data = _correlate(xp, w.data, dims) + b.data.reshape(1, O, 1, 1, 1)
 
     def bwd(g):
         if b.requires_grad:
             b.accumulate_grad(g.sum(axis=(0, 2, 3, 4)))
         if w.requires_grad:
-            gw = np.empty_like(w.data)
-            for i in range(kx):
-                for j in range(ky):
-                    for k in range(kz):
-                        view = xp[:, :, i : i + X, j : j + Y, k : k + Z]
-                        gw[:, :, i, j, k] = np.tensordot(
-                            g, view, axes=([0, 2, 3, 4], [0, 2, 3, 4])
-                        )
-            w.accumulate_grad(gw)
+            go = g.transpose(1, 0, 2, 3, 4)
+            gw = sum(
+                go[:, :, planes].reshape(O, -1) @ block.T
+                for planes, block in _slabs(xp, w.data, dims)
+            )
+            w.accumulate_grad(gw.reshape(w.shape))
         if x.requires_grad:
-            gxp = np.zeros((B, C, X + 2 * px, Y + 2 * py, Z + 2 * pz), dtype=g.dtype)
-            for i in range(kx):
-                for j in range(ky):
-                    for k in range(kz):
-                        part = np.tensordot(w.data[:, :, i, j, k], g, axes=([0], [1]))
-                        gxp[:, :, i : i + X, j : j + Y, k : k + Z] += part.transpose(
-                            1, 0, 2, 3, 4
-                        )
-            x.accumulate_grad(gxp[:, :, px : px + X, py : py + Y, pz : pz + Z])
+            flipped = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+            x.accumulate_grad(_correlate(_pad(g, w.data), flipped, dims))
 
     return _make(out_data, (x, w, b), bwd)
 

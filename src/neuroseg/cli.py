@@ -352,7 +352,7 @@ def cmd_uncertainty(args) -> int:
         print("error: input must be an intensity volume", file=sys.stderr)
         return 1
     normalized = normalize_intensity(vol)
-    _, samples = mc_segment(model, normalized, n=max(2, cfg.mc_samples), seed=cfg.seed)
+    _, samples = mc_segment(model, normalized, n=cfg.mc_samples, seed=cfg.seed)
     report = uncertainty(samples, StructureTable.default(), cfg.cv_threshold)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_uncertainty_report(report, StructureTable.default(), cfg.out_dir / "uncertainty.csv")

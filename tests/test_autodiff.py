@@ -15,6 +15,22 @@ def scalar_loss(out, weights):
     return ad.sum_all(ad.mul(out, Tensor(weights)))
 
 
+# (kernel, spatial dims): the U-Net's 3x3x3 kernel, the 1x1x1 head conv, an
+# anisotropic kernel, and (3,1,1) on X = 7, whose slabs span 2 x-planes with a
+# short last one.
+CONV_CASES = [
+    ((3, 3, 3), (3, 4, 3)),
+    ((1, 1, 1), (3, 4, 3)),
+    ((1, 3, 5), (3, 4, 3)),
+    ((3, 1, 1), (7, 4, 3)),
+]
+
+
+def _conv_case_id(kernel, seed):
+    """The 3x3x3 cases keep the bare seed as their id."""
+    return str(seed) if kernel == (3, 3, 3) else f"{seed}-{'x'.join(map(str, kernel))}"
+
+
 class TestConv3d:
     def test_identity_kernel(self, rng):
         x = rng.standard_normal((1, 1, 4, 5, 3))
@@ -47,13 +63,20 @@ class TestConv3d:
                 tensor(np.zeros(2)),
             )
 
-    @pytest.mark.parametrize("seed", range(N_SEEDS))
-    def test_gradients(self, seed):
+    @pytest.mark.parametrize(
+        "kernel, dims, seed",
+        [
+            pytest.param(kernel, dims, seed, id=_conv_case_id(kernel, seed))
+            for kernel, dims in CONV_CASES
+            for seed in range(N_SEEDS)
+        ],
+    )
+    def test_gradients(self, kernel, dims, seed):
         gen = np.random.default_rng(seed)
-        x = gen.standard_normal((2, 2, 3, 4, 3))
-        w = gen.standard_normal((3, 2, 3, 3, 3))
+        x = gen.standard_normal((2, 2) + dims)
+        w = gen.standard_normal((3, 2) + kernel)
         b = gen.standard_normal(3)
-        weights = gen.standard_normal((2, 3, 3, 4, 3))
+        weights = gen.standard_normal((2, 3) + dims)
         xt, wt, bt = tensor(x), tensor(w), tensor(b)
         scalar_loss(ad.conv3d(xt, wt, bt), weights).backward()
 
@@ -65,6 +88,19 @@ class TestConv3d:
         assert max_rel_err(xt.grad, central_diff(f, x)) < TOL
         assert max_rel_err(wt.grad, central_diff(f, w)) < TOL
         assert max_rel_err(bt.grad, central_diff(f, b)) < TOL
+
+    def test_float32_forward_matches_per_offset_einsum(self, rng):
+        x = rng.standard_normal((1, 16, 10, 9, 7)).astype(np.float32)
+        w = (rng.standard_normal((8, 16, 3, 3, 3)) / 12).astype(np.float32)
+        b = rng.standard_normal(8).astype(np.float32)
+        out = ad.conv3d(Tensor(x), Tensor(w), Tensor(b)).data
+        assert out.dtype == np.float32
+        xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (1, 1), (1, 1), (1, 1)))
+        want = np.zeros((1, 8, 10, 9, 7)) + b.reshape(1, 8, 1, 1, 1)
+        for i, j, k in np.ndindex(3, 3, 3):
+            view = xp[:, :, i : i + 10, j : j + 9, k : k + 7]
+            want += np.einsum("oc,bcxyz->boxyz", w[:, :, i, j, k], view)
+        assert np.abs(out - want).max() / np.abs(want).max() <= 1e-5
 
 
 class TestTransposeConv3d:

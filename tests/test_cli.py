@@ -120,3 +120,16 @@ class TestErrors:
         )
         assert code == 1
         assert "short.ckpt" in capsys.readouterr().err
+
+    def test_one_mc_sample_exits_1_before_writing(self, setup, tmp_path, capsys):
+        _, records, checkpoint = setup
+        out = tmp_path / "o"
+        code = cli.run(
+            [
+                "uncertainty", "--input", str(records[1].volume_path),
+                "--checkpoint", str(checkpoint), "--mc-samples", "1", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "at least 2 MC samples" in capsys.readouterr().err
+        assert not (out / "run_record.json").exists()
