@@ -20,6 +20,7 @@ blocks.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,19 +34,20 @@ class BatchNormStatsError(RuntimeError):
     """Eval-mode batch norm was called before any training statistics exist."""
 
 
-_grad_enabled = True
+# per thread (and per asyncio task): a no_grad() block elsewhere never
+# stops graph building here
+_grad_enabled = ContextVar("grad_enabled", default=True)
 
 
 @contextmanager
 def no_grad():
-    """Disable graph construction (inference / MC sampling)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph construction (inference / MC sampling) in the current
+    context only."""
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 class Tensor:
@@ -102,7 +104,7 @@ class Tensor:
 
 
 def _make(data, parents, backward):
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
     return Tensor(data)
 

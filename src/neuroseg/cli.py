@@ -271,6 +271,9 @@ def cmd_segment(args) -> int:
             "seed": cfg.seed,
             "registration_converged": reg.converged,
             "registration_cost": reg.final_cost,
+            "registration_levels": [
+                {**dataclasses.asdict(t), "diverged": t.diverged} for t in reg.levels
+            ],
             "cv": None if report is None else report.cv,
             "verdict": None if report is None else report.verdict,
         },

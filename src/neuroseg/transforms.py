@@ -6,6 +6,14 @@ voxel coordinates to INPUT volume voxel coordinates (the pull-back map), so
 ``moving`` onto the reference grid, and ``map_back`` applies its inverse to
 carry a segmentation to the original grid.
 
+Registration runs Adam on the mean-squared intensity difference over an
+image pyramid. Each iteration interpolates the moving image once: the warp is
+one linear ``affine_transform``, and the cost gradient comes from
+``np.gradient`` of the warped image through the chain rule, not from
+interpolated gradient images. A pyramid level has diverged when a cost is
+non-finite or when its last iterate rose above its start by more than its
+best gain; ``RegistrationResult.levels`` records each level's costs.
+
 All operations are pure functions of their inputs and safe to call
 concurrently on shared volumes.
 """
@@ -24,6 +32,7 @@ from .core import AffineTransform, GeometryError, LabelMap, Volume
 __all__ = [
     "AffineTransform",
     "RegistrationResult",
+    "LevelTrace",
     "resample_spline",
     "resample_nearest",
     "register_affine",
@@ -37,12 +46,35 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class LevelTrace:
+    """One pyramid level of a registration: its MSE at the start, at the
+    best and at the last iterate, and whether it stopped on a non-finite
+    cost. ``best_cost <= start_cost`` always: the start counts as an
+    iterate, and the level hands on its best one."""
+
+    level: int
+    iterations: int
+    start_cost: float
+    best_cost: float
+    end_cost: float
+    nonfinite: bool
+
+    @property
+    def diverged(self) -> bool:
+        """A non-finite cost, or a last iterate that rose above the start by
+        more than the level's best gain."""
+        rise = self.end_cost - self.start_cost
+        return self.nonfinite or rise > self.start_cost - self.best_cost
+
+
+@dataclass(frozen=True)
 class RegistrationResult:
     transform: AffineTransform
     final_cost: float
     iterations: int
     converged: bool
     initial_cost: float = 0.0
+    levels: Tuple[LevelTrace, ...] = ()
 
 
 def translation_transform(offset) -> AffineTransform:
@@ -172,35 +204,49 @@ def _intensity_centroid(data: np.ndarray) -> np.ndarray:
     return np.array([cx, cy, cz])
 
 
-def _mse_cost_grad(mov, grads, ref_l, level, lin, tr, centered, need_grad=True):
+def _centered_axes(shape, level, c_ref):
+    """Full-resolution coordinate of each level voxel centre, per axis,
+    minus the reference centroid."""
+    half = (level - 1.0) / 2.0
+    return [np.arange(n) * float(level) + half - c for n, c in zip(shape, c_ref)]
+
+
+def _mse_cost_grad(mov, ref_l, level, lin, tr, centered, need_grad=True):
     """MSE between the warped moving image and the reference at one pyramid
-    level, plus its gradient w.r.t. the 12 affine parameters."""
+    level, plus its gradient w.r.t. the 12 affine parameters.
+
+    ``centered`` holds the 1-D full-resolution coordinates of the level's
+    voxel centres on each axis, minus the reference centroid. Level voxel
+    ``r`` samples moving-level voxel ``lin @ r + off``, so one linear
+    ``affine_transform`` warps the image. The cost gradient needs the moving
+    image's gradient at the sampled points, ``g``; by the chain rule the
+    warped image ``W`` has ``grad_r W = lin.T @ g``, so ``g`` comes from
+    ``np.gradient(W)`` and one 3x3 solve instead of three more
+    interpolations.
+    """
     f = float(level)
     half = (f - 1.0) / 2.0
-    q = np.empty((3,) + ref_l.shape)
-    for d in range(3):
-        q[d] = (
-            lin[d, 0] * centered[0]
-            + lin[d, 1] * centered[1]
-            + lin[d, 2] * centered[2]
-            + tr[d]
-        )
-    ql = (q - half) / f
-    warped = ndimage.map_coordinates(mov, ql, order=1, mode="constant", cval=0.0)
+    origin = np.array([c[0] for c in centered])  # level voxel 0, centred
+    off = (lin @ origin + tr - half) / f
+    warped = ndimage.affine_transform(
+        mov, lin, offset=off, output_shape=ref_l.shape, order=1, mode="constant", cval=0.0
+    )
     res = warped - ref_l
     n = res.size
     cost = float((res * res).sum() / n)
-    if not need_grad:
+    if not need_grad or not np.isfinite(cost):
         return cost, None, None
-    dlin = np.zeros((3, 3))
-    dtr = np.zeros(3)
-    for d in range(3):
-        gd = ndimage.map_coordinates(grads[d], ql, order=1, mode="constant", cval=0.0)
-        w = 2.0 / n / f * res * gd
-        dtr[d] = w.sum()
-        for e in range(3):
-            dlin[d, e] = (w * centered[e]).sum()
-    return cost, dlin, dtr
+    # h[d] = sum of res * dW/dr_d * (centered_x, centered_y, centered_z, 1),
+    # each term a marginal sum since the coordinates are separable
+    h = np.empty((3, 4))
+    for d, gd in enumerate(np.gradient(warped)):
+        p = res * gd
+        h[d, 0] = p.sum(axis=(1, 2)) @ centered[0]
+        h[d, 1] = p.sum(axis=(0, 2)) @ centered[1]
+        h[d, 2] = p.sum(axis=(0, 1)) @ centered[2]
+        h[d, 3] = p.sum()
+    g = np.linalg.solve(lin.T, h) * (2.0 / n / f)
+    return cost, g[:, :3], g[:, 3]
 
 
 def register_affine(
@@ -215,10 +261,15 @@ def register_affine(
 
     Initialized from the intensity centroids; parameters are the linear part
     and a translation around the centroid pairing, updated with adaptive
-    per-parameter (Adam-style) steps. Returns the pull-back transform
-    (reference-grid voxel -> moving voxel). A level that ends costlier than
-    it started flags the result as non-converged; the best-seen parameters
-    are returned either way.
+    per-parameter (Adam-style) steps. Each iteration interpolates once: the
+    cost gradient comes from the warped image by the chain rule (see
+    ``_mse_cost_grad``). Returns the pull-back transform (reference-grid
+    voxel -> moving voxel), a ``LevelTrace`` per pyramid level run, and
+    ``converged``: false when a level diverged (a non-finite cost, or a
+    last iterate above the level's start by more than its best gain) or
+    when the result at full resolution is costlier than the centroid
+    initialization, which is then returned instead. Each level hands on its
+    best-seen parameters either way.
     """
     if float(moving.data.max()) == float(moving.data.min()):
         raise ValueError("moving volume is constant; registration is ill-posed")
@@ -232,36 +283,23 @@ def register_affine(
     m = np.zeros(12)
     v = np.zeros(12)
     tstep = 0
-    total_iters = 0
-    diverged = False
+    traces = []
 
     for level, n_iter in zip(levels, iterations):
         if min(reference.dims) // level < 2 or min(moving.dims) // level < 2:
             continue
         ref_l = _block_mean(reference.data, level)
         mov_l = _block_mean(moving.data, level)
-        grads = np.gradient(mov_l)
-        half = (level - 1.0) / 2.0
-        axes_full = [
-            np.arange(n, dtype=np.float64) * level + half for n in ref_l.shape
-        ]
-        centered = [
-            (axes_full[0] - c_ref[0])[:, None, None],
-            (axes_full[1] - c_ref[1])[None, :, None],
-            (axes_full[2] - c_ref[2])[None, None, :],
-        ]
+        centered = _centered_axes(ref_l.shape, level, c_ref)
         level_start, _, _ = _mse_cost_grad(
-            mov_l, grads, ref_l, level, lin, tr, centered, need_grad=False
+            mov_l, ref_l, level, lin, tr, centered, need_grad=False
         )
         best_cost = level_start
         best = (lin.copy(), tr.copy())
-        cost = level_start
+        done = 0
         for _ in range(n_iter):
-            cost, dlin, dtr = _mse_cost_grad(
-                mov_l, grads, ref_l, level, lin, tr, centered
-            )
+            cost, dlin, dtr = _mse_cost_grad(mov_l, ref_l, level, lin, tr, centered)
             if not np.isfinite(cost):
-                diverged = True
                 break
             if cost < best_cost:
                 best_cost = cost
@@ -275,51 +313,40 @@ def register_affine(
             upd = step * mh / (np.sqrt(vh) + 1e-12)
             lin = lin - upd[:9].reshape(3, 3)
             tr = tr - upd[9:]
-            total_iters += 1
+            done += 1
         end_cost, _, _ = _mse_cost_grad(
-            mov_l, grads, ref_l, level, lin, tr, centered, need_grad=False
+            mov_l, ref_l, level, lin, tr, centered, need_grad=False
         )
-        if not np.isfinite(end_cost) or end_cost > level_start * (1 + 1e-9) + 1e-18:
-            diverged = True
         if np.isfinite(end_cost) and end_cost < best_cost:
             best_cost = end_cost
             best = (lin.copy(), tr.copy())
+        nonfinite = not (np.isfinite(level_start) and np.isfinite(end_cost))
+        traces.append(LevelTrace(level, done, level_start, best_cost, end_cost, nonfinite))
         lin, tr = best[0].copy(), best[1].copy()
 
     # express q = lin @ (r - c_ref) + tr as q = L r + t
-    final_lin = lin
-    final_tr = tr - lin @ c_ref
-    transform = AffineTransform(final_lin, final_tr)
+    transform = AffineTransform(lin, tr - lin @ c_ref)
 
-    # report costs on the finest usable level
-    fine = 1
-    ref_f = _block_mean(reference.data, fine)
-    mov_f = _block_mean(moving.data, fine)
-    axes_full = [np.arange(n, dtype=np.float64) for n in ref_f.shape]
-    centered = [
-        (axes_full[0] - c_ref[0])[:, None, None],
-        (axes_full[1] - c_ref[1])[None, :, None],
-        (axes_full[2] - c_ref[2])[None, None, :],
-    ]
+    # report costs at full resolution
+    ref_f = reference.data.astype(np.float64)
+    mov_f = moving.data.astype(np.float64)
+    centered = _centered_axes(ref_f.shape, 1, c_ref)
     init_cost, _, _ = _mse_cost_grad(
-        mov_f, None, ref_f, fine, np.eye(3), c_mov.copy(), centered, need_grad=False
+        mov_f, ref_f, 1, np.eye(3), c_mov.copy(), centered, need_grad=False
     )
-    final_cost, _, _ = _mse_cost_grad(
-        mov_f, None, ref_f, fine, lin, tr, centered, need_grad=False
-    )
-    if final_cost > init_cost:
+    final_cost, _, _ = _mse_cost_grad(mov_f, ref_f, 1, lin, tr, centered, need_grad=False)
+    fell_back = final_cost > init_cost
+    if fell_back:
         # never report worse than the centroid initialization
-        transform = AffineTransform(
-            np.eye(3), c_mov - c_ref
-        )
+        transform = AffineTransform(np.eye(3), c_mov - c_ref)
         final_cost = init_cost
-        diverged = True
     return RegistrationResult(
         transform=transform,
         final_cost=float(final_cost),
-        iterations=total_iters,
-        converged=not diverged,
+        iterations=sum(t.iterations for t in traces),
+        converged=not (fell_back or any(t.diverged for t in traces)),
         initial_cost=float(init_cost),
+        levels=tuple(traces),
     )
 
 

@@ -14,7 +14,6 @@ import json
 import struct
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -326,32 +325,32 @@ def load_checkpoint(path, into: Optional[UNet3D] = None) -> UNet3D:
     """Restore a model bitwise. ``into`` loads in place and must match the
     stored spec. Any malformed, truncated or mismatched file raises
     CheckpointError and leaves ``into`` unchanged."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    try:
-        (hlen,) = struct.unpack_from("<I", raw, 4)
-        header = json.loads(raw[8 : 8 + hlen])
-        spec = ModelSpec(**header["spec"])
-        if into is not None and into.spec != spec:
-            raise CheckpointError(
-                f"checkpoint spec {spec} does not match target model {into.spec}"
-            )
-        # built before the payload is read, so that the float64 draws of the
-        # initialisation do not raise the peak memory on top of it
-        model = into
-        if model is None:
-            model = UNet3D(spec, header["seed"], np.dtype(header["dtype"]))
-        bn_initialized = dict(header["bn_initialized"])
-        offset = 8 + hlen
-        arrays = {}
-        for name, shape, dtype_str in header["arrays"]:
-            dt = np.dtype(dtype_str)
-            n = int(np.prod(shape))
-            arrays[name] = np.frombuffer(raw, dt, count=n, offset=offset).reshape(shape).copy()
-            offset += n * dt.itemsize
-    except (struct.error, ValueError, KeyError, TypeError) as exc:
-        raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
+    with open(path, "rb") as fh:
+        if fh.read(4) != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint file")
+        try:
+            (hlen,) = struct.unpack("<I", fh.read(4))
+            header = json.loads(fh.read(hlen))
+            spec = ModelSpec(**header["spec"])
+            if into is not None and into.spec != spec:
+                raise CheckpointError(
+                    f"checkpoint spec {spec} does not match target model {into.spec}"
+                )
+            # built before the payload is read, so that the float64 draws of
+            # the initialisation do not raise the peak memory on top of it
+            model = into
+            if model is None:
+                model = UNet3D(spec, header["seed"], np.dtype(header["dtype"]))
+            bn_initialized = dict(header["bn_initialized"])
+            arrays = {}
+            for name, shape, dtype_str in header["arrays"]:
+                n = int(np.prod(shape))
+                arr = np.fromfile(fh, np.dtype(dtype_str), count=n)
+                if arr.size < n:
+                    raise ValueError(f"array {name} is truncated")
+                arrays[name] = arr.reshape(shape)
+        except (struct.error, ValueError, KeyError, TypeError) as exc:
+            raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
     extras = {name: arr for name, arr in arrays.items() if name.startswith("extra.")}
     state = {name: arr for name, arr in arrays.items() if name not in extras}
     try:

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -361,6 +363,26 @@ class TestGraphMechanics:
             out = ad.relu(x)
         assert not out.requires_grad
         assert out._backward is None
+
+    def test_no_grad_stays_in_its_thread(self, rng):
+        x = tensor(rng.standard_normal((1, 1, 2, 2, 2)))
+        inside, release = threading.Event(), threading.Event()
+
+        def hold_no_grad():
+            with ad.no_grad():
+                inside.set()
+                release.wait(timeout=30)
+
+        worker = threading.Thread(target=hold_no_grad)
+        worker.start()
+        try:
+            assert inside.wait(timeout=30)
+            out = ad.relu(x)
+        finally:
+            release.set()
+            worker.join()
+        assert out.requires_grad
+        assert out._backward is not None
 
     def test_concat_channels_split_gradient(self, rng):
         a = tensor(rng.standard_normal((1, 2, 2, 2, 2)))

@@ -7,8 +7,8 @@ import pytest
 from neuroseg import cli
 from neuroseg.core import StructureTable, normalize_intensity
 from neuroseg.inference import mc_segment, uncertainty, write_uncertainty_report
-from neuroseg.io import read_manifest, read_volume
-from neuroseg.phantom import default_phantom_spec, generate_dataset
+from neuroseg.io import read_manifest, read_volume, write_volume
+from neuroseg.phantom import default_phantom_spec, generate_dataset, generate_subject
 from neuroseg.unet import ModelSpec, UNet3D, load_checkpoint, save_checkpoint
 
 
@@ -105,6 +105,30 @@ class TestConfigFile:
         assert (record["mc_samples"], record["seed"], record["cv_threshold"]) == (2, 0, 0.5)
         _, record = _run(args[:-2], tmp_path / "defaults")
         assert (record["mc_samples"], record["seed"], record["cv_threshold"]) == (15, 0, 0.01)
+
+
+class TestRunRecord:
+    def test_segment_records_registration_levels(self, setup, tmp_path):
+        _, _, checkpoint = setup  # a 16^3 model; the scans are 32^3
+        spec = default_phantom_spec(dims=(32, 32, 32), modalities=("mprage",), seed=1)
+        paths = []
+        for subject in (0, 1):
+            path = tmp_path / f"subject{subject}.mvx"
+            write_volume(generate_subject(spec, subject)[1]["mprage"], path)
+            paths.append(str(path))
+        args = ["segment", "--reference", paths[0], "--input", paths[1]]
+        code, record = _run(
+            args + ["--checkpoint", str(checkpoint), "--mc-samples", "2"], tmp_path / "s"
+        )
+        assert code in (0, 2)
+        levels = record["registration_levels"]
+        assert [t["level"] for t in levels] == [4, 2, 1]
+        assert [t["iterations"] for t in levels] == [80, 80, 50]
+        for t in levels:
+            assert t["best_cost"] <= t["start_cost"]
+            assert not t["nonfinite"]
+        assert not any(t["diverged"] for t in levels)
+        assert record["registration_converged"]
 
 
 class TestErrors:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from neuroseg import transforms as tf
 from neuroseg.core import AffineTransform, GeometryError, LabelMap, Volume
@@ -208,3 +209,95 @@ class TestMapBack:
         interior = minimum_filter(truth.labels, 3) == maximum_filter(truth.labels, 3)
         agree = (back.labels == truth.labels)[interior]
         assert agree.mean() >= 0.95
+
+
+def _border_free_blob(dims, center, widths):
+    """Gaussian blob that is (near) zero on the border, as phantoms are."""
+    grid = np.meshgrid(*(np.arange(n, dtype=np.float64) for n in dims), indexing="ij")
+    return 100 * np.exp(-sum(((g - c) / w) ** 2 for g, c, w in zip(grid, center, widths)))
+
+
+class TestCostGradient:
+    """``_mse_cost_grad`` at parameters away from the optimum."""
+
+    def _case(self, level):
+        dims = (32, 32, 32)
+        mov = _border_free_blob(dims, (15, 16.5, 15.5), (4.5, 5.0, 4.0))
+        ref = _border_free_blob(dims, (16.5, 15, 16), (4.0, 5.5, 4.5))
+        ref_l, mov_l = tf._block_mean(ref, level), tf._block_mean(mov, level)
+        c_ref = tf._intensity_centroid(ref)
+        centered = tf._centered_axes(ref_l.shape, level, c_ref)
+        # far enough from the identity that a gradient missing the chain
+        # rule's lin.T (or transposing it) fails the cosine bound
+        lin = tf.rotation_transform((25.0, 12.0, -18.0)).linear @ np.diag([1.1, 0.9, 1.05])
+        tr = tf._intensity_centroid(mov) + np.array([0.7, -0.4, 0.9])
+        return mov_l, ref_l, level, lin, tr, centered
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_gradient_matches_central_differences(self, level):
+        mov_l, ref_l, level, lin, tr, centered = self._case(level)
+        _, dlin, dtr = tf._mse_cost_grad(mov_l, ref_l, level, lin, tr, centered)
+        grad = np.concatenate([dlin.ravel(), dtr])
+        params = np.concatenate([lin.ravel(), tr])
+
+        def cost(p):
+            return tf._mse_cost_grad(
+                mov_l, ref_l, level, p[:9].reshape(3, 3), p[9:], centered, need_grad=False
+            )[0]
+
+        eps = 1e-4
+        numeric = np.array(
+            [(cost(params + eps * e) - cost(params - eps * e)) / (2 * eps) for e in np.eye(12)]
+        )
+        cosine = grad @ numeric / (np.linalg.norm(grad) * np.linalg.norm(numeric))
+        assert cosine >= 0.98
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_cost_matches_map_coordinates_warp(self, level):
+        mov_l, ref_l, level, lin, tr, centered = self._case(level)
+        cost, _, _ = tf._mse_cost_grad(mov_l, ref_l, level, lin, tr, centered, need_grad=False)
+        # the moving-level voxel each level voxel samples, coordinate by coordinate
+        grid = np.stack(np.meshgrid(*centered, indexing="ij"))
+        q = np.einsum("de,exyz->dxyz", lin, grid) + tr[:, None, None, None]
+        half = (level - 1) / 2
+        warped = ndimage.map_coordinates(
+            mov_l, (q - half) / level, order=1, mode="constant", cval=0.0
+        )
+        want = float(np.mean((warped - ref_l) ** 2))
+        assert abs(cost - want) <= 1e-12 * want
+
+
+class TestConvergenceFlag:
+    def test_levels_traced(self):
+        v = make_blob_volume(seed=1, noise=1.0)
+        result = tf.register_affine(v, v, levels=(4, 2, 1), iterations=(5, 4, 3))
+        assert [t.level for t in result.levels] == [4, 2, 1]
+        assert [t.iterations for t in result.levels] == [5, 4, 3]
+        assert result.iterations == 12
+        for t in result.levels:
+            assert t.best_cost <= t.start_cost
+            assert t.best_cost <= t.end_cost
+            assert not t.nonfinite
+
+    def test_absurd_step_diverges_on_a_level(self):
+        moving = make_blob_volume(seed=6)
+        reference = tf.resample_spline(
+            moving, tf.translation_transform((2.0, 0.0, 0.0)), moving.dims, moving.spacing
+        )
+        result = tf.register_affine(moving, reference, step=50.0)
+        assert any(t.diverged for t in result.levels)
+
+    def test_last_iterate_above_start_within_best_gain_converges(self):
+        # a 48^3 phantom pair whose finest level ends slightly above its
+        # start cost (41.191 vs 41.175) after reaching 41.143: the level hands
+        # on its best iterate, so it has not diverged
+        spec = default_phantom_spec(dims=(48, 48, 48), modalities=("mprage",), seed=2)
+        reference = generate_subject(spec, 0)[1]["mprage"]
+        moving = generate_subject(spec, 2)[1]["mprage"]
+        result = tf.register_affine(moving, reference)
+        last = result.levels[-1]
+        assert last.level == 1
+        assert last.end_cost > last.start_cost
+        assert last.start_cost - last.best_cost > last.end_cost - last.start_cost
+        assert not last.diverged
+        assert result.converged
