@@ -274,25 +274,30 @@ def transpose_conv3d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def max_pool3d(x: Tensor) -> Tensor:
     """2x max pooling on all three spatial axes.
 
-    The gradient is routed to the argmax of each 2x2x2 block; ties break to
-    the first position in (dx, dy, dz) order.
+    The forward pass is a running maximum over the eight strided views of
+    the 2x2x2 blocks. The block argmax is taken only in the backward pass,
+    which routes the gradient to it; ties break to the first position in
+    (dx, dy, dz) order, and a NaN takes the gradient from any number.
     """
     _check_5d(x)
     B, C, X, Y, Z = x.shape
     for axis, n in zip("xyz", (X, Y, Z)):
         if n % 2:
             raise ShapeError(f"max_pool3d needs even spatial dims; axis {axis} has {n}")
-    blocks = (
-        x.data.reshape(B, C, X // 2, 2, Y // 2, 2, Z // 2, 2)
-        .transpose(0, 1, 2, 4, 6, 3, 5, 7)
-        .reshape(B, C, X // 2, Y // 2, Z // 2, 8)
-    )
-    arg = blocks.argmax(axis=-1)
-    out_data = np.take_along_axis(blocks, arg[..., None], axis=-1)[..., 0]
+    out_data = x.data[:, :, 0::2, 0::2, 0::2].copy()
+    for dx, dy, dz in list(np.ndindex(2, 2, 2))[1:]:
+        # the running maximum is the second operand, the one np.maximum
+        # returns on a tie, so even a -0/+0 tie keeps the first value
+        np.maximum(x.data[:, :, dx::2, dy::2, dz::2], out_data, out=out_data)
 
     def bwd(g):
+        blocks = (
+            x.data.reshape(B, C, X // 2, 2, Y // 2, 2, Z // 2, 2)
+            .transpose(0, 1, 2, 4, 6, 3, 5, 7)
+            .reshape(B, C, X // 2, Y // 2, Z // 2, 8)
+        )
         gb = np.zeros(blocks.shape, dtype=g.dtype)
-        np.put_along_axis(gb, arg[..., None], g[..., None], axis=-1)
+        np.put_along_axis(gb, blocks.argmax(axis=-1)[..., None], g[..., None], axis=-1)
         gx = (
             gb.reshape(B, C, X // 2, Y // 2, Z // 2, 2, 2, 2)
             .transpose(0, 1, 2, 5, 3, 6, 4, 7)

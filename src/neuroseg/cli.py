@@ -6,7 +6,9 @@ back), ``evaluate`` (Dice metrics plus the Dice/CV scatter) and
 ``uncertainty`` (MC-dropout QC on one volume).
 
 Exit codes: 0 success/QC pass, 2 QC warn, 1 error. Every run echoes its
-resolved settings into ``run_record.json`` in the output directory.
+resolved settings into ``run_record.json`` in the output directory; a
+``segment`` record also holds the wall seconds of each stage (``timings``)
+and the per-pass structure voxel counts of the MC samples (``mc_volumes``).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional
@@ -70,6 +73,24 @@ def _write_run_record(out_dir: Path, command: str, resolved: Dict) -> None:
         {k: (str(v) if isinstance(v, Path) else v) for k, v in sorted(resolved.items())}
     )
     (out_dir / "run_record.json").write_text(json.dumps(record, indent=2, sort_keys=True))
+
+
+class _StageClock:
+    """Wall seconds of consecutive pipeline stages, and of the whole run."""
+
+    def __init__(self):
+        self._start = self._last = time.perf_counter()
+        self._seconds: Dict[str, float] = {}
+
+    def lap(self, stage: str) -> None:
+        """End ``stage``: it ran from the previous lap (or the start) to now."""
+        now = time.perf_counter()
+        self._seconds[f"{stage}_s"] = now - self._last
+        self._last = now
+
+    def timings(self) -> Dict[str, float]:
+        """Each stage's seconds, and ``total_s`` from the start to now."""
+        return {**self._seconds, "total_s": time.perf_counter() - self._start}
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -199,7 +220,7 @@ def cmd_train(args) -> int:
 
 
 def _segment_on_model_grid(model, volume, cfg: PipelineConfig):
-    """Returns (labels on model grid, report or None)."""
+    """Returns (labels on model grid, MC sample set or None, report or None)."""
     if cfg.mc:
         fused, samples = mc_segment(model, volume, n=cfg.mc_samples, seed=cfg.seed)
         report = (
@@ -207,17 +228,18 @@ def _segment_on_model_grid(model, volume, cfg: PipelineConfig):
             if cfg.mc_samples >= 2
             else None
         )
-        return fused, report
+        return fused, samples, report
     with ad.no_grad():
         P = model.forward(
             np.asarray(volume.data, dtype=model.dtype)[None, None],
             mode="eval",
             dropout_active=False,
         )
-    return hard_segment(P, like=volume), None
+    return hard_segment(P, like=volume), None, None
 
 
 def cmd_segment(args) -> int:
+    clock = _StageClock()
     cfg = _pipeline_config(args)
     model = _load_model(cfg)
     original = read_volume(args.input)
@@ -225,7 +247,9 @@ def cmd_segment(args) -> int:
         print("error: segmentation input must be an intensity volume", file=sys.stderr)
         return 1
     reference = read_volume(cfg.reference)
+    clock.lap("load")
     reg = tf.register_affine(original, reference)
+    clock.lap("register")
     if not reg.converged:
         print(
             f"warning: coregistration did not converge (final cost {reg.final_cost:.6g})",
@@ -238,9 +262,13 @@ def cmd_segment(args) -> int:
         for s, d, m in zip(reference.spacing, reference.dims, model.spec.input_dims)
     )
     resampled = tf.resample_spline(original, t_total, model.spec.input_dims, model_spacing)
+    clock.lap("resample")
     normalized = normalize_intensity(resampled)
-    seg_model_grid, report = _segment_on_model_grid(model, normalized, cfg)
+    clock.lap("normalize")
+    seg_model_grid, samples, report = _segment_on_model_grid(model, normalized, cfg)
+    clock.lap("mc")
     out_labels = tf.map_back(seg_model_grid, original, t_total)
+    clock.lap("map_back")
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_volume(out_labels, cfg.out_dir / "segmentation.mvx")
@@ -256,6 +284,7 @@ def cmd_segment(args) -> int:
                 file=sys.stderr,
             )
             code = 2
+    clock.lap("write")
     _write_run_record(
         cfg.out_dir,
         "segment",
@@ -276,6 +305,8 @@ def cmd_segment(args) -> int:
             ],
             "cv": None if report is None else report.cv,
             "verdict": None if report is None else report.verdict,
+            "mc_volumes": None if samples is None else samples.volumes.tolist(),
+            "timings": clock.timings(),
         },
     )
     print(f"segmentation written to {cfg.out_dir / 'segmentation.mvx'}")
@@ -299,7 +330,7 @@ def cmd_evaluate(args) -> int:
         vol = read_volume(rec.volume_path)
         labels = read_volume(rec.labels_path)
         normalized = normalize_intensity(vol)
-        seg, report = _segment_on_model_grid(model, normalized, cfg)
+        seg, _, report = _segment_on_model_grid(model, normalized, cfg)
         dr = dice_report(seg.labels, labels.labels, model.spec.num_classes)
         rows.append((rec.volume_path.name, dr))
         averages.append(dr.average)

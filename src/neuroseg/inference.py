@@ -2,7 +2,9 @@
 coefficient-of-variation quality check.
 
 MC sampling runs the trained network N times with eval-mode batch norm and
-active dropout; the fused map is the voxelwise argmax of the summed softmax
+active dropout. The layers before the first dropout (encoder block 1) are
+the same in every pass, so they run once per volume and each pass starts
+from their output. The fused map is the voxelwise argmax of the summed softmax
 fields (equivalently their mean). Per-sample anatomical volumes are the
 voxel counts of each sample's hard segmentation; their dispersion across
 samples yields CV_s = sigma_s / mu_s and the aggregate CV is the mean over
@@ -74,8 +76,10 @@ def mc_segment(
 
     ``v`` must already be on the model grid and intensity-normalized. Each of
     the ``n`` passes uses an independent rng derived from ``seed``, so the
-    fused result does not depend on evaluation order. Returns the fused
-    LabelMap and the sample set for the CV computation.
+    fused result does not depend on evaluation order. The block before the
+    first dropout runs once for the volume, not once per pass
+    (``UNet3D.mc_passes``); every pass equals a full ``forward`` bitwise.
+    Returns the fused LabelMap and the sample set for the CV computation.
     """
     if n < 1:
         raise ValueError(f"need at least 1 MC sample, got {n}")
@@ -88,10 +92,8 @@ def mc_segment(
     num_classes = model.spec.num_classes
     total = np.zeros((num_classes,) + v.dims, dtype=np.float64)
     volumes = np.zeros((n, num_classes), dtype=np.int64)
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        with ad.no_grad():
-            P = model.forward(x, mode="eval", dropout_active=True, rng=rng)
+    rngs = (np.random.default_rng(child) for child in children)
+    for i, P in enumerate(model.mc_passes(x, rngs)):
         sample = P.data[0]
         total += sample
         volumes[i] = _structure_volumes(np.argmax(sample, axis=0), num_classes)

@@ -14,7 +14,7 @@ import json
 import struct
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -209,6 +209,25 @@ class UNet3D:
         stochasticity independently (MC sampling = eval statistics with
         active dropout) and defaults to mode == 'train'.
         """
+        active = (mode == "train") if dropout_active is None else dropout_active
+        return self._rest(self._first(self._input(x), mode), mode, active, rng)
+
+    def mc_passes(self, x, rngs: Iterable[np.random.Generator]) -> Iterator[Tensor]:
+        """Yield one MC-dropout pass (eval statistics, active dropout) per
+        rng, without building a graph.
+
+        Encoder block 1 comes before the first dropout, so it runs once and
+        every pass starts from its output. Each yielded field is bitwise
+        equal to ``forward(x, "eval", True, rng)``.
+        """
+        with ad.no_grad():
+            h = self._first(self._input(x), "eval")
+        for rng in rngs:
+            with ad.no_grad():
+                P = self._rest(h, "eval", True, rng)
+            yield P
+
+    def _input(self, x) -> Tensor:
         if isinstance(x, np.ndarray):
             x = Tensor(x)
         if x.data.ndim != 5:
@@ -218,11 +237,19 @@ class UNet3D:
                 f"input shape {x.shape[1:]} does not match spec "
                 f"({self.spec.in_channels}, {self.spec.input_dims})"
             )
-        active = (mode == "train") if dropout_active is None else dropout_active
+        return x
+
+    def _first(self, x: Tensor, mode: str) -> Tensor:
+        """Encoder block 1: everything before the first dropout."""
+        s1, s2 = self.encoders[0]
+        return s2(s1(x, mode), mode)
+
+    def _rest(self, h: Tensor, mode: str, active: bool, rng) -> Tensor:
+        """The layers after ``_first``, from its output ``h`` to the softmax."""
         skips = []
-        h = x
-        for s1, s2 in self.encoders:
-            h = s2(s1(h, mode), mode)
+        for d, (s1, s2) in enumerate(self.encoders):
+            if d > 0:
+                h = s2(s1(h, mode), mode)
             h = self._dropout(h, active, rng)
             skips.append(h)
             h = ad.max_pool3d(h)
@@ -265,18 +292,28 @@ class UNet3D:
         missing, unknown or mis-shaped entry raises CheckpointError and
         leaves the model unchanged.
         """
+        self._check_state({name: np.shape(arr) for name, arr in arrays.items()}, bn_initialized)
+        for name, owner, attr in self._slots():
+            arr = np.asarray(arrays[name])
+            setattr(owner, attr, arr.astype(getattr(owner, attr).dtype, copy=False))
+        self._set_flags(bn_initialized)
+
+    def _check_state(
+        self, shapes: Mapping[str, Tuple[int, ...]], bn_initialized: Mapping[str, bool]
+    ) -> None:
+        """A full named state must name exactly this model's arrays and batch
+        norms, each array with the model's shape; raises CheckpointError."""
         slots = list(self._slots())
-        _require_names("array", arrays, [name for name, _, _ in slots])
+        _require_names("array", shapes, [name for name, _, _ in slots])
         _require_names("batch-norm flag", bn_initialized, self._bn_states)
         for name, owner, attr in slots:
-            have, want = np.shape(arrays[name]), getattr(owner, attr).shape
+            have, want = tuple(shapes[name]), getattr(owner, attr).shape
             if have != want:
                 raise CheckpointError(
                     f"array {name!r} has shape {have}, the model needs {want}"
                 )
-        for name, owner, attr in slots:
-            arr = np.asarray(arrays[name])
-            setattr(owner, attr, arr.astype(getattr(owner, attr).dtype, copy=False))
+
+    def _set_flags(self, bn_initialized: Mapping[str, bool]) -> None:
         for name, state in self._bn_states.items():
             state.initialized = bool(bn_initialized[name])
 
@@ -324,7 +361,11 @@ def save_checkpoint(model: UNet3D, path, extras: Optional[Dict[str, np.ndarray]]
 def load_checkpoint(path, into: Optional[UNet3D] = None) -> UNet3D:
     """Restore a model bitwise. ``into`` loads in place and must match the
     stored spec. Any malformed, truncated or mismatched file raises
-    CheckpointError and leaves ``into`` unchanged."""
+    CheckpointError and leaves ``into`` unchanged.
+
+    The header's array table is checked against a freshly built model first;
+    each payload is then read straight into that model's own array, so the
+    weights are held once."""
     with open(path, "rb") as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
@@ -336,26 +377,36 @@ def load_checkpoint(path, into: Optional[UNet3D] = None) -> UNet3D:
                 raise CheckpointError(
                     f"checkpoint spec {spec} does not match target model {into.spec}"
                 )
-            # built before the payload is read, so that the float64 draws of
-            # the initialisation do not raise the peak memory on top of it
-            model = into
-            if model is None:
-                model = UNet3D(spec, header["seed"], np.dtype(header["dtype"]))
+            model = UNet3D(spec, header["seed"], np.dtype(header["dtype"]))
             bn_initialized = dict(header["bn_initialized"])
-            arrays = {}
-            for name, shape, dtype_str in header["arrays"]:
-                n = int(np.prod(shape))
-                arr = np.fromfile(fh, np.dtype(dtype_str), count=n)
-                if arr.size < n:
-                    raise ValueError(f"array {name} is truncated")
-                arrays[name] = arr.reshape(shape)
+            table = [(name, tuple(shape), np.dtype(dt)) for name, shape, dt in header["arrays"]]
+            shapes = {name: shape for name, shape, _ in table if not name.startswith("extra.")}
+            try:
+                model._check_state(shapes, bn_initialized)
+            except CheckpointError as exc:
+                raise CheckpointError(f"{path}: {exc}") from None
+            own = model.named_arrays()
+            for name, shape, dtype in table:
+                if name in own:
+                    arr = own[name]
+                    if dtype.newbyteorder("=") != arr.dtype:
+                        raise ValueError(f"array {name} is {dtype}, the model needs {arr.dtype}")
+                    if fh.readinto(memoryview(arr).cast("B")) < arr.nbytes:
+                        raise ValueError(f"array {name} is truncated")
+                    if not dtype.isnative:
+                        arr.byteswap(inplace=True)
+                else:
+                    n = int(np.prod(shape))
+                    arr = np.fromfile(fh, dtype, count=n)
+                    if arr.size < n:
+                        raise ValueError(f"array {name} is truncated")
+                    model.extras[name[len("extra.") :]] = arr.reshape(shape)
         except (struct.error, ValueError, KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
-    extras = {name: arr for name, arr in arrays.items() if name.startswith("extra.")}
-    state = {name: arr for name, arr in arrays.items() if name not in extras}
-    try:
-        model.assign_state(state, bn_initialized)
-    except CheckpointError as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
-    model.extras.update((name[len("extra.") :], arr) for name, arr in extras.items())
-    return model
+    model._set_flags(bn_initialized)
+    if into is None:
+        return model
+    into.assign_state(*model.named_state())
+    into.extras.update(model.extras)
+    return into
+

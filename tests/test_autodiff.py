@@ -239,6 +239,39 @@ class TestSimpleOps:
         assert grad[0] == 1.0
         assert grad[1:].sum() == 0.0
 
+    def test_max_pool_forward_is_block_max_with_inf_and_nan(self, rng):
+        x = rng.standard_normal((2, 3, 6, 4, 8)).astype(np.float32)
+        u = rng.random(x.shape)
+        x[u < 0.1] = np.inf
+        x[(u >= 0.1) & (u < 0.2)] = -np.inf
+        x[(u >= 0.2) & (u < 0.25)] = np.nan
+        x[:, 0, :2, :2, :2] = -np.inf  # an all -inf block
+        blocks = x.reshape(2, 3, 3, 2, 2, 2, 4, 2).max(axis=(3, 5, 7))
+        out = ad.max_pool3d(Tensor(x)).data
+        assert out.dtype == x.dtype
+        assert np.array_equal(out, blocks, equal_nan=True)
+        assert np.isnan(out).any() and np.isposinf(out).any() and np.isneginf(out).any()
+
+    @pytest.mark.parametrize("first", range(8))
+    def test_max_pool_tie_gradient_goes_to_first_maximum(self, first):
+        # offsets in (dx, dy, dz) order; every offset from ``first`` on ties
+        block = np.where(np.arange(8) >= first, 3.0, -1.0)
+        xt = tensor(block.reshape(1, 1, 2, 2, 2))
+        ad.sum_all(ad.max_pool3d(xt)).backward()
+        assert xt.grad.reshape(-1).tolist() == [float(i == first) for i in range(8)]
+
+    @pytest.mark.parametrize("nan_at", [0, 5])
+    def test_max_pool_gradient_goes_to_nan(self, nan_at):
+        block = np.arange(8.0)
+        block[nan_at] = np.nan
+        xt = tensor(block.reshape(1, 1, 2, 2, 2))
+        out = ad.max_pool3d(xt)
+        assert np.isnan(out.data).all()
+        ad.sum_all(out).backward()
+        assert np.nan_to_num(xt.grad).reshape(-1).tolist() == [
+            float(i == nan_at) for i in range(8)
+        ]
+
     def test_softmax_uniform_logits(self):
         x = np.zeros((1, 2, 1, 1, 1))
         out = ad.softmax_channels(Tensor(x))

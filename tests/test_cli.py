@@ -130,6 +130,25 @@ class TestRunRecord:
         assert not any(t["diverged"] for t in levels)
         assert record["registration_converged"]
 
+    def test_segment_records_timings_and_mc_volumes(self, setup, tmp_path):
+        _, records, checkpoint = setup  # scans and model grid are both 16^3
+        args = [
+            "segment", "--reference", str(records[0].volume_path),
+            "--input", str(records[1].volume_path), "--checkpoint", str(checkpoint),
+            "--mc-samples", "3",
+        ]
+        _, record = _run(args, tmp_path / "s")
+        timings = record["timings"]
+        stages = ["load", "register", "resample", "normalize", "mc", "map_back", "write"]
+        assert set(timings) == {f"{stage}_s" for stage in stages} | {"total_s"}
+        assert all(t >= 0 for t in timings.values())
+        assert sum(timings[f"{stage}_s"] for stage in stages) <= timings["total_s"]
+        volumes = np.asarray(record["mc_volumes"])
+        assert volumes.shape == (3, 28)
+        assert (volumes.sum(axis=1) == 16**3).all()
+        _, record = _run(args + ["--mc", "off"], tmp_path / "off")
+        assert record["mc_volumes"] is None and record["timings"]["mc_s"] >= 0
+
 
 class TestErrors:
     def test_short_checkpoint_exits_1(self, setup, tmp_path, capsys):

@@ -91,3 +91,39 @@ class TestMcSegment:
             assert np.array_equal(samples.volumes[i], counts)
         assert np.array_equal(fused.labels, np.argmax(total, axis=0))
         assert len(np.unique(samples.volumes, axis=0)) > 1  # the passes differ
+
+    def test_encoder_block_1_runs_once_per_volume(self, monkeypatch):
+        spec = ModelSpec(
+            features=2, depth=2, bottleneck_layers=1, num_classes=4, input_dims=(8, 8, 8)
+        )
+        model = UNet3D(spec, seed=2)
+        x = np.random.default_rng(1).random((1, 1, 8, 8, 8), dtype=np.float32)
+        model.forward(x, mode="train", rng=np.random.default_rng(0))  # batch-norm stats
+        block1 = {id(stage.conv.w) for stage in model.encoders[0]}
+        calls = []
+        dropouts = []
+        conv3d, dropout = ad.conv3d, ad.dropout
+
+        def counting(x, w, b):
+            calls.append((x.shape[1], id(w) in block1))
+            return conv3d(x, w, b)
+
+        def counting_dropout(x, rate, rng):
+            dropouts.append(x.shape[1:])
+            return dropout(x, rate, rng)
+
+        monkeypatch.setattr(ad, "conv3d", counting)
+        monkeypatch.setattr(ad, "dropout", counting_dropout)
+        with ad.no_grad():
+            model.forward(x, "eval", True, np.random.default_rng(0))
+        per_forward = len(calls)
+        calls.clear()
+        dropouts.clear()
+        mc_segment(model, Volume(x[0, 0]), n=5, seed=0)
+        assert [c for c in calls if c[0] == spec.in_channels] == [(spec.in_channels, True)]
+        assert sum(in_block1 for _, in_block1 in calls) == 2  # its two convolutions
+        assert len(calls) == 2 + 5 * (per_forward - 2)  # the others run in every pass
+        # every pass keeps all 2 * depth dropouts, two of them on the full
+        # grid: encoder block 1's and the last decoder block's
+        assert len(dropouts) == 5 * 2 * spec.depth
+        assert dropouts.count((spec.features, 8, 8, 8)) == 5 * 2

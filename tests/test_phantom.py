@@ -5,11 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from neuroseg.io import read_manifest, read_volume
 from neuroseg.phantom import (
+    _CORRUPTIONS,
     GM_LEFT,
     PaintStep,
     PhantomSpec,
     default_phantom_spec,
+    generate_dataset,
     load_phantom_spec,
     save_phantom_spec,
     structure_bounds,
@@ -166,3 +169,64 @@ class TestSpecConfig:
         path = tmp_path / "spec.json"
         save_phantom_spec(spec, path)
         assert load_phantom_spec(path) == spec
+
+
+def _dataset(out_dir, modalities=("mprage", "ct"), modes=None, n_corrupt=0):
+    """Five isotropic 16^3 subjects, one of them in the test split."""
+    spec = default_phantom_spec(dims=(16, 16, 16), modalities=modalities, isotropic=True, seed=4)
+    kwargs = {} if modes is None else {"corruption_modes": modes}
+    manifest = generate_dataset(
+        spec, 5, out_dir, test_fraction=0.2, n_corrupt=n_corrupt, **kwargs
+    )
+    return read_manifest(manifest)
+
+
+class TestDataset:
+    def test_same_spec_and_seed_write_identical_bytes(self, tmp_path):
+        _dataset(tmp_path / "a", n_corrupt=1)
+        _dataset(tmp_path / "b", n_corrupt=1)
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        assert "manifest.csv" in names and len(names) == 1 + 5 * 2 * 2
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
+        return _dataset(tmp_path_factory.mktemp("clean"))
+
+    @pytest.mark.parametrize("mode", _CORRUPTIONS)
+    def test_each_mode_is_applied_and_recorded(self, mode, clean, tmp_path):
+        records = _dataset(tmp_path, modes=(mode,), n_corrupt=1)
+        for rec, base in zip(records, clean):
+            assert (rec.split, rec.modality) == (base.split, base.modality)
+            vol = read_volume(rec.volume_path).data
+            if rec.split != "test":
+                assert rec.note == ""
+                assert np.array_equal(vol, read_volume(base.volume_path).data)
+                continue
+            assert rec.note == f"corrupt:{mode}"
+            assert not np.array_equal(vol, read_volume(base.volume_path).data)
+            assert np.array_equal(  # the labels stay truthful
+                read_volume(rec.labels_path).labels, read_volume(base.labels_path).labels
+            )
+            if mode == "swap":  # the other modality's clean volume of the subject
+                (partner,) = [
+                    r for r in clean
+                    if r.split == "test" and r.modality != rec.modality
+                ]
+                assert np.array_equal(vol, read_volume(partner.volume_path).data)
+
+    def test_swap_without_a_partner_falls_back_to_noise(self, tmp_path):
+        clean = _dataset(tmp_path / "clean", modalities=("mprage",))
+        records = _dataset(tmp_path / "swap", modalities=("mprage",), modes=("swap",), n_corrupt=1)
+        noisy = _dataset(
+            tmp_path / "noise", modalities=("mprage",), modes=("noise-0.5",), n_corrupt=1
+        )
+        (rec,) = [r for r in records if r.split == "test"]
+        (base,) = [r for r in clean if r.split == "test"]
+        (expected,) = [r for r in noisy if r.split == "test"]
+        assert rec.note == "corrupt:noise-0.5"
+        vol = read_volume(rec.volume_path).data
+        assert not np.array_equal(vol, read_volume(base.volume_path).data)
+        assert np.array_equal(vol, read_volume(expected.volume_path).data)

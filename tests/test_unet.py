@@ -197,6 +197,34 @@ class TestForward:
         assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-4)
 
 
+class TestMcPasses:
+    @pytest.mark.parametrize(
+        "depth, rate", [(1, 0.2), (2, 0.2), (2, 0.0)], ids=["depth1", "depth2", "rate0"]
+    )
+    def test_each_pass_equals_forward_bitwise(self, depth, rate, rng):
+        spec = ModelSpec(
+            features=2, depth=depth, bottleneck_layers=1, num_classes=4,
+            input_dims=(8, 8, 8), dropout_rate=rate,
+        )
+        model = UNet3D(spec, seed=5)
+        x = rng.standard_normal((1, 1, 8, 8, 8)).astype(np.float32)
+        model.forward(x, mode="train", rng=np.random.default_rng(0))  # batch-norm stats
+        seeds = [3, 4, 5]
+        passes = list(model.mc_passes(x, (np.random.default_rng(s) for s in seeds)))
+        assert len(passes) == len(seeds)
+        for s, P in zip(seeds, passes):
+            assert not P.requires_grad
+            expected = model.forward(x, "eval", True, np.random.default_rng(s))
+            assert P.data.dtype == expected.data.dtype
+            assert P.data.tobytes() == expected.data.tobytes()
+        if rate > 0:
+            assert passes[0].data.tobytes() != passes[1].data.tobytes()
+
+    def test_rejects_a_mismatched_input(self, tiny_model):
+        with pytest.raises(ad.ShapeError):
+            next(tiny_model.mc_passes(np.zeros((1, 1, 8, 8, 16), np.float32), []))
+
+
 class TestEndToEndGradient:
     def test_loss_gradient_matches_finite_differences(self):
         # 8^3 toy network in float64; sample parameters from every layer kind
