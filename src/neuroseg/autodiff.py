@@ -19,6 +19,9 @@ blocks.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -48,6 +51,61 @@ def no_grad():
         yield
     finally:
         _grad_enabled.reset(token)
+
+
+@functools.lru_cache(maxsize=None)
+def _blas_thread_api():
+    """``(get, set)`` of the OpenBLAS thread count that numpy's matmul uses,
+    or None when numpy's BLAS exports neither (another BLAS, or none)."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix in ("openblas", "scipy_openblas"):
+        for suffix in ("", "64_", "_64"):
+            try:
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+class _BlasPin:
+    """Process-wide count of open ``_one_blas_thread`` blocks. The BLAS
+    thread count is process state, so overlapping blocks (from several
+    threads) share one pin: the first sets 1 thread and the last restores the
+    count the first one found."""
+
+    lock = threading.Lock()
+    depth = 0
+    saved = 0
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread, so that GEMMs issued from
+    several Python threads at once do not contend for BLAS's own threads.
+    Callers check ``_blas_thread_api()`` first. Never hold it across a
+    ``yield``: an abandoned generator would leave BLAS pinned."""
+    get, put = _blas_thread_api()
+    with _BlasPin.lock:
+        if _BlasPin.depth == 0:
+            _BlasPin.saved = get()
+            put(1)
+        _BlasPin.depth += 1
+    try:
+        yield
+    finally:
+        with _BlasPin.lock:
+            _BlasPin.depth -= 1
+            if _BlasPin.depth == 0:
+                put(_BlasPin.saved)
 
 
 class Tensor:
@@ -192,6 +250,7 @@ def _correlate(xp, w, dims):
     acc = np.empty((O, B, *dims), dtype=xp.dtype)
     for planes, block in _slabs(xp, w, dims):
         acc[:, :, planes] = (w2 @ block).reshape(acc[:, :, planes].shape)
+        del block  # free it before _slabs gathers the next one
     return acc.transpose(1, 0, 2, 3, 4)
 
 
@@ -217,7 +276,8 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"kernel dims must be odd for same padding, got {(kx, ky, kz)}")
     dims = (X, Y, Z)
     xp = _pad(x.data, w.data)
-    out_data = _correlate(xp, w.data, dims) + b.data.reshape(1, O, 1, 1, 1)
+    out_data = _correlate(xp, w.data, dims)
+    out_data += b.data.reshape(1, O, 1, 1, 1)
 
     def bwd(g):
         if b.requires_grad:
@@ -252,7 +312,7 @@ def transpose_conv3d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"bias must be ({O},), got {b.shape}")
     blocks = np.tensordot(x.data, w.data, axes=([1], [0]))  # (B,X,Y,Z,O,2,2,2)
     out_data = blocks.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(B, O, 2 * X, 2 * Y, 2 * Z)
-    out_data = out_data + b.data.reshape(1, O, 1, 1, 1)
+    out_data += b.data.reshape(1, O, 1, 1, 1)
 
     def bwd(g):
         gb = g.reshape(B, O, X, 2, Y, 2, Z, 2).transpose(0, 2, 4, 6, 1, 3, 5, 7)
@@ -363,8 +423,10 @@ def batch_norm(
     inv = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
     mean_c = mean.astype(x.dtype)
     shape = (1, C, 1, 1, 1)
-    xhat = (x.data - mean_c.reshape(shape)) * inv.reshape(shape)
-    out_data = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
+    xhat = x.data - mean_c.reshape(shape)
+    xhat *= inv.reshape(shape)
+    out_data = gamma.data.reshape(shape) * xhat
+    out_data += beta.data.reshape(shape)
 
     def bwd(g):
         sg = g.sum(axis=axes)
@@ -399,7 +461,8 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         return _make(x.data, (x,), bwd_id)
     keep = rng.random(x.shape) >= rate
     scale = np.asarray(1.0 / (1.0 - rate), dtype=x.dtype)
-    mask = keep.astype(x.dtype) * scale
+    mask = keep.astype(x.dtype)
+    mask *= scale
     out_data = x.data * mask
 
     def bwd(g):
@@ -411,9 +474,9 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 def softmax_channels(x: Tensor) -> Tensor:
     """Stable softmax over the channel axis; outputs sum to 1 per voxel."""
     _check_5d(x)
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=1, keepdims=True)
+    out_data = x.data - x.data.max(axis=1, keepdims=True)
+    np.exp(out_data, out=out_data)
+    out_data /= out_data.sum(axis=1, keepdims=True)
 
     def bwd(g):
         dot = (g * out_data).sum(axis=1, keepdims=True)

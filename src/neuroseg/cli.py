@@ -9,6 +9,9 @@ Exit codes: 0 success/QC pass, 2 QC warn, 1 error. Every run echoes its
 resolved settings into ``run_record.json`` in the output directory; a
 ``segment`` record also holds the wall seconds of each stage (``timings``)
 and the per-pass structure voxel counts of the MC samples (``mc_volumes``).
+``segment`` and ``uncertainty`` records give the number of MC passes run at
+once (``mc_workers``) and whether OpenBLAS was pinned to one thread while
+they ran (``blas_pinned``).
 """
 
 from __future__ import annotations
@@ -125,6 +128,13 @@ def _load_model(cfg: PipelineConfig) -> UNet3D:
     if cfg.dropout_rate is not None:
         model.spec = dataclasses.replace(model.spec, dropout_rate=cfg.dropout_rate)
     return model
+
+
+def _mc_execution(samples) -> Dict:
+    """How the MC passes ran: passes at once, and whether BLAS was pinned to
+    one thread for them (it is whenever more than one ran at once)."""
+    workers = None if samples is None else samples.workers
+    return {"mc_workers": workers, "blas_pinned": workers is not None and workers > 1}
 
 
 def cmd_phantoms(args) -> int:
@@ -306,6 +316,7 @@ def cmd_segment(args) -> int:
             "cv": None if report is None else report.cv,
             "verdict": None if report is None else report.verdict,
             "mc_volumes": None if samples is None else samples.volumes.tolist(),
+            **_mc_execution(samples),
             "timings": clock.timings(),
         },
     )
@@ -402,6 +413,7 @@ def cmd_uncertainty(args) -> int:
             "seed": cfg.seed,
             "cv": report.cv,
             "verdict": report.verdict,
+            **_mc_execution(samples),
         },
     )
     print(f"CV {report.cv:.4f} (threshold {report.threshold:.4f}): {report.verdict}")

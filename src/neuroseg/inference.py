@@ -4,11 +4,17 @@ coefficient-of-variation quality check.
 MC sampling runs the trained network N times with eval-mode batch norm and
 active dropout. The layers before the first dropout (encoder block 1) are
 the same in every pass, so they run once per volume and each pass starts
-from their output. The fused map is the voxelwise argmax of the summed softmax
-fields (equivalently their mean). Per-sample anatomical volumes are the
-voxel counts of each sample's hard segmentation; their dispersion across
-samples yields CV_s = sigma_s / mu_s and the aggregate CV is the mean over
-structures present in every statistic's denominator sense (mu_s > 0).
+from their output. The passes run in windows of one pass per usable core
+(``unet.mc_workers``), with OpenBLAS pinned to one thread while a window
+runs; each pass in flight holds its own working set, so a window of w passes
+needs about w - 1 passes' memory more than one pass at a time. Every pass
+draws from its own rng and the sum runs in pass order, so the results are
+bitwise those of one pass at a time. The fused map is the voxelwise argmax
+of the summed softmax fields (equivalently their mean). Per-sample
+anatomical volumes are the voxel counts of each sample's hard segmentation;
+their dispersion across samples yields CV_s = sigma_s / mu_s and the
+aggregate CV is the mean over structures present in every statistic's
+denominator sense (mu_s > 0).
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .core import NUM_CLASSES, LabelMap, StructureTable, Volume
-from .unet import UNet3D
+from .unet import UNet3D, mc_workers
 
 DEFAULT_MC_SAMPLES = 15
 CV_THRESHOLDS = {"mprage": 0.01, "flair": 0.025, "dwi": 0.025, "ct": 0.025}
@@ -34,6 +40,7 @@ class McSampleSet:
     n: int
     volumes: np.ndarray  # (N, num_classes) int64
     seeds: List[int]
+    workers: int = 1  # passes run at once (the MC window size)
 
 
 @dataclass
@@ -77,8 +84,10 @@ def mc_segment(
     ``v`` must already be on the model grid and intensity-normalized. Each of
     the ``n`` passes uses an independent rng derived from ``seed``, so the
     fused result does not depend on evaluation order. The block before the
-    first dropout runs once for the volume, not once per pass
-    (``UNet3D.mc_passes``); every pass equals a full ``forward`` bitwise.
+    first dropout runs once for the volume, not once per pass, and up to
+    one pass per usable core runs at once (``UNet3D.mc_passes``); every pass
+    equals a full ``forward`` bitwise, and the float64 sum of the softmax
+    fields runs in pass order.
     Returns the fused LabelMap and the sample set for the CV computation.
     """
     if n < 1:
@@ -102,6 +111,7 @@ def mc_segment(
         n=n,
         volumes=volumes,
         seeds=[int(c.generate_state(1)[0]) for c in children],
+        workers=min(mc_workers(), n),
     )
     return fused, sample_set
 

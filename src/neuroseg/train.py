@@ -11,6 +11,7 @@ restored into the returned model.
 from __future__ import annotations
 
 import csv
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -66,6 +67,9 @@ class EpochStats:
     train_loss: float
     val_loss: float
     val_dice: float
+    # wall seconds of the epoch (training steps and validation); not part of
+    # a log's equality, which compares what was computed
+    epoch_s: float = field(compare=False)
 
 
 @dataclass
@@ -77,10 +81,16 @@ class TrainLog:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_loss", "val_loss", "val_dice"])
+            writer.writerow(["epoch", "train_loss", "val_loss", "val_dice", "epoch_s"])
             for e in self.epochs:
                 writer.writerow(
-                    [e.epoch, repr(e.train_loss), repr(e.val_loss), repr(e.val_dice)]
+                    [
+                        e.epoch,
+                        repr(e.train_loss),
+                        repr(e.val_loss),
+                        repr(e.val_dice),
+                        repr(e.epoch_s),
+                    ]
                 )
             writer.writerow(["best_epoch", self.best_epoch, "stop_reason", self.stop_reason])
 
@@ -221,6 +231,7 @@ def train(model: UNet3D, manifest, cfg: TrainConfig) -> Tuple[UNet3D, TrainLog]:
     history: List[float] = []
 
     for epoch in range(1, cfg.max_epochs + 1):
+        started = time.perf_counter()
         order = rng_shuffle.permutation(len(train_pairs))
         epoch_losses = []
         for start in range(0, len(order), cfg.batch_size):
@@ -260,7 +271,9 @@ def train(model: UNet3D, manifest, cfg: TrainConfig) -> Tuple[UNet3D, TrainLog]:
             val_dices.append(dice_report(pred, lab.labels, model.spec.num_classes).average)
         val_loss = float(np.mean(val_losses, dtype=np.float64))
         val_dice = float(np.mean(val_dices, dtype=np.float64))
-        log.epochs.append(EpochStats(epoch, train_loss, val_loss, val_dice))
+        log.epochs.append(
+            EpochStats(epoch, train_loss, val_loss, val_dice, time.perf_counter() - started)
+        )
 
         if val_loss < best_val:
             best_val = val_loss

@@ -11,9 +11,12 @@ by a channel softmax.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from itertools import islice
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -214,18 +217,38 @@ class UNet3D:
 
     def mc_passes(self, x, rngs: Iterable[np.random.Generator]) -> Iterator[Tensor]:
         """Yield one MC-dropout pass (eval statistics, active dropout) per
-        rng, without building a graph.
+        rng, in rng order, without building a graph.
 
         Encoder block 1 comes before the first dropout, so it runs once and
         every pass starts from its output. Each yielded field is bitwise
         equal to ``forward(x, "eval", True, rng)``.
+
+        The passes run in windows of ``mc_workers()`` rngs (fewer in the last
+        window), taken from ``rngs`` on the calling thread. In a window of w
+        passes, the calling thread runs the first and a pool of w - 1 threads
+        the others, with OpenBLAS pinned to one thread for the window's
+        duration; a window's fields are yielded once all of its passes have
+        finished, and the pin is released before the first yield. Each
+        pass in flight holds one pass's working set, so a window of w holds
+        w of them.
         """
         with ad.no_grad():
             h = self._first(self._input(x), "eval")
-        for rng in rngs:
-            with ad.no_grad():
-                P = self._rest(h, "eval", True, rng)
-            yield P
+        rngs = iter(rngs)
+        workers = mc_workers()
+        while window := list(islice(rngs, workers)):
+            if len(window) == 1:
+                yield self._mc_pass(h, window[0])
+                continue
+            with ad._one_blas_thread(), ThreadPoolExecutor(len(window) - 1) as pool:
+                others = [pool.submit(self._mc_pass, h, rng) for rng in window[1:]]
+                fields = [self._mc_pass(h, window[0])] + [f.result() for f in others]
+            yield from fields
+
+    def _mc_pass(self, h: Tensor, rng) -> Tensor:
+        # no_grad is per thread, so a pool thread must enter it itself
+        with ad.no_grad():
+            return self._rest(h, "eval", True, rng)
 
     def _input(self, x) -> Tensor:
         if isinstance(x, np.ndarray):
@@ -246,7 +269,7 @@ class UNet3D:
 
     def _rest(self, h: Tensor, mode: str, active: bool, rng) -> Tensor:
         """The layers after ``_first``, from its output ``h`` to the softmax."""
-        skips = []
+        skips = []  # popped by the decoder block that consumes it, which frees it
         for d, (s1, s2) in enumerate(self.encoders):
             if d > 0:
                 h = s2(s1(h, mode), mode)
@@ -255,9 +278,9 @@ class UNet3D:
             h = ad.max_pool3d(h)
         for stage in self.bottleneck:
             h = stage(h, mode)
-        for (up, s1, s2), skip in zip(self.decoders, reversed(skips)):
+        for up, s1, s2 in self.decoders:
             h = up(h)
-            h = ad.concat_channels(h, skip)
+            h = ad.concat_channels(h, skips.pop())
             h = s2(s1(h, mode), mode)
             h = self._dropout(h, active, rng)
         logits = self.head(h)
@@ -316,6 +339,17 @@ class UNet3D:
     def _set_flags(self, bn_initialized: Mapping[str, bool]) -> None:
         for name, state in self._bn_states.items():
             state.initialized = bool(bn_initialized[name])
+
+
+def mc_workers() -> int:
+    """Passes that ``UNet3D.mc_passes`` runs at once: one per usable core
+    when numpy's OpenBLAS thread count can be set, else 1 (one pass at a
+    time, BLAS threads as they are)."""
+    if ad._blas_thread_api() is None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _require_names(kind, given, expected) -> None:

@@ -424,3 +424,35 @@ class TestGraphMechanics:
         scalar_loss(ad.concat_channels(a, b), weights).backward()
         assert np.allclose(a.grad, weights[:, :2])
         assert np.allclose(b.grad, weights[:, 2:])
+
+
+class TestOneBlasThread:
+    def test_overlapping_pins_restore_the_count_once(self):
+        api = ad._blas_thread_api()
+        if api is None:
+            pytest.skip("numpy's BLAS exports no OpenBLAS thread-count functions")
+        get, put = api
+        before = get()
+        put(2)  # a count the pin visibly changes, even on a one-core host
+        try:
+            inside, release = threading.Event(), threading.Event()
+
+            def hold_pin():
+                with ad._one_blas_thread():
+                    inside.set()
+                    release.wait(timeout=30)
+
+            worker = threading.Thread(target=hold_pin)
+            with ad._one_blas_thread():
+                worker.start()
+                assert inside.wait(timeout=30)
+                with ad._one_blas_thread():
+                    assert get() == 1
+                assert get() == 1
+            assert get() == 1  # the worker's block is still open
+            release.set()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+            assert get() == 2
+        finally:
+            put(before)

@@ -9,7 +9,7 @@ from neuroseg.core import StructureTable, normalize_intensity
 from neuroseg.inference import mc_segment, uncertainty, write_uncertainty_report
 from neuroseg.io import read_manifest, read_volume, write_volume
 from neuroseg.phantom import default_phantom_spec, generate_dataset, generate_subject
-from neuroseg.unet import ModelSpec, UNet3D, load_checkpoint, save_checkpoint
+from neuroseg.unet import ModelSpec, UNet3D, load_checkpoint, mc_workers, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +149,18 @@ class TestRunRecord:
         _, record = _run(args + ["--mc", "off"], tmp_path / "off")
         assert record["mc_volumes"] is None and record["timings"]["mc_s"] >= 0
 
+    def test_segment_and_uncertainty_record_mc_workers(self, setup, tmp_path):
+        _, records, checkpoint = setup
+        common = ["--input", str(records[1].volume_path), "--checkpoint", str(checkpoint)]
+        segment = ["segment", "--reference", str(records[0].volume_path)] + common
+        for n in (2, 3):
+            for i, args in enumerate((segment, ["uncertainty"] + common)):
+                _, record = _run(args + ["--mc-samples", str(n)], tmp_path / f"{n}-{i}")
+                assert record["mc_workers"] == min(mc_workers(), n)
+                assert record["blas_pinned"] == (record["mc_workers"] > 1)
+        _, record = _run(segment + ["--mc", "off"], tmp_path / "off")
+        assert record["mc_workers"] is None and record["blas_pinned"] is False
+
 
 class TestErrors:
     def test_short_checkpoint_exits_1(self, setup, tmp_path, capsys):
@@ -176,3 +188,98 @@ class TestErrors:
         assert code == 1
         assert "at least 2 MC samples" in capsys.readouterr().err
         assert not (out / "run_record.json").exists()
+
+
+class TestGoldenPath:
+    """phantoms -> train one epoch -> segment -> evaluate -> uncertainty at
+    16^3, through ``cli.run`` as a user would, and a bad checkpoint."""
+
+    RECORD_KEYS = {
+        "phantoms": {
+            "command", "subjects", "test_fraction", "validation_fraction", "corrupt",
+            "seed", "manifest",
+        },
+        "train": {
+            "command", "manifest", "modality", "learning_rate", "max_epochs", "patience",
+            "batch_size", "translation_voxels", "rotation_degrees", "crop_fraction",
+            "seed", "validation_fraction", "features", "depth", "bottleneck",
+            "input_dims", "checkpoint", "best_epoch", "stop_reason",
+        },
+        "segment": {
+            "command", "input", "reference", "checkpoint", "modality", "mc", "mc_samples",
+            "dropout_rate", "cv_threshold", "seed", "registration_converged",
+            "registration_cost", "registration_levels", "cv", "verdict", "mc_volumes",
+            "mc_workers", "blas_pinned", "timings",
+        },
+        "evaluate": {
+            "command", "manifest", "checkpoint", "mc", "mc_samples", "dropout_rate", "seed",
+            "volumes", "d_a_mean", "d_a_std", "d_v_mean", "d_v_std", "pearson_da_cv",
+            "pearson_note",
+        },
+        "uncertainty": {
+            "command", "input", "checkpoint", "mc_samples", "dropout_rate", "cv_threshold",
+            "seed", "cv", "verdict", "mc_workers", "blas_pinned",
+        },
+    }
+
+    def test_phantoms_train_segment_evaluate_uncertainty(self, tmp_path):
+        data = tmp_path / "phantoms"
+        code, record = _run(
+            [
+                "phantoms", "--subjects", "5", "--dims", "16,16,16",
+                "--modalities", "mprage", "--test-fraction", "0.2", "--seed", "4",
+            ],
+            data,
+        )
+        assert code == 0 and set(record) == self.RECORD_KEYS["phantoms"]
+        manifest = data / "manifest.csv"
+        records = read_manifest(manifest)
+        test = next(r for r in records if r.split == "test")
+        reference = next(r for r in records if r.split == "train")
+
+        code, record = _run(
+            [
+                "train", "--manifest", str(manifest), "--modality", "mprage",
+                "--features", "2", "--epochs", "1", "--patience", "1",
+            ],
+            tmp_path / "train",
+        )
+        assert code == 0 and set(record) == self.RECORD_KEYS["train"]
+        assert record["stop_reason"] == "max-epochs"
+        log = (tmp_path / "train" / "train_log.csv").read_text().splitlines()
+        assert log[0].split(",")[-1] == "epoch_s" and len(log) == 3
+        checkpoint = tmp_path / "train" / record["checkpoint"]
+
+        mc = ["--checkpoint", str(checkpoint), "--mc-samples", "3"]
+        code, record = _run(
+            ["segment", "--input", str(test.volume_path),
+             "--reference", str(reference.volume_path)] + mc,
+            tmp_path / "segment",
+        )
+        assert code in (0, 2) and set(record) == self.RECORD_KEYS["segment"]
+        assert (code == 2) == (record["verdict"] == "warn")
+        assert read_volume(tmp_path / "segment" / "segmentation.mvx").dims == (16, 16, 16)
+        assert len(record["mc_volumes"]) == 3
+
+        code, record = _run(["evaluate", "--manifest", str(manifest)] + mc, tmp_path / "eval")
+        assert code == 0 and set(record) == self.RECORD_KEYS["evaluate"]
+        assert record["volumes"] == 1
+        assert record["pearson_da_cv"] is None  # one volume: no correlation, a note
+
+        code, record = _run(
+            ["uncertainty", "--input", str(test.volume_path)] + mc, tmp_path / "unc"
+        )
+        assert code in (0, 2) and set(record) == self.RECORD_KEYS["uncertainty"]
+        assert (code == 2) == (record["verdict"] == "warn")
+
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(checkpoint.read_bytes()[:-100])
+        for command in (
+            ["segment", "--input", str(test.volume_path), "--reference",
+             str(reference.volume_path)],
+            ["evaluate", "--manifest", str(manifest)],
+            ["uncertainty", "--input", str(test.volume_path)],
+        ):
+            out = tmp_path / f"bad-{command[0]}"
+            assert cli.run(command + ["--checkpoint", str(bad), "--out", str(out)]) == 1
+            assert not (out / "run_record.json").exists()

@@ -1,7 +1,12 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from neuroseg import autodiff as ad
+from neuroseg import unet as unet_module
 from neuroseg.core import StructureTable, Volume
 from neuroseg.inference import (
     McSampleSet,
@@ -9,7 +14,7 @@ from neuroseg.inference import (
     uncertainty,
     write_uncertainty_report,
 )
-from neuroseg.unet import ModelSpec, UNet3D
+from neuroseg.unet import ModelSpec, UNet3D, mc_workers
 
 
 def _samples():
@@ -127,3 +132,145 @@ class TestMcSegment:
         # grid: encoder block 1's and the last decoder block's
         assert len(dropouts) == 5 * 2 * spec.depth
         assert dropouts.count((spec.features, 8, 8, 8)) == 5 * 2
+
+
+def _mc_model():
+    spec = ModelSpec(
+        features=2, depth=2, bottleneck_layers=1, num_classes=4, input_dims=(8, 8, 8)
+    )
+    model = UNet3D(spec, seed=2)
+    x = np.random.default_rng(1).random((1, 1, 8, 8, 8), dtype=np.float32)
+    model.forward(x, mode="train", rng=np.random.default_rng(0))  # batch-norm stats
+    return model, x
+
+
+def _one_at_a_time(model, x, n, seed):
+    """mc_segment's labels and volumes from a plain loop of full forwards."""
+    total = np.zeros((4, 8, 8, 8))
+    volumes = []
+    for child in np.random.SeedSequence(seed).spawn(n):
+        with ad.no_grad():
+            P = model.forward(x, "eval", True, np.random.default_rng(child))
+        total += P.data[0]
+        volumes.append(np.bincount(np.argmax(P.data[0], axis=0).ravel(), minlength=4))
+    return np.argmax(total, axis=0), np.array(volumes)
+
+
+def _blas_threads():
+    api = ad._blas_thread_api()
+    if api is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count functions")
+    return api[0]()
+
+
+@pytest.fixture
+def three_workers(monkeypatch):
+    """Windows of 3 passes, whatever the core count: n = 5 then leaves a
+    partial last window, and threads outnumber cores on a small host."""
+    _blas_threads()
+    monkeypatch.setattr(unet_module, "mc_workers", lambda: 3)
+
+
+class TestParallelPasses:
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_mc_segment_equals_one_pass_at_a_time(self, n):
+        model, x = _mc_model()
+        fused, samples = mc_segment(model, Volume(x[0, 0]), n=n, seed=4)
+        labels, volumes = _one_at_a_time(model, x, n, 4)
+        assert np.array_equal(fused.labels, labels)
+        assert np.array_equal(samples.volumes, volumes)
+        assert samples.workers == min(mc_workers(), n)
+
+    def test_partial_window_fields_are_bitwise_forward(self, three_workers):
+        model, x = _mc_model()
+        seeds = [7, 8, 9, 10, 11]
+        passes = list(model.mc_passes(x, (np.random.default_rng(s) for s in seeds)))
+        assert len(passes) == 5
+        for s, P in zip(seeds, passes):
+            # graph building is off in the pool threads too
+            assert not P.requires_grad and P._parents == ()
+            with ad.no_grad():
+                want = model.forward(x, "eval", True, np.random.default_rng(s))
+            assert P.data.tobytes() == want.data.tobytes()
+
+    def test_without_blas_control_one_pass_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(ad, "_blas_thread_api", lambda: None)
+        assert mc_workers() == 1
+        model, x = _mc_model()
+        fused, samples = mc_segment(model, Volume(x[0, 0]), n=5, seed=4)
+        labels, volumes = _one_at_a_time(model, x, 5, 4)
+        assert np.array_equal(fused.labels, labels)
+        assert np.array_equal(samples.volumes, volumes)
+        assert samples.workers == 1
+
+    def test_workers_are_the_usable_cores(self):
+        _blas_threads()
+        assert mc_workers() == len(os.sched_getaffinity(0))
+
+    def test_blas_pinned_during_passes_and_restored(self, monkeypatch, three_workers):
+        before = _blas_threads()
+        get = ad._blas_thread_api()[0]
+        seen = []
+        dropout = ad.dropout
+
+        def recording(x, rate, rng):
+            seen.append(get())
+            return dropout(x, rate, rng)
+
+        model, x = _mc_model()
+        monkeypatch.setattr(ad, "dropout", recording)
+        mc_segment(model, Volume(x[0, 0]), n=5, seed=0)
+        # windows of 3 and 2 passes: all pinned to one thread
+        assert seen == [1] * len(seen) and len(seen) == 5 * 2 * model.spec.depth
+        assert get() == before
+
+    def test_blas_restored_after_a_pass_raises(self, monkeypatch, three_workers):
+        before = _blas_threads()
+        model, x = _mc_model()
+        rngs = [np.random.default_rng(s) for s in range(5)]
+        dropout = ad.dropout
+
+        def failing(x, rate, rng):
+            if rng is rngs[2]:
+                raise RuntimeError("pass 3 failed")
+            return dropout(x, rate, rng)
+
+        monkeypatch.setattr(ad, "dropout", failing)
+        with pytest.raises(RuntimeError, match="pass 3 failed"):
+            list(model.mc_passes(x, rngs))
+        assert ad._blas_thread_api()[0]() == before
+
+    def test_blas_restored_when_abandoned_after_first_yield(self, three_workers):
+        before = _blas_threads()
+        model, x = _mc_model()
+        passes = model.mc_passes(x, (np.random.default_rng(s) for s in range(5)))
+        next(passes)
+        assert ad._blas_thread_api()[0]() == before  # no pin across a yield
+        del passes
+        assert ad._blas_thread_api()[0]() == before
+
+    def test_two_concurrent_calls(self):
+        before = _blas_threads()
+        model, x = _mc_model()
+        want = [_one_at_a_time(model, x, 5, seed) for seed in (0, 1)]
+        got = {}
+
+        def call(seed):
+            fused, samples = mc_segment(model, Volume(x[0, 0]), n=5, seed=seed)
+            got[seed] = (fused.labels, samples.volumes)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=call, args=(seed,)) for seed in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for seed in (0, 1):
+            assert np.array_equal(got[seed][0], want[seed][0])
+            assert np.array_equal(got[seed][1], want[seed][1])
+        assert ad._blas_thread_api()[0]() == before

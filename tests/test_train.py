@@ -182,6 +182,16 @@ class TestTrainLoop:
         _, log = train(_tiny_model(), explicit, cfg)
         assert len(log.epochs) == 1
 
+    def test_log_records_epoch_wall_seconds(self, tmp_path):
+        records = _tiny_records(tmp_path)
+        cfg = TrainConfig(max_epochs=2, patience=2, seed=0)
+        _, log = train(_tiny_model(), records, cfg)
+        assert all(e.epoch_s >= 0 for e in log.epochs)
+        path = tmp_path / "log.csv"
+        log.write_csv(path)
+        rows = path.read_text().strip().splitlines()[1:-1]
+        assert [float(row.split(",")[4]) for row in rows] == [e.epoch_s for e in log.epochs]
+
     def test_nonfinite_loss_diagnostics(self, tmp_path):
         records = _tiny_records(tmp_path)
         model = _tiny_model(seed=6)
@@ -200,11 +210,11 @@ class TestTrainLoop:
         log = TrainLog(stop_reason="max-epochs", best_epoch=2)
         from neuroseg.train import EpochStats
 
-        log.epochs = [EpochStats(1, 5.0, 4.5, 0.3), EpochStats(2, 4.0, 4.1, 0.4)]
+        log.epochs = [EpochStats(1, 5.0, 4.5, 0.3, 1.5), EpochStats(2, 4.0, 4.1, 0.4, 1.25)]
         path = tmp_path / "log.csv"
         log.write_csv(path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,train_loss,val_loss,val_dice"
+        assert lines[0] == "epoch,train_loss,val_loss,val_dice,epoch_s"
         assert len(lines) == 4
         assert "best_epoch,2" in lines[-1]
 
