@@ -284,10 +284,10 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             b.accumulate_grad(g.sum(axis=(0, 2, 3, 4)))
         if w.requires_grad:
             go = g.transpose(1, 0, 2, 3, 4)
-            gw = sum(
-                go[:, :, planes].reshape(O, -1) @ block.T
-                for planes, block in _slabs(xp, w.data, dims)
-            )
+            gw = 0
+            for planes, block in _slabs(xp, w.data, dims):
+                gw = gw + go[:, :, planes].reshape(O, -1) @ block.T
+                del block  # free it before _slabs gathers the next one
             w.accumulate_grad(gw.reshape(w.shape))
         if x.requires_grad:
             flipped = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)

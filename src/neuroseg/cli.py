@@ -5,6 +5,11 @@ manifest), ``segment`` (register -> resample -> normalize -> segment -> map
 back), ``evaluate`` (Dice metrics plus the Dice/CV scatter) and
 ``uncertainty`` (MC-dropout QC on one volume).
 
+``evaluate`` scores a manifest's test volumes on their own grid, without
+registration: each volume must already be on the model grid, and one that is
+not is an error (exit 1) before anything is written. Only ``segment``
+registers and resamples its input.
+
 Exit codes: 0 success/QC pass, 2 QC warn, 1 error. Every run echoes its
 resolved settings into ``run_record.json`` in the output directory; a
 ``segment`` record also holds the wall seconds of each stage (``timings``)
@@ -325,6 +330,8 @@ def cmd_segment(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    """Score the test split on the volumes' own grid, without registration;
+    a volume off the model grid exits 1 and writes nothing."""
     cfg = _pipeline_config(args)
     model = _load_model(cfg)
     records = [r for r in read_manifest(args.manifest) if r.split == "test"]

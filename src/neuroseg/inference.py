@@ -39,7 +39,6 @@ class McSampleSet:
 
     n: int
     volumes: np.ndarray  # (N, num_classes) int64
-    seeds: List[int]
     workers: int = 1  # passes run at once (the MC window size)
 
 
@@ -107,13 +106,7 @@ def mc_segment(
         total += sample
         volumes[i] = _structure_volumes(np.argmax(sample, axis=0), num_classes)
     fused = LabelMap(np.argmax(total, axis=0).astype(np.uint8), v.spacing, v.affine)
-    sample_set = McSampleSet(
-        n=n,
-        volumes=volumes,
-        seeds=[int(c.generate_state(1)[0]) for c in children],
-        workers=min(mc_workers(), n),
-    )
-    return fused, sample_set
+    return fused, McSampleSet(n=n, volumes=volumes, workers=min(mc_workers(), n))
 
 
 def uncertainty(

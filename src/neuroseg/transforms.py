@@ -6,6 +6,12 @@ voxel coordinates to INPUT volume voxel coordinates (the pull-back map), so
 ``moving`` onto the reference grid, and ``map_back`` applies its inverse to
 carry a segmentation to the original grid.
 
+Resampling and registration share one sampler, ``ndimage.affine_transform``,
+which takes the data in its own dtype. When the 3x4 matrix puts every output
+voxel within 1e-9 of an integer input position (``_on_lattice``), the sample
+is an order-0 gather through the rounded matrix, so identity, whole-voxel
+shifts and right-angle rotations are exact at every order.
+
 Registration runs Adam on the mean-squared intensity difference over an
 image pyramid. Each iteration interpolates the moving image once: the warp is
 one linear ``affine_transform``, and the cost gradient comes from
@@ -106,42 +112,26 @@ def grid_scaling(out_dims, in_dims) -> AffineTransform:
     return AffineTransform(np.diag(f), 0.5 * f - 0.5)
 
 
-def _output_coords(t: AffineTransform, out_dims) -> np.ndarray:
-    """Input-space sample coordinates (3, X, Y, Z) for every output voxel."""
-    xs = np.arange(out_dims[0], dtype=np.float64)[:, None, None]
-    ys = np.arange(out_dims[1], dtype=np.float64)[None, :, None]
-    zs = np.arange(out_dims[2], dtype=np.float64)[None, None, :]
+def _on_lattice(t: AffineTransform, out_dims) -> bool:
+    """True when every output voxel samples within 1e-9 of an integer input
+    position: per row of the 3x4 matrix, the entries' distances from the
+    nearest integer, weighted by the largest coordinate each multiplies,
+    sum to at most 1e-9."""
+    m = np.column_stack([t.linear, t.translation])
+    extent = np.append(np.asarray(out_dims, dtype=np.float64) - 1, 1.0)
+    return bool(np.all(np.abs(m - np.rint(m)) @ extent <= 1e-9))
+
+
+def _resample_array(data, t, out_dims, order):
     lin, tr = t.linear, t.translation
-    coords = np.empty((3,) + tuple(int(d) for d in out_dims), dtype=np.float64)
-    for d in range(3):
-        coords[d] = lin[d, 0] * xs + lin[d, 1] * ys + lin[d, 2] * zs + tr[d]
-    return coords
-
-
-def _integer_gather(data: np.ndarray, coords: np.ndarray, fill):
-    """Exact gather when every sample lands on an integer voxel position."""
-    idx = np.rint(coords).astype(np.int64)
-    inside = np.ones(idx.shape[1:], dtype=bool)
-    for d in range(3):
-        inside &= (idx[d] >= 0) & (idx[d] < data.shape[d])
-    out = np.full(idx.shape[1:], fill, dtype=data.dtype)
-    ix, iy, iz = (np.where(inside, idx[d], 0) for d in range(3))
-    out[inside] = data[ix, iy, iz][inside]
-    return out
-
-
-def _resample_array(data, t, out_dims, order, fill=0):
-    coords = _output_coords(t, out_dims)
-    if np.allclose(coords, np.rint(coords), rtol=0.0, atol=1e-9):
-        # Integer lattice positions: every interpolator reduces to a gather,
-        # which keeps identity and whole-voxel shifts bit-exact.
-        return _integer_gather(data, coords, fill)
-    if order == 0:
-        return ndimage.map_coordinates(data, coords, order=0, mode="constant", cval=fill)
-    out = ndimage.map_coordinates(
-        data.astype(np.float64), coords, order=order, mode="constant", cval=fill
+    if _on_lattice(t, out_dims):
+        # Every sample lands on a voxel: a gather through the rounded matrix
+        # keeps identity, whole-voxel shifts and right-angle rotations exact.
+        lin, tr, order = np.rint(lin), np.rint(tr), 0
+    shape = tuple(int(d) for d in out_dims)
+    return ndimage.affine_transform(
+        data, lin, tr, output_shape=shape, order=order, mode="constant", cval=0
     )
-    return out.astype(data.dtype)
 
 
 def resample_spline(

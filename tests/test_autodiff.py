@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,23 @@ class TestConv3d:
             view = xp[:, :, i : i + 10, j : j + 9, k : k + 7]
             want += np.einsum("oc,bcxyz->boxyz", w[:, :, i, j, k], view)
         assert np.abs(out - want).max() / np.abs(want).max() <= 1e-5
+
+    def test_weight_gradient_holds_one_im2col_block(self, rng):
+        # 32 -> 32 channels at 32^3: a slab is one x-plane, so a block is a
+        # (32*27, 32*32) float32 matrix of 3.5 MB
+        x = Tensor(rng.standard_normal((1, 32, 32, 32, 32), dtype=np.float32))
+        w = Tensor(rng.standard_normal((32, 32, 3, 3, 3), dtype=np.float32), requires_grad=True)
+        out = ad.conv3d(x, w, Tensor(np.zeros(32, dtype=np.float32)))
+        g = np.ones(out.shape, dtype=np.float32)
+        block = 32 * 27 * 32 * 32 * 4
+        tracemalloc.start()
+        try:
+            out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.grad.shape == w.shape
+        assert peak < 1.5 * block
 
 
 class TestTransposeConv3d:

@@ -189,6 +189,26 @@ class TestErrors:
         assert "at least 2 MC samples" in capsys.readouterr().err
         assert not (out / "run_record.json").exists()
 
+    @pytest.mark.parametrize("mc", ["on", "off"])
+    def test_evaluate_off_the_model_grid_exits_1(self, setup, tmp_path, capsys, mc):
+        # evaluate scores volumes on their own grid: a 24^3 test volume does
+        # not fit the 16^3 model, and nothing is registered or resampled
+        _, _, checkpoint = setup
+        spec = default_phantom_spec(dims=(24, 24, 24), modalities=("mprage",), seed=3)
+        manifest = generate_dataset(spec, 5, tmp_path / "phantoms", test_fraction=0.2)
+        out = tmp_path / "o"
+        code = cli.run(
+            [
+                "evaluate", "--manifest", str(manifest), "--checkpoint", str(checkpoint),
+                "--mc", mc, "--mc-samples", "2", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "24, 24, 24" in err and "16, 16, 16" in err
+        assert not (out / "summary.json").exists()
+        assert not (out / "run_record.json").exists()
+
 
 class TestGoldenPath:
     """phantoms -> train one epoch -> segment -> evaluate -> uncertainty at

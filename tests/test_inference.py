@@ -25,7 +25,7 @@ def _samples():
     volumes[:, 0] = [1000, 5000, 200, 9000]
     volumes[:, 2] = [90, 110, 90, 110]
     volumes[:, 5] = 0
-    return McSampleSet(n=4, volumes=volumes, seeds=[0, 1, 2, 3])
+    return McSampleSet(n=4, volumes=volumes)
 
 
 class TestUncertainty:
@@ -51,10 +51,10 @@ class TestUncertainty:
 
     def test_needs_two_samples_and_one_structure(self):
         table = StructureTable.default()
-        one = McSampleSet(n=1, volumes=np.ones((1, 28), dtype=np.int64), seeds=[0])
+        one = McSampleSet(n=1, volumes=np.ones((1, 28), dtype=np.int64))
         with pytest.raises(ValueError, match="at least 2"):
             uncertainty(one, table, 0.01)
-        empty = McSampleSet(n=2, volumes=np.zeros((2, 28), dtype=np.int64), seeds=[0, 1])
+        empty = McSampleSet(n=2, volumes=np.zeros((2, 28), dtype=np.int64))
         with pytest.raises(ValueError, match="no structure"):
             uncertainty(empty, table, 0.01)
 

@@ -301,3 +301,102 @@ class TestConvergenceFlag:
         assert last.start_cost - last.best_cost > last.end_cost - last.start_cost
         assert not last.diverged
         assert result.converged
+
+
+def _reference_resample(data, t, out_dims, order):
+    """Resampling coordinate by coordinate: the input position of every output
+    voxel, interpolated by ``map_coordinates`` (on float64 data for orders 1
+    and 3) and cast back to the data's dtype."""
+    grid = np.stack(np.meshgrid(*(np.arange(n, dtype=np.float64) for n in out_dims), indexing="ij"))
+    q = np.einsum("de,exyz->dxyz", t.linear, grid) + t.translation[:, None, None, None]
+    src = data if order == 0 else data.astype(np.float64)
+    out = ndimage.map_coordinates(src, q, order=order, mode="constant", cval=0)
+    return out.astype(data.dtype)
+
+
+def _augment_like(n, gen):
+    """A +-10 degree rotation about the centre with a +-4 voxel shift."""
+    rot = tf.rotation_transform(gen.uniform(-10, 10, 3), ((n - 1) / 2,) * 3)
+    return AffineTransform(rot.linear, rot.translation + gen.uniform(-4, 4, 3))
+
+
+def _segment_like(gen):
+    """A near-identity registration composed with 48^3 -> 16^3 grid scaling."""
+    lin = tf.rotation_transform(gen.uniform(-6, 6, 3)).linear @ np.diag(gen.uniform(0.95, 1.05, 3))
+    reg = AffineTransform(lin, gen.uniform(-3, 3, 3) + (47 - lin @ np.full(3, 47.0)) / 2)
+    return reg.compose(tf.grid_scaling((16, 16, 16), (48, 48, 48)))
+
+
+class TestOneSampler:
+    """``_resample_array`` is one ``affine_transform`` call; lattice cases are
+    exact gathers and the rest agree with coordinate-by-coordinate sampling."""
+
+    @pytest.mark.parametrize("order", [0, 1, 3])
+    def test_half_turn_about_centre_is_a_flip(self, order):
+        # sin(pi) leaves entries 1.2e-16 off the integers; unrounded, the
+        # samples on one boundary face fall just outside the volume
+        data = make_blob_volume((16, 16, 16), noise=5.0).data
+        t = tf.rotation_transform((0.0, 180.0, 0.0), (7.5, 7.5, 7.5))
+        out = tf.resample_spline(Volume(data), t, (16, 16, 16), (1, 1, 1), order=order)
+        assert np.array_equal(out.data, data[::-1, :, ::-1])
+
+    def test_lattice_is_a_gather_next_to_extreme_values(self):
+        # a cubic spline through 1e30 / 1 alternations does not give back the
+        # 1s in float64; on the lattice no spline is fitted
+        data = np.where(np.indices((8, 8, 8)).sum(axis=0) % 2 == 0, 1e30, 1.0).astype(np.float32)
+        t = tf.translation_transform((1.0, -2.0, 0.0))
+        out = tf.resample_spline(Volume(data), t, (8, 8, 8), (1, 1, 1), order=3)
+        assert np.array_equal(out.data[:7, 2:], data[1:, :6])
+        assert not out.data[7].any() and not out.data[:, :2].any()
+
+    def test_lattice_rule(self):
+        assert tf._on_lattice(tf.rotation_transform((90.0, 0.0, 270.0), (3.5, 3.5, 3.5)), (8, 8, 8))
+        assert not tf._on_lattice(tf.translation_transform((0.5, 0.0, 0.0)), (8, 8, 8))
+        # a fractional column multiplies only coordinate 0 on a length-1 axis
+        t = AffineTransform(np.diag([0.37, 1.0, 1.0]), np.zeros(3))
+        assert tf._on_lattice(t, (1, 8, 8))
+        assert not tf._on_lattice(t, (2, 8, 8))
+
+    def test_order_0_equals_reference(self):
+        gen = np.random.default_rng(3)
+        for _ in range(4):
+            labels = gen.integers(0, 28, (32, 32, 32), dtype=np.uint8)
+            t = _augment_like(32, gen)
+            out = tf.resample_nearest(LabelMap(labels), t, (32, 32, 32), (1, 1, 1))
+            assert np.array_equal(out.labels, _reference_resample(labels, t, (32, 32, 32), 0))
+        for _ in range(4):
+            seg = LabelMap(gen.integers(0, 28, (16, 16, 16), dtype=np.uint8))
+            original = Volume(np.zeros((48, 48, 48), dtype=np.float32))
+            t = _segment_like(gen)
+            back = tf.map_back(seg, original, t)
+            assert np.array_equal(
+                back.labels, _reference_resample(seg.labels, t.invert(), (48, 48, 48), 0)
+            )
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_orders_1_and_3_within_one_ulp_of_reference(self, order):
+        gen = np.random.default_rng(4)
+        cases = [(make_blob_volume((32,) * 3, seed=s, noise=5.0), _augment_like(32, gen), (32,) * 3)
+                 for s in range(3)]
+        cases += [(make_blob_volume((48,) * 3, seed=s, noise=5.0), _segment_like(gen), (16,) * 3)
+                  for s in range(2)]
+        for v, t, out_dims in cases:
+            got = tf.resample_spline(v, t, out_dims, (1, 1, 1), order=order).data
+            want = _reference_resample(v.data, t, out_dims, order)
+            assert got.dtype == want.dtype == np.float32
+            ulp = np.spacing(np.maximum(np.abs(got), np.abs(want)))
+            assert np.all(np.abs(got - want) <= ulp)
+
+    def test_nearest_allocates_no_coordinate_array(self):
+        import tracemalloc
+
+        labels = LabelMap(np.random.default_rng(5).integers(0, 28, (32, 32, 32), dtype=np.uint8))
+        t = _augment_like(32, np.random.default_rng(6))
+        tracemalloc.start()
+        try:
+            tf.resample_nearest(labels, t, (32, 32, 32), (1, 1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one float64 coordinate per output voxel would be 32^3 * 8 bytes
+        assert peak < 32 ** 3 * 8
