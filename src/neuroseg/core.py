@@ -70,11 +70,6 @@ class AffineTransform:
         m[:3, 3] = self.translation
         return m
 
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Map points with shape (..., 3)."""
-        pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.linear.T + self.translation
-
     def compose(self, other: "AffineTransform") -> "AffineTransform":
         """Return self(other(x))."""
         return AffineTransform(
@@ -121,10 +116,6 @@ class Volume:
     def dims(self) -> Tuple[int, int, int]:
         return self.data.shape
 
-    @property
-    def n_voxels(self) -> int:
-        return int(self.data.size)
-
 
 @dataclass(frozen=True, eq=False)
 class LabelMap:
@@ -135,7 +126,7 @@ class LabelMap:
     affine: Optional[AffineTransform] = None
 
     def __post_init__(self):
-        labels = np.array(self.labels)
+        labels = np.asarray(self.labels)
         if labels.dtype.kind not in "ui":
             raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
         if labels.size and (labels.min() < 0 or labels.max() >= NUM_CLASSES):
@@ -143,7 +134,7 @@ class LabelMap:
                 f"labels must lie in [0, {NUM_CLASSES - 1}], "
                 f"got range [{labels.min()}, {labels.max()}]"
             )
-        labels = labels.astype(np.uint8)
+        labels = labels.astype(np.uint8)  # always a copy: owned and read-only
         sp = _check_grid(labels.shape, self.spacing)
         affine = self.affine
         if affine is None:

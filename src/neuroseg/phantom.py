@@ -12,7 +12,10 @@ profile and buried in noise for the CT-like profile, with
     michelson(mprage) > michelson(flair) ~ michelson(dwi) > michelson(ct)
 
 on the generated means. Everything is reproducible from (spec.seed,
-subject_seed).
+subject_seed): ``generate_subject`` draws a subject's geometry once and
+rasterizes it once per modality grid, and returns ``(labels, volumes)``, two
+dicts keyed by modality that hold the ``LabelMap`` and the ``Volume`` on that
+modality's own grid.
 
 A spec is rejected unless no structure can reach the grid border: for every
 subject its jitter ranges allow, each structure stays strictly inside the
@@ -264,12 +267,9 @@ def _rasterize(spec: PhantomSpec, modality: str, geom: _SubjectGeometry) -> np.n
     world_center = extent / 2
     dims = spec.modality_dims(modality)
     sp = np.asarray(spec.modalities[modality].spacing)
-    # voxel-center world coordinates
-    ax = [
-        ((np.arange(dims[d]) + 0.5) * sp[d])
-        for d in range(3)
-    ]
-    grids = np.meshgrid(*ax, indexing="ij")
+    # voxel-centre world coordinates, each broadcast along its own axis
+    x, y, z = ((np.arange(dims[d]) + 0.5) * sp[d] for d in range(3))
+    x, y, z = x[:, None, None], y[None, :, None], z[None, None, :]
     labels = np.zeros(dims, dtype=np.uint8)
     rot_inv = geom.rotation.T
     for step, rfac in zip(spec.structures, geom.radius_factors):
@@ -277,9 +277,9 @@ def _rasterize(spec: PhantomSpec, modality: str, geom: _SubjectGeometry) -> np.n
         center = geom.scale * (geom.rotation @ (center - world_center)) + world_center + geom.translation
         radii = np.asarray(step.radii) * extent * rfac * geom.scale
         # inside test in the ellipsoid's own rotated frame
-        dx = grids[0] - center[0]
-        dy = grids[1] - center[1]
-        dz = grids[2] - center[2]
+        dx = x - center[0]
+        dy = y - center[1]
+        dz = z - center[2]
         ux = rot_inv[0, 0] * dx + rot_inv[0, 1] * dy + rot_inv[0, 2] * dz
         uy = rot_inv[1, 0] * dx + rot_inv[1, 1] * dy + rot_inv[1, 2] * dz
         uz = rot_inv[2, 0] * dx + rot_inv[2, 1] * dy + rot_inv[2, 2] * dz
@@ -292,41 +292,29 @@ def _rasterize(spec: PhantomSpec, modality: str, geom: _SubjectGeometry) -> np.n
 
 def generate_subject(
     spec: PhantomSpec, subject_seed: int
-) -> Tuple[LabelMap, Dict[str, Volume]]:
-    """One subject: ground-truth labels on the reference grid plus one
-    intensity volume per modality, geometrically consistent across
-    modalities and bitwise deterministic given (spec.seed, subject_seed)."""
+) -> Tuple[Dict[str, LabelMap], Dict[str, Volume]]:
+    """One subject: ground-truth labels and one intensity volume per
+    modality, each on that modality's own grid, from a single geometry draw,
+    so the anatomy is consistent across modalities and bitwise deterministic
+    given (spec.seed, subject_seed)."""
     root = np.random.SeedSequence([spec.seed, int(subject_seed)])
     geom_seed, *noise_seeds = root.spawn(1 + len(spec.modalities))
     geom = _subject_geometry(spec, np.random.default_rng(geom_seed))
-    volumes = {}
-    reference_labels = None
+    labels, volumes = {}, {}
     for (name, profile), nseed in zip(spec.modalities.items(), noise_seeds):
-        labels = _rasterize(spec, name, geom)
-        if name == spec.reference_modality:
-            reference_labels = labels
+        raster = _rasterize(spec, name, geom)
+        labels[name] = LabelMap(raster, profile.spacing)
         means = np.zeros(NUM_CLASSES, dtype=np.float64)
         sigmas = np.zeros(NUM_CLASSES, dtype=np.float64)
         for label, (mean, sigma) in profile.contrast.items():
             means[label] = mean
             sigmas[label] = sigma
         rng = np.random.default_rng(nseed)
-        data = means[labels]
-        noise = rng.standard_normal(labels.shape)
-        data = data + noise * sigmas[labels]
+        data = means[raster]
+        noise = rng.standard_normal(raster.shape)
+        data = data + noise * sigmas[raster]
         volumes[name] = Volume(data.astype(np.float32), profile.spacing)
-    ref_profile = spec.modalities[spec.reference_modality]
-    label_map = LabelMap(reference_labels, ref_profile.spacing)
-    return label_map, volumes
-
-
-def subject_labels(spec: PhantomSpec, subject_seed: int, modality: str) -> LabelMap:
-    """Ground-truth labels rasterized on one modality's own grid."""
-    root = np.random.SeedSequence([spec.seed, int(subject_seed)])
-    geom_seed = root.spawn(1)[0]
-    geom = _subject_geometry(spec, np.random.default_rng(geom_seed))
-    profile = spec.modalities[modality]
-    return LabelMap(_rasterize(spec, modality, geom), profile.spacing)
+    return labels, volumes
 
 
 # -- corruption modes for the quality-control experiments --
@@ -351,11 +339,9 @@ def corrupt_occlusion(v: Volume, fraction: float, rng: np.random.Generator) -> V
     return Volume(data, v.spacing, v.affine)
 
 
-def corrupt_contrast_swap(
-    spec: PhantomSpec, volumes: Dict[str, Volume], modality: str
-) -> Volume:
+def corrupt_contrast_swap(volumes: Dict[str, Volume], modality: str) -> Volume:
     """Stand in a same-grid volume from another modality (wrong contrast)."""
-    dims = spec.modality_dims(modality)
+    dims = volumes[modality].dims
     for other, vol in volumes.items():
         if other != modality and vol.dims == dims:
             return Volume(vol.data, volumes[modality].spacing, volumes[modality].affine)
@@ -366,7 +352,6 @@ _CORRUPTIONS = ("noise-0.3", "noise-0.5", "noise-0.7", "occlude-0.4", "swap")
 
 
 def apply_corruption(
-    spec: PhantomSpec,
     volumes: Dict[str, Volume],
     modality: str,
     mode: str,
@@ -378,7 +363,7 @@ def apply_corruption(
     if kind == "occlude":
         return corrupt_occlusion(volumes[modality], float(level), rng)
     if kind == "swap":
-        return corrupt_contrast_swap(spec, volumes, modality)
+        return corrupt_contrast_swap(volumes, modality)
     raise ValueError(f"unknown corruption mode {mode!r}")
 
 
@@ -425,10 +410,9 @@ def generate_dataset(
 
     records = []
     for subject in range(n_subjects):
-        _, volumes = generate_subject(spec, subject)
+        labels, volumes = generate_subject(spec, subject)
         split = split_of[subject]
         for modality in modalities:
-            labels = subject_labels(spec, subject, modality)
             note = ""
             vol = volumes[modality]
             if subject in corrupt_subjects:
@@ -437,7 +421,7 @@ def generate_dataset(
                     np.random.SeedSequence([spec.seed, subject, 0xBAD])
                 )
                 try:
-                    vol = apply_corruption(spec, volumes, modality, mode, rng)
+                    vol = apply_corruption(volumes, modality, mode, rng)
                 except ValueError:
                     mode = "noise-0.5"
                     vol = corrupt_noise(vol, 0.5, rng)
@@ -445,7 +429,7 @@ def generate_dataset(
             vol_name = f"subject{subject:03d}_{modality}.mvx"
             lab_name = f"subject{subject:03d}_{modality}_labels.mvx"
             write_volume(vol, out_dir / vol_name)
-            write_volume(labels, out_dir / lab_name)
+            write_volume(labels[modality], out_dir / lab_name)
             records.append(
                 ManifestRecord(
                     volume_path=Path(vol_name),
@@ -458,6 +442,10 @@ def generate_dataset(
     manifest_path = out_dir / "manifest.csv"
     write_manifest(records, manifest_path)
     return manifest_path
+
+
+# the jitter ranges and seed: scalar fields with defaults, which a config may omit
+_SCALAR_FIELDS = tuple(f.name for f in fields(PhantomSpec) if f.default is not MISSING)
 
 
 def load_phantom_spec(path) -> PhantomSpec:
@@ -480,7 +468,7 @@ def load_phantom_spec(path) -> PhantomSpec:
         modalities=modalities,
         reference_modality=cfg["reference_modality"],
         # fields the config omits keep the PhantomSpec defaults
-        **{f.name: cfg[f.name] for f in fields(PhantomSpec) if f.name in cfg and f.default is not MISSING},
+        **{name: cfg[name] for name in _SCALAR_FIELDS if name in cfg},
     )
 
 
@@ -499,10 +487,6 @@ def save_phantom_spec(spec: PhantomSpec, path) -> None:
             for name, p in spec.modalities.items()
         },
         "reference_modality": spec.reference_modality,
-        "radius_jitter": spec.radius_jitter,
-        "rotation_jitter_deg": spec.rotation_jitter_deg,
-        "scale_jitter": spec.scale_jitter,
-        "translation_jitter_mm": spec.translation_jitter_mm,
-        "seed": spec.seed,
+        **{name: getattr(spec, name) for name in _SCALAR_FIELDS},
     }
     Path(path).write_text(json.dumps(cfg, indent=2, sort_keys=True))

@@ -22,7 +22,7 @@ from . import autodiff as ad
 from . import transforms as tf
 from .autodiff import Tensor
 from .core import LabelMap, Volume, normalize_intensity, one_hot
-from .io import ManifestRecord, read_manifest
+from .io import ManifestRecord, read_manifest, read_volume
 from .metrics import combined_loss, dice_report
 from .unet import UNet3D
 
@@ -169,8 +169,6 @@ def augment(
 
 
 def _load_pairs(records: Sequence[ManifestRecord]) -> List[Tuple[Volume, LabelMap]]:
-    from .io import read_volume
-
     pairs = []
     for rec in records:
         vol = read_volume(rec.volume_path)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,19 @@ class TestVolumeInvariants:
     def test_label_range_enforced(self):
         with pytest.raises(ValueError, match="labels"):
             LabelMap(np.full((2, 2, 2), NUM_CLASSES, dtype=np.uint8))
+
+    def test_label_map_holds_one_read_only_copy(self):
+        source = np.random.default_rng(0).integers(0, NUM_CLASSES, (64, 64, 64), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            label_map = LabelMap(source)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * source.nbytes
+        assert not label_map.labels.flags.writeable
+        assert not np.shares_memory(label_map.labels, source)
+        assert np.array_equal(label_map.labels, source)
 
 
 class TestAffineTransform:

@@ -5,18 +5,20 @@ import json
 import numpy as np
 import pytest
 
+from neuroseg import phantom
 from neuroseg.io import read_manifest, read_volume
 from neuroseg.phantom import (
     _CORRUPTIONS,
     GM_LEFT,
     PaintStep,
     PhantomSpec,
+    _subject_geometry,
     default_phantom_spec,
     generate_dataset,
+    generate_subject,
     load_phantom_spec,
     save_phantom_spec,
     structure_bounds,
-    subject_labels,
 )
 from neuroseg.transforms import rotation_transform
 
@@ -144,11 +146,87 @@ class TestBorderRule:
         for seed in (0, 21):
             spec = default_phantom_spec(dims=(16, 16, 16), modalities=ALL_MODALITIES, seed=seed)
             for subject in range(20):
-                for modality in ALL_MODALITIES:
-                    labels = subject_labels(spec, subject, modality).labels
+                for label_map in generate_subject(spec, subject)[0].values():
                     for axis in range(3):
-                        assert not np.take(labels, 0, axis=axis).any()
-                        assert not np.take(labels, -1, axis=axis).any()
+                        assert not np.take(label_map.labels, 0, axis=axis).any()
+                        assert not np.take(label_map.labels, -1, axis=axis).any()
+
+
+def _meshgrid_rasterize(spec, modality, geom):
+    """Reference rasterizer: the ellipsoid test on three full coordinate
+    grids, in the same float operation order as ``phantom._rasterize``."""
+    extent = spec.world_extent()
+    world_center = extent / 2
+    dims = spec.modality_dims(modality)
+    sp = np.asarray(spec.modalities[modality].spacing)
+    ax = [(np.arange(dims[d]) + 0.5) * sp[d] for d in range(3)]
+    grids = np.meshgrid(*ax, indexing="ij")
+    labels = np.zeros(dims, dtype=np.uint8)
+    rot_inv = geom.rotation.T
+    for step, rfac in zip(spec.structures, geom.radius_factors):
+        center = np.asarray(step.center) * extent
+        center = geom.scale * (geom.rotation @ (center - world_center)) + world_center + geom.translation
+        radii = np.asarray(step.radii) * extent * rfac * geom.scale
+        dx = grids[0] - center[0]
+        dy = grids[1] - center[1]
+        dz = grids[2] - center[2]
+        ux = rot_inv[0, 0] * dx + rot_inv[0, 1] * dy + rot_inv[0, 2] * dz
+        uy = rot_inv[1, 0] * dx + rot_inv[1, 1] * dy + rot_inv[1, 2] * dz
+        uz = rot_inv[2, 0] * dx + rot_inv[2, 1] * dy + rot_inv[2, 2] * dz
+        inside = (
+            (ux / radii[0]) ** 2 + (uy / radii[1]) ** 2 + (uz / radii[2]) ** 2
+        ) <= 1.0
+        labels[inside] = step.label
+    return labels
+
+
+def _reference_geometry(spec, subject):
+    """The subject geometry: drawn from the first child of the subject's seed."""
+    root = np.random.SeedSequence([spec.seed, subject])
+    return _subject_geometry(spec, np.random.default_rng(root.spawn(1)[0]))
+
+
+class TestSubjectLabels:
+    @pytest.mark.parametrize("seed", [0, 3, 21])
+    @pytest.mark.parametrize("edge", [16, 32])
+    def test_labels_equal_meshgrid_reference_bitwise(self, edge, seed):
+        spec = default_phantom_spec(dims=(edge,) * 3, modalities=ALL_MODALITIES, seed=seed)
+        for subject in range(3):
+            labels, volumes = generate_subject(spec, subject)
+            assert list(labels) == list(ALL_MODALITIES)
+            geom = _reference_geometry(spec, subject)
+            for modality in ALL_MODALITIES:
+                expected = _meshgrid_rasterize(spec, modality, geom)
+                assert np.array_equal(labels[modality].labels, expected)
+                assert labels[modality].spacing == spec.modalities[modality].spacing
+                assert labels[modality].dims == volumes[modality].dims
+
+    def test_dataset_rasterizes_each_grid_once(self, tmp_path, monkeypatch):
+        calls = []
+        rasterize = phantom._rasterize
+
+        def counting(spec, modality, geom):
+            calls.append(modality)
+            return rasterize(spec, modality, geom)
+
+        monkeypatch.setattr(phantom, "_rasterize", counting)
+        spec = default_phantom_spec(dims=(16, 16, 16), modalities=ALL_MODALITIES, seed=4)
+        generate_dataset(spec, 5, tmp_path)
+        assert sorted(calls) == sorted(ALL_MODALITIES * 5)
+
+    def test_label_files_are_the_subject_labels(self, tmp_path):
+        spec = default_phantom_spec(dims=(16, 16, 16), modalities=ALL_MODALITIES, seed=4)
+        records = read_manifest(
+            generate_dataset(spec, 5, tmp_path, test_fraction=0.2, n_corrupt=1)
+        )
+        subject_labels = [generate_subject(spec, subject)[0] for subject in range(5)]
+        assert len(records) == 5 * len(ALL_MODALITIES)
+        for rec in records:
+            subject = int(rec.labels_path.name[len("subject"):][:3])
+            expected = subject_labels[subject][rec.modality]
+            written = read_volume(rec.labels_path)
+            assert np.array_equal(written.labels, expected.labels)
+            assert written.spacing == expected.spacing
 
 
 class TestSpecConfig:

@@ -49,7 +49,7 @@ class TestAdam:
 def pair(rng):
     spec = default_phantom_spec(dims=(16, 16, 16), modalities=("mprage",), seed=21)
     labels, vols = generate_subject(spec, 0)
-    return vols["mprage"], labels
+    return vols["mprage"], labels["mprage"]
 
 
 class TestAugment:

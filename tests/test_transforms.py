@@ -195,7 +195,7 @@ class TestMapBack:
 
     def test_downsample_round_trip_agreement(self):
         spec = default_phantom_spec(dims=(32, 32, 32), modalities=("mprage",), seed=5)
-        truth, _ = generate_subject(spec, 0)
+        truth = generate_subject(spec, 0)[0]["mprage"]
         out_dims = (16, 16, 16)
         t = tf.grid_scaling(out_dims, truth.dims)  # model-grid voxel -> original voxel
         seg_coarse = tf.resample_nearest(truth, t, out_dims, (2.0, 2.0, 2.0))
