@@ -10,13 +10,18 @@ registration: each volume must already be on the model grid, and one that is
 not is an error (exit 1) before anything is written. Only ``segment``
 registers and resamples its input.
 
-Exit codes: 0 success/QC pass, 2 QC warn, 1 error. Every run echoes its
-resolved settings into ``run_record.json`` in the output directory; a
-``segment`` record also holds the wall seconds of each stage (``timings``)
-and the per-pass structure voxel counts of the MC samples (``mc_volumes``).
-``segment`` and ``uncertainty`` records give the number of MC passes run at
-once (``mc_workers``) and whether OpenBLAS was pinned to one thread while
-they ran (``blas_pinned``).
+``segment``, ``evaluate`` and ``uncertainty`` share one MC quality check,
+which needs at least 2 MC samples: fewer is an error (exit 1) before the
+model is loaded. ``--mc off`` (``segment`` and ``evaluate`` only) runs one
+dropout-free forward and no check; ``uncertainty`` always samples.
+
+Exit codes: 0 success/QC pass, 2 QC warn, 1 error, usage errors included.
+Every run echoes its resolved settings into ``run_record.json`` in the
+output directory; a ``segment`` record also holds the wall seconds of each
+stage (``timings``) and the per-pass structure voxel counts of the MC
+samples (``mc_volumes``). ``segment`` and ``uncertainty`` records give the
+number of MC passes run at once (``mc_workers``) and whether OpenBLAS was
+pinned to one thread while they ran (``blas_pinned``).
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import transforms as tf
-from .core import StructureTable, Volume, normalize_intensity
+from .core import Volume, normalize_intensity
 from .inference import (
     CV_THRESHOLDS,
     DEFAULT_MC_SAMPLES,
@@ -58,7 +63,7 @@ class PipelineConfig:
 
     modality: str
     reference: Optional[Path]
-    checkpoint: Optional[Path]
+    checkpoint: Path
     out_dir: Path
     seed: int
     mc: bool
@@ -69,6 +74,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.modality not in MODALITIES:
             raise ValueError(f"modality must be one of {MODALITIES}, got {self.modality!r}")
+        if self.mc and self.mc_samples < 2:
+            raise ValueError(f"MC QC needs at least 2 MC samples, got {self.mc_samples}")
         for path in (self.reference, self.checkpoint):
             if path is not None and not Path(path).exists():
                 raise FileNotFoundError(f"missing input: {path}")
@@ -117,10 +124,11 @@ def _pipeline_config(args) -> PipelineConfig:
     return PipelineConfig(
         modality=modality,
         reference=Path(args.reference) if getattr(args, "reference", None) else None,
-        checkpoint=Path(args.checkpoint) if getattr(args, "checkpoint", None) else None,
+        checkpoint=Path(args.checkpoint),
         out_dir=Path(args.out),
         seed=resolve("seed", 0, int),
-        mc=resolve("mc", "on", str) == "on",
+        # uncertainty has no --mc: it always samples
+        mc=not hasattr(args, "mc") or resolve("mc", "on", str) == "on",
         mc_samples=resolve("mc-samples", DEFAULT_MC_SAMPLES, int),
         dropout_rate=resolve("dropout-rate", None, float),
         cv_threshold=threshold,
@@ -133,13 +141,6 @@ def _load_model(cfg: PipelineConfig) -> UNet3D:
     if cfg.dropout_rate is not None:
         model.spec = dataclasses.replace(model.spec, dropout_rate=cfg.dropout_rate)
     return model
-
-
-def _mc_execution(samples) -> Dict:
-    """How the MC passes ran: passes at once, and whether BLAS was pinned to
-    one thread for them (it is whenever more than one ran at once)."""
-    workers = None if samples is None else samples.workers
-    return {"mc_workers": workers, "blas_pinned": workers is not None and workers > 1}
 
 
 def cmd_phantoms(args) -> int:
@@ -235,22 +236,49 @@ def cmd_train(args) -> int:
 
 
 def _segment_on_model_grid(model, volume, cfg: PipelineConfig):
-    """Returns (labels on model grid, MC sample set or None, report or None)."""
+    """Returns (labels on the model grid, MC sample set, QC report); the last
+    two are None with ``--mc off``."""
     if cfg.mc:
         fused, samples = mc_segment(model, volume, n=cfg.mc_samples, seed=cfg.seed)
-        report = (
-            uncertainty(samples, StructureTable.default(), cfg.cv_threshold)
-            if cfg.mc_samples >= 2
-            else None
-        )
-        return fused, samples, report
+        return fused, samples, uncertainty(samples, cfg.cv_threshold)
     with ad.no_grad():
         P = model.forward(
             np.asarray(volume.data, dtype=model.dtype)[None, None],
             mode="eval",
             dropout_active=False,
         )
-    return hard_segment(P, like=volume), None, None
+    return hard_segment(P.data[0], like=volume), None, None
+
+
+def _write_qc(report, out_dir: Path) -> int:
+    """Write ``uncertainty.csv`` and return the exit code: 2, with a
+    warning, when the CV exceeds the threshold, else 0."""
+    write_uncertainty_report(report, out_dir / "uncertainty.csv")
+    if report.verdict == "pass":
+        return 0
+    print(
+        f"QC warning: CV {report.cv:.4f} exceeds threshold {report.threshold:.4f}",
+        file=sys.stderr,
+    )
+    return 2
+
+
+def _qc_record(cfg: PipelineConfig, model, samples, report) -> Dict:
+    """The run-record keys ``segment`` and ``uncertainty`` share: the MC
+    settings, the QC result, the passes run at once and whether BLAS was
+    pinned to one thread for them (it is whenever more than one ran at once)."""
+    workers = None if samples is None else samples.workers
+    return {
+        "checkpoint": str(cfg.checkpoint),
+        "mc_samples": cfg.mc_samples,
+        "dropout_rate": model.spec.dropout_rate,
+        "cv_threshold": cfg.cv_threshold,
+        "seed": cfg.seed,
+        "cv": None if report is None else report.cv,
+        "verdict": None if report is None else report.verdict,
+        "mc_workers": workers,
+        "blas_pinned": workers is not None and workers > 1,
+    }
 
 
 def cmd_segment(args) -> int:
@@ -288,17 +316,7 @@ def cmd_segment(args) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_volume(out_labels, cfg.out_dir / "segmentation.mvx")
     tf.save_transform(t_total, cfg.out_dir / "transform.txt")
-    code = 0
-    if report is not None:
-        write_uncertainty_report(
-            report, StructureTable.default(), cfg.out_dir / "uncertainty.csv"
-        )
-        if report.verdict == "warn":
-            print(
-                f"QC warning: CV {report.cv:.4f} exceeds threshold {report.threshold:.4f}",
-                file=sys.stderr,
-            )
-            code = 2
+    code = 0 if report is None else _write_qc(report, cfg.out_dir)
     clock.lap("write")
     _write_run_record(
         cfg.out_dir,
@@ -306,22 +324,15 @@ def cmd_segment(args) -> int:
         {
             "input": str(args.input),
             "reference": str(cfg.reference),
-            "checkpoint": str(cfg.checkpoint),
             "modality": cfg.modality,
             "mc": cfg.mc,
-            "mc_samples": cfg.mc_samples,
-            "dropout_rate": model.spec.dropout_rate,
-            "cv_threshold": cfg.cv_threshold,
-            "seed": cfg.seed,
             "registration_converged": reg.converged,
             "registration_cost": reg.final_cost,
             "registration_levels": [
                 {**dataclasses.asdict(t), "diverged": t.diverged} for t in reg.levels
             ],
-            "cv": None if report is None else report.cv,
-            "verdict": None if report is None else report.verdict,
             "mc_volumes": None if samples is None else samples.volumes.tolist(),
-            **_mc_execution(samples),
+            **_qc_record(cfg, model, samples, report),
             "timings": clock.timings(),
         },
     )
@@ -335,7 +346,7 @@ def cmd_evaluate(args) -> int:
     cfg = _pipeline_config(args)
     model = _load_model(cfg)
     records = [r for r in read_manifest(args.manifest) if r.split == "test"]
-    if getattr(args, "modality", None):
+    if args.modality:
         records = [r for r in records if r.modality == args.modality]
     if not records:
         print("error: manifest has an empty test split", file=sys.stderr)
@@ -403,34 +414,35 @@ def cmd_uncertainty(args) -> int:
     if not isinstance(vol, Volume):
         print("error: input must be an intensity volume", file=sys.stderr)
         return 1
-    normalized = normalize_intensity(vol)
-    _, samples = mc_segment(model, normalized, n=cfg.mc_samples, seed=cfg.seed)
-    report = uncertainty(samples, StructureTable.default(), cfg.cv_threshold)
+    _, samples, report = _segment_on_model_grid(model, normalize_intensity(vol), cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    write_uncertainty_report(report, StructureTable.default(), cfg.out_dir / "uncertainty.csv")
+    code = _write_qc(report, cfg.out_dir)
     _write_run_record(
         cfg.out_dir,
         "uncertainty",
-        {
-            "input": str(args.input),
-            "checkpoint": str(cfg.checkpoint),
-            "mc_samples": cfg.mc_samples,
-            "dropout_rate": model.spec.dropout_rate,
-            "cv_threshold": cfg.cv_threshold,
-            "seed": cfg.seed,
-            "cv": report.cv,
-            "verdict": report.verdict,
-            **_mc_execution(samples),
-        },
+        {"input": str(args.input), **_qc_record(cfg, model, samples, report)},
     )
     print(f"CV {report.cv:.4f} (threshold {report.threshold:.4f}): {report.verdict}")
-    return 0 if report.verdict == "pass" else 2
+    return code
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as every other error does: 2 means a QC warning.
+    Long flags are not abbreviated, so ``uncertainty --mc`` is an error, not
+    ``--mc-samples``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _add_common(parser):
     parser.add_argument("--config", help="JSON config file; flags take precedence")
+    parser.add_argument("--checkpoint", required=True)
     parser.add_argument("--modality", choices=MODALITIES, default=None)
-    parser.add_argument("--mc", choices=("on", "off"), default=None)
     parser.add_argument("--mc-samples", type=int, default=None)
     parser.add_argument("--dropout-rate", type=float, default=None)
     parser.add_argument("--cv-threshold", type=float, default=None)
@@ -439,7 +451,7 @@ def _add_common(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="segctl", description=__doc__)
+    parser = _Parser(prog="segctl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phantoms", help="generate a synthetic labeled dataset")
@@ -476,20 +488,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("segment", help="segment one volume end to end")
     p.add_argument("--input", required=True)
-    p.add_argument("--checkpoint", required=True)
     p.add_argument("--reference", required=True)
+    p.add_argument("--mc", choices=("on", "off"), default=None)
     _add_common(p)
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a manifest's test split")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--mc", choices=("on", "off"), default=None)
     _add_common(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("uncertainty", help="MC-dropout QC verdict for one volume")
     p.add_argument("--input", required=True)
-    p.add_argument("--checkpoint", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_uncertainty)
 

@@ -221,21 +221,16 @@ class StructureTable:
         return len(self.entries)
 
 
-def normalize_intensity(v: Volume, clip_percentiles: Optional[Tuple[float, float]] = None) -> Volume:
-    """Map intensities linearly onto [0, 100].
+def normalize_intensity(v: Volume) -> Volume:
+    """Map intensities linearly onto [0, 100] by a min-max rescale.
 
-    The default is a plain min-max rescale. ``clip_percentiles`` (e.g. (1, 99))
-    switches on a robust variant that clips outliers before rescaling; it is
-    off by default. Constant-intensity input yields an all-zero volume and a
+    Constant-intensity input yields an all-zero volume and a
     DegenerateVolumeWarning. Geometry is untouched.
 
     The rescale runs in float64 so that re-normalizing an already normalized
     volume returns it bit for bit.
     """
     data = v.data.astype(np.float64)
-    if clip_percentiles is not None:
-        lo, hi = np.percentile(data, clip_percentiles)
-        data = np.clip(data, lo, hi)
     mn = data.min()
     mx = data.max()
     if mx == mn:

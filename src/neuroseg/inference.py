@@ -10,23 +10,24 @@ runs; each pass in flight holds its own working set, so a window of w passes
 needs about w - 1 passes' memory more than one pass at a time. Every pass
 draws from its own rng and the sum runs in pass order, so the results are
 bitwise those of one pass at a time. The fused map is the voxelwise argmax
-of the summed softmax fields (equivalently their mean). Per-sample
-anatomical volumes are the voxel counts of each sample's hard segmentation;
-their dispersion across samples yields CV_s = sigma_s / mu_s and the
-aggregate CV is the mean over structures present in every statistic's
-denominator sense (mu_s > 0).
+(``hard_segment``) of the summed softmax fields (equivalently their mean).
+Per-sample anatomical volumes are the voxel counts of each sample's hard
+segmentation; their dispersion across samples yields CV_s = sigma_s / mu_s
+and the aggregate CV is the mean over structures present in every
+statistic's denominator sense (mu_s > 0). The structures are those of
+``StructureTable.default()``.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from . import autodiff as ad
-from .core import NUM_CLASSES, LabelMap, StructureTable, Volume
+from .core import LabelMap, StructureTable, Volume
 from .unet import UNet3D, mc_workers
 
 DEFAULT_MC_SAMPLES = 15
@@ -53,19 +54,10 @@ class UncertaintyReport:
     verdict: str  # "pass" | "warn"
 
 
-def hard_segment(P, like: Optional[Volume] = None) -> LabelMap:
-    """Voxelwise argmax labeling of a probability field (C, x, y, z) or
-    (1, C, x, y, z); ties break toward the lowest class index. Geometry is
-    copied from ``like`` when given."""
-    arr = P.data if isinstance(P, ad.Tensor) else np.asarray(P)
-    if arr.ndim == 5:
-        if arr.shape[0] != 1:
-            raise ad.ShapeError("hard_segment expects a single-volume field")
-        arr = arr[0]
-    labels = np.argmax(arr, axis=0).astype(np.uint8)
-    if like is not None:
-        return LabelMap(labels, like.spacing, like.affine)
-    return LabelMap(labels)
+def hard_segment(P: np.ndarray, like: Volume) -> LabelMap:
+    """Voxelwise argmax labeling of a (C, x, y, z) class-score field on
+    ``like``'s grid; ties break toward the lowest class index."""
+    return LabelMap(np.argmax(P, axis=0).astype(np.uint8), like.spacing, like.affine)
 
 
 def _structure_volumes(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -87,7 +79,8 @@ def mc_segment(
     one pass per usable core runs at once (``UNet3D.mc_passes``); every pass
     equals a full ``forward`` bitwise, and the float64 sum of the softmax
     fields runs in pass order.
-    Returns the fused LabelMap and the sample set for the CV computation.
+    Returns the fused LabelMap (``hard_segment`` of that sum) and the sample
+    set for the CV computation.
     """
     if n < 1:
         raise ValueError(f"need at least 1 MC sample, got {n}")
@@ -105,16 +98,12 @@ def mc_segment(
         sample = P.data[0]
         total += sample
         volumes[i] = _structure_volumes(np.argmax(sample, axis=0), num_classes)
-    fused = LabelMap(np.argmax(total, axis=0).astype(np.uint8), v.spacing, v.affine)
-    return fused, McSampleSet(n=n, volumes=volumes, workers=min(mc_workers(), n))
+    return hard_segment(total, v), McSampleSet(n=n, volumes=volumes, workers=min(mc_workers(), n))
 
 
-def uncertainty(
-    samples: McSampleSet,
-    structures: StructureTable,
-    threshold: float,
-) -> UncertaintyReport:
-    """Coefficient-of-variation report over MC samples.
+def uncertainty(samples: McSampleSet, threshold: float) -> UncertaintyReport:
+    """Coefficient-of-variation report over MC samples, for each structure
+    of ``StructureTable.default()``.
 
     CV_s = sigma_s / mu_s with population standard deviation; structures with
     mu_s = 0 are excluded from the aggregate and flagged (a missing structure
@@ -127,7 +116,7 @@ def uncertainty(
     std_volume = {}
     cv_per_structure = {}
     excluded = []
-    for s in (entry.index for entry in structures):
+    for s in (entry.index for entry in StructureTable.default()):
         vols = samples.volumes[:, s].astype(np.float64)
         mu = float(vols.mean())
         sigma = float(vols.std())  # population
@@ -152,15 +141,14 @@ def uncertainty(
     )
 
 
-def write_uncertainty_report(
-    report: UncertaintyReport, structures: StructureTable, path
-) -> None:
-    """One row per structure (mu, sigma, CV or 'absent'), then a summary row
-    with the aggregate CV, threshold and verdict."""
+def write_uncertainty_report(report: UncertaintyReport, path) -> None:
+    """One row per structure of ``StructureTable.default()`` (mu, sigma, CV
+    or 'absent'), then a summary row with the aggregate CV, threshold and
+    verdict."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["structure", "name", "mean_volume", "std_volume", "cv"])
-        for entry in structures:
+        for entry in StructureTable.default():
             s = entry.index
             if s in report.cv_per_structure:
                 writer.writerow(

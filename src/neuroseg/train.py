@@ -22,7 +22,7 @@ from . import autodiff as ad
 from . import transforms as tf
 from .autodiff import Tensor
 from .core import LabelMap, Volume, normalize_intensity, one_hot
-from .io import ManifestRecord, read_manifest, read_volume
+from .io import ManifestRecord, read_volume
 from .metrics import combined_loss, dice_report
 from .unet import UNet3D
 
@@ -187,15 +187,14 @@ def _forward_loss(model: UNet3D, batch, mode, dropout_active, rng):
     return P, loss
 
 
-def train(model: UNet3D, manifest, cfg: TrainConfig) -> Tuple[UNet3D, TrainLog]:
-    """Adam-optimize the combined Dice/cross-entropy loss over a manifest.
+def train(model: UNet3D, records, cfg: TrainConfig) -> Tuple[UNet3D, TrainLog]:
+    """Adam-optimize the combined Dice/cross-entropy loss over ``records``,
+    a list of ManifestRecord (``io.read_manifest``).
 
-    ``manifest`` is a manifest path or a list of ManifestRecord. Records
-    tagged 'validation' are used as the validation set; otherwise
+    Records tagged 'validation' are used as the validation set; otherwise
     ``cfg.validation_fraction`` of the training records is carved off with
     the run seed. The returned model carries the best-validation parameters.
     """
-    records = read_manifest(manifest) if not isinstance(manifest, (list, tuple)) else list(manifest)
     train_recs = [r for r in records if r.split == "train"]
     val_recs = [r for r in records if r.split == "validation"]
     ss = np.random.SeedSequence(cfg.seed)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from neuroseg import cli
-from neuroseg.core import StructureTable, normalize_intensity
+from neuroseg.core import normalize_intensity
 from neuroseg.inference import mc_segment, uncertainty, write_uncertainty_report
 from neuroseg.io import read_manifest, read_volume, write_volume
 from neuroseg.phantom import default_phantom_spec, generate_dataset, generate_subject
@@ -43,8 +43,7 @@ def _uncertainty_csv(checkpoint, volume_path, rate, n, seed, path):
     model = load_checkpoint(checkpoint)
     model.spec = dataclasses.replace(model.spec, dropout_rate=rate)
     _, samples = mc_segment(model, normalize_intensity(read_volume(volume_path)), n, seed)
-    table = StructureTable.default()
-    write_uncertainty_report(uncertainty(samples, table, 0.01), table, path)
+    write_uncertainty_report(uncertainty(samples, 0.01), path)
     return path.read_text()
 
 
@@ -176,18 +175,45 @@ class TestErrors:
         assert code == 1
         assert "short.ckpt" in capsys.readouterr().err
 
-    def test_one_mc_sample_exits_1_before_writing(self, setup, tmp_path, capsys):
-        _, records, checkpoint = setup
+    @pytest.mark.parametrize("command", ["segment", "evaluate", "uncertainty"])
+    def test_one_mc_sample_exits_1_before_writing(
+        self, setup, tmp_path, capsys, monkeypatch, command
+    ):
+        root, records, checkpoint = setup
+        monkeypatch.setattr(cli, "load_checkpoint", lambda path: pytest.fail("model loaded"))
+        inputs = {
+            "segment": ["--input", str(records[1].volume_path),
+                        "--reference", str(records[0].volume_path)],
+            "evaluate": ["--manifest", str(root / "phantoms" / "manifest.csv")],
+            "uncertainty": ["--input", str(records[1].volume_path)],
+        }[command]
         out = tmp_path / "o"
         code = cli.run(
-            [
-                "uncertainty", "--input", str(records[1].volume_path),
-                "--checkpoint", str(checkpoint), "--mc-samples", "1", "--out", str(out),
-            ]
+            [command] + inputs
+            + ["--checkpoint", str(checkpoint), "--mc-samples", "1", "--out", str(out)]
         )
         assert code == 1
         assert "at least 2 MC samples" in capsys.readouterr().err
-        assert not (out / "run_record.json").exists()
+        assert not (out / "run_record.json").exists() and not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["segment", "--bogus", "1"], 1),
+            (["segment", "--input", "a.mvx", "--checkpoint", "m.ckpt", "--out", "o"], 1),
+            (["uncertainty", "--input", "a.mvx", "--checkpoint", "m.ckpt", "--mc", "off",
+              "--out", "o"], 1),
+            (["segment", "--help"], 0),
+        ],
+    )
+    def test_usage_errors_exit_1(self, argv, code, capsys):
+        # exit 2 is a QC warning, so a usage error must not use argparse's 2;
+        # --help still exits 0
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv)
+        assert exc.value.code == code
+        out, err = capsys.readouterr()
+        assert "usage: segctl" in (out if code == 0 else err)
 
     @pytest.mark.parametrize("mc", ["on", "off"])
     def test_evaluate_off_the_model_grid_exits_1(self, setup, tmp_path, capsys, mc):

@@ -7,9 +7,10 @@ import pytest
 
 from neuroseg import autodiff as ad
 from neuroseg import unet as unet_module
-from neuroseg.core import StructureTable, Volume
+from neuroseg.core import AffineTransform, Volume
 from neuroseg.inference import (
     McSampleSet,
+    hard_segment,
     mc_segment,
     uncertainty,
     write_uncertainty_report,
@@ -30,7 +31,7 @@ def _samples():
 
 class TestUncertainty:
     def test_cv_on_hand_made_samples(self):
-        report = uncertainty(_samples(), StructureTable.default(), threshold=0.01)
+        report = uncertainty(_samples(), threshold=0.01)
         assert report.mean_volume[2] == 100.0
         assert report.std_volume[2] == 10.0
         assert report.cv_per_structure[2] == 0.1
@@ -44,29 +45,57 @@ class TestUncertainty:
 
     def test_verdict_at_threshold(self):
         cv = 0.1 / 26
-        table = StructureTable.default()
-        assert uncertainty(_samples(), table, threshold=cv).verdict == "pass"
+        assert uncertainty(_samples(), threshold=cv).verdict == "pass"
         below = np.nextafter(cv, 0.0)
-        assert uncertainty(_samples(), table, threshold=below).verdict == "warn"
+        assert uncertainty(_samples(), threshold=below).verdict == "warn"
 
     def test_needs_two_samples_and_one_structure(self):
-        table = StructureTable.default()
         one = McSampleSet(n=1, volumes=np.ones((1, 28), dtype=np.int64))
         with pytest.raises(ValueError, match="at least 2"):
-            uncertainty(one, table, 0.01)
+            uncertainty(one, 0.01)
         empty = McSampleSet(n=2, volumes=np.zeros((2, 28), dtype=np.int64))
         with pytest.raises(ValueError, match="no structure"):
-            uncertainty(empty, table, 0.01)
+            uncertainty(empty, 0.01)
 
     def test_report_marks_absent_structure(self, tmp_path):
-        table = StructureTable.default()
-        report = uncertainty(_samples(), table, threshold=0.01)
+        report = uncertainty(_samples(), threshold=0.01)
         path = tmp_path / "uncertainty.csv"
-        write_uncertainty_report(report, table, path)
+        write_uncertainty_report(report, path)
         rows = [line.split(",") for line in path.read_text().splitlines()]
         assert rows[5][0] == "5" and rows[5][-1] == "absent"
         assert rows[2][-1] == repr(0.1)
         assert rows[-1] == ["summary", "", repr(report.cv), repr(0.01), "pass"]
+
+
+class TestHardSegment:
+    def test_ties_go_to_the_lowest_class(self):
+        P = np.zeros((4, 2, 1, 1))
+        P[[1, 3], 1] = 0.5  # voxel 1: classes 1 and 3 tie; voxel 0: all four
+        seg = hard_segment(P, Volume(np.zeros((2, 1, 1), dtype=np.float32)))
+        assert seg.labels.dtype == np.uint8
+        assert seg.labels.ravel().tolist() == [0, 1]
+
+    def test_geometry_comes_from_like(self):
+        affine = AffineTransform(np.diag([2.0, 1.0, 0.5]), [1.0, -2.0, 3.0])
+        like = Volume(np.zeros((3, 4, 5), dtype=np.float32), (2.0, 1.0, 0.5), affine)
+        P = np.random.default_rng(0).random((28, 3, 4, 5))
+        seg = hard_segment(P, like)
+        assert seg.spacing == like.spacing and seg.affine is affine
+        assert np.array_equal(seg.labels, np.argmax(P, axis=0))
+
+    def test_mc_fusion_is_hard_segment_of_the_float64_sum(self):
+        model, x = _mc_model()
+        affine = AffineTransform(np.eye(3), [4.0, 5.0, 6.0])
+        v = Volume(x[0, 0], (1.5, 1.5, 2.0), affine)
+        fused, _ = mc_segment(model, v, n=3, seed=6)
+        total = np.zeros((4, 8, 8, 8), dtype=np.float64)
+        for child in np.random.SeedSequence(6).spawn(3):
+            with ad.no_grad():
+                total += model.forward(x, "eval", True, np.random.default_rng(child)).data[0]
+        want = hard_segment(total, v)
+        assert fused.labels.tobytes() == want.labels.tobytes()
+        assert fused.labels.dtype == np.uint8
+        assert fused.spacing == v.spacing and fused.affine is affine
 
 
 class TestMcSegment:
