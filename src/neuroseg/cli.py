@@ -8,7 +8,9 @@ back), ``evaluate`` (Dice metrics plus the Dice/CV scatter) and
 ``evaluate`` scores a manifest's test volumes on their own grid, without
 registration: each volume must already be on the model grid, and one that is
 not is an error (exit 1) before anything is written. Only ``segment``
-registers and resamples its input.
+registers and resamples its input. ``evaluate`` scores only the test records
+of one modality, the one that also picks the CV threshold: ``--modality``,
+else ``modality`` in the ``--config`` file, else ``mprage``.
 
 ``segment``, ``evaluate`` and ``uncertainty`` share one MC quality check,
 which needs at least 2 MC samples: fewer is an error (exit 1) before the
@@ -198,7 +200,7 @@ def cmd_train(args) -> int:
     cfg = TrainConfig(
         learning_rate=args.lr,
         max_epochs=args.epochs,
-        patience=args.patience,
+        patience=args.epochs if args.patience is None else args.patience,
         batch_size=args.batch_size,
         seed=args.seed or 0,
         validation_fraction=args.validation_fraction,
@@ -341,15 +343,17 @@ def cmd_segment(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    """Score the test split on the volumes' own grid, without registration;
-    a volume off the model grid exits 1 and writes nothing."""
+    """Score the test split's records of the resolved modality on the
+    volumes' own grid, without registration; a volume off the model grid
+    exits 1 and writes nothing."""
     cfg = _pipeline_config(args)
     model = _load_model(cfg)
-    records = [r for r in read_manifest(args.manifest) if r.split == "test"]
-    if args.modality:
-        records = [r for r in records if r.modality == args.modality]
+    records = [
+        r for r in read_manifest(args.manifest)
+        if r.split == "test" and r.modality == cfg.modality
+    ]
     if not records:
-        print("error: manifest has an empty test split", file=sys.stderr)
+        print(f"error: manifest has no {cfg.modality!r} test records", file=sys.stderr)
         return 1
     rows = []
     averages = []
@@ -476,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dropout-rate", type=float, default=ModelSpec.dropout_rate)
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--epochs", type=int, default=400)
-    p.add_argument("--patience", type=int, default=100)
+    p.add_argument("--patience", type=int, default=None, help="default: --epochs")
     p.add_argument("--batch-size", type=int, default=1)
     p.add_argument("--validation-fraction", type=float, default=0.1)
     p.add_argument("--aug-translation", type=float, default=4.0)

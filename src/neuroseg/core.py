@@ -211,14 +211,8 @@ class StructureTable:
             entries.append(Structure(i, name, side))
         return cls(tuple(entries))
 
-    def name(self, index: int) -> str:
-        return self.entries[index - 1].name
-
     def __iter__(self):
         return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 def normalize_intensity(v: Volume) -> Volume:

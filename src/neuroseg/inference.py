@@ -12,10 +12,9 @@ draws from its own rng and the sum runs in pass order, so the results are
 bitwise those of one pass at a time. The fused map is the voxelwise argmax
 (``hard_segment``) of the summed softmax fields (equivalently their mean).
 Per-sample anatomical volumes are the voxel counts of each sample's hard
-segmentation; their dispersion across samples yields CV_s = sigma_s / mu_s
-and the aggregate CV is the mean over structures present in every
-statistic's denominator sense (mu_s > 0). The structures are those of
-``StructureTable.default()``.
+segmentation; their dispersion across samples yields CV_s = sigma_s / mu_s,
+and the aggregate CV is the mean of CV_s over structures with mu_s > 0. The
+structures are those of ``StructureTable.default()``.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ CV_THRESHOLDS = {"mprage": 0.01, "flair": 0.025, "dwi": 0.025, "ct": 0.025}
 class McSampleSet:
     """Per-sample structure volumes (voxel counts) from N stochastic passes."""
 
-    n: int
     volumes: np.ndarray  # (N, num_classes) int64
     workers: int = 1  # passes run at once (the MC window size)
 
@@ -98,7 +96,7 @@ def mc_segment(
         sample = P.data[0]
         total += sample
         volumes[i] = _structure_volumes(np.argmax(sample, axis=0), num_classes)
-    return hard_segment(total, v), McSampleSet(n=n, volumes=volumes, workers=min(mc_workers(), n))
+    return hard_segment(total, v), McSampleSet(volumes=volumes, workers=min(mc_workers(), n))
 
 
 def uncertainty(samples: McSampleSet, threshold: float) -> UncertaintyReport:
@@ -110,8 +108,9 @@ def uncertainty(samples: McSampleSet, threshold: float) -> UncertaintyReport:
     is itself a quality signal). Verdict is 'warn' iff the aggregate CV
     exceeds the threshold.
     """
-    if samples.n < 2:
-        raise ValueError(f"CV needs at least 2 MC samples, got {samples.n}")
+    n = len(samples.volumes)
+    if n < 2:
+        raise ValueError(f"CV needs at least 2 MC samples, got {n}")
     mean_volume = {}
     std_volume = {}
     cv_per_structure = {}

@@ -27,39 +27,6 @@ class CorrelationError(ValueError):
     """Pearson correlation is undefined (too few points or zero variance)."""
 
 
-def _class_sums(P: np.ndarray, T: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-class sums of P*T, P and T over every non-class axis, float64."""
-    if P.shape != T.shape:
-        raise ad.ShapeError(f"prediction {P.shape} vs truth {T.shape}")
-    caxis = 0 if P.ndim == 4 else 1
-    axes = tuple(i for i in range(P.ndim) if i != caxis)
-    inter = (P.astype(np.float64) * T).sum(axis=axes)
-    psum = P.sum(axis=axes, dtype=np.float64)
-    tsum = T.sum(axis=axes, dtype=np.float64)
-    return inter, psum, tsum
-
-
-def soft_dice_per_class(P: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Smoothed Dice (2*sum(P*T)+eps)/(sum(P)+sum(T)+eps) for every class.
-
-    With both masks empty the ratio degenerates to eps/eps = 1.
-    """
-    inter, psum, tsum = _class_sums(P, T)
-    return (2.0 * inter + DICE_EPS) / (psum + tsum + DICE_EPS)
-
-
-def dice_per_structure(P, T) -> Dict[int, float]:
-    """Dice per anatomical structure (class indices 1..C-1, background excluded).
-
-    Arguments are per-class fields (C, x, y, z) or (batch, C, x, y, z);
-    P may be a soft distribution or a hard one-hot mask, T must be one-hot.
-    """
-    P = P.data if isinstance(P, Tensor) else np.asarray(P)
-    T = np.asarray(T)
-    dice = soft_dice_per_class(P, T)
-    return {s: float(dice[s]) for s in range(1, dice.shape[0])}
-
-
 @dataclass
 class DiceReport:
     """Per-structure Dice with ground-truth volumes and both summary scores."""
@@ -70,33 +37,25 @@ class DiceReport:
 
     @property
     def average(self) -> float:
-        return average_dice(self)
+        """Arithmetic mean of per-structure Dice; background and structures
+        absent from the ground truth are excluded."""
+        scores = [d for s, d in self.per_structure.items() if self.volumes.get(s, 0) > 0]
+        if not scores:
+            raise ValueError("no structures present in ground truth")
+        return float(np.mean(scores, dtype=np.float64))
 
     @property
     def volume_weighted(self) -> float:
-        return weighted_dice(self)
-
-
-def average_dice(report: DiceReport) -> float:
-    """Arithmetic mean of per-structure Dice; background and structures absent
-    from the ground truth are excluded."""
-    scores = [d for s, d in report.per_structure.items() if report.volumes.get(s, 0) > 0]
-    if not scores:
-        raise ValueError("no structures present in ground truth")
-    return float(np.mean(scores, dtype=np.float64))
-
-
-def weighted_dice(report: DiceReport) -> float:
-    """Ground-truth-volume-weighted mean of per-structure Dice."""
-    num = 0.0
-    den = 0.0
-    for s, d in report.per_structure.items():
-        v = report.volumes.get(s, 0)
-        num += v * d
-        den += v
-    if den == 0:
-        raise ValueError("no structures present in ground truth")
-    return float(num / den)
+        """Ground-truth-volume-weighted mean of per-structure Dice."""
+        num = 0.0
+        den = 0.0
+        for s, d in self.per_structure.items():
+            v = self.volumes.get(s, 0)
+            num += v * d
+            den += v
+        if den == 0:
+            raise ValueError("no structures present in ground truth")
+        return float(num / den)
 
 
 def dice_report(pred_labels: np.ndarray, true_labels: np.ndarray, num_classes: int = NUM_CLASSES) -> DiceReport:
@@ -139,7 +98,9 @@ def combined_loss(P: Tensor, T: np.ndarray) -> Tensor:
     cshape = tuple(
         P.data.shape[i] if i == caxis else 1 for i in range(P.data.ndim)
     )
-    inter, psum, tsum = _class_sums(P.data, T)
+    inter = (P.data.astype(np.float64) * T).sum(axis=axes)
+    psum = P.data.sum(axis=axes, dtype=np.float64)
+    tsum = T.sum(axis=axes, dtype=np.float64)
     denom = psum + tsum + DICE_EPS
     dice = (2.0 * inter + DICE_EPS) / denom
     Pc = np.maximum(P.data, _LOG_CLAMP)

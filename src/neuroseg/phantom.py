@@ -45,8 +45,6 @@ PUTAMEN_LEFT, PUTAMEN_RIGHT = 10, 23
 BRAINSTEM = 14
 HIPPO_LEFT, HIPPO_RIGHT = 15, 25
 
-GM_WM_PAIRS = ((WM_LEFT, GM_LEFT), (WM_RIGHT, GM_RIGHT))
-
 
 @dataclass(frozen=True)
 class PaintStep:

@@ -181,17 +181,6 @@ class UNet3D:
         """Trainable scalars; batch-norm running statistics are not trainable."""
         return sum(int(t.data.size) for t in self._params.values())
 
-    def layer_summary(self) -> dict:
-        """Feature-count layout, e.g. for checking a depth-2 schematic."""
-        return {
-            "encoder_features": list(self.spec.encoder_features),
-            "bottleneck_features": self.spec.bottleneck_features,
-            "bottleneck_layers": self.spec.bottleneck_layers,
-            "decoder_features": [f for f in reversed(self.spec.encoder_features)],
-            "dropout_blocks": 2 * self.spec.depth,
-            "num_classes": self.spec.num_classes,
-        }
-
     def _dropout(self, h, active, rng):
         if active and self.spec.dropout_rate > 0.0:
             if rng is None:
@@ -392,10 +381,10 @@ def save_checkpoint(model: UNet3D, path, extras: Optional[Dict[str, np.ndarray]]
             fh.write(blob)
 
 
-def load_checkpoint(path, into: Optional[UNet3D] = None) -> UNet3D:
-    """Restore a model bitwise. ``into`` loads in place and must match the
-    stored spec. Any malformed, truncated or mismatched file raises
-    CheckpointError and leaves ``into`` unchanged.
+def load_checkpoint(path) -> UNet3D:
+    """Restore the model a checkpoint stores, bitwise, with its extras in
+    ``model.extras``. Any malformed, truncated or mismatched file raises
+    CheckpointError.
 
     The header's array table is checked against a freshly built model first;
     each payload is then read straight into that model's own array, so the
@@ -407,10 +396,6 @@ def load_checkpoint(path, into: Optional[UNet3D] = None) -> UNet3D:
             (hlen,) = struct.unpack("<I", fh.read(4))
             header = json.loads(fh.read(hlen))
             spec = ModelSpec(**header["spec"])
-            if into is not None and into.spec != spec:
-                raise CheckpointError(
-                    f"checkpoint spec {spec} does not match target model {into.spec}"
-                )
             model = UNet3D(spec, header["seed"], np.dtype(header["dtype"]))
             bn_initialized = dict(header["bn_initialized"])
             table = [(name, tuple(shape), np.dtype(dt)) for name, shape, dt in header["arrays"]]
@@ -438,9 +423,5 @@ def load_checkpoint(path, into: Optional[UNet3D] = None) -> UNet3D:
         except (struct.error, ValueError, KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
     model._set_flags(bn_initialized)
-    if into is None:
-        return model
-    into.assign_state(*model.named_state())
-    into.extras.update(model.extras)
-    return into
+    return model
 

@@ -89,6 +89,20 @@ class TestDropoutRate:
         assert args.dropout_rate == ModelSpec().dropout_rate
 
 
+class TestTrain:
+    def test_patience_defaults_to_epochs(self, setup, tmp_path):
+        root, _, _ = setup
+        code, record = _run(
+            [
+                "train", "--manifest", str(root / "phantoms" / "manifest.csv"),
+                "--modality", "mprage", "--features", "2", "--epochs", "3",
+            ],
+            tmp_path / "train",
+        )
+        assert code == 0
+        assert record["patience"] == 3 and record["max_epochs"] == 3
+
+
 class TestConfigFile:
     def test_config_value_used_and_flag_overrides(self, setup, tmp_path):
         _, records, checkpoint = setup
@@ -104,6 +118,31 @@ class TestConfigFile:
         assert (record["mc_samples"], record["seed"], record["cv_threshold"]) == (2, 0, 0.5)
         _, record = _run(args[:-2], tmp_path / "defaults")
         assert (record["mc_samples"], record["seed"], record["cv_threshold"]) == (15, 0, 0.01)
+
+
+    def test_config_modality_picks_the_evaluated_records(self, setup, tmp_path):
+        # one value picks both the CV threshold and the scored test records
+        _, _, checkpoint = setup  # a 16^3 model; MPRAGE and CT share the grid
+        spec = default_phantom_spec(dims=(16, 16, 16), modalities=("mprage", "ct"), seed=2)
+        manifest = generate_dataset(spec, 5, tmp_path / "phantoms", test_fraction=0.2)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"modality": "ct"}))
+        args = [
+            "evaluate", "--manifest", str(manifest), "--checkpoint", str(checkpoint),
+            "--mc-samples", "2",
+        ]
+        scored = {}
+        for name, extra in (
+            ("flag", ["--modality", "ct"]), ("config", ["--config", str(config)]), ("bare", [])
+        ):
+            code, record = _run(args + extra, tmp_path / name)
+            assert code == 0 and record["volumes"] == 1
+            scored[name] = [
+                (tmp_path / name / f).read_text() for f in ("evaluation.csv", "scatter.csv")
+            ]
+        assert scored["config"] == scored["flag"]
+        assert "_ct.mvx" in scored["flag"][0] and "_mprage.mvx" not in scored["flag"][0]
+        assert "_mprage.mvx" in scored["bare"][0] and "_ct.mvx" not in scored["bare"][0]
 
 
 class TestRunRecord:

@@ -165,9 +165,9 @@ class TestStructureTable:
 
     def test_left_right_symmetry_of_cortical_wm(self):
         table = StructureTable.default()
-        assert table.name(1).endswith("Left")
-        assert table.name(3).endswith("Right")
-        assert table.name(1).replace("Left", "Right") == table.name(3)
+        assert table.entries[0].name.endswith("Left")
+        assert table.entries[2].name.endswith("Right")
+        assert table.entries[0].name.replace("Left", "Right") == table.entries[2].name
 
     def test_laterality_parsed(self):
         table = StructureTable.default()

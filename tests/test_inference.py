@@ -26,7 +26,7 @@ def _samples():
     volumes[:, 0] = [1000, 5000, 200, 9000]
     volumes[:, 2] = [90, 110, 90, 110]
     volumes[:, 5] = 0
-    return McSampleSet(n=4, volumes=volumes)
+    return McSampleSet(volumes=volumes)
 
 
 class TestUncertainty:
@@ -50,10 +50,10 @@ class TestUncertainty:
         assert uncertainty(_samples(), threshold=below).verdict == "warn"
 
     def test_needs_two_samples_and_one_structure(self):
-        one = McSampleSet(n=1, volumes=np.ones((1, 28), dtype=np.int64))
+        one = McSampleSet(volumes=np.ones((1, 28), dtype=np.int64))
         with pytest.raises(ValueError, match="at least 2"):
             uncertainty(one, 0.01)
-        empty = McSampleSet(n=2, volumes=np.zeros((2, 28), dtype=np.int64))
+        empty = McSampleSet(volumes=np.zeros((2, 28), dtype=np.int64))
         with pytest.raises(ValueError, match="no structure"):
             uncertainty(empty, 0.01)
 

@@ -11,13 +11,9 @@ from neuroseg.metrics import (
     DICE_EPS,
     CorrelationError,
     DiceReport,
-    average_dice,
     combined_loss,
-    dice_per_structure,
     dice_report,
     pearson,
-    soft_dice_per_class,
-    weighted_dice,
     write_dice_rows,
 )
 
@@ -27,8 +23,7 @@ from conftest import central_diff, max_rel_err
 class TestDicePerStructure:
     def test_perfect_prediction(self, rng):
         labels = rng.integers(0, 4, (4, 4, 4))
-        T = one_hot(labels, 4)
-        scores = dice_per_structure(T, T)
+        scores = dice_report(labels, labels, num_classes=4).per_structure
         for s in (1, 2, 3):
             assert scores[s] == pytest.approx(1.0, abs=1e-6)
 
@@ -37,7 +32,7 @@ class TestDicePerStructure:
         labels_a[0] = 1
         labels_b = np.zeros((2, 2, 2), dtype=np.uint8)
         labels_b[1] = 1
-        scores = dice_per_structure(one_hot(labels_a, 2), one_hot(labels_b, 2))
+        scores = dice_report(labels_a, labels_b, num_classes=2).per_structure
         assert scores[1] < 1e-6
 
     def test_half_overlap_hand_count(self):
@@ -46,12 +41,12 @@ class TestDicePerStructure:
         truth[0:2, :, 0] = 1  # 4 voxels
         pred = np.zeros((4, 2, 1), dtype=np.uint8)
         pred[1:3, :, 0] = 1  # 4 voxels, 2 shared
-        scores = dice_per_structure(one_hot(pred, 2), one_hot(truth, 2))
+        scores = dice_report(pred, truth, num_classes=2).per_structure
         assert scores[1] == pytest.approx(0.5, abs=1e-6)
 
     def test_empty_structure_defined_as_one(self):
         labels = np.zeros((2, 2, 2), dtype=np.uint8)
-        scores = dice_per_structure(one_hot(labels, 3), one_hot(labels, 3))
+        scores = dice_report(labels, labels, num_classes=3).per_structure
         assert scores[1] == 1.0
         assert scores[2] == 1.0
 
@@ -61,15 +56,13 @@ class TestDicePerStructure:
         for bits in range(512):
             m = np.array([(bits >> i) & 1 for i in range(9)], dtype=np.uint8)
             grids.append(m.reshape(3, 3, 1))
-        onehots = [one_hot(g, 2) for g in grids]
         counts = [int(g.sum()) for g in grids]
-        inters = np.zeros((512, 512), dtype=np.int64)
         flat = np.stack([g.reshape(-1) for g in grids]).astype(np.int64)
         inters = flat @ flat.T
         checked = 0
         for a in range(0, 512, 7):  # stride keeps runtime sane; full sweep in acceptance
             for b in range(512):
-                ours = dice_per_structure(onehots[a], onehots[b])[1]
+                ours = dice_report(grids[a], grids[b], num_classes=2).per_structure[1]
                 na, nb, i = counts[a], counts[b], int(inters[a, b])
                 expected = (2 * i + DICE_EPS) / (na + nb + DICE_EPS)
                 assert ours == pytest.approx(expected, rel=1e-12)
@@ -80,18 +73,18 @@ class TestDicePerStructure:
 class TestSummaries:
     def test_uniform_scores(self):
         rep = DiceReport({1: 0.8, 2: 0.8}, {1: 10, 2: 90})
-        assert average_dice(rep) == pytest.approx(0.8)
-        assert weighted_dice(rep) == pytest.approx(0.8)
+        assert rep.average == pytest.approx(0.8)
+        assert rep.volume_weighted == pytest.approx(0.8)
 
     def test_hand_weighted_example(self):
         rep = DiceReport({1: 1.0, 2: 0.5}, {1: 100, 2: 300})
-        assert average_dice(rep) == pytest.approx(0.75, abs=1e-12)
-        assert weighted_dice(rep) == pytest.approx(0.625, abs=1e-12)
+        assert rep.average == pytest.approx(0.75, abs=1e-12)
+        assert rep.volume_weighted == pytest.approx(0.625, abs=1e-12)
 
     def test_single_structure(self):
         rep = DiceReport({1: 0.62}, {1: 50})
-        assert average_dice(rep) == pytest.approx(0.62)
-        assert weighted_dice(rep) == pytest.approx(0.62)
+        assert rep.average == pytest.approx(0.62)
+        assert rep.volume_weighted == pytest.approx(0.62)
 
     def test_absent_structures_excluded_and_recorded(self):
         pred = np.zeros((3, 3, 3), dtype=np.uint8)
@@ -102,21 +95,21 @@ class TestSummaries:
         pred[2, 2, 2] = 2  # but is predicted somewhere
         rep = dice_report(pred, truth, num_classes=4)
         assert 2 in rep.missing and 3 in rep.missing
-        assert average_dice(rep) == pytest.approx(rep.per_structure[1])
-        assert weighted_dice(rep) == pytest.approx(rep.per_structure[1])
+        assert rep.average == pytest.approx(rep.per_structure[1])
+        assert rep.volume_weighted == pytest.approx(rep.per_structure[1])
 
     def test_summaries_bounded_by_extremes(self, rng):
         scores = {s: float(rng.uniform(0.2, 0.9)) for s in range(1, 8)}
         vols = {s: int(rng.integers(5, 500)) for s in range(1, 8)}
         rep = DiceReport(scores, vols)
         lo, hi = min(scores.values()), max(scores.values())
-        assert lo <= average_dice(rep) <= hi
-        assert lo <= weighted_dice(rep) <= hi
+        assert lo <= rep.average <= hi
+        assert lo <= rep.volume_weighted <= hi
 
     def test_equal_volumes_make_weighted_equal_average(self, rng):
         scores = {s: float(rng.uniform(0, 1)) for s in range(1, 6)}
         rep = DiceReport(scores, {s: 77 for s in scores})
-        assert weighted_dice(rep) == pytest.approx(average_dice(rep), abs=1e-12)
+        assert rep.volume_weighted == pytest.approx(rep.average, abs=1e-12)
 
 
 class TestCombinedLoss:

@@ -1,0 +1,81 @@
+"""Every public name in ``neuroseg`` has a caller outside the tests.
+
+A public top-level function, class or module constant, or a public method,
+counts as used when ``src/`` or ``perfbench/`` loads it somewhere: as a name,
+an attribute, an import alias or a string constant (the benchmark's tracer
+patches methods by their string name). A name only the tests reach is dead
+code; delete it, or list it in ``ALLOWED`` with the reason it stays.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "neuroseg"
+
+ALLOWED = {
+    "autodiff.mul": "a graph op the autodiff tests compose gradients from",
+    "autodiff.sum_all": "the scalar reduction the autodiff gradient checks end in",
+    "UNet3D.parameter_count": "the trainable-scalar count the tests check against a closed form",
+    "AffineTransform.identity": "the neutral transform of the resampling round-trip tests",
+}
+
+
+def _public(name):
+    return not name.startswith("_")
+
+
+def _definitions():
+    """{qualified name: defining file} for every public top-level function,
+    class and module constant of the package, and every public method."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name):
+                found[f"{module}.{node.name}"] = path.name
+                if isinstance(node, ast.ClassDef):
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef) and _public(item.name):
+                            found[f"{node.name}.{item.name}"] = path.name
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and _public(name.id):
+                            found[f"{module}.{name.id}"] = path.name
+    return found
+
+
+def _loaded_names():
+    """Every identifier that ``src/`` or ``perfbench/`` loads."""
+    loaded = set()
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.alias):
+                loaded.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                loaded.add(node.value)
+    return loaded
+
+
+def test_every_public_name_has_a_caller():
+    loaded = _loaded_names()
+    dead = sorted(
+        f"{qualified} ({path})"
+        for qualified, path in _definitions().items()
+        if qualified.split(".")[-1] not in loaded and qualified not in ALLOWED
+    )
+    assert not dead, "public names only the tests use: " + ", ".join(dead)
+
+
+def test_allowlist_names_existing_unused_names():
+    definitions = _definitions()
+    loaded = _loaded_names()
+    for qualified in ALLOWED:
+        assert qualified in definitions, f"{qualified} is not defined"
+        assert qualified.split(".")[-1] not in loaded, f"{qualified} has a caller now"
