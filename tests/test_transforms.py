@@ -277,7 +277,7 @@ class TestConvergenceFlag:
         for t in result.levels:
             assert t.best_cost <= t.start_cost
             assert t.best_cost <= t.end_cost
-            assert not t.nonfinite
+            assert t.stop_reason == "budget"
 
     def test_absurd_step_diverges_on_a_level(self):
         moving = make_blob_volume(seed=6)
@@ -287,10 +287,12 @@ class TestConvergenceFlag:
         result = tf.register_affine(moving, reference, step=50.0)
         assert any(t.diverged for t in result.levels)
 
-    def test_last_iterate_above_start_within_best_gain_converges(self):
+    def test_last_iterate_above_start_within_best_gain_converges(self, monkeypatch):
         # a 48^3 phantom pair whose finest level ends slightly above its
         # start cost (41.191 vs 41.175) after reaching 41.143: the level hands
-        # on its best iterate, so it has not diverged
+        # on its best iterate, so it has not diverged. Without the plateau
+        # stop every level runs its full budget, as when this was measured.
+        monkeypatch.setattr(tf, "_PLATEAU_ITERS", 10**6)
         spec = default_phantom_spec(dims=(48, 48, 48), modalities=("mprage",), seed=2)
         reference = generate_subject(spec, 0)[1]["mprage"]
         moving = generate_subject(spec, 2)[1]["mprage"]
@@ -301,6 +303,80 @@ class TestConvergenceFlag:
         assert last.start_cost - last.best_cost > last.end_cost - last.start_cost
         assert not last.diverged
         assert result.converged
+
+
+@pytest.fixture(scope="module")
+def phantom_pairs_32():
+    """MPRAGE phantoms at 32^3, seed 1: (moving, reference) for subjects 1-4
+    onto subject 0."""
+    spec = default_phantom_spec(dims=(32, 32, 32), modalities=("mprage",), seed=1)
+    reference = generate_subject(spec, 0)[1]["mprage"]
+    return [(generate_subject(spec, s)[1]["mprage"], reference) for s in (1, 2, 3, 4)]
+
+
+class TestPlateauStop:
+    def test_a_level_stops_on_a_plateau(self, phantom_pairs_32):
+        result = tf.register_affine(*phantom_pairs_32[0])
+        caps = dict(zip((4, 2, 1), (80, 80, 50)))
+        stopped = [t for t in result.levels if t.stop_reason == "plateau"]
+        assert stopped
+        for t in stopped:
+            assert t.iterations < caps[t.level]
+            assert t.end_cost <= t.start_cost
+            assert not t.diverged
+        assert result.converged
+
+    def test_repeat_calls_are_bitwise_equal(self, phantom_pairs_32):
+        a = tf.register_affine(*phantom_pairs_32[0])
+        b = tf.register_affine(*phantom_pairs_32[0])
+        assert np.array_equal(a.transform.as_matrix(), b.transform.as_matrix())
+        assert a.final_cost == b.final_cost
+        assert a.levels == b.levels  # LevelTrace equality leaves out ``seconds``
+
+    def test_start_and_end_costs_are_the_costs_at_their_parameters(
+        self, phantom_pairs_32, monkeypatch
+    ):
+        # every cost evaluation, with copies of its parameters, grouped by the
+        # moving image: one per level, then the full-resolution cost report
+        calls = {}
+        real = tf._mse_cost_grad
+
+        def recording(mov, ref_l, level, lin, tr, centered, need_grad=True):
+            args = (mov, ref_l, level, lin.copy(), tr.copy(), centered)
+            calls.setdefault(id(mov), []).append(args)
+            return real(*args, need_grad=need_grad)
+
+        monkeypatch.setattr(tf, "_mse_cost_grad", recording)
+        result = tf.register_affine(*phantom_pairs_32[0])
+        groups = list(calls.values())
+        assert len(groups) == len(result.levels) + 1
+        for t, level_calls in zip(result.levels, groups):
+            # one evaluation per update plus the end: nothing moves after the last
+            assert len(level_calls) == t.iterations + 1
+            assert t.start_cost == real(*level_calls[0], need_grad=False)[0]
+            assert t.end_cost == real(*level_calls[-1], need_grad=False)[0]
+
+    def test_no_plateau_stop_above_the_start(self):
+        # a 48^3 pair whose finest level finds no gain in its first 10
+        # iterations and sits above its start cost there: stopping would
+        # trip the rise rule, so the level runs on
+        spec = default_phantom_spec(dims=(48, 48, 48), modalities=("mprage",), seed=1)
+        reference = generate_subject(spec, 0)[1]["mprage"]
+        moving = generate_subject(spec, 2)[1]["mprage"]
+        result = tf.register_affine(moving, reference)
+        assert result.levels[-1].iterations > 10
+        assert not any(t.diverged for t in result.levels)
+        assert result.converged
+
+    def test_final_cost_within_one_percent_of_full_budget(self, phantom_pairs_32, monkeypatch):
+        early = [tf.register_affine(m, r) for m, r in phantom_pairs_32]
+        monkeypatch.setattr(tf, "_PLATEAU_ITERS", 10**6)
+        full = [tf.register_affine(m, r) for m, r in phantom_pairs_32]
+        for e, f in zip(early, full):
+            assert all(t.stop_reason == "budget" for t in f.levels)
+            assert abs(e.final_cost - f.final_cost) <= 0.01 * f.final_cost
+            assert e.converged and f.converged
+        assert sum(e.iterations for e in early) < sum(f.iterations for f in full)
 
 
 def _reference_resample(data, t, out_dims, order):
