@@ -224,8 +224,16 @@ def _check_5d(x: Tensor, name="input"):
 
 
 def _pad(a, w):
-    """Zero 'same' padding of a (B, C, X, Y, Z) array for the odd kernel ``w``."""
-    return np.pad(a, ((0, 0), (0, 0)) + tuple((k // 2, k // 2) for k in w.shape[2:]))
+    """Zero 'same' padding of a (B, C, X, Y, Z) array for the odd kernel ``w``:
+    ``a`` written into the interior of a zeroed array, or ``a`` itself for a
+    1x1x1 kernel, which needs no padding."""
+    px, py, pz = (k // 2 for k in w.shape[2:])
+    if px == py == pz == 0:
+        return a
+    B, C, X, Y, Z = a.shape
+    out = np.zeros((B, C, X + 2 * px, Y + 2 * py, Z + 2 * pz), dtype=a.dtype)
+    out[:, :, px : px + X, py : py + Y, pz : pz + Z] = a
+    return out
 
 
 def _slabs(xp, w, dims):

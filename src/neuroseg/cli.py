@@ -23,7 +23,11 @@ output directory; a ``segment`` record also holds the wall seconds of each
 stage (``timings``) and the per-pass structure voxel counts of the MC
 samples (``mc_volumes``). ``segment`` and ``uncertainty`` records give the
 number of MC passes run at once (``mc_workers``) and whether OpenBLAS was
-pinned to one thread while they ran (``blas_pinned``).
+pinned to one thread while they ran (``blas_pinned``). ``train`` and
+``segment`` records give the process's high-water resident memory in MB when
+the record is written (``peak_rss_mb``, from ``ru_maxrss``). It marks the
+whole process lifetime, so a caller that runs several commands in one process
+reads a cumulative value.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import resource
 import sys
 import time
 from dataclasses import dataclass
@@ -90,6 +95,11 @@ def _write_run_record(out_dir: Path, command: str, resolved: Dict) -> None:
         {k: (str(v) if isinstance(v, Path) else v) for k, v in sorted(resolved.items())}
     )
     (out_dir / "run_record.json").write_text(json.dumps(record, indent=2, sort_keys=True))
+
+
+def _peak_rss_mb() -> float:
+    # ru_maxrss is in KiB on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 class _StageClock:
@@ -228,6 +238,7 @@ def cmd_train(args) -> int:
             "checkpoint": ckpt.name,
             "best_epoch": log.best_epoch,
             "stop_reason": log.stop_reason,
+            "peak_rss_mb": _peak_rss_mb(),
         },
     )
     print(
@@ -336,6 +347,7 @@ def cmd_segment(args) -> int:
             "mc_volumes": None if samples is None else samples.volumes.tolist(),
             **_qc_record(cfg, model, samples, report),
             "timings": clock.timings(),
+            "peak_rss_mb": _peak_rss_mb(),
         },
     )
     print(f"segmentation written to {cfg.out_dir / 'segmentation.mvx'}")

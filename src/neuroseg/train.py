@@ -6,6 +6,12 @@ epoch the validation loss is evaluated with dropout off and eval batch-norm
 statistics; training stops at ``max_epochs`` or once the validation loss has
 not improved for ``patience`` epochs, and the best-validation parameters are
 restored into the returned model.
+
+One optimizer step runs inside ``_train_step``, which returns only the loss
+value. The step's autodiff graph (every activation, every array a backward
+closure saved, every interior gradient) is referenced from that call alone,
+so it is freed when the call returns: the next step's augmentation and
+forward, and the epoch's validation, never run beside a dead graph.
 """
 
 from __future__ import annotations
@@ -187,6 +193,19 @@ def _forward_loss(model: UNet3D, batch, mode, dropout_active, rng):
     return P, loss
 
 
+def _train_step(model: UNet3D, opt: Adam, batch, rng) -> float:
+    """One train-mode forward on ``batch`` and, only if its loss is finite,
+    backward and an Adam step. Returns the loss value and nothing that holds
+    the graph, so the graph dies with this call."""
+    _, loss = _forward_loss(model, batch, "train", True, rng)
+    value = loss.item()
+    if np.isfinite(value):
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+    return value
+
+
 def train(model: UNet3D, records, cfg: TrainConfig) -> Tuple[UNet3D, TrainLog]:
     """Adam-optimize the combined Dice/cross-entropy loss over ``records``,
     a list of ManifestRecord (``io.read_manifest``).
@@ -245,14 +264,10 @@ def train(model: UNet3D, records, cfg: TrainConfig) -> Tuple[UNet3D, TrainLog]:
                     cfg.crop_fraction,
                 )
                 batch.append((normalize_intensity(av), al))
-            _, loss = _forward_loss(model, batch, "train", True, rng_dropout)
-            value = loss.item()
+            value = _train_step(model, opt, batch, rng_dropout)
             history.append(value)
             if not np.isfinite(value):
                 raise NonFiniteLossError(epoch, start // cfg.batch_size, history)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
             epoch_losses.append(value)
         train_loss = float(np.mean(epoch_losses, dtype=np.float64))
 

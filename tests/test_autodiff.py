@@ -105,6 +105,18 @@ class TestConv3d:
             want += np.einsum("oc,bcxyz->boxyz", w[:, :, i, j, k], view)
         assert np.abs(out - want).max() / np.abs(want).max() <= 1e-5
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [(1, 1, 1), (3, 3, 3), (3, 1, 5)])
+    def test_pad_matches_np_pad(self, rng, kernel, dtype):
+        a = rng.standard_normal((2, 3, 5, 4, 6)).astype(dtype)
+        w = np.zeros((4, 3) + kernel, dtype=dtype)
+        want = np.pad(a, ((0, 0), (0, 0)) + tuple((k // 2, k // 2) for k in kernel))
+        got = ad._pad(a, w)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # a 1x1x1 kernel pads nothing, so the input is not copied
+        assert (got is a) == (kernel == (1, 1, 1))
+
     def test_weight_gradient_holds_one_im2col_block(self, rng):
         # 32 -> 32 channels at 32^3: a slab is one x-plane, so a block is a
         # (32*27, 32*32) float32 matrix of 3.5 MB

@@ -288,13 +288,13 @@ class TestGoldenPath:
             "command", "manifest", "modality", "learning_rate", "max_epochs", "patience",
             "batch_size", "translation_voxels", "rotation_degrees", "crop_fraction",
             "seed", "validation_fraction", "features", "depth", "bottleneck",
-            "input_dims", "checkpoint", "best_epoch", "stop_reason",
+            "input_dims", "checkpoint", "best_epoch", "stop_reason", "peak_rss_mb",
         },
         "segment": {
             "command", "input", "reference", "checkpoint", "modality", "mc", "mc_samples",
             "dropout_rate", "cv_threshold", "seed", "registration_converged",
             "registration_cost", "registration_levels", "cv", "verdict", "mc_volumes",
-            "mc_workers", "blas_pinned", "timings",
+            "mc_workers", "blas_pinned", "timings", "peak_rss_mb",
         },
         "evaluate": {
             "command", "manifest", "checkpoint", "mc", "mc_samples", "dropout_rate", "seed",
@@ -331,6 +331,7 @@ class TestGoldenPath:
         )
         assert code == 0 and set(record) == self.RECORD_KEYS["train"]
         assert record["stop_reason"] == "max-epochs"
+        assert isinstance(record["peak_rss_mb"], float) and record["peak_rss_mb"] > 0
         log = (tmp_path / "train" / "train_log.csv").read_text().splitlines()
         assert log[0].split(",")[-1] == "epoch_s" and len(log) == 3
         checkpoint = tmp_path / "train" / record["checkpoint"]
@@ -345,6 +346,7 @@ class TestGoldenPath:
         assert (code == 2) == (record["verdict"] == "warn")
         assert read_volume(tmp_path / "segment" / "segmentation.mvx").dims == (16, 16, 16)
         assert len(record["mc_volumes"]) == 3
+        assert isinstance(record["peak_rss_mb"], float) and record["peak_rss_mb"] > 0
 
         code, record = _run(["evaluate", "--manifest", str(manifest)] + mc, tmp_path / "eval")
         assert code == 0 and set(record) == self.RECORD_KEYS["evaluate"]

@@ -1,7 +1,10 @@
+import gc
+
 import numpy as np
 import pytest
 
 from neuroseg import autodiff as ad
+from neuroseg import train as train_module
 from neuroseg.autodiff import Tensor
 from neuroseg.core import LabelMap, Volume
 from neuroseg.io import ManifestRecord, write_volume
@@ -205,6 +208,48 @@ class TestTrainLoop:
             train(model, records, cfg)
         assert err.value.epoch == 1
         assert err.value.history  # loss history travels with the error
+
+    def test_nonfinite_loss_leaves_parameters_untouched(self, tmp_path):
+        records = _tiny_records(tmp_path)
+        model = _tiny_model(seed=6)
+        first = next(iter(model.parameters().values()))
+        first.data = first.data.copy()
+        first.data.flat[0] = np.nan
+        before = {name: p.data.tobytes() for name, p in model.parameters().items()}
+        cfg = TrainConfig(max_epochs=2, patience=2, seed=0)
+        with pytest.raises(NonFiniteLossError) as err:
+            train(model, records, cfg)
+        assert (err.value.epoch, err.value.batch) == (1, 0)
+        assert len(err.value.history) == 1 and np.isnan(err.value.history[0])
+        for name, p in model.parameters().items():
+            assert p.data.tobytes() == before[name], name
+            assert p.grad is None, name  # no backward ran
+
+    def test_no_graph_outlives_its_step(self, tmp_path, monkeypatch):
+        # at every training forward, no graph node built by this run is
+        # alive: the previous step's graph died with its _train_step call
+        records = _tiny_records(tmp_path)
+        # held, so that no id in `before` is reused by a node of this run
+        alive_before = [o for o in gc.get_objects() if isinstance(o, Tensor) and o._parents]
+        before = {id(o) for o in alive_before}
+        counts = []
+        forward_loss = train_module._forward_loss
+
+        def counting_forward_loss(model, batch, mode, dropout_active, rng):
+            if mode == "train":
+                counts.append(
+                    sum(
+                        1
+                        for o in gc.get_objects()
+                        if isinstance(o, Tensor) and o._parents and id(o) not in before
+                    )
+                )
+            return forward_loss(model, batch, mode, dropout_active, rng)
+
+        monkeypatch.setattr(train_module, "_forward_loss", counting_forward_loss)
+        train(_tiny_model(), records, TrainConfig(max_epochs=2, patience=2, seed=0))
+        assert len(counts) == 8  # 2 epochs of 4 training volumes
+        assert counts == [0] * len(counts)
 
     def test_log_csv_round_trip(self, tmp_path):
         log = TrainLog(stop_reason="max-epochs", best_epoch=2)
