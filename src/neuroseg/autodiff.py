@@ -15,16 +15,29 @@ the input is unfolded one slab of x-planes at a time into a (C·kx·ky·kz,
 B·slab·Y·Z) block, so BLAS sees one large GEMM per slab while a block stays
 about the size of the input. The forward pass and both gradients read these
 blocks.
+
+``parallel()`` opens the one parallel region: a pool of one thread per
+usable core (``parallel_workers``), OpenBLAS pinned to one thread while it is
+open, and the region published to the current context as ``no_grad``
+publishes its flag. Inside it, a convolution shares its slabs among the
+calling thread and the workers, which take them in slab order from one
+queue, and every slab runs the same GEMM as outside it; the weight gradient
+keeps its per-slab partials and sums them in slab order, so every result is
+bitwise that of one thread. Pool threads do not see the region, so work
+running on them is never split again.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -91,8 +104,8 @@ class _BlasPin:
 def _one_blas_thread():
     """Run the block with OpenBLAS on one thread, so that GEMMs issued from
     several Python threads at once do not contend for BLAS's own threads.
-    Callers check ``_blas_thread_api()`` first. Never hold it across a
-    ``yield``: an abandoned generator would leave BLAS pinned."""
+    Callers check ``_blas_thread_api()`` first. A generator that holds it
+    across a ``yield`` keeps BLAS pinned until it is closed."""
     get, put = _blas_thread_api()
     with _BlasPin.lock:
         if _BlasPin.depth == 0:
@@ -106,6 +119,99 @@ def _one_blas_thread():
             _BlasPin.depth -= 1
             if _BlasPin.depth == 0:
                 put(_BlasPin.saved)
+
+
+def parallel_workers() -> int:
+    """Workers of a parallel region: one per usable core when numpy's
+    OpenBLAS thread count can be set, else 1 (no pool, BLAS threads as they
+    are)."""
+    if _blas_thread_api() is None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@dataclass(frozen=True)
+class _Region:
+    workers: int
+    pool: Optional[ThreadPoolExecutor]  # None with one worker
+
+
+_region: ContextVar[Optional[_Region]] = ContextVar("parallel_region", default=None)
+
+
+@contextmanager
+def _hold_region():
+    """The region published in this context, or else a new one that lives as
+    long as the block: ``parallel_workers()`` pool threads, BLAS pinned to
+    one thread while they exist. Publishes nothing."""
+    region = _region.get()
+    if region is not None:
+        yield region
+        return
+    n = parallel_workers()
+    if n == 1:
+        yield _Region(1, None)
+        return
+    # the initializer keeps the region from a pool thread even where threads
+    # inherit their creator's context (an interpreter option): no nesting
+    with _one_blas_thread(), ThreadPoolExecutor(
+        n, "parallel", initializer=_region.set, initargs=(None,)
+    ) as pool:
+        yield _Region(n, pool)
+
+
+@contextmanager
+def _publish(region: _Region):
+    """Make ``region`` the current context's region for the block. Never hold
+    it across a ``yield``: the caller would see the region between resumes."""
+    token = _region.set(region)
+    try:
+        yield
+    finally:
+        _region.reset(token)
+
+
+@contextmanager
+def parallel():
+    """Run the block in a parallel region: the one already published in this
+    context, else a new one for the block. Yields the region."""
+    with _hold_region() as region, _publish(region):
+        yield region
+
+
+def _each_slab(fn, slabs):
+    """Yield ``fn(s)`` for each slab, in slab order. Outside a parallel region
+    each slab runs as it is yielded. In one, the calling thread and one pool
+    thread per further worker take slabs from one shared queue, in slab
+    order, until it is empty, so a slow or stalled worker holds up only the
+    slab it has; the results are yielded once every slab is done."""
+    region = _region.get()
+    n = 1 if region is None else min(region.workers, len(slabs))
+    if n == 1:
+        yield from map(fn, slabs)
+        return
+    results = [None] * len(slabs)
+    queue = iter(range(len(slabs)))
+    lock = threading.Lock()
+
+    def run():
+        while True:
+            with lock:
+                i = next(queue, None)
+            if i is None:
+                return
+            results[i] = fn(slabs[i])
+
+    futures = [region.pool.submit(run) for _ in range(n - 1)]
+    try:
+        run()
+    finally:
+        wait(futures)  # no slab outlives the call, even when one fails
+    for future in futures:
+        future.result()
+    yield from results
 
 
 class Tensor:
@@ -237,17 +343,21 @@ def _pad(a, w):
 
 
 def _slabs(xp, w, dims):
-    """Yield ``(planes, block)`` for each slab of output x-planes: ``block`` is
-    the im2col matrix (C·kx·ky·kz, B·slab·Y·Z) of the padded input ``xp``,
-    rows in ``w.reshape(O, -1)`` order. A slab is X // (kx·ky·kz) planes (at
-    least one), so a block holds about one copy of the input, not kx·ky·kz."""
+    """``(planes, gather)``: the slabs of output x-planes, as slices, and
+    ``gather(p)``, the im2col matrix (C·kx·ky·kz, B·slab·Y·Z) of the padded
+    input ``xp`` for slab ``p``, rows in ``w.reshape(O, -1)`` order. A slab is
+    X // (kx·ky·kz) planes (at least one), so a block holds about one copy of
+    the input, not kx·ky·kz."""
     X = dims[0]
     kernel = w.shape[2:]
     windows = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=(2, 3, 4))
     slab = max(1, X // int(np.prod(kernel)))
-    for x0 in range(0, X, slab):
-        view = windows[:, :, x0 : x0 + slab].transpose(1, 5, 6, 7, 0, 2, 3, 4)
-        yield slice(x0, x0 + slab), view.reshape(w[0].size, -1)
+
+    def gather(planes):
+        view = windows[:, :, planes].transpose(1, 5, 6, 7, 0, 2, 3, 4)
+        return view.reshape(w[0].size, -1)
+
+    return [slice(x0, x0 + slab) for x0 in range(0, X, slab)], gather
 
 
 def _correlate(xp, w, dims):
@@ -256,9 +366,13 @@ def _correlate(xp, w, dims):
     B, O = xp.shape[0], w.shape[0]
     w2 = w.reshape(O, -1)
     acc = np.empty((O, B, *dims), dtype=xp.dtype)
-    for planes, block in _slabs(xp, w, dims):
-        acc[:, :, planes] = (w2 @ block).reshape(acc[:, :, planes].shape)
-        del block  # free it before _slabs gathers the next one
+    planes, gather = _slabs(xp, w, dims)
+
+    def slab(p):
+        acc[:, :, p] = (w2 @ gather(p)).reshape(acc[:, :, p].shape)
+
+    for _ in _each_slab(slab, planes):
+        pass  # each call writes its own planes of acc
     return acc.transpose(1, 0, 2, 3, 4)
 
 
@@ -292,10 +406,11 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             b.accumulate_grad(g.sum(axis=(0, 2, 3, 4)))
         if w.requires_grad:
             go = g.transpose(1, 0, 2, 3, 4)
+            planes, gather = _slabs(xp, w.data, dims)
             gw = 0
-            for planes, block in _slabs(xp, w.data, dims):
-                gw = gw + go[:, :, planes].reshape(O, -1) @ block.T
-                del block  # free it before _slabs gathers the next one
+            # summed in slab order, whatever the worker count
+            for part in _each_slab(lambda p: go[:, :, p].reshape(O, -1) @ gather(p).T, planes):
+                gw = gw + part
             w.accumulate_grad(gw.reshape(w.shape))
         if x.requires_grad:
             flipped = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)

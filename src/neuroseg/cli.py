@@ -23,7 +23,9 @@ output directory; a ``segment`` record also holds the wall seconds of each
 stage (``timings``) and the per-pass structure voxel counts of the MC
 samples (``mc_volumes``). ``segment`` and ``uncertainty`` records give the
 number of MC passes run at once (``mc_workers``) and whether OpenBLAS was
-pinned to one thread while they ran (``blas_pinned``). ``train`` and
+pinned to one thread while they ran (``blas_pinned``); a ``train`` record
+gives the workers of the parallel region its epochs ran in (``workers``)
+and ``blas_pinned`` likewise. ``train`` and
 ``segment`` records give the process's high-water resident memory in MB when
 the record is written (``peak_rss_mb``, from ``ru_maxrss``). It marks the
 whole process lifetime, so a caller that runs several commands in one process
@@ -238,6 +240,8 @@ def cmd_train(args) -> int:
             "checkpoint": ckpt.name,
             "best_epoch": log.best_epoch,
             "stop_reason": log.stop_reason,
+            "workers": log.workers,
+            "blas_pinned": log.workers > 1,
             "peak_rss_mb": _peak_rss_mb(),
         },
     )

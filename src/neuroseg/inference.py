@@ -4,13 +4,15 @@ coefficient-of-variation quality check.
 MC sampling runs the trained network N times with eval-mode batch norm and
 active dropout. The layers before the first dropout (encoder block 1) are
 the same in every pass, so they run once per volume and each pass starts
-from their output. The passes run in windows of one pass per usable core
-(``unet.mc_workers``), with OpenBLAS pinned to one thread while a window
-runs; each pass in flight holds its own working set, so a window of w passes
-needs about w - 1 passes' memory more than one pass at a time. Every pass
-draws from its own rng and the sum runs in pass order, so the results are
-bitwise those of one pass at a time. The fused map is the voxelwise argmax
-(``hard_segment``) of the summed softmax fields (equivalently their mean).
+from their output. The passes stream through one parallel region
+(``autodiff.parallel``) of one worker per usable core, with OpenBLAS pinned
+to one thread: each worker runs one pass at a time, and the calling thread
+fuses pass i while the workers run the next ones (``UNet3D.mc_passes``).
+Each pass in flight holds its own working set, so w workers need about w
+passes' memory. Every pass draws from its own rng and the sum runs in pass
+order, so the results are bitwise those of one pass at a time. The fused map
+is the voxelwise argmax (``hard_segment``) of the summed softmax fields
+(equivalently their mean).
 Per-sample anatomical volumes are the voxel counts of each sample's hard
 segmentation; their dispersion across samples yields CV_s = sigma_s / mu_s,
 and the aggregate CV is the mean of CV_s over structures with mu_s > 0. The
@@ -20,6 +22,7 @@ structures are those of ``StructureTable.default()``.
 from __future__ import annotations
 
 import csv
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .core import LabelMap, StructureTable, Volume
-from .unet import UNet3D, mc_workers
+from .unet import UNet3D
 
 DEFAULT_MC_SAMPLES = 15
 CV_THRESHOLDS = {"mprage": 0.01, "flair": 0.025, "dwi": 0.025, "ct": 0.025}
@@ -38,7 +41,7 @@ class McSampleSet:
     """Per-sample structure volumes (voxel counts) from N stochastic passes."""
 
     volumes: np.ndarray  # (N, num_classes) int64
-    workers: int = 1  # passes run at once (the MC window size)
+    workers: int = 1  # passes run at once (the parallel region's workers)
 
 
 @dataclass
@@ -74,9 +77,10 @@ def mc_segment(
     the ``n`` passes uses an independent rng derived from ``seed``, so the
     fused result does not depend on evaluation order. The block before the
     first dropout runs once for the volume, not once per pass, and up to
-    one pass per usable core runs at once (``UNet3D.mc_passes``); every pass
-    equals a full ``forward`` bitwise, and the float64 sum of the softmax
-    fields runs in pass order.
+    one pass per usable core runs at once while this thread fuses the
+    finished ones (``UNet3D.mc_passes``); every pass equals a full
+    ``forward`` bitwise, and the float64 sum of the softmax fields runs in
+    pass order.
     Returns the fused LabelMap (``hard_segment`` of that sum) and the sample
     set for the CV computation.
     """
@@ -92,11 +96,13 @@ def mc_segment(
     total = np.zeros((num_classes,) + v.dims, dtype=np.float64)
     volumes = np.zeros((n, num_classes), dtype=np.int64)
     rngs = (np.random.default_rng(child) for child in children)
-    for i, P in enumerate(model.mc_passes(x, rngs)):
-        sample = P.data[0]
-        total += sample
-        volumes[i] = _structure_volumes(np.argmax(sample, axis=0), num_classes)
-    return hard_segment(total, v), McSampleSet(volumes=volumes, workers=min(mc_workers(), n))
+    with closing(model.mc_passes(x, rngs)) as passes:  # closes the region on any exit
+        for i, P in enumerate(passes):
+            sample = P.data[0]
+            total += sample
+            volumes[i] = _structure_volumes(np.argmax(sample, axis=0), num_classes)
+    workers = min(ad.parallel_workers(), n)
+    return hard_segment(total, v), McSampleSet(volumes=volumes, workers=workers)
 
 
 def uncertainty(samples: McSampleSet, threshold: float) -> UncertaintyReport:

@@ -11,7 +11,15 @@ One optimizer step runs inside ``_train_step``, which returns only the loss
 value. The step's autodiff graph (every activation, every array a backward
 closure saved, every interior gradient) is referenced from that call alone,
 so it is freed when the call returns: the next step's augmentation and
-forward, and the epoch's validation, never run beside a dead graph.
+forward, and the epoch's validation, never run beside a dead graph. Each
+validation volume is scored inside ``_validation_step``, which likewise
+returns only floats, so its softmax field and prediction are freed before
+the next volume and the next epoch.
+
+All epochs run in one parallel region (``autodiff.parallel``): every
+convolution, forward and both gradients, splits its im2col slabs over one
+worker per usable core, with OpenBLAS pinned to one thread. Results are
+bitwise those of one thread, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -83,6 +91,9 @@ class TrainLog:
     epochs: List[EpochStats] = field(default_factory=list)
     best_epoch: int = 0
     stop_reason: str = ""
+    # workers of the parallel region the epochs ran in; how, not what, was
+    # computed, so not part of a log's equality
+    workers: int = field(default=1, compare=False)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -206,6 +217,16 @@ def _train_step(model: UNet3D, opt: Adam, batch, rng) -> float:
     return value
 
 
+def _validation_step(model: UNet3D, vol: Volume, lab: LabelMap) -> Tuple[float, float]:
+    """Loss and average Dice of one validation volume (eval statistics, no
+    dropout, no graph). Returns only floats, so the softmax field and the
+    prediction die with this call."""
+    with ad.no_grad():
+        P, loss = _forward_loss(model, [(normalize_intensity(vol), lab)], "eval", False, None)
+    pred = np.argmax(P.data[0], axis=0)
+    return loss.item(), dice_report(pred, lab.labels, model.spec.num_classes).average
+
+
 def train(model: UNet3D, records, cfg: TrainConfig) -> Tuple[UNet3D, TrainLog]:
     """Adam-optimize the combined Dice/cross-entropy loss over ``records``,
     a list of ManifestRecord (``io.read_manifest``).
@@ -213,6 +234,7 @@ def train(model: UNet3D, records, cfg: TrainConfig) -> Tuple[UNet3D, TrainLog]:
     Records tagged 'validation' are used as the validation set; otherwise
     ``cfg.validation_fraction`` of the training records is carved off with
     the run seed. The returned model carries the best-validation parameters.
+    The epochs run in one parallel region (``autodiff.parallel``).
     """
     train_recs = [r for r in records if r.split == "train"]
     val_recs = [r for r in records if r.split == "validation"]
@@ -246,57 +268,50 @@ def train(model: UNet3D, records, cfg: TrainConfig) -> Tuple[UNet3D, TrainLog]:
     best_state = None
     history: List[float] = []
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        started = time.perf_counter()
-        order = rng_shuffle.permutation(len(train_pairs))
-        epoch_losses = []
-        for start in range(0, len(order), cfg.batch_size):
-            batch_idx = order[start : start + cfg.batch_size]
-            batch = []
-            for i in batch_idx:
-                vol, lab = train_pairs[i]
-                av, al = augment(
-                    vol,
-                    lab,
-                    rng_augment,
-                    cfg.translation_voxels,
-                    cfg.rotation_degrees,
-                    cfg.crop_fraction,
-                )
-                batch.append((normalize_intensity(av), al))
-            value = _train_step(model, opt, batch, rng_dropout)
-            history.append(value)
-            if not np.isfinite(value):
-                raise NonFiniteLossError(epoch, start // cfg.batch_size, history)
-            epoch_losses.append(value)
-        train_loss = float(np.mean(epoch_losses, dtype=np.float64))
+    with ad.parallel() as region:
+        log.workers = region.workers
+        for epoch in range(1, cfg.max_epochs + 1):
+            started = time.perf_counter()
+            order = rng_shuffle.permutation(len(train_pairs))
+            epoch_losses = []
+            for start in range(0, len(order), cfg.batch_size):
+                batch_idx = order[start : start + cfg.batch_size]
+                batch = []
+                for i in batch_idx:
+                    vol, lab = train_pairs[i]
+                    av, al = augment(
+                        vol,
+                        lab,
+                        rng_augment,
+                        cfg.translation_voxels,
+                        cfg.rotation_degrees,
+                        cfg.crop_fraction,
+                    )
+                    batch.append((normalize_intensity(av), al))
+                value = _train_step(model, opt, batch, rng_dropout)
+                history.append(value)
+                if not np.isfinite(value):
+                    raise NonFiniteLossError(epoch, start // cfg.batch_size, history)
+                epoch_losses.append(value)
+            train_loss = float(np.mean(epoch_losses, dtype=np.float64))
 
-        val_losses = []
-        val_dices = []
-        for vol, lab in val_pairs:
-            with ad.no_grad():
-                P, loss = _forward_loss(
-                    model, [(normalize_intensity(vol), lab)], "eval", False, None
-                )
-            val_losses.append(loss.item())
-            pred = np.argmax(P.data[0], axis=0)
-            val_dices.append(dice_report(pred, lab.labels, model.spec.num_classes).average)
-        val_loss = float(np.mean(val_losses, dtype=np.float64))
-        val_dice = float(np.mean(val_dices, dtype=np.float64))
-        log.epochs.append(
-            EpochStats(epoch, train_loss, val_loss, val_dice, time.perf_counter() - started)
-        )
+            val_losses, val_dices = zip(*(_validation_step(model, v, l) for v, l in val_pairs))
+            val_loss = float(np.mean(val_losses, dtype=np.float64))
+            val_dice = float(np.mean(val_dices, dtype=np.float64))
+            log.epochs.append(
+                EpochStats(epoch, train_loss, val_loss, val_dice, time.perf_counter() - started)
+            )
 
-        if val_loss < best_val:
-            best_val = val_loss
-            log.best_epoch = epoch
-            arrays, bn_initialized = model.named_state()
-            best_state = ({k: a.copy() for k, a in arrays.items()}, bn_initialized)
-        if epoch - log.best_epoch >= cfg.patience:
-            log.stop_reason = "early-stop"
-            break
-    else:
-        log.stop_reason = "max-epochs"
+            if val_loss < best_val:
+                best_val = val_loss
+                log.best_epoch = epoch
+                arrays, bn_initialized = model.named_state()
+                best_state = ({k: a.copy() for k, a in arrays.items()}, bn_initialized)
+            if epoch - log.best_epoch >= cfg.patience:
+                log.stop_reason = "early-stop"
+                break
+        else:
+            log.stop_reason = "max-epochs"
 
     if best_state is not None:
         model.assign_state(*best_state)

@@ -339,14 +339,18 @@ def register_affine(
     # express q = lin @ (r - c_ref) + tr as q = L r + t
     transform = AffineTransform(lin, tr - lin @ c_ref)
 
-    # report costs at full resolution
+    # report costs at full resolution; a level-1 run that came last already
+    # evaluated the cost at the parameters it hands on: its best cost
     ref_f = reference.data.astype(np.float64)
     mov_f = moving.data.astype(np.float64)
     centered = _centered_axes(ref_f.shape, 1, c_ref)
     init_cost, _, _ = _mse_cost_grad(
         mov_f, ref_f, 1, np.eye(3), c_mov.copy(), centered, need_grad=False
     )
-    final_cost, _, _ = _mse_cost_grad(mov_f, ref_f, 1, lin, tr, centered, need_grad=False)
+    if traces and traces[-1].level == 1:
+        final_cost = traces[-1].best_cost
+    else:
+        final_cost, _, _ = _mse_cost_grad(mov_f, ref_f, 1, lin, tr, centered, need_grad=False)
     fell_back = final_cost > init_cost
     if fell_back:
         # never report worse than the centroid initialization

@@ -10,11 +10,10 @@ by a channel softmax.
 
 from __future__ import annotations
 
+import functools
 import json
-import os
 import struct
-from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
+from collections import OrderedDict, deque
 from dataclasses import asdict, dataclass
 from itertools import islice
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
@@ -84,9 +83,11 @@ class _Conv:
         bound = np.sqrt(6.0 / fan_in)
         shape = ((c_in, c_out) if transpose else (c_out, c_in)) + tuple(kernel)
         self.transpose = transpose
-        self.w = table[f"{name}.w"] = Tensor(
-            rng.uniform(-bound, bound, shape).astype(dtype), requires_grad=True
-        )
+        if rng is None:
+            w = np.empty(shape, dtype=dtype)
+        else:
+            w = rng.uniform(-bound, bound, shape).astype(dtype)
+        self.w = table[f"{name}.w"] = Tensor(w, requires_grad=True)
         self.b = table[f"{name}.b"] = Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True)
 
     def __call__(self, x):
@@ -138,10 +139,15 @@ class UNet3D:
     """
 
     def __init__(self, spec: ModelSpec, seed: int, dtype=np.float32):
+        self._build(spec, seed, dtype, np.random.default_rng(int(seed)))
+
+    def _build(self, spec: ModelSpec, seed: int, dtype, rng) -> None:
+        """Build every layer, conv weights drawn from ``rng``; with ``rng``
+        None they are left uninitialised, for a loader that overwrites every
+        one."""
         self.spec = spec
         self.seed = int(seed)
         self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(self.seed)
         self.extras: Dict[str, np.ndarray] = {}
         table: "OrderedDict[str, Union[Tensor, BatchNormState]]" = OrderedDict()
 
@@ -212,27 +218,32 @@ class UNet3D:
         every pass starts from its output. Each yielded field is bitwise
         equal to ``forward(x, "eval", True, rng)``.
 
-        The passes run in windows of ``mc_workers()`` rngs (fewer in the last
-        window), taken from ``rngs`` on the calling thread. In a window of w
-        passes, the calling thread runs the first and a pool of w - 1 threads
-        the others, with OpenBLAS pinned to one thread for the window's
-        duration; a window's fields are yielded once all of its passes have
-        finished, and the pin is released before the first yield. Each
-        pass in flight holds one pass's working set, so a window of w holds
-        w of them.
+        Everything runs in one parallel region (``autodiff.parallel``) of w
+        workers. Encoder block 1 runs first, its convolutions split over the
+        pool. The passes then stream through the pool, one per worker: rngs
+        are taken from ``rngs`` on the calling thread, and each time the
+        caller takes pass i, the next rng goes to the pool, so while the
+        caller holds pass i the workers run i+1 to i+w. There is no barrier
+        between groups of passes, and at most w passes are in flight, each
+        with its own working set. A pass's convolutions run on its worker
+        alone. The region (its pool, and OpenBLAS pinned to one thread) stays
+        open until the generator is exhausted or closed, but it is published
+        only while encoder block 1 runs, never across a ``yield``.
         """
-        with ad.no_grad():
-            h = self._first(self._input(x), "eval")
-        rngs = iter(rngs)
-        workers = mc_workers()
-        while window := list(islice(rngs, workers)):
-            if len(window) == 1:
-                yield self._mc_pass(h, window[0])
-                continue
-            with ad._one_blas_thread(), ThreadPoolExecutor(len(window) - 1) as pool:
-                others = [pool.submit(self._mc_pass, h, rng) for rng in window[1:]]
-                fields = [self._mc_pass(h, window[0])] + [f.result() for f in others]
-            yield from fields
+        with ad._hold_region() as region:
+            with ad._publish(region), ad.no_grad():
+                h = self._first(self._input(x), "eval")
+            if region.pool is None:
+                for rng in rngs:
+                    yield self._mc_pass(h, rng)
+                return
+            rngs = iter(rngs)
+            submit = functools.partial(region.pool.submit, self._mc_pass, h)
+            pending = deque(map(submit, islice(rngs, region.workers)))
+            while pending:
+                field = pending.popleft().result()
+                pending.extend(map(submit, islice(rngs, 1)))
+                yield field
 
     def _mc_pass(self, h: Tensor, rng) -> Tensor:
         # no_grad is per thread, so a pool thread must enter it itself
@@ -330,17 +341,6 @@ class UNet3D:
             state.initialized = bool(bn_initialized[name])
 
 
-def mc_workers() -> int:
-    """Passes that ``UNet3D.mc_passes`` runs at once: one per usable core
-    when numpy's OpenBLAS thread count can be set, else 1 (one pass at a
-    time, BLAS threads as they are)."""
-    if ad._blas_thread_api() is None:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _require_names(kind, given, expected) -> None:
     missing = sorted(set(expected) - set(given))
     unknown = sorted(set(given) - set(expected))
@@ -386,7 +386,8 @@ def load_checkpoint(path) -> UNet3D:
     ``model.extras``. Any malformed, truncated or mismatched file raises
     CheckpointError.
 
-    The header's array table is checked against a freshly built model first;
+    The header's array table is checked against a freshly built model first,
+    one whose conv weights are not drawn, since every one is overwritten;
     each payload is then read straight into that model's own array, so the
     weights are held once."""
     with open(path, "rb") as fh:
@@ -396,7 +397,8 @@ def load_checkpoint(path) -> UNet3D:
             (hlen,) = struct.unpack("<I", fh.read(4))
             header = json.loads(fh.read(hlen))
             spec = ModelSpec(**header["spec"])
-            model = UNet3D(spec, header["seed"], np.dtype(header["dtype"]))
+            model = UNet3D.__new__(UNet3D)
+            model._build(spec, header["seed"], np.dtype(header["dtype"]), None)
             bn_initialized = dict(header["bn_initialized"])
             table = [(name, tuple(shape), np.dtype(dt)) for name, shape, dt in header["arrays"]]
             shapes = {name: shape for name, shape, _ in table if not name.startswith("extra.")}

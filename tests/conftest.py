@@ -1,3 +1,6 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,21 @@ def max_rel_err(analytic, numeric, floor=1e-6):
 
 def tensor(arr, requires_grad=True):
     return ad.Tensor(np.asarray(arr, dtype=np.float64), requires_grad=requires_grad)
+
+
+@pytest.fixture
+def submits(monkeypatch):
+    """Every ThreadPoolExecutor.submit of the test, as (calling thread,
+    submitted function)."""
+    calls = []
+    submit = ThreadPoolExecutor.submit
+
+    def recording(self, fn, *args, **kwargs):
+        calls.append((threading.current_thread(), fn))
+        return submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", recording)
+    return calls
 
 
 @pytest.fixture

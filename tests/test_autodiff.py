@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 
@@ -486,3 +487,125 @@ class TestOneBlasThread:
             assert get() == 2
         finally:
             put(before)
+
+
+def _blas_api():
+    api = ad._blas_thread_api()
+    if api is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count functions")
+    return api
+
+
+def _conv_all(x, w, b, g):
+    """Forward output and the gradients of x, w and b for output gradient g,
+    as bytes (None for an input without grad)."""
+    out = ad.conv3d(x, w, b)
+    out._backward(g)
+    grads = [None if t.grad is None else t.grad.tobytes() for t in (x, w, b)]
+    for t in (x, w, b):
+        t.grad = None
+    return out.data.tobytes(), grads
+
+
+# (B, C, O, spatial dims, kernel, x has grad): 5 slabs of one plane (2 and 3
+# workers do not divide them) at B = 2; 4 slabs of 3 planes, the last short;
+# one slab for the 1x1x1 head kernel; an input without grad
+PARALLEL_CASES = [
+    (2, 3, 4, (5, 4, 3), (3, 3, 3), True),
+    (1, 2, 3, (10, 3, 4), (3, 1, 1), True),
+    (2, 3, 5, (4, 3, 2), (1, 1, 1), True),
+    (1, 2, 2, (5, 4, 3), (3, 3, 3), False),
+]
+
+
+class TestParallelRegion:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("case", range(len(PARALLEL_CASES)))
+    def test_conv_bitwise_inside_and_outside(self, workers, case, monkeypatch, rng, submits):
+        B, C, O, dims, kernel, x_grad = PARALLEL_CASES[case]
+        if workers > 1:
+            _blas_api()
+        x = Tensor(rng.standard_normal((B, C) + dims, dtype=np.float32), requires_grad=x_grad)
+        w = Tensor(rng.standard_normal((O, C) + kernel, dtype=np.float32), requires_grad=True)
+        b = Tensor(rng.standard_normal(O, dtype=np.float32), requires_grad=True)
+        g = rng.standard_normal((B, O) + dims, dtype=np.float32)
+        want = _conv_all(x, w, b, g)
+        monkeypatch.setattr(ad, "parallel_workers", lambda: workers)
+        with ad.parallel() as region:
+            assert region.workers == workers
+            got = _conv_all(x, w, b, g)
+        assert got == want
+        if workers == 1 or kernel == (1, 1, 1):
+            assert submits == []
+        else:
+            # forward, input gradient and weight gradient each start
+            # workers - 1 pool threads taking slabs
+            assert len(submits) == (3 if x_grad else 2) * (workers - 1)
+
+    def test_nested_region_reuses_the_outer_pool(self, monkeypatch):
+        _blas_api()
+        monkeypatch.setattr(ad, "parallel_workers", lambda: 2)
+        with ad.parallel() as outer:
+            with ad.parallel() as inner:
+                assert inner is outer
+            assert ad._region.get() is outer
+        assert ad._region.get() is None
+
+    def test_pool_threads_do_not_see_the_region(self, monkeypatch):
+        _blas_api()
+        monkeypatch.setattr(ad, "parallel_workers", lambda: 2)
+        with ad.parallel() as region:
+            assert region.pool.submit(ad._region.get).result(timeout=30) is None
+
+    def test_blas_pinned_inside_and_restored_after_an_exception(self, monkeypatch):
+        get, put = _blas_api()
+        before = get()
+        put(2)  # a count the pin visibly changes, even on a one-core host
+        try:
+            monkeypatch.setattr(ad, "parallel_workers", lambda: 2)
+            with pytest.raises(RuntimeError, match="inside"):
+                with ad.parallel():
+                    assert get() == 1
+                    raise RuntimeError("inside")
+            assert get() == 2
+            assert ad._region.get() is None
+        finally:
+            put(before)
+
+    def test_stress_more_workers_than_cores(self, monkeypatch, rng):
+        # several threads each open their own region of 4 workers at once,
+        # with frequent thread switches: every conv stays bitwise, and the
+        # shared BLAS pin is restored exactly once at the end
+        get, _ = _blas_api()
+        before = get()
+        x = Tensor(rng.standard_normal((2, 3, 9, 4, 3), dtype=np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, 3, 3, 3), dtype=np.float32), requires_grad=True)
+        b = Tensor(rng.standard_normal(4, dtype=np.float32), requires_grad=True)
+        g = rng.standard_normal((2, 4, 9, 4, 3), dtype=np.float32)
+        want = _conv_all(x, w, b, g)
+        monkeypatch.setattr(ad, "parallel_workers", lambda: 4)
+        results = {}
+
+        def worker(k):
+            # each thread its own leaves: gradients accumulate per tensor
+            xs, ws, bs = (Tensor(t.data, requires_grad=True) for t in (x, w, b))
+            got = []
+            for _ in range(5):
+                with ad.parallel():
+                    got.append(_conv_all(xs, ws, bs, g))
+            results[k] = got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(results) == [0, 1, 2]
+        assert all(got == [want] * 5 for got in results.values())
+        assert get() == before

@@ -4,12 +4,14 @@ import json
 import numpy as np
 import pytest
 
+from neuroseg import autodiff as ad
 from neuroseg import cli
+from neuroseg.autodiff import parallel_workers
 from neuroseg.core import normalize_intensity
 from neuroseg.inference import mc_segment, uncertainty, write_uncertainty_report
 from neuroseg.io import read_manifest, read_volume, write_volume
 from neuroseg.phantom import default_phantom_spec, generate_dataset, generate_subject
-from neuroseg.unet import ModelSpec, UNet3D, load_checkpoint, mc_workers, save_checkpoint
+from neuroseg.unet import ModelSpec, UNet3D, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +189,30 @@ class TestRunRecord:
         _, record = _run(args + ["--mc", "off"], tmp_path / "off")
         assert record["mc_volumes"] is None and record["timings"]["mc_s"] >= 0
 
+    def test_train_checkpoint_bytes_do_not_depend_on_workers(self, setup, tmp_path, monkeypatch):
+        root, _, _ = setup
+        if ad._blas_thread_api() is None:
+            pytest.skip("numpy's BLAS exports no OpenBLAS thread-count functions")
+        args = [
+            "train", "--manifest", str(root / "phantoms" / "manifest.csv"),
+            "--modality", "mprage", "--features", "2", "--depth", "2", "--epochs", "2",
+            "--seed", "3",
+        ]
+        out = {}
+        for workers in (1, 3):
+            monkeypatch.setattr(ad, "parallel_workers", lambda: workers)
+            code, record = _run(args, tmp_path / str(workers))
+            assert code == 0
+            assert record["workers"] == workers
+            assert record["blas_pinned"] == (workers > 1)
+            log = (tmp_path / str(workers) / "train_log.csv").read_text().splitlines()
+            out[workers] = (
+                (tmp_path / str(workers) / record["checkpoint"]).read_bytes(),
+                [row.rsplit(",", 1)[0] for row in log[1:-1]],  # without epoch_s
+                log[-1],
+            )
+        assert out[1] == out[3]
+
     def test_segment_and_uncertainty_record_mc_workers(self, setup, tmp_path):
         _, records, checkpoint = setup
         common = ["--input", str(records[1].volume_path), "--checkpoint", str(checkpoint)]
@@ -194,7 +220,7 @@ class TestRunRecord:
         for n in (2, 3):
             for i, args in enumerate((segment, ["uncertainty"] + common)):
                 _, record = _run(args + ["--mc-samples", str(n)], tmp_path / f"{n}-{i}")
-                assert record["mc_workers"] == min(mc_workers(), n)
+                assert record["mc_workers"] == min(parallel_workers(), n)
                 assert record["blas_pinned"] == (record["mc_workers"] > 1)
         _, record = _run(segment + ["--mc", "off"], tmp_path / "off")
         assert record["mc_workers"] is None and record["blas_pinned"] is False
@@ -288,7 +314,8 @@ class TestGoldenPath:
             "command", "manifest", "modality", "learning_rate", "max_epochs", "patience",
             "batch_size", "translation_voxels", "rotation_degrees", "crop_fraction",
             "seed", "validation_fraction", "features", "depth", "bottleneck",
-            "input_dims", "checkpoint", "best_epoch", "stop_reason", "peak_rss_mb",
+            "input_dims", "checkpoint", "best_epoch", "stop_reason", "workers",
+            "blas_pinned", "peak_rss_mb",
         },
         "segment": {
             "command", "input", "reference", "checkpoint", "modality", "mc", "mc_samples",
@@ -331,6 +358,8 @@ class TestGoldenPath:
         )
         assert code == 0 and set(record) == self.RECORD_KEYS["train"]
         assert record["stop_reason"] == "max-epochs"
+        assert record["workers"] == parallel_workers()
+        assert record["blas_pinned"] == (record["workers"] > 1)
         assert isinstance(record["peak_rss_mb"], float) and record["peak_rss_mb"] > 0
         log = (tmp_path / "train" / "train_log.csv").read_text().splitlines()
         assert log[0].split(",")[-1] == "epoch_s" and len(log) == 3

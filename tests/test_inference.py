@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from neuroseg import autodiff as ad
-from neuroseg import unet as unet_module
 from neuroseg.core import AffineTransform, Volume
 from neuroseg.inference import (
     McSampleSet,
@@ -15,7 +14,7 @@ from neuroseg.inference import (
     uncertainty,
     write_uncertainty_report,
 )
-from neuroseg.unet import ModelSpec, UNet3D, mc_workers
+from neuroseg.unet import ModelSpec, UNet3D
 
 
 def _samples():
@@ -194,10 +193,11 @@ def _blas_threads():
 
 @pytest.fixture
 def three_workers(monkeypatch):
-    """Windows of 3 passes, whatever the core count: n = 5 then leaves a
-    partial last window, and threads outnumber cores on a small host."""
+    """A region of 3 workers, whatever the core count: n = 5 passes stream
+    through them with fewer passes than workers at the end, and threads
+    outnumber cores on a small host."""
     _blas_threads()
-    monkeypatch.setattr(unet_module, "mc_workers", lambda: 3)
+    monkeypatch.setattr(ad, "parallel_workers", lambda: 3)
 
 
 class TestParallelPasses:
@@ -208,9 +208,9 @@ class TestParallelPasses:
         labels, volumes = _one_at_a_time(model, x, n, 4)
         assert np.array_equal(fused.labels, labels)
         assert np.array_equal(samples.volumes, volumes)
-        assert samples.workers == min(mc_workers(), n)
+        assert samples.workers == min(ad.parallel_workers(), n)
 
-    def test_partial_window_fields_are_bitwise_forward(self, three_workers):
+    def test_streamed_fields_are_bitwise_forward(self, three_workers):
         model, x = _mc_model()
         seeds = [7, 8, 9, 10, 11]
         passes = list(model.mc_passes(x, (np.random.default_rng(s) for s in seeds)))
@@ -224,7 +224,7 @@ class TestParallelPasses:
 
     def test_without_blas_control_one_pass_at_a_time(self, monkeypatch):
         monkeypatch.setattr(ad, "_blas_thread_api", lambda: None)
-        assert mc_workers() == 1
+        assert ad.parallel_workers() == 1
         model, x = _mc_model()
         fused, samples = mc_segment(model, Volume(x[0, 0]), n=5, seed=4)
         labels, volumes = _one_at_a_time(model, x, 5, 4)
@@ -234,7 +234,7 @@ class TestParallelPasses:
 
     def test_workers_are_the_usable_cores(self):
         _blas_threads()
-        assert mc_workers() == len(os.sched_getaffinity(0))
+        assert ad.parallel_workers() == len(os.sched_getaffinity(0))
 
     def test_blas_pinned_during_passes_and_restored(self, monkeypatch, three_workers):
         before = _blas_threads()
@@ -249,7 +249,7 @@ class TestParallelPasses:
         model, x = _mc_model()
         monkeypatch.setattr(ad, "dropout", recording)
         mc_segment(model, Volume(x[0, 0]), n=5, seed=0)
-        # windows of 3 and 2 passes: all pinned to one thread
+        # 5 passes streamed through 3 workers: all pinned to one thread
         assert seen == [1] * len(seen) and len(seen) == 5 * 2 * model.spec.depth
         assert get() == before
 
@@ -274,9 +274,33 @@ class TestParallelPasses:
         model, x = _mc_model()
         passes = model.mc_passes(x, (np.random.default_rng(s) for s in range(5)))
         next(passes)
-        assert ad._blas_thread_api()[0]() == before  # no pin across a yield
+        # the region, and its pin, stay open while the generator is suspended
+        assert ad._blas_thread_api()[0]() == 1
+        # but it is not published to the caller between passes
+        assert ad._region.get() is None
         del passes
         assert ad._blas_thread_api()[0]() == before
+
+    def test_blas_restored_when_closed_after_first_field(self, three_workers):
+        before = _blas_threads()
+        model, x = _mc_model()
+        passes = model.mc_passes(x, (np.random.default_rng(s) for s in range(5)))
+        next(passes)
+        passes.close()
+        assert ad._blas_thread_api()[0]() == before
+        assert ad._region.get() is None
+
+    def test_convs_in_pass_threads_submit_nothing(self, three_workers, submits):
+        # only the calling thread hands work to the pool: encoder block 1's
+        # conv slabs and one task per pass; a pass never splits its convs
+        model, x = _mc_model()
+        fused, samples = mc_segment(model, Volume(x[0, 0]), n=5, seed=4)
+        assert {thread for thread, _ in submits} == {threading.current_thread()}
+        assert sum(fn == model._mc_pass for _, fn in submits) == 5
+        assert len(submits) > 5  # encoder block 1's convs were split too
+        labels, volumes = _one_at_a_time(model, x, 5, 4)
+        assert np.array_equal(fused.labels, labels)
+        assert np.array_equal(samples.volumes, volumes)
 
     def test_two_concurrent_calls(self):
         before = _blas_threads()

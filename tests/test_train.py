@@ -1,4 +1,5 @@
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -250,6 +251,58 @@ class TestTrainLoop:
         train(_tiny_model(), records, TrainConfig(max_epochs=2, patience=2, seed=0))
         assert len(counts) == 8  # 2 epochs of 4 training volumes
         assert counts == [0] * len(counts)
+
+    def test_validation_fields_die_before_the_next_epoch(self, tmp_path, monkeypatch):
+        # each validation volume's softmax field is freed by the time the
+        # next epoch's first training step starts
+        records = _tiny_records(tmp_path)
+        refs = []
+        checked = []
+        forward_loss = train_module._forward_loss
+        train_step = train_module._train_step
+
+        def recording_forward_loss(model, batch, mode, dropout_active, rng):
+            P, loss = forward_loss(model, batch, mode, dropout_active, rng)
+            if mode == "eval":
+                refs.append(weakref.ref(P.data))
+            return P, loss
+
+        def checking_train_step(model, opt, batch, rng):
+            if refs and not checked:
+                checked.append([r() is None for r in refs])
+            return train_step(model, opt, batch, rng)
+
+        monkeypatch.setattr(train_module, "_forward_loss", recording_forward_loss)
+        monkeypatch.setattr(train_module, "_train_step", checking_train_step)
+        cfg = TrainConfig(max_epochs=2, patience=2, seed=0, validation_fraction=0.4)
+        train(_tiny_model(), records, cfg)
+        assert len(checked) == 1 and len(checked[0]) == 2  # two validation volumes
+        assert checked[0] == [True] * len(checked[0])
+
+    def test_epochs_run_in_one_region_and_restore_blas(self, tmp_path, monkeypatch):
+        api = ad._blas_thread_api()
+        if api is None:
+            pytest.skip("numpy's BLAS exports no OpenBLAS thread-count functions")
+        get, put = api
+        before = get()
+        put(2)  # a count the pin visibly changes, even on a one-core host
+        try:
+            monkeypatch.setattr(ad, "parallel_workers", lambda: 3)
+            seen = []
+            train_step = train_module._train_step
+
+            def recording_train_step(model, opt, batch, rng):
+                seen.append((get(), ad._region.get().workers))
+                return train_step(model, opt, batch, rng)
+
+            monkeypatch.setattr(train_module, "_train_step", recording_train_step)
+            _, log = train(
+                _tiny_model(), _tiny_records(tmp_path), TrainConfig(max_epochs=2, patience=2)
+            )
+            assert seen == [(1, 3)] * 8 and log.workers == 3
+            assert get() == 2 and ad._region.get() is None
+        finally:
+            put(before)
 
     def test_log_csv_round_trip(self, tmp_path):
         log = TrainLog(stop_reason="max-epochs", best_epoch=2)

@@ -356,6 +356,42 @@ class TestPlateauStop:
             assert t.start_cost == real(*level_calls[0], need_grad=False)[0]
             assert t.end_cost == real(*level_calls[-1], need_grad=False)[0]
 
+    @pytest.mark.parametrize("levels", [(4, 2, 1), (4, 2)])
+    def test_final_cost_is_the_full_resolution_cost(self, phantom_pairs_32, monkeypatch, levels):
+        # equal to a direct evaluation at the returned parameters; taken from
+        # level 1's best cost when level 1 ran last, which saves one
+        # full-resolution warp
+        moving, reference = phantom_pairs_32[1]
+        warps = []
+        affine_transform = tf.ndimage.affine_transform
+
+        def counting(image, *args, **kwargs):
+            warps.append(kwargs["output_shape"])
+            return affine_transform(image, *args, **kwargs)
+
+        monkeypatch.setattr(tf.ndimage, "affine_transform", counting)
+        result = tf.register_affine(moving, reference, levels=levels)
+        monkeypatch.undo()
+        c_ref = tf._intensity_centroid(reference.data)
+        lin = result.transform.linear
+        direct, _, _ = tf._mse_cost_grad(
+            moving.data.astype(np.float64),
+            reference.data.astype(np.float64),
+            1,
+            lin,
+            result.transform.translation + lin @ c_ref,
+            tf._centered_axes(reference.dims, 1, c_ref),
+            need_grad=False,
+        )
+        assert result.final_cost == pytest.approx(direct, rel=1e-12)
+        full = warps.count(reference.dims)
+        if levels[-1] == 1:
+            assert result.final_cost == result.levels[-1].best_cost
+            # level 1's evaluations and the initial cost, nothing more
+            assert full == result.levels[-1].iterations + 2
+        else:
+            assert full == 2  # the initial and the final cost
+
     def test_no_plateau_stop_above_the_start(self):
         # a 48^3 pair whose finest level finds no gain in its first 10
         # iterations and sits above its start cost there: stopping would

@@ -293,6 +293,35 @@ class TestCheckpoint:
         for name, t in rebuilt.parameters().items():
             assert np.array_equal(t.data, loaded.parameters()[name].data)
 
+    def test_load_draws_no_random_weights(self, tmp_path, monkeypatch):
+        # every weight is read from the file, so none is drawn first
+        spec = ModelSpec(features=2, depth=1, num_classes=3, input_dims=(8, 8, 8))
+        model = UNet3D(spec, seed=41)
+        path = tmp_path / "fresh.ckpt"
+        save_checkpoint(model, path)
+        draws = []
+        default_rng = np.random.default_rng
+
+        class Recording:
+            def __init__(self, *args):
+                self._rng = default_rng(*args)
+
+            def uniform(self, *args, **kwargs):
+                draws.append(args)
+                return self._rng.uniform(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        UNet3D(spec, seed=41)
+        assert draws  # building a model does draw through the recorder
+        draws.clear()
+        loaded = load_checkpoint(path)
+        assert draws == []
+        for name, t in model.named_arrays().items():
+            assert t.tobytes() == loaded.named_arrays()[name].tobytes()
+
     def test_bad_file_rejected(self, tiny_model, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint")
