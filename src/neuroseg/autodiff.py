@@ -19,12 +19,13 @@ blocks.
 ``parallel()`` opens the one parallel region: a pool of one thread per
 usable core (``parallel_workers``), OpenBLAS pinned to one thread while it is
 open, and the region published to the current context as ``no_grad``
-publishes its flag. Inside it, a convolution shares its slabs among the
-calling thread and the workers, which take them in slab order from one
-queue, and every slab runs the same GEMM as outside it; the weight gradient
-keeps its per-slab partials and sums them in slab order, so every result is
-bitwise that of one thread. Pool threads do not see the region, so work
-running on them is never split again.
+publishes its flag, for as long as the ``with`` block that opened it; a
+nested ``parallel()`` reuses it. Inside it, a convolution shares its slabs
+among the calling thread and the workers, which take them in slab order from
+one queue, and every slab runs the same GEMM as outside it; the weight
+gradient keeps its per-slab partials and sums them in slab order, so every
+result is bitwise that of one thread. Pool threads do not see the region, so
+work running on them is never split again.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Optional
@@ -104,8 +105,7 @@ class _BlasPin:
 def _one_blas_thread():
     """Run the block with OpenBLAS on one thread, so that GEMMs issued from
     several Python threads at once do not contend for BLAS's own threads.
-    Callers check ``_blas_thread_api()`` first. A generator that holds it
-    across a ``yield`` keeps BLAS pinned until it is closed."""
+    Callers check ``_blas_thread_api()`` first."""
     get, put = _blas_thread_api()
     with _BlasPin.lock:
         if _BlasPin.depth == 0:
@@ -142,43 +142,30 @@ _region: ContextVar[Optional[_Region]] = ContextVar("parallel_region", default=N
 
 
 @contextmanager
-def _hold_region():
-    """The region published in this context, or else a new one that lives as
-    long as the block: ``parallel_workers()`` pool threads, BLAS pinned to
-    one thread while they exist. Publishes nothing."""
+def parallel():
+    """Run the block in a parallel region and yield it: the region already
+    published in this context, else a new one published for the block, with
+    ``parallel_workers()`` pool threads and OpenBLAS pinned to one thread
+    while they exist."""
     region = _region.get()
     if region is not None:
         yield region
         return
     n = parallel_workers()
-    if n == 1:
-        yield _Region(1, None)
-        return
-    # the initializer keeps the region from a pool thread even where threads
-    # inherit their creator's context (an interpreter option): no nesting
-    with _one_blas_thread(), ThreadPoolExecutor(
-        n, "parallel", initializer=_region.set, initargs=(None,)
-    ) as pool:
-        yield _Region(n, pool)
-
-
-@contextmanager
-def _publish(region: _Region):
-    """Make ``region`` the current context's region for the block. Never hold
-    it across a ``yield``: the caller would see the region between resumes."""
-    token = _region.set(region)
-    try:
-        yield
-    finally:
-        _region.reset(token)
-
-
-@contextmanager
-def parallel():
-    """Run the block in a parallel region: the one already published in this
-    context, else a new one for the block. Yields the region."""
-    with _hold_region() as region, _publish(region):
-        yield region
+    pin, pool = nullcontext(), nullcontext()
+    if n > 1:
+        # the initializer keeps the region from a pool thread even where
+        # threads inherit their creator's context (an interpreter option): no
+        # nesting
+        pin = _one_blas_thread()
+        pool = ThreadPoolExecutor(n, "parallel", initializer=_region.set, initargs=(None,))
+    with pin, pool as executor:
+        region = _Region(n, executor)
+        token = _region.set(region)
+        try:
+            yield region
+        finally:
+            _region.reset(token)
 
 
 def _each_slab(fn, slabs):

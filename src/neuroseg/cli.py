@@ -48,7 +48,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import transforms as tf
-from .core import Volume, normalize_intensity
+from .core import LabelMap, Volume, normalize_intensity
 from .inference import (
     CV_THRESHOLDS,
     DEFAULT_MC_SAMPLES,
@@ -57,7 +57,7 @@ from .inference import (
     uncertainty,
     write_uncertainty_report,
 )
-from .io import read_manifest, read_volume, write_volume
+from .io import read_as, read_manifest, write_volume
 from .metrics import CorrelationError, dice_report, pearson, write_dice_rows
 from .phantom import default_phantom_spec, generate_dataset, load_phantom_spec, save_phantom_spec
 from .train import TrainConfig, train
@@ -200,7 +200,7 @@ def cmd_train(args) -> int:
     if not records:
         print(f"error: manifest has no {args.modality!r} records", file=sys.stderr)
         return 1
-    first = read_volume(records[0].volume_path)
+    first = read_as(records[0].volume_path, Volume)
     spec = ModelSpec(
         num_classes=28,
         features=args.features,
@@ -302,11 +302,8 @@ def cmd_segment(args) -> int:
     clock = _StageClock()
     cfg = _pipeline_config(args)
     model = _load_model(cfg)
-    original = read_volume(args.input)
-    if not isinstance(original, Volume):
-        print("error: segmentation input must be an intensity volume", file=sys.stderr)
-        return 1
-    reference = read_volume(cfg.reference)
+    original = read_as(args.input, Volume)
+    reference = read_as(cfg.reference, Volume)
     clock.lap("load")
     reg = tf.register_affine(original, reference)
     clock.lap("register")
@@ -376,8 +373,8 @@ def cmd_evaluate(args) -> int:
     weighted = []
     cvs = []
     for rec in records:
-        vol = read_volume(rec.volume_path)
-        labels = read_volume(rec.labels_path)
+        vol = read_as(rec.volume_path, Volume)
+        labels = read_as(rec.labels_path, LabelMap)
         normalized = normalize_intensity(vol)
         seg, _, report = _segment_on_model_grid(model, normalized, cfg)
         dr = dice_report(seg.labels, labels.labels, model.spec.num_classes)
@@ -430,10 +427,7 @@ def cmd_evaluate(args) -> int:
 def cmd_uncertainty(args) -> int:
     cfg = _pipeline_config(args)
     model = _load_model(cfg)
-    vol = read_volume(args.input)
-    if not isinstance(vol, Volume):
-        print("error: input must be an intensity volume", file=sys.stderr)
-        return 1
+    vol = read_as(args.input, Volume)
     _, samples, report = _segment_on_model_grid(model, normalize_intensity(vol), cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     code = _write_qc(report, cfg.out_dir)

@@ -22,13 +22,11 @@ structures are those of ``StructureTable.default()``.
 from __future__ import annotations
 
 import csv
-from contextlib import closing
 from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
 
-from . import autodiff as ad
 from .core import LabelMap, StructureTable, Volume
 from .unet import UNet3D
 
@@ -73,36 +71,33 @@ def mc_segment(
 ):
     """Monte Carlo dropout segmentation of a preprocessed volume.
 
-    ``v`` must already be on the model grid and intensity-normalized. Each of
-    the ``n`` passes uses an independent rng derived from ``seed``, so the
-    fused result does not depend on evaluation order. The block before the
-    first dropout runs once for the volume, not once per pass, and up to
-    one pass per usable core runs at once while this thread fuses the
-    finished ones (``UNet3D.mc_passes``); every pass equals a full
-    ``forward`` bitwise, and the float64 sum of the softmax fields runs in
-    pass order.
+    ``v`` must already be on the model grid (else ``ShapeError`` before any
+    pass) and intensity-normalized. Each of the ``n`` passes uses an
+    independent rng derived from ``seed``, so the fused result does not
+    depend on evaluation order. The block before the first dropout runs once
+    for the volume, not once per pass, and up to one pass per usable core
+    runs at once while this thread fuses the finished ones
+    (``UNet3D.mc_passes``); every pass equals a full ``forward`` bitwise, and
+    the float64 sum of the softmax fields runs in pass order.
     Returns the fused LabelMap (``hard_segment`` of that sum) and the sample
     set for the CV computation.
     """
     if n < 1:
         raise ValueError(f"need at least 1 MC sample, got {n}")
-    if v.dims != model.spec.input_dims:
-        raise ad.ShapeError(
-            f"volume dims {v.dims} do not match model input {model.spec.input_dims}"
-        )
-    x = np.asarray(v.data, dtype=model.dtype)[None, None]
-    children = np.random.SeedSequence(seed).spawn(n)
     num_classes = model.spec.num_classes
     total = np.zeros((num_classes,) + v.dims, dtype=np.float64)
-    volumes = np.zeros((n, num_classes), dtype=np.int64)
-    rngs = (np.random.default_rng(child) for child in children)
-    with closing(model.mc_passes(x, rngs)) as passes:  # closes the region on any exit
-        for i, P in enumerate(passes):
-            sample = P.data[0]
-            total += sample
-            volumes[i] = _structure_volumes(np.argmax(sample, axis=0), num_classes)
-    workers = min(ad.parallel_workers(), n)
-    return hard_segment(total, v), McSampleSet(volumes=volumes, workers=workers)
+    volumes = []
+
+    def fuse(P):
+        sample = P.data[0]
+        np.add(total, sample, out=total)
+        volumes.append(_structure_volumes(np.argmax(sample, axis=0), num_classes))
+
+    x = np.asarray(v.data, dtype=model.dtype)[None, None]
+    rngs = (np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n))
+    workers = model.mc_passes(x, rngs, fuse)
+    samples = McSampleSet(volumes=np.array(volumes, dtype=np.int64), workers=min(workers, n))
+    return hard_segment(total, v), samples
 
 
 def uncertainty(samples: McSampleSet, threshold: float) -> UncertaintyReport:

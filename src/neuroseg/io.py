@@ -108,6 +108,17 @@ def read_volume(path) -> Union[Volume, LabelMap]:
     return LabelMap(data, spacing, affine)
 
 
+def read_as(path, kind: type) -> Union[Volume, LabelMap]:
+    """``read_volume(path)``, which must hold a ``kind`` (``Volume`` or
+    ``LabelMap``): a file of the other kind raises ``VolumeFormatError``."""
+    obj = read_volume(path)
+    if not isinstance(obj, kind):
+        raise VolumeFormatError(
+            f"{path}: holds a {type(obj).__name__}, expected a {kind.__name__}"
+        )
+    return obj
+
+
 @dataclass(frozen=True)
 class ManifestRecord:
     """One dataset entry: paired volume/labels files plus modality and split tags."""

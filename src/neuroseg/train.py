@@ -36,7 +36,7 @@ from . import autodiff as ad
 from . import transforms as tf
 from .autodiff import Tensor
 from .core import LabelMap, Volume, normalize_intensity, one_hot
-from .io import ManifestRecord, read_volume
+from .io import ManifestRecord, read_as
 from .metrics import combined_loss, dice_report
 from .unet import UNet3D
 
@@ -186,14 +186,10 @@ def augment(
 
 
 def _load_pairs(records: Sequence[ManifestRecord]) -> List[Tuple[Volume, LabelMap]]:
-    pairs = []
-    for rec in records:
-        vol = read_volume(rec.volume_path)
-        lab = read_volume(rec.labels_path)
-        if not isinstance(vol, Volume) or not isinstance(lab, LabelMap):
-            raise ValueError(f"manifest pair has wrong dtypes: {rec}")
-        pairs.append((vol, lab))
-    return pairs
+    return [
+        (read_as(rec.volume_path, Volume), read_as(rec.labels_path, LabelMap))
+        for rec in records
+    ]
 
 
 def _forward_loss(model: UNet3D, batch, mode, dropout_active, rng):

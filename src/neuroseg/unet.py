@@ -16,7 +16,7 @@ import struct
 from collections import OrderedDict, deque
 from dataclasses import asdict, dataclass
 from itertools import islice
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -210,40 +210,44 @@ class UNet3D:
         active = (mode == "train") if dropout_active is None else dropout_active
         return self._rest(self._first(self._input(x), mode), mode, active, rng)
 
-    def mc_passes(self, x, rngs: Iterable[np.random.Generator]) -> Iterator[Tensor]:
-        """Yield one MC-dropout pass (eval statistics, active dropout) per
-        rng, in rng order, without building a graph.
+    def mc_passes(
+        self, x, rngs: Iterable[np.random.Generator], fuse: Callable[[Tensor], None]
+    ) -> int:
+        """Run one MC-dropout pass (eval statistics, active dropout) per rng
+        without building a graph, and call ``fuse(field)`` on this thread for
+        each, in rng order. Returns the workers of the parallel region the
+        passes ran in.
 
         Encoder block 1 comes before the first dropout, so it runs once and
-        every pass starts from its output. Each yielded field is bitwise
-        equal to ``forward(x, "eval", True, rng)``.
+        every pass starts from its output. Each field is bitwise equal to
+        ``forward(x, "eval", True, rng)``.
 
         Everything runs in one parallel region (``autodiff.parallel``) of w
         workers. Encoder block 1 runs first, its convolutions split over the
         pool. The passes then stream through the pool, one per worker: rngs
-        are taken from ``rngs`` on the calling thread, and each time the
-        caller takes pass i, the next rng goes to the pool, so while the
-        caller holds pass i the workers run i+1 to i+w. There is no barrier
-        between groups of passes, and at most w passes are in flight, each
-        with its own working set. A pass's convolutions run on its worker
-        alone. The region (its pool, and OpenBLAS pinned to one thread) stays
-        open until the generator is exhausted or closed, but it is published
-        only while encoder block 1 runs, never across a ``yield``.
+        are taken from ``rngs`` on this thread, and before pass i goes to
+        ``fuse`` the next rng goes to the pool, so while ``fuse`` runs the
+        workers run i+1 to i+w. There is no barrier between groups of passes,
+        and at most w passes are in flight, each with its own working set. A
+        pass's convolutions run on its worker alone. If a pass or ``fuse``
+        raises, the passes already submitted still run, and a region this
+        call opened closes before the error propagates.
         """
-        with ad._hold_region() as region:
-            with ad._publish(region), ad.no_grad():
+        with ad.parallel() as region:
+            with ad.no_grad():
                 h = self._first(self._input(x), "eval")
             if region.pool is None:
                 for rng in rngs:
-                    yield self._mc_pass(h, rng)
-                return
-            rngs = iter(rngs)
-            submit = functools.partial(region.pool.submit, self._mc_pass, h)
-            pending = deque(map(submit, islice(rngs, region.workers)))
-            while pending:
-                field = pending.popleft().result()
-                pending.extend(map(submit, islice(rngs, 1)))
-                yield field
+                    fuse(self._mc_pass(h, rng))
+            else:
+                rngs = iter(rngs)
+                submit = functools.partial(region.pool.submit, self._mc_pass, h)
+                pending = deque(map(submit, islice(rngs, region.workers)))
+                while pending:
+                    field = pending.popleft().result()
+                    pending.extend(map(submit, islice(rngs, 1)))
+                    fuse(field)
+        return region.workers
 
     def _mc_pass(self, h: Tensor, rng) -> Tensor:
         # no_grad is per thread, so a pool thread must enter it itself

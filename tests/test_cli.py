@@ -280,6 +280,46 @@ class TestErrors:
         out, err = capsys.readouterr()
         assert "usage: segctl" in (out if code == 0 else err)
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["segment", "--input", "{labels}", "--reference", "{volume}"], "Volume"),
+            (["segment", "--input", "{volume}", "--reference", "{labels}"], "Volume"),
+            (["uncertainty", "--input", "{labels}"], "Volume"),
+            (["evaluate", "--manifest", "{swapped}"], "Volume"),
+            (["evaluate", "--manifest", "{no_labels}"], "LabelMap"),
+            (["train", "--manifest", "{swapped}", "--modality", "mprage"], "Volume"),
+            (["train", "--manifest", "{no_labels}", "--modality", "mprage"], "LabelMap"),
+        ],
+        ids=[
+            "segment-input", "segment-reference", "uncertainty-input",
+            "evaluate-volume", "evaluate-labels", "train-volume", "train-labels",
+        ],
+    )
+    def test_wrong_kind_of_file_exits_1(self, setup, tmp_path, capsys, argv, expected):
+        # a label map where an intensity volume belongs, or the reverse
+        _, records, checkpoint = setup
+        paths = {
+            "volume": records[1].volume_path,
+            "labels": records[1].labels_path,
+            "swapped": tmp_path / "swapped.csv",
+            "no_labels": tmp_path / "no_labels.csv",
+        }
+        paths["swapped"].write_text(
+            "".join(f"{r.labels_path},{r.volume_path},mprage,{r.split}\n" for r in records)
+        )
+        paths["no_labels"].write_text(
+            "".join(f"{r.volume_path},{r.volume_path},mprage,{r.split}\n" for r in records)
+        )
+        argv = [arg.format(**paths) for arg in argv]
+        if argv[0] != "train":
+            argv += ["--checkpoint", str(checkpoint), "--mc-samples", "2"]
+        out = tmp_path / "o"
+        assert cli.run(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"expected a {expected}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mc", ["on", "off"])
     def test_evaluate_off_the_model_grid_exits_1(self, setup, tmp_path, capsys, mc):
         # evaluate scores volumes on their own grid: a 24^3 test volume does
