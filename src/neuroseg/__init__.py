@@ -13,8 +13,7 @@ from .core import (
     GeometryError,
     LabelMap,
     NUM_CLASSES,
-    Structure,
-    StructureTable,
+    STRUCTURE_NAMES,
     Volume,
     normalize_intensity,
     one_hot,
@@ -28,8 +27,7 @@ __all__ = [
     "GeometryError",
     "LabelMap",
     "NUM_CLASSES",
-    "Structure",
-    "StructureTable",
+    "STRUCTURE_NAMES",
     "Volume",
     "normalize_intensity",
     "one_hot",

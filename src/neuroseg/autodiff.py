@@ -561,14 +561,11 @@ def batch_norm(
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero each value with probability ``rate`` and scale
     survivors by 1/(1-rate), so the expected value is unchanged and eval-time
-    forwards need no rescale. Bitwise reproducible for a given rng state."""
+    forwards need no rescale. Bitwise reproducible for a given rng state.
+    At rate 0 the mask is all 1.0, so the values pass through unchanged; the
+    U-Net skips the call then (``UNet3D._dropout``)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        def bwd_id(g):
-            x.accumulate_grad(g)
-
-        return _make(x.data, (x,), bwd_id)
     keep = rng.random(x.shape) >= rate
     scale = np.asarray(1.0 / (1.0 - rate), dtype=x.dtype)
     mask = keep.astype(x.dtype)

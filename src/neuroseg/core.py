@@ -3,7 +3,8 @@
 Conventions: grids are indexed (x, y, z); bulk voxel data is float32 for
 intensities and uint8 for labels, while statistics and geometry are computed
 in float64. Volumes and label maps are immutable after construction, so they
-can be shared freely across threads.
+can be shared freely across threads. Label s in 1..27 is the structure named
+``STRUCTURE_NAMES[s - 1]``; label 0 is background.
 """
 
 from __future__ import annotations
@@ -149,14 +150,7 @@ class LabelMap:
         return self.labels.shape
 
 
-@dataclass(frozen=True)
-class Structure:
-    index: int
-    name: str
-    laterality: str  # "left" | "right" | "none"
-
-
-_STRUCTURE_NAMES = (
+STRUCTURE_NAMES = (
     "Cortical White Matter Left",
     "Cortical Grey Matter Left",
     "Cortical White Matter Right",
@@ -185,34 +179,6 @@ _STRUCTURE_NAMES = (
     "Amygdala Right",
     "Ventral DC Right",
 )
-
-
-@dataclass(frozen=True, eq=False)
-class StructureTable:
-    """Ordered list of the 27 segmented anatomical structures (indices 1..27)."""
-
-    entries: Tuple[Structure, ...]
-
-    def __post_init__(self):
-        indices = [e.index for e in self.entries]
-        if len(self.entries) != NUM_CLASSES - 1 or indices != list(range(1, NUM_CLASSES)):
-            raise ValueError("structure table must cover indices 1..27 exactly once")
-
-    @classmethod
-    def default(cls) -> "StructureTable":
-        entries = []
-        for i, name in enumerate(_STRUCTURE_NAMES, start=1):
-            if name.endswith("Left"):
-                side = "left"
-            elif name.endswith("Right"):
-                side = "right"
-            else:
-                side = "none"
-            entries.append(Structure(i, name, side))
-        return cls(tuple(entries))
-
-    def __iter__(self):
-        return iter(self.entries)
 
 
 def normalize_intensity(v: Volume) -> Volume:

@@ -16,18 +16,18 @@ is the voxelwise argmax (``hard_segment``) of the summed softmax fields
 Per-sample anatomical volumes are the voxel counts of each sample's hard
 segmentation; their dispersion across samples yields CV_s = sigma_s / mu_s,
 and the aggregate CV is the mean of CV_s over structures with mu_s > 0. The
-structures are those of ``StructureTable.default()``.
+structures are the 27 of ``core.STRUCTURE_NAMES``.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
-from .core import LabelMap, StructureTable, Volume
+from .core import STRUCTURE_NAMES, LabelMap, Volume
 from .unet import UNet3D
 
 DEFAULT_MC_SAMPLES = 15
@@ -46,8 +46,7 @@ class McSampleSet:
 class UncertaintyReport:
     mean_volume: Dict[int, float]  # mu_s over MC samples
     std_volume: Dict[int, float]  # population sigma_s
-    cv_per_structure: Dict[int, float]
-    excluded: List[int]  # structures with mu_s == 0 (flagged, not scored)
+    cv_per_structure: Dict[int, float]  # structures with mu_s > 0 only
     cv: float
     threshold: float
     verdict: str  # "pass" | "warn"
@@ -102,12 +101,12 @@ def mc_segment(
 
 def uncertainty(samples: McSampleSet, threshold: float) -> UncertaintyReport:
     """Coefficient-of-variation report over MC samples, for each structure
-    of ``StructureTable.default()``.
+    of ``STRUCTURE_NAMES``.
 
     CV_s = sigma_s / mu_s with population standard deviation; structures with
-    mu_s = 0 are excluded from the aggregate and flagged (a missing structure
-    is itself a quality signal). Verdict is 'warn' iff the aggregate CV
-    exceeds the threshold.
+    mu_s = 0 have no CV_s and stay out of the aggregate (the report writes
+    them as 'absent', since a missing structure is itself a quality signal).
+    Verdict is 'warn' iff the aggregate CV exceeds the threshold.
     """
     n = len(samples.volumes)
     if n < 2:
@@ -115,8 +114,7 @@ def uncertainty(samples: McSampleSet, threshold: float) -> UncertaintyReport:
     mean_volume = {}
     std_volume = {}
     cv_per_structure = {}
-    excluded = []
-    for s in (entry.index for entry in StructureTable.default()):
+    for s in range(1, len(STRUCTURE_NAMES) + 1):
         vols = samples.volumes[:, s].astype(np.float64)
         mu = float(vols.mean())
         sigma = float(vols.std())  # population
@@ -124,8 +122,6 @@ def uncertainty(samples: McSampleSet, threshold: float) -> UncertaintyReport:
         std_volume[s] = sigma
         if mu > 0:
             cv_per_structure[s] = sigma / mu
-        else:
-            excluded.append(s)
     if not cv_per_structure:
         raise ValueError("no structure present in any MC sample")
     cv = float(np.mean(list(cv_per_structure.values()), dtype=np.float64))
@@ -134,7 +130,6 @@ def uncertainty(samples: McSampleSet, threshold: float) -> UncertaintyReport:
         mean_volume=mean_volume,
         std_volume=std_volume,
         cv_per_structure=cv_per_structure,
-        excluded=excluded,
         cv=cv,
         threshold=threshold,
         verdict=verdict,
@@ -142,26 +137,25 @@ def uncertainty(samples: McSampleSet, threshold: float) -> UncertaintyReport:
 
 
 def write_uncertainty_report(report: UncertaintyReport, path) -> None:
-    """One row per structure of ``StructureTable.default()`` (mu, sigma, CV
+    """One row per structure of ``STRUCTURE_NAMES`` (mu, sigma, CV
     or 'absent'), then a summary row with the aggregate CV, threshold and
     verdict."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["structure", "name", "mean_volume", "std_volume", "cv"])
-        for entry in StructureTable.default():
-            s = entry.index
+        for s, name in enumerate(STRUCTURE_NAMES, start=1):
             if s in report.cv_per_structure:
                 writer.writerow(
                     [
                         s,
-                        entry.name,
+                        name,
                         repr(report.mean_volume[s]),
                         repr(report.std_volume[s]),
                         repr(report.cv_per_structure[s]),
                     ]
                 )
             else:
-                writer.writerow([s, entry.name, "0.0", "0.0", "absent"])
+                writer.writerow([s, name, "0.0", "0.0", "absent"])
         writer.writerow(
             ["summary", "", repr(report.cv), repr(report.threshold), report.verdict]
         )

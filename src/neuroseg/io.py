@@ -3,8 +3,8 @@
 MVOX layout, all little-endian: magic ``MVX1``; dims as 3 x u32; spacing as
 3 x f32; voxel-to-world affine as 12 x f32 (row-major 3 x 4); one dtype code
 byte (0 = float32 intensities, 1 = uint8 labels); payload length in bytes as
-u64; then the raw voxel payload with x varying fastest. Writing what was read
-reproduces the file byte for byte.
+u64; then the raw voxel payload with x varying fastest, and nothing after it.
+Writing what was read reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 from .core import NUM_CLASSES, AffineTransform, LabelMap, Volume
 
 MAGIC = b"MVX1"
+_SPLITS = ("train", "validation", "test")
 _HEADER = struct.Struct("<4s3I3f12fBQ")
 DTYPE_F32 = 0
 DTYPE_U8 = 1
@@ -94,8 +95,12 @@ def read_volume(path) -> Union[Volume, LabelMap]:
             f"{path}: payload holds {len(payload)} bytes, "
             f"declared {declared}, grid needs {expected}"
         )
+    if len(payload) > declared:
+        raise VolumeFormatError(
+            f"{path}: {len(payload) - declared} bytes after the declared payload"
+        )
     dtype = "<f4" if code == DTYPE_F32 else np.uint8
-    data = np.frombuffer(payload[:declared], dtype=dtype).reshape(dims, order="F")
+    data = np.frombuffer(payload, dtype=dtype).reshape(dims, order="F")
     affine = AffineTransform(affine12[:, :3], affine12[:, 3])
     if code == DTYPE_F32:
         if not np.all(np.isfinite(data)):
@@ -146,7 +151,9 @@ def write_manifest(records: Sequence[ManifestRecord], path) -> None:
 
 
 def read_manifest(path) -> List[ManifestRecord]:
-    """Read a manifest; relative paths are resolved against its directory."""
+    """Read a manifest; relative paths are resolved against its directory.
+    A row whose split is not one of 'train', 'validation' and 'test' raises
+    ValueError."""
     base = Path(path).parent
     records = []
     with open(path, newline="") as fh:
@@ -156,6 +163,11 @@ def read_manifest(path) -> List[ManifestRecord]:
             if len(row) < 4:
                 raise ValueError(f"{path}: manifest line needs 4 columns, got {row}")
             vol, lab, modality, split = (c.strip() for c in row[:4])
+            if split not in _SPLITS:
+                raise ValueError(
+                    f"{path}: manifest line {row} has split {split!r}, "
+                    f"expected one of {', '.join(_SPLITS)}"
+                )
             note = row[4].strip() if len(row) > 4 else ""
             records.append(
                 ManifestRecord(

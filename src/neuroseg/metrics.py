@@ -10,8 +10,8 @@ and are computed on hard masks. All accumulation is float64.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ class DiceReport:
     """Per-structure Dice with ground-truth volumes and both summary scores."""
 
     per_structure: Dict[int, float]
-    volumes: Dict[int, int]
-    missing: List[int] = field(default_factory=list)  # absent from ground truth
+    volumes: Dict[int, int]  # 0 for a structure absent from the ground truth
 
     @property
     def average(self) -> float:
@@ -76,28 +75,25 @@ def dice_report(pred_labels: np.ndarray, true_labels: np.ndarray, num_classes: i
     dice = (2.0 * inter + DICE_EPS) / (true_counts + pred_counts + DICE_EPS)
     per_structure = {s: float(dice[s]) for s in range(1, num_classes)}
     volumes = {s: int(true_counts[s]) for s in range(1, num_classes)}
-    missing = [s for s in range(1, num_classes) if volumes[s] == 0]
-    return DiceReport(per_structure, volumes, missing)
+    return DiceReport(per_structure, volumes)
 
 
 def combined_loss(P: Tensor, T: np.ndarray) -> Tensor:
-    """Scalar training loss on a softmax field P with one-hot truth T.
+    """Scalar training loss on a (batch, classes, x, y, z) softmax field P
+    with one-hot truth T of the same shape; each class's Dice pools the
+    batch and every voxel.
 
     Returns a graph scalar; backward() propagates through the softmax to the
     logits (and onward to the weights). The Dice fraction and the
     cross-entropy term share one hand-derived gradient, checked against
     finite differences in the test suite.
     """
-    if not isinstance(P, Tensor):
-        P = Tensor(np.asarray(P))
+    ad._check_5d(P, "prediction")
     T = np.asarray(T)
     if P.data.shape != T.shape:
         raise ad.ShapeError(f"prediction {P.data.shape} vs truth {T.shape}")
-    caxis = 0 if P.data.ndim == 4 else 1
-    axes = tuple(i for i in range(P.data.ndim) if i != caxis)
-    cshape = tuple(
-        P.data.shape[i] if i == caxis else 1 for i in range(P.data.ndim)
-    )
+    axes = (0, 2, 3, 4)
+    cshape = (1, -1, 1, 1, 1)
     inter = (P.data.astype(np.float64) * T).sum(axis=axes)
     psum = P.data.sum(axis=axes, dtype=np.float64)
     tsum = T.sum(axis=axes, dtype=np.float64)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -337,16 +337,38 @@ def corrupt_occlusion(v: Volume, fraction: float, rng: np.random.Generator) -> V
     return Volume(data, v.spacing, v.affine)
 
 
+def _swap_partner(volumes: Dict[str, Volume], modality: str) -> Optional[Volume]:
+    """The first other modality's volume on ``modality``'s grid, or None."""
+    dims = volumes[modality].dims
+    return next((v for other, v in volumes.items() if other != modality and v.dims == dims), None)
+
+
 def corrupt_contrast_swap(volumes: Dict[str, Volume], modality: str) -> Volume:
     """Stand in a same-grid volume from another modality (wrong contrast)."""
-    dims = volumes[modality].dims
-    for other, vol in volumes.items():
-        if other != modality and vol.dims == dims:
-            return Volume(vol.data, volumes[modality].spacing, volumes[modality].affine)
-    raise ValueError(f"no same-grid partner modality for {modality!r}")
+    partner = _swap_partner(volumes, modality)
+    if partner is None:
+        raise ValueError(f"no same-grid partner modality for {modality!r}")
+    return Volume(partner.data, volumes[modality].spacing, volumes[modality].affine)
 
 
 _CORRUPTIONS = ("noise-0.3", "noise-0.5", "noise-0.7", "occlude-0.4", "swap")
+
+
+def _parse_corruption(mode: str) -> Tuple[str, float]:
+    """(kind, level) of a mode 'noise-<level>', 'occlude-<fraction>' or
+    'swap' (level 0); any other mode raises ValueError."""
+    kind, _, level = mode.partition("-")
+    if mode == "swap":
+        return kind, 0.0
+    if kind in ("noise", "occlude"):
+        try:
+            value = float(level)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(value) and value >= 0.0:
+                return kind, value
+    raise ValueError(f"unknown corruption mode {mode!r}")
 
 
 def apply_corruption(
@@ -355,14 +377,12 @@ def apply_corruption(
     mode: str,
     rng: np.random.Generator,
 ) -> Volume:
-    kind, _, level = mode.partition("-")
+    kind, level = _parse_corruption(mode)
     if kind == "noise":
-        return corrupt_noise(volumes[modality], float(level), rng)
+        return corrupt_noise(volumes[modality], level, rng)
     if kind == "occlude":
-        return corrupt_occlusion(volumes[modality], float(level), rng)
-    if kind == "swap":
-        return corrupt_contrast_swap(volumes, modality)
-    raise ValueError(f"unknown corruption mode {mode!r}")
+        return corrupt_occlusion(volumes[modality], level, rng)
+    return corrupt_contrast_swap(volumes, modality)
 
 
 def _split_counts(n: int, test_fraction: float, val_fraction: float) -> Tuple[int, int]:
@@ -384,10 +404,14 @@ def generate_dataset(
     """Write MVOX volume/label pairs plus a manifest with train/validation/
     test split tags; the last ``n_corrupt`` test subjects get corrupted
     volumes (labels stay truthful) and a corruption note in the manifest.
+    Every mode is checked before anything is written; 'swap' on a modality
+    with no same-grid partner (DWI's grid) applies, and notes, 'noise-0.5'.
     Returns the manifest path.
     """
     if n_subjects < 5:
         raise ValueError(f"need at least 5 subjects, got {n_subjects}")
+    for mode in corruption_modes:
+        _parse_corruption(mode)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     modalities = list(modalities or spec.modalities)
@@ -418,11 +442,9 @@ def generate_dataset(
                 rng = np.random.default_rng(
                     np.random.SeedSequence([spec.seed, subject, 0xBAD])
                 )
-                try:
-                    vol = apply_corruption(volumes, modality, mode, rng)
-                except ValueError:
+                if mode == "swap" and _swap_partner(volumes, modality) is None:
                     mode = "noise-0.5"
-                    vol = corrupt_noise(vol, 0.5, rng)
+                vol = apply_corruption(volumes, modality, mode, rng)
                 note = f"corrupt:{mode}"
             vol_name = f"subject{subject:03d}_{modality}.mvx"
             lab_name = f"subject{subject:03d}_{modality}_labels.mvx"

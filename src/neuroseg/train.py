@@ -27,8 +27,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -67,6 +66,9 @@ class TrainConfig:
     validation_fraction: float = 0.1
 
     def __post_init__(self):
+        if self.max_epochs < 1 or self.patience < 1:
+            # with no epoch, the checkpoint's batch norms would never have run
+            raise ValueError("max_epochs and patience must be >= 1")
         if self.patience > self.max_epochs:
             raise ValueError("patience must not exceed max_epochs")
         if not 0.0 < self.validation_fraction <= 0.5:
@@ -229,8 +231,15 @@ def train(model: UNet3D, records, cfg: TrainConfig) -> Tuple[UNet3D, TrainLog]:
 
     Records tagged 'validation' are used as the validation set; otherwise
     ``cfg.validation_fraction`` of the training records is carved off with
-    the run seed. The returned model carries the best-validation parameters.
-    The epochs run in one parallel region (``autodiff.parallel``).
+    the run seed. The epochs run in one parallel region
+    (``autodiff.parallel``).
+
+    At each new best validation loss a copy of ``model.named_arrays()`` is
+    taken; at the end it is copied back into the model's current arrays, so
+    the returned model carries the best-validation parameters and running
+    statistics. Batch-norm ``initialized`` flags need no snapshot: every
+    batch norm runs in train mode in epoch 1, so they are all set from the
+    first snapshot on.
     """
     train_recs = [r for r in records if r.split == "train"]
     val_recs = [r for r in records if r.split == "validation"]
@@ -261,7 +270,7 @@ def train(model: UNet3D, records, cfg: TrainConfig) -> Tuple[UNet3D, TrainLog]:
     opt = Adam(model.parameters(), cfg.learning_rate)
     log = TrainLog()
     best_val = np.inf
-    best_state = None
+    best_arrays = None
     history: List[float] = []
 
     with ad.parallel() as region:
@@ -301,14 +310,14 @@ def train(model: UNet3D, records, cfg: TrainConfig) -> Tuple[UNet3D, TrainLog]:
             if val_loss < best_val:
                 best_val = val_loss
                 log.best_epoch = epoch
-                arrays, bn_initialized = model.named_state()
-                best_state = ({k: a.copy() for k, a in arrays.items()}, bn_initialized)
+                best_arrays = {k: a.copy() for k, a in model.named_arrays().items()}
             if epoch - log.best_epoch >= cfg.patience:
                 log.stop_reason = "early-stop"
                 break
         else:
             log.stop_reason = "max-epochs"
 
-    if best_state is not None:
-        model.assign_state(*best_state)
+    if best_arrays is not None:
+        for name, arr in model.named_arrays().items():
+            np.copyto(arr, best_arrays[name])
     return model, log

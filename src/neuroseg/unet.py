@@ -134,8 +134,8 @@ class UNet3D:
     """Model handle: owns the parameter store, batch-norm state and modes.
 
     Every layer registers its named parameters and batch-norm state in one
-    ordered table as it is built. Parameters, checkpoint arrays and the
-    named state are read from that table, in construction order.
+    ordered table as it is built. Parameters and the checkpoint arrays
+    (``named_arrays``) are read from that table, in construction order.
     """
 
     def __init__(self, spec: ModelSpec, seed: int, dtype=np.float32):
@@ -290,59 +290,29 @@ class UNet3D:
         logits = self.head(h)
         return ad.softmax_channels(logits)
 
-    def _slots(self):
-        """(array name, owner, attribute) of every named array in checkpoint
-        order: parameters, then batch-norm running statistics."""
-        for name, t in self._params.items():
-            yield name, t, "data"
-        for name, state in self._bn_states.items():
-            yield f"{name}.running_mean", state, "running_mean"
-            yield f"{name}.running_var", state, "running_var"
-
     def named_arrays(self) -> "OrderedDict[str, np.ndarray]":
-        """Parameters plus batch-norm running statistics, checkpoint order."""
-        return OrderedDict((name, getattr(owner, attr)) for name, owner, attr in self._slots())
-
-    def named_state(self) -> Tuple["OrderedDict[str, np.ndarray]", Dict[str, bool]]:
-        """``named_arrays()`` and each batch norm's ``initialized`` flag: all
-        the state ``assign_state`` needs to reproduce this model. The arrays
-        are the model's own, not copies."""
-        flags = {name: state.initialized for name, state in self._bn_states.items()}
-        return self.named_arrays(), flags
-
-    def assign_state(
-        self, arrays: Mapping[str, np.ndarray], bn_initialized: Mapping[str, bool]
-    ) -> None:
-        """Take over a full named state, as returned by ``named_state``.
-
-        Arrays already of the model's dtype are assigned without a copy. A
-        missing, unknown or mis-shaped entry raises CheckpointError and
-        leaves the model unchanged.
-        """
-        self._check_state({name: np.shape(arr) for name, arr in arrays.items()}, bn_initialized)
-        for name, owner, attr in self._slots():
-            arr = np.asarray(arrays[name])
-            setattr(owner, attr, arr.astype(getattr(owner, attr).dtype, copy=False))
-        self._set_flags(bn_initialized)
+        """Parameters, then batch-norm running statistics, in checkpoint
+        order. The arrays are the model's own, not copies."""
+        arrays = OrderedDict((name, t.data) for name, t in self._params.items())
+        for name, state in self._bn_states.items():
+            arrays[f"{name}.running_mean"] = state.running_mean
+            arrays[f"{name}.running_var"] = state.running_var
+        return arrays
 
     def _check_state(
         self, shapes: Mapping[str, Tuple[int, ...]], bn_initialized: Mapping[str, bool]
     ) -> None:
         """A full named state must name exactly this model's arrays and batch
         norms, each array with the model's shape; raises CheckpointError."""
-        slots = list(self._slots())
-        _require_names("array", shapes, [name for name, _, _ in slots])
+        own = self.named_arrays()
+        _require_names("array", shapes, own)
         _require_names("batch-norm flag", bn_initialized, self._bn_states)
-        for name, owner, attr in slots:
-            have, want = tuple(shapes[name]), getattr(owner, attr).shape
-            if have != want:
+        for name, arr in own.items():
+            have = tuple(shapes[name])
+            if have != arr.shape:
                 raise CheckpointError(
-                    f"array {name!r} has shape {have}, the model needs {want}"
+                    f"array {name!r} has shape {have}, the model needs {arr.shape}"
                 )
-
-    def _set_flags(self, bn_initialized: Mapping[str, bool]) -> None:
-        for name, state in self._bn_states.items():
-            state.initialized = bool(bn_initialized[name])
 
 
 def _require_names(kind, given, expected) -> None:
@@ -357,7 +327,8 @@ def _require_names(kind, given, expected) -> None:
 def save_checkpoint(model: UNet3D, path, extras: Optional[Dict[str, np.ndarray]] = None) -> None:
     """Versioned container: JSON header (spec, seed, array table) + raw
     little-endian array payloads. Extras (e.g. optimizer state) ride along."""
-    arrays, bn_init = model.named_state()
+    arrays = model.named_arrays()
+    bn_init = {name: state.initialized for name, state in model._bn_states.items()}
     if extras:
         for name, arr in extras.items():
             arrays[f"extra.{name}"] = np.asarray(arr)
@@ -387,8 +358,8 @@ def save_checkpoint(model: UNet3D, path, extras: Optional[Dict[str, np.ndarray]]
 
 def load_checkpoint(path) -> UNet3D:
     """Restore the model a checkpoint stores, bitwise, with its extras in
-    ``model.extras``. Any malformed, truncated or mismatched file raises
-    CheckpointError.
+    ``model.extras``. Any malformed, truncated or mismatched file, or one
+    with bytes after its last array, raises CheckpointError.
 
     The header's array table is checked against a freshly built model first,
     one whose conv weights are not drawn, since every one is overwritten;
@@ -426,8 +397,11 @@ def load_checkpoint(path) -> UNet3D:
                     if arr.size < n:
                         raise ValueError(f"array {name} is truncated")
                     model.extras[name[len("extra.") :]] = arr.reshape(shape)
+            if fh.read(1):
+                raise ValueError("bytes after the last array")
         except (struct.error, ValueError, KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
-    model._set_flags(bn_initialized)
+    for name, state in model._bn_states.items():
+        state.initialized = bool(bn_initialized[name])
     return model
 

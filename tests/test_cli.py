@@ -104,6 +104,22 @@ class TestTrain:
         assert code == 0
         assert record["patience"] == 3 and record["max_epochs"] == 3
 
+    @pytest.mark.parametrize("flags", [["--epochs", "0"], ["--epochs", "2", "--patience", "0"]])
+    def test_no_epoch_exits_1_before_writing(self, setup, tmp_path, capsys, flags):
+        # a checkpoint whose batch norms never ran cannot be used by segment
+        root, _, _ = setup
+        out = tmp_path / "train"
+        code = cli.run(
+            [
+                "train", "--manifest", str(root / "phantoms" / "manifest.csv"),
+                "--modality", "mprage", "--features", "2", "--out", str(out),
+            ]
+            + flags
+        )
+        assert code == 1
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_config_value_used_and_flag_overrides(self, setup, tmp_path):

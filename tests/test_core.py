@@ -10,8 +10,8 @@ from neuroseg.core import (
     AffineTransform,
     DegenerateVolumeWarning,
     GeometryError,
+    STRUCTURE_NAMES,
     LabelMap,
-    StructureTable,
     Volume,
     normalize_intensity,
     one_hot,
@@ -160,23 +160,10 @@ class TestOneHot:
 
 class TestStructureTable:
     def test_default_has_27_contiguous(self):
-        table = StructureTable.default()
-        assert [e.index for e in table] == list(range(1, 28))
+        assert len(STRUCTURE_NAMES) == NUM_CLASSES - 1 == 27
+        assert len(set(STRUCTURE_NAMES)) == 27
 
     def test_left_right_symmetry_of_cortical_wm(self):
-        table = StructureTable.default()
-        assert table.entries[0].name.endswith("Left")
-        assert table.entries[2].name.endswith("Right")
-        assert table.entries[0].name.replace("Left", "Right") == table.entries[2].name
-
-    def test_laterality_parsed(self):
-        table = StructureTable.default()
-        assert table.entries[13].laterality == "none"  # Brainstem
-        assert table.entries[0].laterality == "left"
-        assert table.entries[17].laterality == "right"
-
-    def test_rejects_wrong_count(self):
-        from neuroseg.core import Structure
-
-        with pytest.raises(ValueError):
-            StructureTable((Structure(1, "A", "none"),))
+        assert STRUCTURE_NAMES[0].endswith("Left")
+        assert STRUCTURE_NAMES[2].endswith("Right")
+        assert STRUCTURE_NAMES[0].replace("Left", "Right") == STRUCTURE_NAMES[2]

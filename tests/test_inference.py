@@ -35,8 +35,7 @@ class TestUncertainty:
         assert report.std_volume[2] == 10.0
         assert report.cv_per_structure[2] == 0.1
         assert report.cv_per_structure[1] == 0.0
-        # structure 5 is flagged and left out of the mean over 26 structures
-        assert report.excluded == [5]
+        # structure 5 is left out of the mean over 26 structures
         assert 5 not in report.cv_per_structure
         assert report.mean_volume[5] == 0.0
         assert len(report.cv_per_structure) == 26

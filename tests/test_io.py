@@ -8,6 +8,7 @@ from neuroseg.io import (
     ManifestRecord,
     NonFiniteDataError,
     TruncatedPayloadError,
+    VolumeFormatError,
     read_manifest,
     read_volume,
     write_manifest,
@@ -77,6 +78,14 @@ class TestLoadErrors:
         with pytest.raises(TruncatedPayloadError):
             read_volume(path)
 
+    @pytest.mark.parametrize("kind", ["volume", "labelmap"])
+    def test_trailing_bytes(self, tmp_path, kind, request):
+        path = tmp_path / "v.mvx"
+        write_volume(request.getfixturevalue(kind), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(VolumeFormatError, match="1 bytes after"):
+            read_volume(path)
+
     def test_non_finite_payload(self, tmp_path, volume):
         path = tmp_path / "v.mvx"
         write_volume(volume, path)
@@ -119,4 +128,11 @@ class TestManifest:
         path = tmp_path / "manifest.csv"
         path.write_text("a.mvx,b.mvx,mprage\n")
         with pytest.raises(ValueError):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("split", ["Train", "training", ""])
+    def test_rejects_unknown_split(self, tmp_path, split):
+        path = tmp_path / "manifest.csv"
+        path.write_text(f"a.mvx,a_labels.mvx,mprage,train\nb.mvx,b_labels.mvx,mprage,{split}\n")
+        with pytest.raises(ValueError, match="b.mvx"):
             read_manifest(path)

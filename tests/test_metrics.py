@@ -94,7 +94,7 @@ class TestSummaries:
         truth[1, 1, 1] = 0  # structure 2 never appears in truth
         pred[2, 2, 2] = 2  # but is predicted somewhere
         rep = dice_report(pred, truth, num_classes=4)
-        assert 2 in rep.missing and 3 in rep.missing
+        assert rep.volumes[2] == 0 and rep.volumes[3] == 0
         assert rep.average == pytest.approx(rep.per_structure[1])
         assert rep.volume_weighted == pytest.approx(rep.per_structure[1])
 
@@ -116,7 +116,7 @@ class TestCombinedLoss:
     def test_perfect_prediction_limit(self):
         # all 28 classes present; P = T clamped at 1 - 1e-7
         labels = np.arange(28, dtype=np.uint8).reshape(1, 4, 7)
-        T = one_hot(labels, 28)
+        T = one_hot(labels, 28)[None]
         P = T * (1 - 1e-7) + (1 - T) * (1e-7 / 27)
         loss = combined_loss(Tensor(P.astype(np.float64)), T.astype(np.float64))
         assert loss.item() == pytest.approx(-28.0, abs=1e-3)
@@ -124,8 +124,8 @@ class TestCombinedLoss:
     def test_uniform_prediction_hand_value(self):
         # 2x2x2 volume, all voxels class 5, P uniform = 1/28
         labels = np.full((2, 2, 2), 5, dtype=np.uint8)
-        T = one_hot(labels, 28).astype(np.float64)
-        P = np.full((28, 2, 2, 2), 1.0 / 28, dtype=np.float64)
+        T = one_hot(labels, 28)[None].astype(np.float64)
+        P = np.full((1, 28, 2, 2, 2), 1.0 / 28, dtype=np.float64)
         loss = combined_loss(Tensor(P), T)
         ce = 8 * math.log(28)
         present = (2 * 8 / 28 + DICE_EPS) / (8 / 28 + 8 + DICE_EPS)
@@ -135,7 +135,7 @@ class TestCombinedLoss:
 
     def test_shape_mismatch(self):
         with pytest.raises(ad.ShapeError):
-            combined_loss(Tensor(np.zeros((3, 2, 2, 2))), np.zeros((4, 2, 2, 2)))
+            combined_loss(Tensor(np.zeros((1, 3, 2, 2, 2))), np.zeros((1, 4, 2, 2, 2)))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gradient_wrt_logits(self, seed):
@@ -197,7 +197,7 @@ class TestPearson:
 
 class TestReportFile:
     def test_rows_and_summary(self, tmp_path):
-        rep = DiceReport({1: 0.9, 2: 0.7, 3: 0.5}, {1: 10, 2: 20, 3: 0}, missing=[3])
+        rep = DiceReport({1: 0.9, 2: 0.7, 3: 0.5}, {1: 10, 2: 20, 3: 0})
         path = tmp_path / "eval.csv"
         write_dice_rows([("vol0", rep), ("vol1", rep)], path)
         lines = path.read_text().strip().splitlines()

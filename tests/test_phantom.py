@@ -308,3 +308,9 @@ class TestDataset:
         vol = read_volume(rec.volume_path).data
         assert not np.array_equal(vol, read_volume(base.volume_path).data)
         assert np.array_equal(vol, read_volume(expected.volume_path).data)
+
+    @pytest.mark.parametrize("mode", ["nosie-0.3", "occlude-abc", "noise-nan", "swap-1", "noise"])
+    def test_unknown_mode_rejected_before_writing(self, tmp_path, mode):
+        with pytest.raises(ValueError, match="unknown corruption mode"):
+            _dataset(tmp_path / "out", modes=("noise-0.3", mode), n_corrupt=1)
+        assert not (tmp_path / "out").exists()

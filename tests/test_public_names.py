@@ -3,8 +3,11 @@
 A public top-level function, class or module constant, or a public method,
 counts as used when ``src/`` or ``perfbench/`` loads it somewhere: as a name,
 an attribute, an import alias or a string constant (the benchmark's tracer
-patches methods by their string name). A name only the tests reach is dead
-code; delete it, or list it in ``ALLOWED`` with the reason it stays.
+patches methods by their string name). A public field of a public dataclass
+counts as used only when it is read as an attribute or named by a string
+constant: a local variable of the same name is not a read of the field.
+A name only the tests reach is dead code; delete it, or list it in
+``ALLOWED`` with the reason it stays. A field only the tests read is deleted.
 """
 
 import ast
@@ -23,6 +26,14 @@ ALLOWED = {
 
 def _public(name):
     return not name.startswith("_")
+
+
+def _is_dataclass(node):
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
 
 
 def _definitions():
@@ -47,19 +58,49 @@ def _definitions():
     return found
 
 
-def _loaded_names():
-    """Every identifier that ``src/`` or ``perfbench/`` loads."""
-    loaded = set()
+def _fields():
+    """{qualified name: defining file} for every public field of a public
+    dataclass of the package."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and _public(node.name) and _is_dataclass(node):
+                for item in node.body:
+                    if (
+                        isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)
+                        and _public(item.target.id)
+                    ):
+                        found[f"{node.name}.{item.target.id}"] = path.name
+    return found
+
+
+def _sources():
     for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
-            elif isinstance(node, ast.alias):
-                loaded.add(node.name.split(".")[-1])
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                loaded.add(node.value)
+        yield from ast.walk(ast.parse(path.read_text()))
+
+
+def _read_attributes():
+    """Every attribute that ``src/`` or ``perfbench/`` reads, and every
+    string constant there (``getattr`` and the tracer name attributes so)."""
+    read = set()
+    for node in _sources():
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def _loaded_names():
+    """Every identifier that ``src/`` or ``perfbench/`` loads: the read
+    attributes and string constants, every loaded name and import alias."""
+    loaded = _read_attributes()
+    for node in _sources():
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.alias):
+            loaded.add(node.name.split(".")[-1])
     return loaded
 
 
@@ -71,6 +112,16 @@ def test_every_public_name_has_a_caller():
         if qualified.split(".")[-1] not in loaded and qualified not in ALLOWED
     )
     assert not dead, "public names only the tests use: " + ", ".join(dead)
+
+
+def test_every_dataclass_field_is_read():
+    read = _read_attributes()
+    dead = sorted(
+        f"{qualified} ({path})"
+        for qualified, path in _fields().items()
+        if qualified.split(".")[-1] not in read
+    )
+    assert not dead, "dataclass fields only the tests read: " + ", ".join(dead)
 
 
 def test_allowlist_names_existing_unused_names():

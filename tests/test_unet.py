@@ -345,6 +345,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="bn_initialized"):
             load_checkpoint(path)
 
+    def test_trailing_bytes_rejected(self, tiny_model, tmp_path):
+        path = tmp_path / "model.ckpt"
+        for extras in (None, {"adam.t": np.asarray([7], dtype=np.int64)}):
+            save_checkpoint(tiny_model, path, extras=extras)
+            path.write_bytes(path.read_bytes() + b"\x00")
+            with pytest.raises(CheckpointError, match="after the last array"):
+                load_checkpoint(path)
+
     @pytest.mark.parametrize(
         "edit, match",
         [
