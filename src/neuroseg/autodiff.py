@@ -445,34 +445,30 @@ def max_pool3d(x: Tensor) -> Tensor:
     """2x max pooling on all three spatial axes.
 
     The forward pass is a running maximum over the eight strided views of
-    the 2x2x2 blocks. The block argmax is taken only in the backward pass,
-    which routes the gradient to it; ties break to the first position in
-    (dx, dy, dz) order, and a NaN takes the gradient from any number.
+    the 2x2x2 blocks. The backward pass walks the same views in (dx, dy, dz)
+    order and routes each block's gradient to the first position that holds
+    the block maximum or a NaN (a NaN is its block's maximum); the ``taken``
+    mask keeps a later tie from receiving it again.
     """
     _check_5d(x)
-    B, C, X, Y, Z = x.shape
-    for axis, n in zip("xyz", (X, Y, Z)):
+    for axis, n in zip("xyz", x.shape[2:]):
         if n % 2:
             raise ShapeError(f"max_pool3d needs even spatial dims; axis {axis} has {n}")
+    corners = list(np.ndindex(2, 2, 2))
     out_data = x.data[:, :, 0::2, 0::2, 0::2].copy()
-    for dx, dy, dz in list(np.ndindex(2, 2, 2))[1:]:
+    for dx, dy, dz in corners[1:]:
         # the running maximum is the second operand, the one np.maximum
         # returns on a tie, so even a -0/+0 tie keeps the first value
         np.maximum(x.data[:, :, dx::2, dy::2, dz::2], out_data, out=out_data)
 
     def bwd(g):
-        blocks = (
-            x.data.reshape(B, C, X // 2, 2, Y // 2, 2, Z // 2, 2)
-            .transpose(0, 1, 2, 4, 6, 3, 5, 7)
-            .reshape(B, C, X // 2, Y // 2, Z // 2, 8)
-        )
-        gb = np.zeros(blocks.shape, dtype=g.dtype)
-        np.put_along_axis(gb, blocks.argmax(axis=-1)[..., None], g[..., None], axis=-1)
-        gx = (
-            gb.reshape(B, C, X // 2, Y // 2, Z // 2, 2, 2, 2)
-            .transpose(0, 1, 2, 5, 3, 6, 4, 7)
-            .reshape(B, C, X, Y, Z)
-        )
+        gx = np.zeros(x.shape, dtype=g.dtype)
+        taken = np.zeros(out_data.shape, dtype=bool)
+        for dx, dy, dz in corners:
+            view = x.data[:, :, dx::2, dy::2, dz::2]
+            hit = ((view == out_data) | np.isnan(view)) & ~taken
+            np.copyto(gx[:, :, dx::2, dy::2, dz::2], g, where=hit)
+            taken |= hit
         x.accumulate_grad(gx)
 
     return _make(out_data, (x,), bwd)

@@ -166,7 +166,7 @@ def cmd_phantoms(args) -> int:
         spec = default_phantom_spec(
             dims=dims,
             modalities=tuple(args.modalities.split(",")),
-            seed=int(args.seed or 0),
+            seed=args.seed,
             isotropic=args.isotropic,
         )
     manifest = generate_dataset(
@@ -194,6 +194,21 @@ def cmd_phantoms(args) -> int:
     return 0
 
 
+def _train_config(args) -> TrainConfig:
+    """The flags' settings: each defaults to TrainConfig's, --patience to --epochs."""
+    return TrainConfig(
+        learning_rate=args.lr,
+        max_epochs=args.epochs,
+        patience=args.epochs if args.patience is None else args.patience,
+        batch_size=args.batch_size,
+        seed=args.seed,
+        validation_fraction=args.validation_fraction,
+        translation_voxels=args.aug_translation,
+        rotation_degrees=args.aug_rotation,
+        crop_fraction=args.aug_crop,
+    )
+
+
 def cmd_train(args) -> int:
     out_dir = Path(args.out)
     records = [r for r in read_manifest(args.manifest) if r.modality == args.modality]
@@ -209,17 +224,7 @@ def cmd_train(args) -> int:
         dropout_rate=args.dropout_rate,
         input_dims=first.dims,
     )
-    cfg = TrainConfig(
-        learning_rate=args.lr,
-        max_epochs=args.epochs,
-        patience=args.epochs if args.patience is None else args.patience,
-        batch_size=args.batch_size,
-        seed=args.seed or 0,
-        validation_fraction=args.validation_fraction,
-        translation_voxels=args.aug_translation,
-        rotation_degrees=args.aug_rotation,
-        crop_fraction=args.aug_crop,
-    )
+    cfg = _train_config(args)
     model = UNet3D(spec, seed=cfg.seed)
     model, log = train(model, records, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -488,15 +493,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--bottleneck", type=int, default=2)
     p.add_argument("--dropout-rate", type=float, default=ModelSpec.dropout_rate)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--epochs", type=int, default=400)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
     p.add_argument("--patience", type=int, default=None, help="default: --epochs")
-    p.add_argument("--batch-size", type=int, default=1)
-    p.add_argument("--validation-fraction", type=float, default=0.1)
-    p.add_argument("--aug-translation", type=float, default=4.0)
-    p.add_argument("--aug-rotation", type=float, default=10.0)
-    p.add_argument("--aug-crop", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--validation-fraction", type=float, default=TrainConfig.validation_fraction)
+    p.add_argument("--aug-translation", type=float, default=TrainConfig.translation_voxels)
+    p.add_argument("--aug-rotation", type=float, default=TrainConfig.rotation_degrees)
+    p.add_argument("--aug-crop", type=float, default=TrainConfig.crop_fraction)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

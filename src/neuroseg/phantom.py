@@ -318,37 +318,10 @@ def generate_subject(
 # -- corruption modes for the quality-control experiments --
 
 
-def corrupt_noise(v: Volume, level: float, rng: np.random.Generator) -> Volume:
-    """Additive Gaussian noise with sigma = level * intensity range."""
-    span = float(v.data.max() - v.data.min())
-    noisy = v.data + rng.standard_normal(v.dims) * (level * span)
-    return Volume(noisy.astype(np.float32), v.spacing, v.affine)
-
-
-def corrupt_occlusion(v: Volume, fraction: float, rng: np.random.Generator) -> Volume:
-    """Zero out a random cuboid covering ``fraction`` of each axis."""
-    data = np.array(v.data)
-    slices = []
-    for n in v.dims:
-        w = max(1, int(round(fraction * n)))
-        start = int(rng.integers(0, max(1, n - w + 1)))
-        slices.append(slice(start, start + w))
-    data[tuple(slices)] = 0.0
-    return Volume(data, v.spacing, v.affine)
-
-
 def _swap_partner(volumes: Dict[str, Volume], modality: str) -> Optional[Volume]:
     """The first other modality's volume on ``modality``'s grid, or None."""
     dims = volumes[modality].dims
     return next((v for other, v in volumes.items() if other != modality and v.dims == dims), None)
-
-
-def corrupt_contrast_swap(volumes: Dict[str, Volume], modality: str) -> Volume:
-    """Stand in a same-grid volume from another modality (wrong contrast)."""
-    partner = _swap_partner(volumes, modality)
-    if partner is None:
-        raise ValueError(f"no same-grid partner modality for {modality!r}")
-    return Volume(partner.data, volumes[modality].spacing, volumes[modality].affine)
 
 
 _CORRUPTIONS = ("noise-0.3", "noise-0.5", "noise-0.7", "occlude-0.4", "swap")
@@ -371,18 +344,29 @@ def _parse_corruption(mode: str) -> Tuple[str, float]:
     raise ValueError(f"unknown corruption mode {mode!r}")
 
 
-def apply_corruption(
-    volumes: Dict[str, Volume],
-    modality: str,
-    mode: str,
-    rng: np.random.Generator,
+def _corrupt(
+    volumes: Dict[str, Volume], modality: str, mode: Tuple[str, float], rng: np.random.Generator
 ) -> Volume:
-    kind, level = _parse_corruption(mode)
+    """``volumes[modality]`` under a parsed ``mode`` (kind, level): 'noise'
+    adds Gaussian noise of sigma level * intensity range, 'occlude' zeroes a
+    random cuboid spanning ``level`` of each axis, and 'swap' stands in the
+    same-grid volume of another modality (wrong contrast), which must exist."""
+    kind, level = mode
+    v = volumes[modality]
     if kind == "noise":
-        return corrupt_noise(volumes[modality], level, rng)
-    if kind == "occlude":
-        return corrupt_occlusion(volumes[modality], level, rng)
-    return corrupt_contrast_swap(volumes, modality)
+        span = float(v.data.max() - v.data.min())
+        data = (v.data + rng.standard_normal(v.dims) * (level * span)).astype(np.float32)
+    elif kind == "occlude":
+        data = np.array(v.data)
+        slices = []
+        for n in v.dims:
+            w = max(1, int(round(level * n)))
+            start = int(rng.integers(0, max(1, n - w + 1)))
+            slices.append(slice(start, start + w))
+        data[tuple(slices)] = 0.0
+    else:
+        data = _swap_partner(volumes, modality).data
+    return Volume(data, v.spacing, v.affine)
 
 
 def _split_counts(n: int, test_fraction: float, val_fraction: float) -> Tuple[int, int]:
@@ -404,14 +388,15 @@ def generate_dataset(
     """Write MVOX volume/label pairs plus a manifest with train/validation/
     test split tags; the last ``n_corrupt`` test subjects get corrupted
     volumes (labels stay truthful) and a corruption note in the manifest.
-    Every mode is checked before anything is written; 'swap' on a modality
-    with no same-grid partner (DWI's grid) applies, and notes, 'noise-0.5'.
-    Returns the manifest path.
+    Every mode is checked, and corruption with no mode rejected, before
+    anything is written; 'swap' on a modality with no same-grid partner
+    (DWI's grid) applies, and notes, 'noise-0.5'. Returns the manifest path.
     """
     if n_subjects < 5:
         raise ValueError(f"need at least 5 subjects, got {n_subjects}")
-    for mode in corruption_modes:
-        _parse_corruption(mode)
+    modes = [(mode, _parse_corruption(mode)) for mode in corruption_modes]
+    if n_corrupt > 0 and not modes:
+        raise ValueError(f"cannot corrupt {n_corrupt} subjects with no corruption mode")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     modalities = list(modalities or spec.modalities)
@@ -438,13 +423,13 @@ def generate_dataset(
             note = ""
             vol = volumes[modality]
             if subject in corrupt_subjects:
-                mode = corruption_modes[subject % len(corruption_modes)]
+                mode, parsed = modes[subject % len(modes)]
                 rng = np.random.default_rng(
                     np.random.SeedSequence([spec.seed, subject, 0xBAD])
                 )
                 if mode == "swap" and _swap_partner(volumes, modality) is None:
-                    mode = "noise-0.5"
-                vol = apply_corruption(volumes, modality, mode, rng)
+                    mode, parsed = "noise-0.5", ("noise", 0.5)
+                vol = _corrupt(volumes, modality, parsed, rng)
                 note = f"corrupt:{mode}"
             vol_name = f"subject{subject:03d}_{modality}.mvx"
             lab_name = f"subject{subject:03d}_{modality}_labels.mvx"

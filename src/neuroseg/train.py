@@ -150,9 +150,9 @@ def augment(
     v: Volume,
     l: LabelMap,
     rng: np.random.Generator,
-    translation_voxels: float = 4.0,
-    rotation_degrees: float = 10.0,
-    crop_fraction: float = 0.1,
+    translation_voxels: float,
+    rotation_degrees: float,
+    crop_fraction: float,
 ) -> Tuple[Volume, LabelMap]:
     """Apply one random rigid transform plus crop-and-zero-pad to a paired
     volume and label map: spline resampling for intensities, nearest for

@@ -16,7 +16,7 @@ import struct
 from collections import OrderedDict, deque
 from dataclasses import asdict, dataclass
 from itertools import islice
-from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -299,21 +299,6 @@ class UNet3D:
             arrays[f"{name}.running_var"] = state.running_var
         return arrays
 
-    def _check_state(
-        self, shapes: Mapping[str, Tuple[int, ...]], bn_initialized: Mapping[str, bool]
-    ) -> None:
-        """A full named state must name exactly this model's arrays and batch
-        norms, each array with the model's shape; raises CheckpointError."""
-        own = self.named_arrays()
-        _require_names("array", shapes, own)
-        _require_names("batch-norm flag", bn_initialized, self._bn_states)
-        for name, arr in own.items():
-            have = tuple(shapes[name])
-            if have != arr.shape:
-                raise CheckpointError(
-                    f"array {name!r} has shape {have}, the model needs {arr.shape}"
-                )
-
 
 def _require_names(kind, given, expected) -> None:
     missing = sorted(set(expected) - set(given))
@@ -361,10 +346,11 @@ def load_checkpoint(path) -> UNet3D:
     ``model.extras``. Any malformed, truncated or mismatched file, or one
     with bytes after its last array, raises CheckpointError.
 
-    The header's array table is checked against a freshly built model first,
-    one whose conv weights are not drawn, since every one is overwritten;
-    each payload is then read straight into that model's own array, so the
-    weights are held once."""
+    The header's array and batch-norm names are checked against a freshly
+    built model first, one whose conv weights are not drawn, since every one
+    is overwritten. One walk over the array table then checks each array's
+    shape and dtype and reads its payload straight into that model's own
+    array, so the weights are held once."""
     with open(path, "rb") as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
@@ -375,16 +361,18 @@ def load_checkpoint(path) -> UNet3D:
             model = UNet3D.__new__(UNet3D)
             model._build(spec, header["seed"], np.dtype(header["dtype"]), None)
             bn_initialized = dict(header["bn_initialized"])
-            table = [(name, tuple(shape), np.dtype(dt)) for name, shape, dt in header["arrays"]]
-            shapes = {name: shape for name, shape, _ in table if not name.startswith("extra.")}
-            try:
-                model._check_state(shapes, bn_initialized)
-            except CheckpointError as exc:
-                raise CheckpointError(f"{path}: {exc}") from None
             own = model.named_arrays()
+            table = header["arrays"]
+            _require_names("array", [n for n, _, _ in table if not n.startswith("extra.")], own)
+            _require_names("batch-norm flag", bn_initialized, model._bn_states)
             for name, shape, dtype in table:
+                shape, dtype = tuple(shape), np.dtype(dtype)
                 if name in own:
                     arr = own[name]
+                    if shape != arr.shape:
+                        raise CheckpointError(
+                            f"array {name!r} has shape {shape}, the model needs {arr.shape}"
+                        )
                     if dtype.newbyteorder("=") != arr.dtype:
                         raise ValueError(f"array {name} is {dtype}, the model needs {arr.dtype}")
                     if fh.readinto(memoryview(arr).cast("B")) < arr.nbytes:
@@ -399,6 +387,8 @@ def load_checkpoint(path) -> UNet3D:
                     model.extras[name[len("extra.") :]] = arr.reshape(shape)
             if fh.read(1):
                 raise ValueError("bytes after the last array")
+        except CheckpointError as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
         except (struct.error, ValueError, KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
     for name, state in model._bn_states.items():

@@ -11,6 +11,7 @@ from neuroseg.core import normalize_intensity
 from neuroseg.inference import mc_segment, uncertainty, write_uncertainty_report
 from neuroseg.io import read_manifest, read_volume, write_volume
 from neuroseg.phantom import default_phantom_spec, generate_dataset, generate_subject
+from neuroseg.train import TrainConfig
 from neuroseg.unet import ModelSpec, UNet3D, load_checkpoint, save_checkpoint
 
 
@@ -92,6 +93,13 @@ class TestDropoutRate:
 
 
 class TestTrain:
+    def test_bare_parse_takes_the_train_config_defaults(self):
+        # the train-32 benchmark runs TrainConfig's defaults as segctl train's
+        args = cli.build_parser().parse_args(
+            ["train", "--manifest", "m", "--modality", "mprage", "--out", "o"]
+        )
+        assert cli._train_config(args) == TrainConfig(patience=TrainConfig.max_epochs)
+
     def test_patience_defaults_to_epochs(self, setup, tmp_path):
         root, _, _ = setup
         code, record = _run(

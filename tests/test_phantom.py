@@ -314,3 +314,8 @@ class TestDataset:
         with pytest.raises(ValueError, match="unknown corruption mode"):
             _dataset(tmp_path / "out", modes=("noise-0.3", mode), n_corrupt=1)
         assert not (tmp_path / "out").exists()
+
+    def test_corruption_without_a_mode_rejected_before_writing(self, tmp_path):
+        with pytest.raises(ValueError, match="no corruption mode"):
+            _dataset(tmp_path / "out", modalities=("mprage",), modes=(), n_corrupt=1)
+        assert not (tmp_path / "out").exists()

@@ -1,13 +1,18 @@
 """Every public name in ``neuroseg`` has a caller outside the tests.
 
-A public top-level function, class or module constant, or a public method,
-counts as used when ``src/`` or ``perfbench/`` loads it somewhere: as a name,
-an attribute, an import alias or a string constant (the benchmark's tracer
-patches methods by their string name). A public field of a public dataclass
-counts as used only when it is read as an attribute or named by a string
-constant: a local variable of the same name is not a read of the field.
-A name only the tests reach is dead code; delete it, or list it in
-``ALLOWED`` with the reason it stays. A field only the tests read is deleted.
+A public module-level function counts as used when ``src/`` or
+``perfbench/`` loads it from its own module: as a bare name in that module,
+as a name imported from that module, as an attribute of a name bound to that
+module, or as a string constant (the benchmark's tracer patches functions by
+their string name). A method of some other object that shares its name, such
+as ``set.add``, is not a use of ``autodiff.add``. A public class or module
+constant, or a public method, counts as used when ``src/`` or ``perfbench/``
+loads it somewhere: as a name, an attribute, an import alias or a string
+constant. A public field of a public dataclass counts as used only when it is
+read as an attribute or named by a string constant: a local variable of the
+same name is not a read of the field. A name only the tests reach is dead
+code; delete it, or list it in ``ALLOWED`` with the reason it stays. A field
+only the tests read is deleted.
 """
 
 import ast
@@ -17,6 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "neuroseg"
 
 ALLOWED = {
+    "autodiff.add": "a graph op the autodiff tests compose gradients from",
     "autodiff.mul": "a graph op the autodiff tests compose gradients from",
     "autodiff.sum_all": "the scalar reduction the autodiff gradient checks end in",
     "UNet3D.parameter_count": "the trainable-scalar count the tests check against a closed form",
@@ -37,24 +43,25 @@ def _is_dataclass(node):
 
 
 def _definitions():
-    """{qualified name: defining file} for every public top-level function,
-    class and module constant of the package, and every public method."""
+    """{qualified name: (defining file, whether it is a module-level
+    function)} for every public top-level function, class and module constant
+    of the package, and every public method."""
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name):
-                found[f"{module}.{node.name}"] = path.name
+                found[f"{module}.{node.name}"] = (path.name, isinstance(node, ast.FunctionDef))
                 if isinstance(node, ast.ClassDef):
                     for item in node.body:
                         if isinstance(item, ast.FunctionDef) and _public(item.name):
-                            found[f"{node.name}.{item.name}"] = path.name
+                            found[f"{node.name}.{item.name}"] = (path.name, False)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for target in targets:
                     for name in ast.walk(target):
                         if isinstance(name, ast.Name) and _public(name.id):
-                            found[f"{module}.{name.id}"] = path.name
+                            found[f"{module}.{name.id}"] = (path.name, False)
     return found
 
 
@@ -75,20 +82,75 @@ def _fields():
     return found
 
 
+def _source_paths():
+    return sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+
+
 def _sources():
-    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py")):
+    for path in _source_paths():
         yield from ast.walk(ast.parse(path.read_text()))
+
+
+def _from_module(node):
+    """The package module a ``from ... import`` names: '' for the package
+    itself, None for a module outside it."""
+    if node.level == 1:
+        return node.module or ""
+    if node.module == "neuroseg":
+        return ""
+    if node.module and node.module.startswith("neuroseg."):
+        return node.module[len("neuroseg.") :]
+    return None
+
+
+def _function_uses():
+    """Every 'module.name' that ``src/`` or ``perfbench/`` loads from that
+    package module: a bare name in the module itself, a name imported from
+    it, or an attribute of a name bound to it."""
+    used = set()
+    for path in _source_paths():
+        tree = ast.parse(path.read_text())
+        own = path.stem if path.parent == PACKAGE else None
+        bound = {}  # local name -> the package module it is bound to
+        for node in ast.walk(tree):
+            source = _from_module(node) if isinstance(node, ast.ImportFrom) else None
+            if source is None:
+                continue
+            for alias in node.names:
+                if source:
+                    used.add(f"{source}.{alias.name}")
+                else:  # from neuroseg import autodiff as ad
+                    bound[alias.asname or alias.name] = alias.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and own:
+                used.add(f"{own}.{node.id}")
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in bound
+            ):
+                used.add(f"{bound[node.value.id]}.{node.attr}")
+    return used
+
+
+def _strings():
+    """Every string constant in ``src/`` or ``perfbench/`` (``getattr`` and
+    the tracer name attributes so)."""
+    return {
+        node.value
+        for node in _sources()
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
 
 
 def _read_attributes():
     """Every attribute that ``src/`` or ``perfbench/`` reads, and every
-    string constant there (``getattr`` and the tracer name attributes so)."""
-    read = set()
+    string constant there."""
+    read = _strings()
     for node in _sources():
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             read.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            read.add(node.value)
     return read
 
 
@@ -104,12 +166,27 @@ def _loaded_names():
     return loaded
 
 
-def test_every_public_name_has_a_caller():
+def _unused():
+    """{qualified name: defining file} of every public name with no use
+    outside the tests."""
     loaded = _loaded_names()
+    functions = _function_uses()
+    strings = _strings()
+    unused = {}
+    for qualified, (path, is_function) in _definitions().items():
+        name = qualified.split(".")[-1]
+        if is_function:
+            used = qualified in functions or name in strings
+        else:
+            used = name in loaded
+        if not used:
+            unused[qualified] = path
+    return unused
+
+
+def test_every_public_name_has_a_caller():
     dead = sorted(
-        f"{qualified} ({path})"
-        for qualified, path in _definitions().items()
-        if qualified.split(".")[-1] not in loaded and qualified not in ALLOWED
+        f"{qualified} ({path})" for qualified, path in _unused().items() if qualified not in ALLOWED
     )
     assert not dead, "public names only the tests use: " + ", ".join(dead)
 
@@ -126,7 +203,7 @@ def test_every_dataclass_field_is_read():
 
 def test_allowlist_names_existing_unused_names():
     definitions = _definitions()
-    loaded = _loaded_names()
+    unused = _unused()
     for qualified in ALLOWED:
         assert qualified in definitions, f"{qualified} is not defined"
-        assert qualified.split(".")[-1] not in loaded, f"{qualified} has a caller now"
+        assert qualified in unused, f"{qualified} has a caller now"
