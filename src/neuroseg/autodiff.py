@@ -24,8 +24,9 @@ nested ``parallel()`` reuses it. Inside it, a convolution shares its slabs
 among the calling thread and the workers, which take them in slab order from
 one queue, and every slab runs the same GEMM as outside it; the weight
 gradient keeps its per-slab partials and sums them in slab order, so every
-result is bitwise that of one thread. Pool threads do not see the region, so
-work running on them is never split again.
+result is bitwise that of one thread. Pool threads see no region and build
+no graph, so work running on them is never split again and records no
+backward; every graph is built on a thread outside the pool.
 """
 
 from __future__ import annotations
@@ -141,12 +142,25 @@ class _Region:
 _region: ContextVar[Optional[_Region]] = ContextVar("parallel_region", default=None)
 
 
+def _pool_thread_context():
+    """Set a pool thread's context once, when it starts, even where threads
+    inherit their creator's (an interpreter option): no region, so its work
+    is never split again, and no graph."""
+    _region.set(None)
+    _grad_enabled.set(False)
+
+
 @contextmanager
 def parallel():
     """Run the block in a parallel region and yield it: the region already
     published in this context, else a new one published for the block, with
     ``parallel_workers()`` pool threads and OpenBLAS pinned to one thread
-    while they exist."""
+    while they exist.
+
+    A pool thread sees no region and builds no graph, whoever submits to it:
+    an op run there returns a tensor with no backward, even on inputs that
+    require gradients. Nothing that needs a graph runs there: a conv's slab
+    tasks are plain numpy, and an MC pass needs none."""
     region = _region.get()
     if region is not None:
         yield region
@@ -154,11 +168,8 @@ def parallel():
     n = parallel_workers()
     pin, pool = nullcontext(), nullcontext()
     if n > 1:
-        # the initializer keeps the region from a pool thread even where
-        # threads inherit their creator's context (an interpreter option): no
-        # nesting
         pin = _one_blas_thread()
-        pool = ThreadPoolExecutor(n, "parallel", initializer=_region.set, initargs=(None,))
+        pool = ThreadPoolExecutor(n, "parallel", initializer=_pool_thread_context)
     with pin, pool as executor:
         region = _Region(n, executor)
         token = _region.set(region)

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import transforms as tf
-from .core import LabelMap, Volume, normalize_intensity
+from .core import NUM_CLASSES, LabelMap, Volume, normalize_intensity
 from .inference import (
     CV_THRESHOLDS,
     DEFAULT_MC_SAMPLES,
@@ -122,36 +122,69 @@ class _StageClock:
         return {**self._seconds, "total_s": time.perf_counter() - self._start}
 
 
+# the settings a --config file may hold, each with the cast its flag applies;
+# flags and defaults already have these types
+_CONFIG_CASTS = {
+    "modality": str, "cv-threshold": float, "seed": int,
+    "mc": str, "mc-samples": int, "dropout-rate": float,
+}
+
+
+def _read_config(path) -> Dict:
+    """The settings of a ``--config`` file, cast as their flags are."""
+    settings = json.loads(Path(path).read_text())
+    if not isinstance(settings, dict):
+        raise ValueError(f"config {path}: expected a JSON object of settings")
+    for key, value in settings.items():
+        try:
+            if key not in _CONFIG_CASTS:
+                raise ValueError(f"not one of the settings {', '.join(_CONFIG_CASTS)}")
+            settings[key] = _CONFIG_CASTS[key](value)
+            if key == "mc" and value not in ("on", "off"):
+                raise ValueError(f"expected 'on' or 'off', got {value!r}")
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"config {path}: setting {key!r}: {exc}") from None
+    return settings
+
+
 def _pipeline_config(args) -> PipelineConfig:
     """Each setting comes from its flag, else the ``--config`` JSON file,
-    else its default."""
-    from_file = json.loads(Path(args.config).read_text()) if args.config else {}
+    else its default. The file must hold one JSON object; a key that is not
+    one of the six settings, a value its flag's cast rejects, or an ``mc``
+    other than ``on`` or ``off`` raises ValueError naming the file and key."""
+    from_file = _read_config(args.config) if args.config else {}
 
-    def resolve(key, default, cast):
-        for value in (getattr(args, key.replace("-", "_")), from_file.get(key), default):
+    def resolve(key, default):
+        for value in (getattr(args, key.replace("-", "_")), from_file.get(key)):
             if value is not None:
-                return cast(value)
-        return None
+                return value
+        return default
 
-    modality = resolve("modality", "mprage", str)
-    threshold = resolve("cv-threshold", CV_THRESHOLDS.get(modality), float)
+    modality = resolve("modality", "mprage")
+    threshold = resolve("cv-threshold", CV_THRESHOLDS.get(modality))
     return PipelineConfig(
         modality=modality,
         reference=Path(args.reference) if getattr(args, "reference", None) else None,
         checkpoint=Path(args.checkpoint),
         out_dir=Path(args.out),
-        seed=resolve("seed", 0, int),
+        seed=resolve("seed", 0),
         # uncertainty has no --mc: it always samples
-        mc=not hasattr(args, "mc") or resolve("mc", "on", str) == "on",
-        mc_samples=resolve("mc-samples", DEFAULT_MC_SAMPLES, int),
-        dropout_rate=resolve("dropout-rate", None, float),
+        mc=not hasattr(args, "mc") or resolve("mc", "on") == "on",
+        mc_samples=resolve("mc-samples", DEFAULT_MC_SAMPLES),
+        dropout_rate=resolve("dropout-rate", None),
         cv_threshold=threshold,
     )
 
 
 def _load_model(cfg: PipelineConfig) -> UNet3D:
-    """Load the checkpoint; a set dropout rate replaces the trained one."""
+    """Load the checkpoint, which must segment all NUM_CLASSES classes; a set
+    dropout rate replaces the trained one."""
     model = load_checkpoint(cfg.checkpoint)
+    if model.spec.num_classes != NUM_CLASSES:
+        raise ValueError(
+            f"{cfg.checkpoint}: the model has {model.spec.num_classes} classes, "
+            f"segctl needs {NUM_CLASSES}"
+        )
     if cfg.dropout_rate is not None:
         model.spec = dataclasses.replace(model.spec, dropout_rate=cfg.dropout_rate)
     return model
@@ -217,7 +250,6 @@ def cmd_train(args) -> int:
         return 1
     first = read_as(records[0].volume_path, Volume)
     spec = ModelSpec(
-        num_classes=28,
         features=args.features,
         depth=args.depth,
         bottleneck_layers=args.bottleneck,

@@ -3,8 +3,10 @@
 Conventions: grids are indexed (x, y, z); bulk voxel data is float32 for
 intensities and uint8 for labels, while statistics and geometry are computed
 in float64. Volumes and label maps are immutable after construction, so they
-can be shared freely across threads. Label s in 1..27 is the structure named
-``STRUCTURE_NAMES[s - 1]``; label 0 is background.
+can be shared freely across threads; both end their construction in one
+shared step that checks the grid and the spacing and, when none is given,
+sets the voxel-to-world affine to the spacing's diagonal. Label s in 1..27
+is the structure named ``STRUCTURE_NAMES[s - 1]``; label 0 is background.
 """
 
 from __future__ import annotations
@@ -83,13 +85,20 @@ class AffineTransform:
         return AffineTransform(inv, -inv @ self.translation)
 
 
-def _check_grid(shape, spacing) -> Tuple[float, float, float]:
-    if len(shape) != 3 or min(shape) < 1:
-        raise ValueError(f"expected a non-empty 3-D grid, got shape {shape}")
-    sp = tuple(float(s) for s in spacing)
+def _freeze(grid, name, array: np.ndarray) -> None:
+    """The constructor tail of the grid types: check ``array``'s grid and
+    ``grid.spacing``, then store ``array``, read-only, as ``name``, the
+    spacing as floats and the affine, by default the spacing's diagonal."""
+    if array.ndim != 3 or min(array.shape) < 1:
+        raise ValueError(f"expected a non-empty 3-D grid, got shape {array.shape}")
+    sp = tuple(float(s) for s in grid.spacing)
     if len(sp) != 3 or min(sp) <= 0:
-        raise ValueError(f"voxel spacing must be positive, got {spacing}")
-    return sp
+        raise ValueError(f"voxel spacing must be positive, got {grid.spacing}")
+    array.setflags(write=False)
+    object.__setattr__(grid, name, array)
+    object.__setattr__(grid, "spacing", sp)
+    if grid.affine is None:
+        object.__setattr__(grid, "affine", AffineTransform(np.diag(sp), np.zeros(3)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,17 +110,9 @@ class Volume:
     affine: Optional[AffineTransform] = None
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=np.float32)
-        sp = _check_grid(data.shape, self.spacing)
-        if not np.all(np.isfinite(data)):
+        _freeze(self, "data", np.array(self.data, dtype=np.float32))
+        if not np.all(np.isfinite(self.data)):
             raise ValueError("volume contains non-finite intensities")
-        affine = self.affine
-        if affine is None:
-            affine = AffineTransform(np.diag(sp), np.zeros(3))
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "spacing", sp)
-        object.__setattr__(self, "affine", affine)
 
     @property
     def dims(self) -> Tuple[int, int, int]:
@@ -135,15 +136,7 @@ class LabelMap:
                 f"labels must lie in [0, {NUM_CLASSES - 1}], "
                 f"got range [{labels.min()}, {labels.max()}]"
             )
-        labels = labels.astype(np.uint8)  # always a copy: owned and read-only
-        sp = _check_grid(labels.shape, self.spacing)
-        affine = self.affine
-        if affine is None:
-            affine = AffineTransform(np.diag(sp), np.zeros(3))
-        labels.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "spacing", sp)
-        object.__setattr__(self, "affine", affine)
+        _freeze(self, "labels", labels.astype(np.uint8))  # always a copy: owned
 
     @property
     def dims(self) -> Tuple[int, int, int]:

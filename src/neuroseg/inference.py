@@ -58,10 +58,6 @@ def hard_segment(P: np.ndarray, like: Volume) -> LabelMap:
     return LabelMap(np.argmax(P, axis=0).astype(np.uint8), like.spacing, like.affine)
 
 
-def _structure_volumes(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    return np.bincount(labels.reshape(-1), minlength=num_classes)[:num_classes]
-
-
 def mc_segment(
     model: UNet3D,
     v: Volume,
@@ -90,7 +86,7 @@ def mc_segment(
     def fuse(P):
         sample = P.data[0]
         np.add(total, sample, out=total)
-        volumes.append(_structure_volumes(np.argmax(sample, axis=0), num_classes))
+        volumes.append(np.bincount(sample.argmax(axis=0).ravel(), minlength=num_classes))
 
     x = np.asarray(v.data, dtype=model.dtype)[None, None]
     rngs = (np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n))

@@ -397,12 +397,12 @@ def generate_dataset(
     modes = [(mode, _parse_corruption(mode)) for mode in corruption_modes]
     if n_corrupt > 0 and not modes:
         raise ValueError(f"cannot corrupt {n_corrupt} subjects with no corruption mode")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     modalities = list(modalities or spec.modalities)
     n_test, n_val = _split_counts(n_subjects, test_fraction, validation_fraction)
     if n_corrupt > n_test:
         raise ValueError(f"cannot corrupt {n_corrupt} of {n_test} test subjects")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rng_split = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xC0FFEE]))
     order = rng_split.permutation(n_subjects)
     split_of = {}
@@ -454,27 +454,35 @@ _SCALAR_FIELDS = tuple(f.name for f in fields(PhantomSpec) if f.default is not M
 
 
 def load_phantom_spec(path) -> PhantomSpec:
-    """Read a PhantomSpec from its JSON config form."""
+    """Read a PhantomSpec from its JSON config form. A missing key or an
+    entry of the wrong type raises ValueError naming the file; the spec's
+    own checks then run as for any PhantomSpec."""
     cfg = json.loads(Path(path).read_text())
-    structures = tuple(
-        PaintStep(int(s["label"]), tuple(s["center"]), tuple(s["radii"]))
-        for s in cfg["structures"]
-    )
-    modalities = {
-        name: ModalityProfile(
-            spacing=tuple(p["spacing"]),
-            contrast={int(k): tuple(v) for k, v in p["contrast"].items()},
+    try:
+        structures = tuple(
+            PaintStep(int(s["label"]), tuple(s["center"]), tuple(s["radii"]))
+            for s in cfg["structures"]
         )
-        for name, p in cfg["modalities"].items()
-    }
-    return PhantomSpec(
-        dims=tuple(cfg["dims"]),
-        structures=structures,
-        modalities=modalities,
-        reference_modality=cfg["reference_modality"],
-        # fields the config omits keep the PhantomSpec defaults
-        **{name: cfg[name] for name in _SCALAR_FIELDS if name in cfg},
-    )
+        modalities = {
+            name: ModalityProfile(
+                spacing=tuple(p["spacing"]),
+                contrast={int(k): tuple(v) for k, v in p["contrast"].items()},
+            )
+            for name, p in cfg["modalities"].items()
+        }
+        kwargs = dict(
+            dims=tuple(cfg["dims"]),
+            structures=structures,
+            modalities=modalities,
+            reference_modality=cfg["reference_modality"],
+            # fields the config omits keep the PhantomSpec defaults
+            **{name: cfg[name] for name in _SCALAR_FIELDS if name in cfg},
+        )
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(
+            f"phantom spec {path}: missing or mistyped entry ({type(exc).__name__}: {exc})"
+        ) from None
+    return PhantomSpec(**kwargs)
 
 
 def save_phantom_spec(spec: PhantomSpec, path) -> None:

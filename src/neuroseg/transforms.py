@@ -41,21 +41,6 @@ from scipy import ndimage
 
 from .core import AffineTransform, GeometryError, LabelMap, Volume
 
-__all__ = [
-    "AffineTransform",
-    "RegistrationResult",
-    "LevelTrace",
-    "resample_spline",
-    "resample_nearest",
-    "register_affine",
-    "map_back",
-    "rotation_transform",
-    "translation_transform",
-    "grid_scaling",
-    "save_transform",
-    "load_transform",
-]
-
 # The plateau stop of a registration pyramid level (see the module docstring).
 _PLATEAU_ITERS = 10
 _PLATEAU_RTOL = 1e-4
@@ -135,6 +120,8 @@ def _on_lattice(t: AffineTransform, out_dims) -> bool:
 
 
 def _resample_array(data, t, out_dims, order):
+    if min(out_dims) < 1:
+        raise ValueError(f"output dims must be >= 1, got {tuple(out_dims)}")
     lin, tr = t.linear, t.translation
     if _on_lattice(t, out_dims):
         # Every sample lands on a voxel: a gather through the rounded matrix
@@ -158,8 +145,6 @@ def resample_spline(
     out-of-bounds samples fill with 0."""
     if order not in (0, 1, 3):
         raise ValueError(f"interpolation order must be 0, 1 or 3, got {order}")
-    if min(out_dims) < 1:
-        raise ValueError(f"output dims must be >= 1, got {tuple(out_dims)}")
     data = _resample_array(v.data, t, out_dims, order)
     return Volume(data, out_spacing, v.affine.compose(t))
 
@@ -171,8 +156,6 @@ def resample_nearest(
     out_spacing: Sequence[float],
 ) -> LabelMap:
     """Nearest-neighbour label resampling; out-of-bounds fills background."""
-    if min(out_dims) < 1:
-        raise ValueError(f"output dims must be >= 1, got {tuple(out_dims)}")
     labels = _resample_array(l.labels, t, out_dims, order=0)
     return LabelMap(labels, out_spacing, l.affine.compose(t))
 

@@ -95,39 +95,23 @@ class _Conv:
         return op(x, self.w, self.b)
 
 
-class _BatchNorm:
-    """Registers ``<name>.gamma``, ``<name>.beta`` and its running state as
-    ``<name>``."""
-
-    def __init__(self, table, name, channels, eps, momentum, dtype):
-        self.gamma = table[f"{name}.gamma"] = Tensor(
-            np.ones(channels, dtype=dtype), requires_grad=True
-        )
-        self.beta = table[f"{name}.beta"] = Tensor(
-            np.zeros(channels, dtype=dtype), requires_grad=True
-        )
-        self.state = table[name] = BatchNormState.for_channels(channels)
-        self.eps = eps
-        self.momentum = momentum
-
-    def __call__(self, x, mode):
-        return ad.batch_norm(
-            x, self.gamma, self.beta, self.state, mode, self.momentum, self.eps
-        )
-
-
 class _ConvStage:
-    """conv -> batch norm -> relu, registered as ``<prefix>.conv<tag>`` and
-    ``<prefix>.bn<tag>``."""
+    """conv -> batch norm -> relu. Registers the conv as ``<prefix>.conv<tag>``
+    and the batch norm's ``<prefix>.bn<tag>.gamma``, ``.beta`` and running
+    state ``<prefix>.bn<tag>``."""
 
     def __init__(self, table, prefix, tag, c_in, c_out, spec, rng, dtype):
         self.conv = _Conv(table, f"{prefix}.conv{tag}", c_in, c_out, spec.kernel, rng, dtype)
-        self.bn = _BatchNorm(
-            table, f"{prefix}.bn{tag}", c_out, spec.bn_eps, spec.bn_momentum, dtype
-        )
+        bn = f"{prefix}.bn{tag}"
+        self.gamma = table[f"{bn}.gamma"] = Tensor(np.ones(c_out, dtype=dtype), requires_grad=True)
+        self.beta = table[f"{bn}.beta"] = Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True)
+        self.state = table[bn] = BatchNormState.for_channels(c_out)
+        self.momentum, self.eps = spec.bn_momentum, spec.bn_eps
 
     def __call__(self, x, mode):
-        return ad.relu(self.bn(self.conv(x), mode))
+        h = self.conv(x)
+        h = ad.batch_norm(h, self.gamma, self.beta, self.state, mode, self.momentum, self.eps)
+        return ad.relu(h)
 
 
 class UNet3D:
@@ -214,9 +198,10 @@ class UNet3D:
         self, x, rngs: Iterable[np.random.Generator], fuse: Callable[[Tensor], None]
     ) -> int:
         """Run one MC-dropout pass (eval statistics, active dropout) per rng
-        without building a graph, and call ``fuse(field)`` on this thread for
-        each, in rng order. Returns the workers of the parallel region the
-        passes ran in.
+        and call ``fuse(field)`` on this thread for each, in rng order. The
+        whole call, ``fuse`` included, runs under ``no_grad``, and a pool
+        thread builds no graph (``autodiff.parallel``), so no pass builds
+        one. Returns the workers of the parallel region the passes ran in.
 
         Encoder block 1 comes before the first dropout, so it runs once and
         every pass starts from its output. Each field is bitwise equal to
@@ -233,15 +218,14 @@ class UNet3D:
         raises, the passes already submitted still run, and a region this
         call opened closes before the error propagates.
         """
-        with ad.parallel() as region:
-            with ad.no_grad():
-                h = self._first(self._input(x), "eval")
+        with ad.parallel() as region, ad.no_grad():
+            h = self._first(self._input(x), "eval")
             if region.pool is None:
                 for rng in rngs:
-                    fuse(self._mc_pass(h, rng))
+                    fuse(self._rest(h, "eval", True, rng))
             else:
                 rngs = iter(rngs)
-                submit = functools.partial(region.pool.submit, self._mc_pass, h)
+                submit = functools.partial(region.pool.submit, self._rest, h, "eval", True)
                 pending = deque(map(submit, islice(rngs, region.workers)))
                 while pending:
                     field = pending.popleft().result()
@@ -249,17 +233,10 @@ class UNet3D:
                     fuse(field)
         return region.workers
 
-    def _mc_pass(self, h: Tensor, rng) -> Tensor:
-        # no_grad is per thread, so a pool thread must enter it itself
-        with ad.no_grad():
-            return self._rest(h, "eval", True, rng)
-
     def _input(self, x) -> Tensor:
         if isinstance(x, np.ndarray):
             x = Tensor(x)
-        if x.data.ndim != 5:
-            raise ad.ShapeError(f"input must be 5-D, got {x.shape}")
-        if x.shape[1] != self.spec.in_channels or x.shape[2:] != self.spec.input_dims:
+        if x.shape[1:] != (self.spec.in_channels, *self.spec.input_dims):
             raise ad.ShapeError(
                 f"input shape {x.shape[1:]} does not match spec "
                 f"({self.spec.in_channels}, {self.spec.input_dims})"

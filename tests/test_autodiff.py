@@ -557,6 +557,19 @@ class TestParallelRegion:
         with ad.parallel() as region:
             assert region.pool.submit(ad._region.get).result(timeout=30) is None
 
+    def test_pool_threads_build_no_graph(self, monkeypatch, rng):
+        # the calling thread builds graphs; the same op on a pool thread does not
+        _blas_api()
+        monkeypatch.setattr(ad, "parallel_workers", lambda: 2)
+        x = Tensor(rng.standard_normal((1, 1, 2, 2, 2)), requires_grad=True)
+        with ad.parallel() as region:
+            here = ad.relu(x)
+            there = region.pool.submit(ad.relu, x).result(timeout=30)
+        assert here.requires_grad and here._backward is not None
+        assert not there.requires_grad
+        assert there._backward is None
+        assert np.array_equal(there.data, here.data)
+
     def test_blas_pinned_inside_and_restored_after_an_exception(self, monkeypatch):
         get, put = _blas_api()
         before = get()

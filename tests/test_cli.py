@@ -170,6 +170,39 @@ class TestConfigFile:
         assert "_ct.mvx" in scored["flag"][0] and "_mprage.mvx" not in scored["flag"][0]
         assert "_mprage.mvx" in scored["bare"][0] and "_ct.mvx" not in scored["bare"][0]
 
+    @pytest.mark.parametrize(
+        "content, key",
+        [
+            ([3], None),
+            ({"mc-samples": [3]}, "mc-samples"),
+            ({"cv-threshold": "low"}, "cv-threshold"),
+            ({"mc": "ON"}, "mc"),
+            ({"mc_samples": 1}, "mc_samples"),
+        ],
+        ids=["list", "list-value", "bad-float", "mc-case", "unknown-key"],
+    )
+    def test_bad_config_exits_1_before_any_work(
+        self, setup, tmp_path, capsys, monkeypatch, content, key
+    ):
+        # each value is checked as its flag is, and a typo is not ignored
+        _, records, checkpoint = setup
+        monkeypatch.setattr(cli, "load_checkpoint", lambda path: pytest.fail("model loaded"))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(content))
+        out = tmp_path / "o"
+        code = cli.run(
+            [
+                "segment", "--input", str(records[1].volume_path),
+                "--reference", str(records[0].volume_path), "--checkpoint", str(checkpoint),
+                "--config", str(config), "--out", str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(config) in err
+        assert key is None or repr(key) in err
+        assert not out.exists()
+
 
 class TestRunRecord:
     def test_segment_records_registration_levels(self, setup, tmp_path):
@@ -342,6 +375,42 @@ class TestErrors:
         assert cli.run(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"expected a {expected}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["segment", "uncertainty"])
+    def test_checkpoint_without_28_classes_exits_1_before_any_work(
+        self, setup, tmp_path, capsys, monkeypatch, command
+    ):
+        _, records, _ = setup
+        model = UNet3D(
+            ModelSpec(features=2, depth=1, num_classes=4, input_dims=(16, 16, 16)), seed=0
+        )
+        checkpoint = tmp_path / "four.ckpt"
+        save_checkpoint(model, checkpoint)
+        monkeypatch.setattr(cli, "read_as", lambda *a: pytest.fail("input read"))
+        inputs = {
+            "segment": ["--input", str(records[1].volume_path),
+                        "--reference", str(records[0].volume_path)],
+            "uncertainty": ["--input", str(records[1].volume_path)],
+        }[command]
+        out = tmp_path / "o"
+        code = cli.run(
+            [command] + inputs
+            + ["--checkpoint", str(checkpoint), "--mc-samples", "2", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "4 classes" in err and "four.ckpt" in err
+        assert not out.exists()
+
+    def test_malformed_phantom_spec_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "s.json"
+        config.write_text(json.dumps({"dims": [16, 16, 16]}))
+        out = tmp_path / "o"
+        code = cli.run(["phantoms", "--config", str(config), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(config) in err and "structures" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("mc", ["on", "off"])

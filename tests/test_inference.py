@@ -324,7 +324,7 @@ class TestParallelPasses:
         model, x = _mc_model()
         fused, samples = mc_segment(model, Volume(x[0, 0]), n=5, seed=4)
         assert {thread for thread, _ in submits} == {threading.current_thread()}
-        assert sum(fn == model._mc_pass for _, fn in submits) == 5
+        assert sum(fn == model._rest for _, fn in submits) == 5
         assert len(submits) > 5  # encoder block 1's convs were split too
         labels, volumes = _one_at_a_time(model, x, 5, 4)
         assert np.array_equal(fused.labels, labels)

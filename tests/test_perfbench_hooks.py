@@ -69,3 +69,30 @@ def test_install_then_uninstall_restores_every_attribute(tracing):
     assert after.keys() == before.keys()
     changed = [key for key, value in before.items() if after[key] is not value]
     assert not changed
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_segment_workload_runs_at_toy_size(workloads, tmp_path):
+    # the benchmark calls the package by keyword; a renamed one fails here
+    wl = workloads.SegmentWorkload("toy", native=16, grid=16, features=2, depth=1, mc_samples=2)
+    setup = wl.setup(0, tmp_path)
+    seconds, facts = wl.op(setup, 0, 0, tmp_path)
+    assert seconds > 0 and facts["exit"] in (0, 2)
+    assert 0.0 <= wl.quality([facts] * wl.min_ops) <= 1.0
+
+
+def test_train_workload_runs_at_toy_size(workloads, tmp_path):
+    # the third epoch runs the workload's check that the loss fell
+    wl = workloads.TrainWorkload("toy", grid=16, features=2, depth=1, subjects=6)
+    setup = wl.setup(0, tmp_path)
+    facts = [wl.op(setup, 0, i, tmp_path)[1] for i in range(wl.min_ops)]
+    assert [f["epoch"] for f in facts] == [1, 2, 3]
+    assert wl.quality(facts) > 1.0

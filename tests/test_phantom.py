@@ -248,6 +248,35 @@ class TestSpecConfig:
         save_phantom_spec(spec, path)
         assert load_phantom_spec(path) == spec
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda cfg: cfg.pop("structures"),
+            lambda cfg: cfg["structures"][0].pop("radii"),
+            lambda cfg: cfg.update(modalities=["mprage"]),
+            lambda cfg: cfg["modalities"]["mprage"].update(contrast=[[0, 1]]),
+            lambda cfg: cfg["structures"].append(5),
+        ],
+        ids=["no-structures", "no-radii", "modality-list", "contrast-list", "int-structure"],
+    )
+    def test_malformed_config_names_the_file(self, tmp_path, edit):
+        path = tmp_path / "spec.json"
+        save_phantom_spec(default_phantom_spec(dims=(16, 16, 16)), path)
+        cfg = json.loads(path.read_text())
+        edit(cfg)
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ValueError, match="spec.json: missing or mistyped entry"):
+            load_phantom_spec(path)
+
+    def test_spec_errors_pass_through(self, tmp_path):
+        path = tmp_path / "spec.json"
+        save_phantom_spec(default_phantom_spec(dims=(16, 16, 16)), path)
+        cfg = json.loads(path.read_text())
+        cfg["reference_modality"] = "pet"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ValueError, match="^unknown reference modality 'pet'$"):
+            load_phantom_spec(path)
+
 
 def _dataset(out_dir, modalities=("mprage", "ct"), modes=None, n_corrupt=0):
     """Five isotropic 16^3 subjects, one of them in the test split."""
@@ -313,6 +342,12 @@ class TestDataset:
     def test_unknown_mode_rejected_before_writing(self, tmp_path, mode):
         with pytest.raises(ValueError, match="unknown corruption mode"):
             _dataset(tmp_path / "out", modes=("noise-0.3", mode), n_corrupt=1)
+        assert not (tmp_path / "out").exists()
+
+    def test_more_corrupt_than_test_subjects_rejected_before_writing(self, tmp_path):
+        spec = default_phantom_spec(dims=(16, 16, 16), modalities=("mprage",), seed=4)
+        with pytest.raises(ValueError, match="cannot corrupt 3 of 1 test subjects"):
+            generate_dataset(spec, 5, tmp_path / "out", n_corrupt=3)
         assert not (tmp_path / "out").exists()
 
     def test_corruption_without_a_mode_rejected_before_writing(self, tmp_path):
