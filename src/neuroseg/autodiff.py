@@ -498,14 +498,18 @@ class BatchNormState:
         return cls(np.zeros(channels), np.ones(channels), False)
 
 
+BN_MOMENTUM = 0.9  # batch_norm's running-statistics blend
+BN_EPS = 1e-5  # batch_norm's variance floor
+
+
 def batch_norm(
     x: Tensor,
     gamma: Tensor,
     beta: Tensor,
     state: BatchNormState,
     mode: str = "train",
-    momentum: float = 0.9,
-    eps: float = 1e-5,
+    momentum: float = BN_MOMENTUM,
+    eps: float = BN_EPS,
 ) -> Tensor:
     """Per-channel standardization with learned scale/shift.
 

@@ -15,7 +15,9 @@ else ``modality`` in the ``--config`` file, else ``mprage``.
 ``segment``, ``evaluate`` and ``uncertainty`` share one MC quality check,
 which needs at least 2 MC samples: fewer is an error (exit 1) before the
 model is loaded. ``--mc off`` (``segment`` and ``evaluate`` only) runs one
-dropout-free forward and no check; ``uncertainty`` always samples.
+dropout-free forward and no check; ``uncertainty`` always samples. They load
+the checkpoint before any input, so one the loader rejects as not a segctl
+model (e.g. 4 classes, ``unet.load_checkpoint``) exits 1 before any is read.
 
 Exit codes: 0 success/QC pass, 2 QC warn, 1 error, usage errors included.
 Every run echoes its resolved settings into ``run_record.json`` in the
@@ -48,7 +50,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import transforms as tf
-from .core import NUM_CLASSES, LabelMap, Volume, normalize_intensity
+from .core import LabelMap, Volume, normalize_intensity
 from .inference import (
     CV_THRESHOLDS,
     DEFAULT_MC_SAMPLES,
@@ -132,7 +134,10 @@ _CONFIG_CASTS = {
 
 def _read_config(path) -> Dict:
     """The settings of a ``--config`` file, cast as their flags are."""
-    settings = json.loads(Path(path).read_text())
+    try:
+        settings = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"config {path}: not JSON ({exc})") from None
     if not isinstance(settings, dict):
         raise ValueError(f"config {path}: expected a JSON object of settings")
     for key, value in settings.items():
@@ -177,14 +182,8 @@ def _pipeline_config(args) -> PipelineConfig:
 
 
 def _load_model(cfg: PipelineConfig) -> UNet3D:
-    """Load the checkpoint, which must segment all NUM_CLASSES classes; a set
-    dropout rate replaces the trained one."""
+    """Load the checkpoint; a set dropout rate replaces the trained one."""
     model = load_checkpoint(cfg.checkpoint)
-    if model.spec.num_classes != NUM_CLASSES:
-        raise ValueError(
-            f"{cfg.checkpoint}: the model has {model.spec.num_classes} classes, "
-            f"segctl needs {NUM_CLASSES}"
-        )
     if cfg.dropout_rate is not None:
         model.spec = dataclasses.replace(model.spec, dropout_rate=cfg.dropout_rate)
     return model
@@ -414,7 +413,7 @@ def cmd_evaluate(args) -> int:
         labels = read_as(rec.labels_path, LabelMap)
         normalized = normalize_intensity(vol)
         seg, _, report = _segment_on_model_grid(model, normalized, cfg)
-        dr = dice_report(seg.labels, labels.labels, model.spec.num_classes)
+        dr = dice_report(seg.labels, labels.labels)
         rows.append((rec.volume_path.name, dr))
         averages.append(dr.average)
         weighted.append(dr.volume_weighted)

@@ -27,7 +27,7 @@ from typing import Dict
 
 import numpy as np
 
-from .core import STRUCTURE_NAMES, LabelMap, Volume
+from .core import NUM_CLASSES, STRUCTURE_NAMES, LabelMap, Volume
 from .unet import UNet3D
 
 DEFAULT_MC_SAMPLES = 15
@@ -79,14 +79,13 @@ def mc_segment(
     """
     if n < 1:
         raise ValueError(f"need at least 1 MC sample, got {n}")
-    num_classes = model.spec.num_classes
-    total = np.zeros((num_classes,) + v.dims, dtype=np.float64)
+    total = np.zeros((NUM_CLASSES,) + v.dims, dtype=np.float64)
     volumes = []
 
     def fuse(P):
         sample = P.data[0]
         np.add(total, sample, out=total)
-        volumes.append(np.bincount(sample.argmax(axis=0).ravel(), minlength=num_classes))
+        volumes.append(np.bincount(sample.argmax(axis=0).ravel(), minlength=NUM_CLASSES))
 
     x = np.asarray(v.data, dtype=model.dtype)[None, None]
     rngs = (np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n))

@@ -93,9 +93,9 @@ class PhantomSpec:
                 )
         if self.reference_modality not in self.modalities:
             raise ValueError(f"unknown reference modality {self.reference_modality!r}")
-        if min(self.radius_jitter, self.rotation_jitter_deg, self.scale_jitter,
-               self.translation_jitter_mm) < 0:
-            raise ValueError("phantom jitter ranges must be non-negative")
+        if not all(r >= 0 for r in (self.radius_jitter, self.rotation_jitter_deg,
+                                    self.scale_jitter, self.translation_jitter_mm)):
+            raise ValueError("phantom jitter ranges must be non-negative")  # NaN fails too
         extent = self.world_extent()
         spacings = [np.asarray(p.spacing, dtype=np.float64) for p in self.modalities.values()]
         dims = [np.asarray(self.modality_dims(name)) for name in self.modalities]
@@ -221,9 +221,12 @@ def default_phantom_spec(
     seed: int = 0,
     isotropic: bool = False,
 ) -> PhantomSpec:
-    """Desk-scale four-modality phantom family."""
+    """Desk-scale four-modality phantom family; another modality name raises
+    ValueError."""
     profiles = {}
     for name in modalities:
+        if name not in _DEFAULT_CONTRAST:
+            raise ValueError(f"unknown modality {name!r}, known: {', '.join(_DEFAULT_CONTRAST)}")
         means, sigma = _DEFAULT_CONTRAST[name]
         contrast = {
             label: (float(means[tissue]), sigma)
@@ -401,9 +404,9 @@ def generate_dataset(
     n_test, n_val = _split_counts(n_subjects, test_fraction, validation_fraction)
     if n_corrupt > n_test:
         raise ValueError(f"cannot corrupt {n_corrupt} of {n_test} test subjects")
+    rng_split = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xC0FFEE]))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng_split = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xC0FFEE]))
     order = rng_split.permutation(n_subjects)
     split_of = {}
     for pos, subject in enumerate(order):
@@ -449,15 +452,19 @@ def generate_dataset(
     return manifest_path
 
 
-# the jitter ranges and seed: scalar fields with defaults, which a config may omit
-_SCALAR_FIELDS = tuple(f.name for f in fields(PhantomSpec) if f.default is not MISSING)
+# the jitter ranges and seed: scalar fields with defaults, which a config may
+# omit, each with the type of its default
+_SCALAR_FIELDS = {f.name: type(f.default) for f in fields(PhantomSpec) if f.default is not MISSING}
 
 
 def load_phantom_spec(path) -> PhantomSpec:
-    """Read a PhantomSpec from its JSON config form. A missing key or an
-    entry of the wrong type raises ValueError naming the file; the spec's
-    own checks then run as for any PhantomSpec."""
-    cfg = json.loads(Path(path).read_text())
+    """Read a PhantomSpec from its JSON config form. A file that is not JSON,
+    a missing key or an entry of the wrong type raises ValueError naming the
+    file; the spec's own checks then run as for any PhantomSpec."""
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"phantom spec {path}: not JSON ({exc})") from None
     try:
         structures = tuple(
             PaintStep(int(s["label"]), tuple(s["center"]), tuple(s["radii"]))
@@ -475,9 +482,13 @@ def load_phantom_spec(path) -> PhantomSpec:
             structures=structures,
             modalities=modalities,
             reference_modality=cfg["reference_modality"],
-            # fields the config omits keep the PhantomSpec defaults
-            **{name: cfg[name] for name in _SCALAR_FIELDS if name in cfg},
         )
+        for name, cast in _SCALAR_FIELDS.items():
+            if name in cfg:  # one the config omits keeps the PhantomSpec default
+                try:
+                    kwargs[name] = cast(cfg[name])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{name!r}: {exc}") from None
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(
             f"phantom spec {path}: missing or mistyped entry ({type(exc).__name__}: {exc})"

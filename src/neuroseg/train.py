@@ -196,7 +196,7 @@ def _load_pairs(records: Sequence[ManifestRecord]) -> List[Tuple[Volume, LabelMa
 
 def _forward_loss(model: UNet3D, batch, mode, dropout_active, rng):
     xs = np.stack([np.asarray(v.data, dtype=model.dtype)[None] for v, _ in batch])
-    ts = np.stack([one_hot(l, model.spec.num_classes) for _, l in batch])
+    ts = np.stack([one_hot(l) for _, l in batch])
     P = model.forward(Tensor(xs), mode=mode, dropout_active=dropout_active, rng=rng)
     loss = combined_loss(P, ts)
     return P, loss
@@ -222,7 +222,7 @@ def _validation_step(model: UNet3D, vol: Volume, lab: LabelMap) -> Tuple[float, 
     with ad.no_grad():
         P, loss = _forward_loss(model, [(normalize_intensity(vol), lab)], "eval", False, None)
     pred = np.argmax(P.data[0], axis=0)
-    return loss.item(), dice_report(pred, lab.labels, model.spec.num_classes).average
+    return loss.item(), dice_report(pred, lab.labels).average
 
 
 def train(model: UNet3D, records, cfg: TrainConfig) -> Tuple[UNet3D, TrainLog]:

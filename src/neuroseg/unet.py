@@ -6,6 +6,11 @@ conv/batch-norm/relu stages without dropout, D decoder blocks (2x transpose
 convolution, skip concatenation, two conv/batch-norm/relu stages, dropout;
 feature count halves), and a final 1x1x1 convolution to class logits followed
 by a channel softmax.
+
+Every model maps one single-contrast scan (``IN_CHANNELS``) to the 28
+``core.NUM_CLASSES`` with 3x3x3 convolutions (``KERNEL``) and batch norm at
+``autodiff.batch_norm``'s momentum and eps. These five values are fixed, so
+``ModelSpec`` holds only the settings; a checkpoint header still records them.
 """
 
 from __future__ import annotations
@@ -16,14 +21,26 @@ import struct
 from collections import OrderedDict, deque
 from dataclasses import asdict, dataclass
 from itertools import islice
-from typing import Callable, Dict, Iterable, Optional, Tuple, Union
+from typing import Callable, ClassVar, Dict, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, Tensor
+from .core import NUM_CLASSES
 
 CHECKPOINT_MAGIC = b"NSU1"
+IN_CHANNELS = 1  # one single-contrast scan
+KERNEL = (3, 3, 3)  # every conv stage's kernel
+
+# the header's spec entries for the fixed values: (value, how an error names it)
+_FIXED_SPEC = {
+    "in_channels": (IN_CHANNELS, "{} input channels"),
+    "num_classes": (NUM_CLASSES, "{} classes"),
+    "kernel": (list(KERNEL), "kernel {}"),
+    "bn_eps": (ad.BN_EPS, "batch-norm eps {}"),
+    "bn_momentum": (ad.BN_MOMENTUM, "batch-norm momentum {}"),
+}
 
 
 class ModelSpecError(ValueError):
@@ -36,28 +53,22 @@ class CheckpointError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture description; all trainable shapes derive from it."""
+    """The settings of an architecture; with the fixed values of the module
+    docstring all trainable shapes derive from it."""
 
-    in_channels: int = 1
-    num_classes: int = 28
+    num_classes: ClassVar[int] = NUM_CLASSES  # readable, not a setting
     features: int = 16
     depth: int = 4
     bottleneck_layers: int = 2
-    kernel: Tuple[int, int, int] = (3, 3, 3)
     dropout_rate: float = 0.2
     input_dims: Tuple[int, int, int] = (128, 128, 128)
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.9
 
     def __post_init__(self):
-        object.__setattr__(self, "kernel", tuple(int(k) for k in self.kernel))
         object.__setattr__(self, "input_dims", tuple(int(d) for d in self.input_dims))
         if min(self.features, self.depth, self.bottleneck_layers) < 1:
             raise ModelSpecError("features, depth and bottleneck_layers must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ModelSpecError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if any(k % 2 == 0 or k < 1 for k in self.kernel):
-            raise ModelSpecError(f"kernel dims must be odd, got {self.kernel}")
         step = 2 ** self.depth
         for axis, dim in zip("xyz", self.input_dims):
             if dim % step:
@@ -100,18 +111,15 @@ class _ConvStage:
     and the batch norm's ``<prefix>.bn<tag>.gamma``, ``.beta`` and running
     state ``<prefix>.bn<tag>``."""
 
-    def __init__(self, table, prefix, tag, c_in, c_out, spec, rng, dtype):
-        self.conv = _Conv(table, f"{prefix}.conv{tag}", c_in, c_out, spec.kernel, rng, dtype)
+    def __init__(self, table, prefix, tag, c_in, c_out, rng, dtype):
+        self.conv = _Conv(table, f"{prefix}.conv{tag}", c_in, c_out, KERNEL, rng, dtype)
         bn = f"{prefix}.bn{tag}"
         self.gamma = table[f"{bn}.gamma"] = Tensor(np.ones(c_out, dtype=dtype), requires_grad=True)
         self.beta = table[f"{bn}.beta"] = Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True)
         self.state = table[bn] = BatchNormState.for_channels(c_out)
-        self.momentum, self.eps = spec.bn_momentum, spec.bn_eps
 
     def __call__(self, x, mode):
-        h = self.conv(x)
-        h = ad.batch_norm(h, self.gamma, self.beta, self.state, mode, self.momentum, self.eps)
-        return ad.relu(h)
+        return ad.relu(ad.batch_norm(self.conv(x), self.gamma, self.beta, self.state, mode))
 
 
 class UNet3D:
@@ -136,10 +144,10 @@ class UNet3D:
         table: "OrderedDict[str, Union[Tensor, BatchNormState]]" = OrderedDict()
 
         def stage(prefix, tag, c_in, c_out):
-            return _ConvStage(table, prefix, tag, c_in, c_out, spec, rng, dtype)
+            return _ConvStage(table, prefix, tag, c_in, c_out, rng, dtype)
 
         self.encoders = []
-        c_prev = spec.in_channels
+        c_prev = IN_CHANNELS
         for d, f in enumerate(spec.encoder_features, start=1):
             self.encoders.append((stage(f"enc{d}", 1, c_prev, f), stage(f"enc{d}", 2, f, f)))
             c_prev = f
@@ -158,7 +166,7 @@ class UNet3D:
                 )
             )
             c_prev = f
-        self.head = _Conv(table, "out", c_prev, spec.num_classes, (1, 1, 1), rng, dtype)
+        self.head = _Conv(table, "out", c_prev, NUM_CLASSES, (1, 1, 1), rng, dtype)
         self._params = OrderedDict((k, v) for k, v in table.items() if isinstance(v, Tensor))
         self._bn_states = OrderedDict(
             (k, v) for k, v in table.items() if isinstance(v, BatchNormState)
@@ -236,10 +244,10 @@ class UNet3D:
     def _input(self, x) -> Tensor:
         if isinstance(x, np.ndarray):
             x = Tensor(x)
-        if x.shape[1:] != (self.spec.in_channels, *self.spec.input_dims):
+        if x.shape[1:] != (IN_CHANNELS, *self.spec.input_dims):
             raise ad.ShapeError(
                 f"input shape {x.shape[1:]} does not match spec "
-                f"({self.spec.in_channels}, {self.spec.input_dims})"
+                f"({IN_CHANNELS}, {self.spec.input_dims})"
             )
         return x
 
@@ -303,7 +311,7 @@ def save_checkpoint(model: UNet3D, path, extras: Optional[Dict[str, np.ndarray]]
         table.append([name, list(arr.shape), le.str])
     header = {
         "format_version": 1,
-        "spec": asdict(model.spec),
+        "spec": {**asdict(model.spec), **{k: v for k, (v, _) in _FIXED_SPEC.items()}},
         "seed": model.seed,
         "dtype": model.dtype.str,
         "bn_initialized": bn_init,
@@ -321,7 +329,8 @@ def save_checkpoint(model: UNet3D, path, extras: Optional[Dict[str, np.ndarray]]
 def load_checkpoint(path) -> UNet3D:
     """Restore the model a checkpoint stores, bitwise, with its extras in
     ``model.extras``. Any malformed, truncated or mismatched file, or one
-    with bytes after its last array, raises CheckpointError.
+    with bytes after its last array, raises CheckpointError, as does a spec
+    without an entry for each fixed value or with another value (4 classes).
 
     The header's array and batch-norm names are checked against a freshly
     built model first, one whose conv weights are not drawn, since every one
@@ -334,7 +343,15 @@ def load_checkpoint(path) -> UNet3D:
         try:
             (hlen,) = struct.unpack("<I", fh.read(4))
             header = json.loads(fh.read(hlen))
-            spec = ModelSpec(**header["spec"])
+            spec = dict(header["spec"])
+            for key, (value, what) in _FIXED_SPEC.items():
+                given = spec.pop(key)  # a missing entry is a KeyError naming it
+                if given != value:
+                    raise CheckpointError(
+                        f"spec entry {key!r} gives {what.format(given)}, "
+                        f"segctl models have {what.format(value)}"
+                    )
+            spec = ModelSpec(**spec)
             model = UNet3D.__new__(UNet3D)
             model._build(spec, header["seed"], np.dtype(header["dtype"]), None)
             bn_initialized = dict(header["bn_initialized"])

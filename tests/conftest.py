@@ -1,3 +1,5 @@
+import json
+import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -29,6 +31,16 @@ def max_rel_err(analytic, numeric, floor=1e-6):
     numeric = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def rewrite_header(path, raw, edit):
+    """Write the checkpoint bytes ``raw`` back to ``path`` with ``edit``
+    applied to their JSON header."""
+    (hlen,) = struct.unpack_from("<I", raw, 4)
+    header = json.loads(raw[8 : 8 + hlen])
+    edit(header)
+    payload = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(raw[:4] + struct.pack("<I", len(payload)) + payload + raw[8 + hlen :])
 
 
 def tensor(arr, requires_grad=True):

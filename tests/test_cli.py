@@ -10,9 +10,16 @@ from neuroseg.autodiff import parallel_workers
 from neuroseg.core import normalize_intensity
 from neuroseg.inference import mc_segment, uncertainty, write_uncertainty_report
 from neuroseg.io import read_manifest, read_volume, write_volume
-from neuroseg.phantom import default_phantom_spec, generate_dataset, generate_subject
+from neuroseg.phantom import (
+    default_phantom_spec,
+    generate_dataset,
+    generate_subject,
+    save_phantom_spec,
+)
 from neuroseg.train import TrainConfig
 from neuroseg.unet import ModelSpec, UNet3D, load_checkpoint, save_checkpoint
+
+from conftest import rewrite_header
 
 
 @pytest.fixture(scope="module")
@@ -178,8 +185,9 @@ class TestConfigFile:
             ({"cv-threshold": "low"}, "cv-threshold"),
             ({"mc": "ON"}, "mc"),
             ({"mc_samples": 1}, "mc_samples"),
+            ("{not json", None),
         ],
-        ids=["list", "list-value", "bad-float", "mc-case", "unknown-key"],
+        ids=["list", "list-value", "bad-float", "mc-case", "unknown-key", "not-json"],
     )
     def test_bad_config_exits_1_before_any_work(
         self, setup, tmp_path, capsys, monkeypatch, content, key
@@ -188,7 +196,7 @@ class TestConfigFile:
         _, records, checkpoint = setup
         monkeypatch.setattr(cli, "load_checkpoint", lambda path: pytest.fail("model loaded"))
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(content))
+        config.write_text(content if isinstance(content, str) else json.dumps(content))
         out = tmp_path / "o"
         code = cli.run(
             [
@@ -382,11 +390,12 @@ class TestErrors:
         self, setup, tmp_path, capsys, monkeypatch, command
     ):
         _, records, _ = setup
-        model = UNet3D(
-            ModelSpec(features=2, depth=1, num_classes=4, input_dims=(16, 16, 16)), seed=0
-        )
+        model = UNet3D(ModelSpec(features=2, depth=1, input_dims=(16, 16, 16)), seed=0)
         checkpoint = tmp_path / "four.ckpt"
         save_checkpoint(model, checkpoint)
+        rewrite_header(
+            checkpoint, checkpoint.read_bytes(), lambda h: h["spec"].update(num_classes=4)
+        )
         monkeypatch.setattr(cli, "read_as", lambda *a: pytest.fail("input read"))
         inputs = {
             "segment": ["--input", str(records[1].volume_path),
@@ -411,6 +420,38 @@ class TestErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(config) in err and "structures" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, entry",
+        [
+            (lambda cfg: cfg.update(seed="x"), "'seed'"),
+            (lambda cfg: cfg.update(radius_jitter="x"), "'radius_jitter'"),
+            (lambda cfg: "{not json", "not JSON"),
+        ],
+        ids=["str-seed", "str-jitter", "not-json"],
+    )
+    def test_bad_phantom_spec_exits_1_and_writes_nothing(self, tmp_path, capsys, edit, entry):
+        config = tmp_path / "s.json"
+        save_phantom_spec(default_phantom_spec(dims=(16, 16, 16)), config)
+        cfg = json.loads(config.read_text())
+        edited = edit(cfg)
+        config.write_text(edited if isinstance(edited, str) else json.dumps(cfg))
+        out = tmp_path / "o"
+        assert cli.run(["phantoms", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(config) in err and entry in err
+        assert not out.exists()
+
+    def test_unknown_modality_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = cli.run(
+            ["phantoms", "--subjects", "5", "--dims", "16,16,16", "--modalities", "mprage,pet",
+             "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'pet'" in err and "mprage, flair, dwi, ct" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("mc", ["on", "off"])

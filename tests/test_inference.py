@@ -99,7 +99,7 @@ class TestHardSegment:
         affine = AffineTransform(np.eye(3), [4.0, 5.0, 6.0])
         v = Volume(x[0, 0], (1.5, 1.5, 2.0), affine)
         fused, _ = mc_segment(model, v, n=3, seed=6)
-        total = np.zeros((4, 8, 8, 8), dtype=np.float64)
+        total = np.zeros((28, 8, 8, 8), dtype=np.float64)
         for child in np.random.SeedSequence(6).spawn(3):
             with ad.no_grad():
                 total += model.forward(x, "eval", True, np.random.default_rng(child)).data[0]
@@ -111,9 +111,7 @@ class TestHardSegment:
 
 class TestMcSegment:
     def test_fusion_does_not_depend_on_sample_order(self):
-        spec = ModelSpec(
-            features=2, depth=2, bottleneck_layers=1, num_classes=4, input_dims=(8, 8, 8)
-        )
+        spec = ModelSpec(features=2, depth=2, bottleneck_layers=1, input_dims=(8, 8, 8))
         model = UNet3D(spec, seed=21)
         gen = np.random.default_rng(8)
         x = gen.random((1, 1, 8, 8, 8), dtype=np.float32) * 100
@@ -125,22 +123,20 @@ class TestMcSegment:
         # float32 probabilities sum exactly in float64, so the order of the
         # sum cannot change the fused labels either
         children = np.random.SeedSequence(3).spawn(5)
-        total = np.zeros((4, 8, 8, 8))
+        total = np.zeros((28, 8, 8, 8))
         for i in reversed(range(5)):
             with ad.no_grad():
                 P = model.forward(
                     x, mode="eval", dropout_active=True, rng=np.random.default_rng(children[i])
                 )
             total += P.data[0]
-            counts = np.bincount(np.argmax(P.data[0], axis=0).ravel(), minlength=4)
+            counts = np.bincount(np.argmax(P.data[0], axis=0).ravel(), minlength=28)
             assert np.array_equal(samples.volumes[i], counts)
         assert np.array_equal(fused.labels, np.argmax(total, axis=0))
         assert len(np.unique(samples.volumes, axis=0)) > 1  # the passes differ
 
     def test_encoder_block_1_runs_once_per_volume(self, monkeypatch):
-        spec = ModelSpec(
-            features=2, depth=2, bottleneck_layers=1, num_classes=4, input_dims=(8, 8, 8)
-        )
+        spec = ModelSpec(features=2, depth=2, bottleneck_layers=1, input_dims=(8, 8, 8))
         model = UNet3D(spec, seed=2)
         x = np.random.default_rng(1).random((1, 1, 8, 8, 8), dtype=np.float32)
         model.forward(x, mode="train", rng=np.random.default_rng(0))  # batch-norm stats
@@ -165,7 +161,7 @@ class TestMcSegment:
         calls.clear()
         dropouts.clear()
         mc_segment(model, Volume(x[0, 0]), n=5, seed=0)
-        assert [c for c in calls if c[0] == spec.in_channels] == [(spec.in_channels, True)]
+        assert [c for c in calls if c[0] == 1] == [(1, True)]  # the one input channel
         assert sum(in_block1 for _, in_block1 in calls) == 2  # its two convolutions
         assert len(calls) == 2 + 5 * (per_forward - 2)  # the others run in every pass
         # every pass keeps all 2 * depth dropouts, two of them on the full
@@ -175,9 +171,7 @@ class TestMcSegment:
 
 
 def _mc_model():
-    spec = ModelSpec(
-        features=2, depth=2, bottleneck_layers=1, num_classes=4, input_dims=(8, 8, 8)
-    )
+    spec = ModelSpec(features=2, depth=2, bottleneck_layers=1, input_dims=(8, 8, 8))
     model = UNet3D(spec, seed=2)
     x = np.random.default_rng(1).random((1, 1, 8, 8, 8), dtype=np.float32)
     model.forward(x, mode="train", rng=np.random.default_rng(0))  # batch-norm stats
@@ -186,13 +180,13 @@ def _mc_model():
 
 def _one_at_a_time(model, x, n, seed):
     """mc_segment's labels and volumes from a plain loop of full forwards."""
-    total = np.zeros((4, 8, 8, 8))
+    total = np.zeros((28, 8, 8, 8))
     volumes = []
     for child in np.random.SeedSequence(seed).spawn(n):
         with ad.no_grad():
             P = model.forward(x, "eval", True, np.random.default_rng(child))
         total += P.data[0]
-        volumes.append(np.bincount(np.argmax(P.data[0], axis=0).ravel(), minlength=4))
+        volumes.append(np.bincount(np.argmax(P.data[0], axis=0).ravel(), minlength=28))
     return np.argmax(total, axis=0), np.array(volumes)
 
 

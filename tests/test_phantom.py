@@ -125,6 +125,14 @@ class TestBorderRule:
         with pytest.raises(ValueError, match="non-negative"):
             dataclasses.replace(spec, scale_jitter=-0.01)
 
+    def test_nan_jitter_rejected(self):
+        # NaN passes every < comparison, so it must fail a >= 0 one
+        spec = default_phantom_spec(dims=(32, 32, 32))
+        for name in ("radius_jitter", "rotation_jitter_deg", "scale_jitter",
+                     "translation_jitter_mm"):
+            with pytest.raises(ValueError, match="non-negative"):
+                dataclasses.replace(spec, **{name: float("nan")})
+
     @pytest.mark.parametrize(
         "make_spec",
         [
@@ -256,8 +264,11 @@ class TestSpecConfig:
             lambda cfg: cfg.update(modalities=["mprage"]),
             lambda cfg: cfg["modalities"]["mprage"].update(contrast=[[0, 1]]),
             lambda cfg: cfg["structures"].append(5),
+            lambda cfg: cfg.update(seed="x"),
+            lambda cfg: cfg.update(scale_jitter=[0.1]),
         ],
-        ids=["no-structures", "no-radii", "modality-list", "contrast-list", "int-structure"],
+        ids=["no-structures", "no-radii", "modality-list", "contrast-list", "int-structure",
+             "str-seed", "list-jitter"],
     )
     def test_malformed_config_names_the_file(self, tmp_path, edit):
         path = tmp_path / "spec.json"
@@ -267,6 +278,27 @@ class TestSpecConfig:
         path.write_text(json.dumps(cfg))
         with pytest.raises(ValueError, match="spec.json: missing or mistyped entry"):
             load_phantom_spec(path)
+
+    def test_not_json_names_the_file(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text("{not json")
+        with pytest.raises(ValueError, match="spec.json: not JSON"):
+            load_phantom_spec(path)
+
+    def test_scalars_are_cast(self, tmp_path):
+        spec = default_phantom_spec(dims=(16, 16, 16))
+        path = tmp_path / "spec.json"
+        save_phantom_spec(spec, path)
+        cfg = json.loads(path.read_text())
+        cfg.update(seed=0.0, rotation_jitter_deg=3)
+        path.write_text(json.dumps(cfg))
+        loaded = load_phantom_spec(path)
+        assert loaded == spec
+        assert type(loaded.seed) is int and type(loaded.rotation_jitter_deg) is float
+
+    def test_unknown_modality_is_named(self):
+        with pytest.raises(ValueError, match="unknown modality 'pet', known: mprage, flair"):
+            default_phantom_spec(modalities=("mprage", "pet"))
 
     def test_spec_errors_pass_through(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -348,6 +380,12 @@ class TestDataset:
         spec = default_phantom_spec(dims=(16, 16, 16), modalities=("mprage",), seed=4)
         with pytest.raises(ValueError, match="cannot corrupt 3 of 1 test subjects"):
             generate_dataset(spec, 5, tmp_path / "out", n_corrupt=3)
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_seed_rejected_before_writing(self, tmp_path):
+        spec = default_phantom_spec(dims=(16, 16, 16), modalities=("mprage",))
+        with pytest.raises(ValueError, match="non-negative"):
+            generate_dataset(dataclasses.replace(spec, seed=-1), 5, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     def test_corruption_without_a_mode_rejected_before_writing(self, tmp_path):

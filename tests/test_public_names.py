@@ -13,9 +13,17 @@ read as an attribute or named by a string constant: a local variable of the
 same name is not a read of the field. A name only the tests reach is dead
 code; delete it, or list it in ``ALLOWED`` with the reason it stays. A field
 only the tests read is deleted.
+
+A public dataclass field with a plain ``=`` default is a setting, and a
+setting no program sets is a constant: make it one, or list it in
+``SET_BY_NAME`` with the reason it stays a field. A field counts as set when
+``src/`` or ``perfbench/`` passes it by keyword, passes it by position to its
+class, assigns it as an attribute or names it in a string constant, outside
+the body of the dataclass itself.
 """
 
 import ast
+from itertools import takewhile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,6 +35,11 @@ ALLOWED = {
     "autodiff.sum_all": "the scalar reduction the autodiff gradient checks end in",
     "UNet3D.parameter_count": "the trainable-scalar count the tests check against a closed form",
     "AffineTransform.identity": "the neutral transform of the resampling round-trip tests",
+}
+
+SET_BY_NAME = {
+    f"PhantomSpec.{name}": "set by name from a phantom spec JSON"
+    for name in ("radius_jitter", "rotation_jitter_deg", "scale_jitter", "translation_jitter_mm")
 }
 
 
@@ -79,6 +92,28 @@ def _fields():
                         and _public(item.target.id)
                     ):
                         found[f"{node.name}.{item.target.id}"] = path.name
+    return found
+
+
+def _is_classvar(annotation):
+    target = annotation.value if isinstance(annotation, ast.Subscript) else annotation
+    return isinstance(target, ast.Name) and target.id == "ClassVar"
+
+
+def _init_fields():
+    """{class name: (defining file, [(field, whether it has a plain ``=``
+    default)])} for every public dataclass of the package, its init fields in
+    declaration order."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and _public(node.name) and _is_dataclass(node):
+                found[node.name] = (path.name, [
+                    # a default_factory is a field(...) call, not a plain default
+                    (item.target.id, bool(item.value) and not isinstance(item.value, ast.Call))
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and not _is_classvar(item.annotation)
+                ])
     return found
 
 
@@ -166,6 +201,46 @@ def _loaded_names():
     return loaded
 
 
+def _field_settings(classes):
+    """Every (setting, top-level class it is made in, or None) of ``src/``
+    and ``perfbench/``: a keyword argument's name, an assigned attribute's
+    name, a string constant, or 'Class.field' for an argument passed by
+    position to one of ``classes``, {class name: [field, ...]}."""
+    found = set()
+    for path in _source_paths():
+        for top in ast.parse(path.read_text()).body:
+            owner = top.name if isinstance(top, ast.ClassDef) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.keyword) and node.arg:
+                    found.add((node.arg, owner))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                    found.add((node.attr, owner))
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    found.add((node.value, owner))
+                elif isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", getattr(func, "attr", None))
+                    positional = takewhile(lambda a: not isinstance(a, ast.Starred), node.args)
+                    for _, field in zip(positional, classes.get(name, ())):
+                        found.add((f"{name}.{field}", owner))
+    return found
+
+
+def _unset_settings():
+    """{qualified name: defining file} of every public dataclass field with a
+    plain ``=`` default that no program sets outside the class's own body."""
+    fields = _init_fields()
+    settings = _field_settings({c: [f for f, _ in fs] for c, (_, fs) in fields.items()})
+    unset = {}
+    for cls, (path, class_fields) in fields.items():
+        for field, has_default in class_fields:
+            if has_default and not any(
+                name in (field, f"{cls}.{field}") and owner != cls for name, owner in settings
+            ):
+                unset[f"{cls}.{field}"] = path
+    return unset
+
+
 def _unused():
     """{qualified name: defining file} of every public name with no use
     outside the tests."""
@@ -207,3 +282,18 @@ def test_allowlist_names_existing_unused_names():
     for qualified in ALLOWED:
         assert qualified in definitions, f"{qualified} is not defined"
         assert qualified in unused, f"{qualified} has a caller now"
+
+
+def test_every_setting_is_set_by_a_program():
+    unset = sorted(
+        f"{qualified} ({path})"
+        for qualified, path in _unset_settings().items()
+        if qualified not in SET_BY_NAME
+    )
+    assert not unset, "dataclass fields with a default no program sets: " + ", ".join(unset)
+
+
+def test_set_by_name_lists_unset_settings():
+    unset = _unset_settings()
+    for qualified in SET_BY_NAME:
+        assert qualified in unset, f"{qualified} is set by a program now, or is not a setting"

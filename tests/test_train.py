@@ -1,3 +1,4 @@
+import functools
 import gc
 import weakref
 
@@ -110,8 +111,7 @@ def _tiny_records(tmp_path, n=6, dims=(16, 16, 16), seed=33):
 
 def _tiny_model(dims=(16, 16, 16), seed=5, dropout=0.2):
     spec = ModelSpec(
-        features=2, depth=2, bottleneck_layers=1, num_classes=28,
-        input_dims=dims, dropout_rate=dropout,
+        features=2, depth=2, bottleneck_layers=1, input_dims=dims, dropout_rate=dropout
     )
     return UNet3D(spec, seed=seed)
 
@@ -133,14 +133,12 @@ class TestTrainLoop:
         for name, p in model_a.parameters().items():
             assert np.array_equal(p.data, model_b.parameters()[name].data)
 
-    def test_early_stop_on_constructed_plateau(self, tmp_path):
+    def test_early_stop_on_constructed_plateau(self, tmp_path, monkeypatch):
         records = _tiny_records(tmp_path)
         # frozen learning rate and frozen batch-norm stats: nothing can
         # improve after the first epoch, so patience 3 stops at epoch 4
-        spec = ModelSpec(
-            features=2, depth=2, bottleneck_layers=1, num_classes=28,
-            input_dims=(16, 16, 16), bn_momentum=1.0,
-        )
+        monkeypatch.setattr(ad, "batch_norm", functools.partial(ad.batch_norm, momentum=1.0))
+        spec = ModelSpec(features=2, depth=2, bottleneck_layers=1, input_dims=(16, 16, 16))
         model = UNet3D(spec, seed=4)
         cfg = TrainConfig(learning_rate=0.0, max_epochs=50, patience=3, seed=4)
         model, log = train(model, records, cfg)

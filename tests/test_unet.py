@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
-import json
-import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +20,12 @@ from neuroseg.unet import (
     save_checkpoint,
 )
 
-from conftest import central_diff, max_rel_err
+from conftest import central_diff, max_rel_err, rewrite_header
+
+# written before the fixed values left ModelSpec, by
+# UNet3D(ModelSpec(features=1, depth=1, input_dims=(8, 8, 8)), seed=0) after
+# one train-mode forward (input rng 1, dropout rng 2)
+FIXTURE_CKPT = Path(__file__).parent / "data" / "parent_f1_d1_8.ckpt"
 
 
 def oracle_parameter_count(in_channels, num_classes, features, depth, bottleneck, k=3):
@@ -60,10 +64,8 @@ class TestParameterCount:
         assert round(count / 1e6, 2) == 5.65
 
     def test_minimal_spec_matches_oracle(self):
-        spec = ModelSpec(
-            features=1, depth=1, bottleneck_layers=1, num_classes=2, input_dims=(8, 8, 8)
-        )
-        assert UNet3D(spec, seed=0).parameter_count() == oracle_parameter_count(1, 2, 1, 1, 1)
+        spec = ModelSpec(features=1, depth=1, bottleneck_layers=1, input_dims=(8, 8, 8))
+        assert UNet3D(spec, seed=0).parameter_count() == oracle_parameter_count(1, 28, 1, 1, 1)
 
     def test_doubling_features_roughly_quadruples(self):
         base = ModelSpec(features=16, depth=4, bottleneck_layers=2)
@@ -75,29 +77,20 @@ class TestParameterCount:
         features=st.integers(1, 4),
         depth=st.integers(1, 2),
         bottleneck=st.integers(1, 3),
-        num_classes=st.integers(2, 6),
-        in_channels=st.integers(1, 2),
     )
     @settings(max_examples=25, deadline=None)
-    def test_store_matches_analytic_count(
-        self, features, depth, bottleneck, num_classes, in_channels
-    ):
+    def test_store_matches_analytic_count(self, features, depth, bottleneck):
         spec = ModelSpec(
-            in_channels=in_channels,
-            num_classes=num_classes,
-            features=features,
-            depth=depth,
-            bottleneck_layers=bottleneck,
-            input_dims=(8, 8, 8),
+            features=features, depth=depth, bottleneck_layers=bottleneck, input_dims=(8, 8, 8)
         )
         model = UNet3D(spec, seed=0)
         assert model.parameter_count() == oracle_parameter_count(
-            in_channels, num_classes, features, depth, bottleneck
+            1, 28, features, depth, bottleneck
         )
 
     def test_parameter_names_unique(self):
         model = UNet3D(
-            ModelSpec(features=2, depth=2, num_classes=3, input_dims=(8, 8, 8)), seed=0
+            ModelSpec(features=2, depth=2, input_dims=(8, 8, 8)), seed=0
         )
         names = list(model.parameters())
         assert len(names) == len(set(names))
@@ -116,10 +109,25 @@ class TestSpecValidation:
         with pytest.raises(ModelSpecError):
             ModelSpec(dropout_rate=1.0)
 
+    @pytest.mark.parametrize(
+        "fixed",
+        [{"num_classes": 4}, {"in_channels": 2}, {"kernel": (5, 5, 5)},
+         {"bn_eps": 1e-3}, {"bn_momentum": 0.5}],
+        ids=lambda kw: next(iter(kw)),
+    )
+    def test_fixed_values_are_not_settings(self, fixed):
+        with pytest.raises(TypeError):
+            ModelSpec(**fixed)
+
+    def test_five_settings_and_28_classes(self):
+        names = [f.name for f in dataclasses.fields(ModelSpec)]
+        assert names == ["features", "depth", "bottleneck_layers", "dropout_rate", "input_dims"]
+        assert ModelSpec().num_classes == 28
+
 
 class TestLayout:
     def test_depth_two_schematic(self):
-        spec = ModelSpec(features=16, depth=2, num_classes=28, input_dims=(16, 16, 16))
+        spec = ModelSpec(features=16, depth=2, input_dims=(16, 16, 16))
         assert spec.encoder_features == (16, 32)
         assert spec.bottleneck_features == 64
         params = UNet3D(spec, seed=0).parameters()
@@ -129,19 +137,17 @@ class TestLayout:
 
     def test_block_structure(self):
         model = UNet3D(
-            ModelSpec(features=2, depth=2, num_classes=3, input_dims=(8, 8, 8)), seed=0
+            ModelSpec(features=2, depth=2, input_dims=(8, 8, 8)), seed=0
         )
         assert len(model.encoders) == 2
         assert len(model.decoders) == 2
         assert len(model.bottleneck) == 2
-        assert model.head.w.shape == (3, 2, 1, 1, 1)
+        assert model.head.w.shape == (28, 2, 1, 1, 1)
 
 
 @pytest.fixture
 def tiny_model():
-    spec = ModelSpec(
-        features=2, depth=2, bottleneck_layers=1, num_classes=4, input_dims=(8, 8, 8)
-    )
+    spec = ModelSpec(features=2, depth=2, bottleneck_layers=1, input_dims=(8, 8, 8))
     return UNet3D(spec, seed=11)
 
 
@@ -149,14 +155,12 @@ class TestForward:
     def test_output_is_probability_field(self, tiny_model, rng):
         x = rng.random((1, 1, 8, 8, 8), dtype=np.float32) * 100
         out = tiny_model.forward(x, mode="train", rng=np.random.default_rng(0))
-        assert out.shape == (1, 4, 8, 8, 8)
+        assert out.shape == (1, 28, 8, 8, 8)
         assert np.all(np.isfinite(out.data))
         assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-5)
 
     def test_spatial_dims_preserved(self):
-        spec = ModelSpec(
-            features=2, depth=2, bottleneck_layers=1, num_classes=3, input_dims=(8, 16, 8)
-        )
+        spec = ModelSpec(features=2, depth=2, bottleneck_layers=1, input_dims=(8, 16, 8))
         model = UNet3D(spec, seed=0)
         x = np.zeros((1, 1, 8, 16, 8), dtype=np.float32)
         out = model.forward(x, mode="train", rng=np.random.default_rng(0))
@@ -185,7 +189,7 @@ class TestForward:
 
     def test_full_scale_mprage_shape(self):
         # reference architecture on a full-size grid, inference mode
-        spec = ModelSpec(features=16, depth=4, bottleneck_layers=2, num_classes=28)
+        spec = ModelSpec(features=16, depth=4, bottleneck_layers=2)
         model = UNet3D(spec, seed=0)
         x = np.zeros((1, 1, 128, 128, 128), dtype=np.float32)
         with ad.no_grad():
@@ -200,8 +204,8 @@ class TestMcPasses:
     )
     def test_each_pass_equals_forward_bitwise(self, depth, rate, rng):
         spec = ModelSpec(
-            features=2, depth=depth, bottleneck_layers=1, num_classes=4,
-            input_dims=(8, 8, 8), dropout_rate=rate,
+            features=2, depth=depth, bottleneck_layers=1, input_dims=(8, 8, 8),
+            dropout_rate=rate,
         )
         model = UNet3D(spec, seed=5)
         x = rng.standard_normal((1, 1, 8, 8, 8)).astype(np.float32)
@@ -229,8 +233,8 @@ class TestEndToEndGradient:
     def test_loss_gradient_matches_finite_differences(self):
         # 8^3 toy network in float64; sample parameters from every layer kind
         spec = ModelSpec(
-            features=2, depth=2, bottleneck_layers=1, num_classes=3,
-            input_dims=(8, 8, 8), dropout_rate=0.0,
+            features=2, depth=2, bottleneck_layers=1, input_dims=(8, 8, 8),
+            dropout_rate=0.0,
         )
         n_params_checked = 0
         for seed in range(20):
@@ -238,7 +242,7 @@ class TestEndToEndGradient:
             model = UNet3D(spec, seed=seed, dtype=np.float64)
             x = gen.random((1, 1, 8, 8, 8))
             labels = gen.integers(0, 3, (8, 8, 8))
-            T = one_hot(labels, 3)[None].astype(np.float64)
+            T = one_hot(labels)[None].astype(np.float64)
 
             def loss_value():
                 out = model.forward(x, mode="train", dropout_active=False)
@@ -287,7 +291,7 @@ class TestCheckpoint:
             assert np.array_equal(t.data, loaded.parameters()[name].data)
 
     def test_checkpoint_records_init_seed(self, tmp_path):
-        spec = ModelSpec(features=2, depth=1, num_classes=3, input_dims=(8, 8, 8))
+        spec = ModelSpec(features=2, depth=1, input_dims=(8, 8, 8))
         model = UNet3D(spec, seed=41)
         path = tmp_path / "fresh.ckpt"
         save_checkpoint(model, path)
@@ -298,7 +302,7 @@ class TestCheckpoint:
 
     def test_load_draws_no_random_weights(self, tmp_path, monkeypatch):
         # every weight is read from the file, so none is drawn first
-        spec = ModelSpec(features=2, depth=1, num_classes=3, input_dims=(8, 8, 8))
+        spec = ModelSpec(features=2, depth=1, input_dims=(8, 8, 8))
         model = UNet3D(spec, seed=41)
         path = tmp_path / "fresh.ckpt"
         save_checkpoint(model, path)
@@ -338,10 +342,10 @@ class TestCheckpoint:
         path.write_bytes(raw[:-4])  # truncated payload
         with pytest.raises(CheckpointError, match="malformed"):
             load_checkpoint(path)
-        _rewrite_header(path, raw, lambda h: h["bn_initialized"].pop("enc1.bn1"))
+        rewrite_header(path, raw, lambda h: h["bn_initialized"].pop("enc1.bn1"))
         with pytest.raises(CheckpointError, match="enc1.bn1"):
             load_checkpoint(path)
-        _rewrite_header(path, raw, lambda h: h.pop("bn_initialized"))
+        rewrite_header(path, raw, lambda h: h.pop("bn_initialized"))
         with pytest.raises(CheckpointError, match="bn_initialized"):
             load_checkpoint(path)
 
@@ -366,16 +370,14 @@ class TestCheckpoint:
     def test_arrays_must_match_model_exactly(self, tiny_model, tmp_path, edit, match):
         path = tmp_path / "model.ckpt"
         save_checkpoint(tiny_model, path)
-        _rewrite_header(path, path.read_bytes(), lambda h: edit(h["arrays"]))
+        rewrite_header(path, path.read_bytes(), lambda h: edit(h["arrays"]))
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
     def test_bytes_pinned(self, tmp_path):
-        # digests of the format as first written; a fresh model, then the same
+        # pinned digests of the format's bytes: a fresh model, then the same
         # model after a train-mode forward of zeros (exactly zero statistics)
-        spec = ModelSpec(
-            features=2, depth=2, bottleneck_layers=1, num_classes=4, input_dims=(8, 8, 8)
-        )
+        spec = ModelSpec(features=2, depth=2, bottleneck_layers=1, input_dims=(8, 8, 8))
         model = UNet3D(spec, seed=11)
         path = tmp_path / "pinned.ckpt"
         digests = []
@@ -385,15 +387,36 @@ class TestCheckpoint:
             with ad.no_grad():
                 model.forward(np.zeros((1, 1, 8, 8, 8), np.float32), "train", False)
         assert digests == [
-            "cc05b6f4316384da0b5e9d2d0efd2f14982c302e6e5a6b7dedccd8f6fc7b6e3a",
-            "ad90436abc5d42ad783c3d9152e3f3fce6961c99cba399dbcefa6f08fc5f6134",
+            "5873691b39f1e0ee56f91a5c1217e78321ef4280368f6dfed548ea922ca626b6",
+            "433a60c80a32aa0a390457c4b009c3fa5f70f24c8d5996961fac0e6d967a92e4",
         ]
 
 
-def _rewrite_header(path, raw, edit):
-    """Write ``raw`` back to ``path`` with ``edit`` applied to its JSON header."""
-    (hlen,) = struct.unpack_from("<I", raw, 4)
-    header = json.loads(raw[8 : 8 + hlen])
-    edit(header)
-    payload = json.dumps(header, sort_keys=True).encode()
-    path.write_bytes(raw[:4] + struct.pack("<I", len(payload)) + payload + raw[8 + hlen :])
+class TestFixtureCheckpoint:
+    def test_loads_and_resaves_byte_for_byte(self, tmp_path):
+        model = load_checkpoint(FIXTURE_CKPT)
+        assert model.spec == ModelSpec(features=1, depth=1, input_dims=(8, 8, 8))
+        assert all(state.initialized for state in model._bn_states.values())
+        save_checkpoint(model, tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == FIXTURE_CKPT.read_bytes()
+
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("num_classes", 4, "4 classes, segctl models have 28 classes"),
+            ("in_channels", 2, "2 input channels"),
+            ("kernel", [5, 5, 5], r"kernel \[5, 5, 5\]"),
+            ("bn_eps", 1e-3, "eps 0.001"),
+            ("bn_momentum", 0.5, "momentum 0.5"),
+        ],
+        ids=["num_classes", "in_channels", "kernel", "bn_eps", "bn_momentum"],
+    )
+    def test_a_different_fixed_value_is_rejected(self, tmp_path, key, value, match):
+        path = tmp_path / "edited.ckpt"
+        rewrite_header(path, FIXTURE_CKPT.read_bytes(), lambda h: h["spec"].update({key: value}))
+        with pytest.raises(CheckpointError, match=f"{key}.*{match}"):
+            load_checkpoint(path)
+        rewrite_header(path, FIXTURE_CKPT.read_bytes(), lambda h: h["spec"].pop(key))
+        with pytest.raises(CheckpointError, match=f"malformed checkpoint: '{key}'"):
+            load_checkpoint(path)
+
