@@ -5,12 +5,12 @@ manifest), ``segment`` (register -> resample -> normalize -> segment -> map
 back), ``evaluate`` (Dice metrics plus the Dice/CV scatter) and
 ``uncertainty`` (MC-dropout QC on one volume).
 
-``evaluate`` scores a manifest's test volumes on their own grid, without
-registration: each volume must already be on the model grid, and one that is
-not is an error (exit 1) before anything is written. Only ``segment``
-registers and resamples its input. ``evaluate`` scores only the test records
-of one modality, the one that also picks the CV threshold: ``--modality``,
-else ``modality`` in the ``--config`` file, else ``mprage``.
+``evaluate`` and ``uncertainty`` score scans on their own grid, without
+registration: a scan whose grid 2^depth does not divide exits 1 before
+anything is written. Only ``segment`` registers and resamples its input,
+onto the model's ``input_dims``. ``evaluate`` scores only the test
+records of one modality, the one that also picks the CV threshold:
+``--modality``, else ``modality`` in the ``--config`` file, else ``mprage``.
 
 ``segment``, ``evaluate`` and ``uncertainty`` share one MC quality check,
 which needs at least 2 MC samples: fewer is an error (exit 1) before the
@@ -288,13 +288,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _segment_on_model_grid(model, volume, cfg: PipelineConfig):
-    """Returns (labels on the model grid, MC sample set, QC report); the last
-    two are None with ``--mc off``."""
+def _segment(model, volume, cfg: PipelineConfig):
+    """Returns (labels on the volume's grid, MC sample set, QC report); the
+    last two are None with ``--mc off``, whose one forward runs in a parallel
+    region as the MC passes do."""
     if cfg.mc:
         fused, samples = mc_segment(model, volume, n=cfg.mc_samples, seed=cfg.seed)
         return fused, samples, uncertainty(samples, cfg.cv_threshold)
-    with ad.no_grad():
+    with ad.parallel(), ad.no_grad():
         P = model.forward(
             np.asarray(volume.data, dtype=model.dtype)[None, None],
             mode="eval",
@@ -358,7 +359,7 @@ def cmd_segment(args) -> int:
     clock.lap("resample")
     normalized = normalize_intensity(resampled)
     clock.lap("normalize")
-    seg_model_grid, samples, report = _segment_on_model_grid(model, normalized, cfg)
+    seg_model_grid, samples, report = _segment(model, normalized, cfg)
     clock.lap("mc")
     out_labels = tf.map_back(seg_model_grid, original, t_total)
     clock.lap("map_back")
@@ -393,8 +394,8 @@ def cmd_segment(args) -> int:
 
 def cmd_evaluate(args) -> int:
     """Score the test split's records of the resolved modality on the
-    volumes' own grid, without registration; a volume off the model grid
-    exits 1 and writes nothing."""
+    volumes' own grid, without registration; a volume on a grid the depth
+    does not divide exits 1 and writes nothing."""
     cfg = _pipeline_config(args)
     model = _load_model(cfg)
     records = [
@@ -412,7 +413,7 @@ def cmd_evaluate(args) -> int:
         vol = read_as(rec.volume_path, Volume)
         labels = read_as(rec.labels_path, LabelMap)
         normalized = normalize_intensity(vol)
-        seg, _, report = _segment_on_model_grid(model, normalized, cfg)
+        seg, _, report = _segment(model, normalized, cfg)
         dr = dice_report(seg.labels, labels.labels)
         rows.append((rec.volume_path.name, dr))
         averages.append(dr.average)
@@ -464,7 +465,7 @@ def cmd_uncertainty(args) -> int:
     cfg = _pipeline_config(args)
     model = _load_model(cfg)
     vol = read_as(args.input, Volume)
-    _, samples, report = _segment_on_model_grid(model, normalize_intensity(vol), cfg)
+    _, samples, report = _segment(model, normalize_intensity(vol), cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     code = _write_qc(report, cfg.out_dir)
     _write_run_record(

@@ -66,7 +66,7 @@ def mc_segment(
 ):
     """Monte Carlo dropout segmentation of a preprocessed volume.
 
-    ``v`` must already be on the model grid (else ``ShapeError`` before any
+    ``v`` must be on a grid the model takes (else ``ShapeError`` before any
     pass) and intensity-normalized. Each of the ``n`` passes uses an
     independent rng derived from ``seed``, so the fused result does not
     depend on evaluation order. The block before the first dropout runs once

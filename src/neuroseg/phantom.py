@@ -64,10 +64,11 @@ class ModalityProfile:
 @dataclass(frozen=True)
 class PhantomSpec:
     """Anatomy, modality profiles and per-subject jitter ranges of a phantom
-    family. Construction rejects labels outside 1..27, incomplete contrast
-    tables, negative jitter ranges, and any structure whose worst-case
-    jittered extent (``structure_bounds``) reaches an outermost voxel centre
-    of some modality grid on some axis."""
+    family. Construction rejects dims that are not 3 positive voxel counts, a
+    negative seed, labels outside 1..27, incomplete contrast tables, negative
+    jitter ranges, and any structure whose worst-case jittered extent
+    (``structure_bounds``) reaches an outermost voxel centre of some
+    modality grid on some axis."""
 
     dims: Tuple[int, int, int]  # reference grid (first modality)
     structures: Tuple[PaintStep, ...]
@@ -80,6 +81,10 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if len(self.dims) != 3 or not all(isinstance(d, int) and d > 0 for d in self.dims):
+            raise ValueError(f"phantom dims must be 3 positive voxel counts, got {self.dims}")
+        if self.seed < 0:
+            raise ValueError(f"phantom seed must be non-negative, got {self.seed}")
         labels = {step.label for step in self.structures}
         if not labels or max(labels) >= NUM_CLASSES or min(labels) < 1:
             raise ValueError("phantom structure labels must lie in 1..27")
@@ -391,12 +396,23 @@ def generate_dataset(
     """Write MVOX volume/label pairs plus a manifest with train/validation/
     test split tags; the last ``n_corrupt`` test subjects get corrupted
     volumes (labels stay truthful) and a corruption note in the manifest.
-    Every mode is checked, and corruption with no mode rejected, before
-    anything is written; 'swap' on a modality with no same-grid partner
-    (DWI's grid) applies, and notes, 'noise-0.5'. Returns the manifest path.
+    Every mode is checked, and corruption with no mode, a negative
+    ``n_corrupt``, or a fraction or fraction sum outside [0, 1] rejected,
+    before anything is written; 'swap' on a modality with no same-grid
+    partner (DWI's grid) applies, and notes, 'noise-0.5'. Returns the
+    manifest path.
     """
     if n_subjects < 5:
         raise ValueError(f"need at least 5 subjects, got {n_subjects}")
+    for name, fraction in (
+        ("test", test_fraction),
+        ("validation", validation_fraction),
+        ("test + validation", test_fraction + validation_fraction),
+    ):
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError(f"{name} fraction must lie in [0, 1], got {fraction}")
+    if n_corrupt < 0:
+        raise ValueError(f"cannot corrupt a negative number of subjects, got {n_corrupt}")
     modes = [(mode, _parse_corruption(mode)) for mode in corruption_modes]
     if n_corrupt > 0 and not modes:
         raise ValueError(f"cannot corrupt {n_corrupt} subjects with no corruption mode")

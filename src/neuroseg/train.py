@@ -262,10 +262,10 @@ def train(model: UNet3D, records, cfg: TrainConfig) -> Tuple[UNet3D, TrainLog]:
     train_pairs = _load_pairs(train_recs)
     val_pairs = _load_pairs(val_recs)
     for vol, _ in train_pairs + val_pairs:
-        if vol.dims != model.spec.input_dims:
-            raise ValueError(
-                f"volume dims {vol.dims} do not match model input {model.spec.input_dims}"
-            )
+        model.spec.check_grid(vol.dims)
+    grids = sorted({vol.dims for vol, _ in train_pairs})
+    if cfg.batch_size > 1 and len(grids) > 1:
+        raise ValueError(f"a batch stacks volumes of one grid, but they lie on {grids}")
 
     opt = Adam(model.parameters(), cfg.learning_rate)
     log = TrainLog()

@@ -53,8 +53,8 @@ class CheckpointError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """The settings of an architecture; with the fixed values of the module
-    docstring all trainable shapes derive from it."""
+    """The settings from which, with the module docstring's fixed values, all
+    trainable shapes derive; ``input_dims`` is only the grid ``segment`` resamples onto."""
 
     num_classes: ClassVar[int] = NUM_CLASSES  # readable, not a setting
     features: int = 16
@@ -69,11 +69,15 @@ class ModelSpec:
             raise ModelSpecError("features, depth and bottleneck_layers must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ModelSpecError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        self.check_grid(self.input_dims, ModelSpecError)
+
+    def check_grid(self, dims, error=ad.ShapeError) -> None:
+        """Raise ``error`` unless every axis is a positive multiple of 2^depth."""
         step = 2 ** self.depth
-        for axis, dim in zip("xyz", self.input_dims):
-            if dim % step:
-                raise ModelSpecError(
-                    f"input axis {axis} has {dim} voxels, not divisible by 2^depth = {step}"
+        for axis, dim in zip("xyz", dims):
+            if dim < 1 or dim % step:
+                raise error(
+                    f"axis {axis} has {dim} voxels, not a positive multiple of 2^depth = {step}"
                 )
 
     @property
@@ -244,11 +248,7 @@ class UNet3D:
     def _input(self, x) -> Tensor:
         if isinstance(x, np.ndarray):
             x = Tensor(x)
-        if x.shape[1:] != (IN_CHANNELS, *self.spec.input_dims):
-            raise ad.ShapeError(
-                f"input shape {x.shape[1:]} does not match spec "
-                f"({IN_CHANNELS}, {self.spec.input_dims})"
-            )
+        self.spec.check_grid(x.shape[-3:])  # conv3d checks the rest of the shape
         return x
 
     def _first(self, x: Tensor, mode: str) -> Tensor:

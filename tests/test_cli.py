@@ -456,10 +456,11 @@ class TestErrors:
 
     @pytest.mark.parametrize("mc", ["on", "off"])
     def test_evaluate_off_the_model_grid_exits_1(self, setup, tmp_path, capsys, mc):
-        # evaluate scores volumes on their own grid: a 24^3 test volume does
-        # not fit the 16^3 model, and nothing is registered or resampled
+        # evaluate scores volumes on their own grid: the depth-2 model takes
+        # none with an axis 4 does not divide, as 18^3, and nothing is
+        # registered or resampled
         _, _, checkpoint = setup
-        spec = default_phantom_spec(dims=(24, 24, 24), modalities=("mprage",), seed=3)
+        spec = default_phantom_spec(dims=(18, 18, 18), modalities=("mprage",), seed=3)
         manifest = generate_dataset(spec, 5, tmp_path / "phantoms", test_fraction=0.2)
         out = tmp_path / "o"
         code = cli.run(
@@ -470,9 +471,107 @@ class TestErrors:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert "24, 24, 24" in err and "16, 16, 16" in err
+        assert err.startswith("error: ") and "axis x has 18 voxels" in err
+        assert "2^depth = 4" in err
         assert not (out / "summary.json").exists()
         assert not (out / "run_record.json").exists()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--dims", "16,16"], "(16, 16)"),
+            (["--dims", "0,16,16"], "(0, 16, 16)"),
+            (["--test-fraction", "1.5"], "1.5"),
+            (["--test-fraction", "-0.5"], "-0.5"),
+            (["--test-fraction", "0.6", "--validation-fraction", "0.6"], "1.2"),
+            (["--corrupt", "-1"], "-1"),
+        ],
+        ids=["two-axes", "zero-axis", "test-1.5", "test-neg", "sum-past-1", "corrupt-neg"],
+    )
+    def test_malformed_phantom_flag_exits_1_and_writes_nothing(
+        self, tmp_path, capsys, flags, named
+    ):
+        out = tmp_path / "o"
+        argv = ["phantoms", "--subjects", "5", "--modalities", "mprage", "--out", str(out)]
+        assert cli.run(argv + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_phantom_seed_exits_1_and_writes_nothing(self, tmp_path, capsys, source):
+        out = tmp_path / "o"
+        argv = ["phantoms", "--subjects", "5", "--dims", "16,16,16", "--out", str(out)]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            config = tmp_path / "s.json"
+            save_phantom_spec(default_phantom_spec(dims=(16, 16, 16)), config)
+            config.write_text(json.dumps({**json.loads(config.read_text()), "seed": -1}))
+            argv += ["--config", str(config)]
+        assert cli.run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err and "non-negative" in err
+        assert "expected non-negative integer" not in err  # numpy's, which names no field
+        assert not out.exists()
+
+
+class TestOwnGrid:
+    """``evaluate`` and ``--mc off`` on grids other than the checkpoint's."""
+
+    @pytest.mark.parametrize("mc", ["on", "off"])
+    @pytest.mark.parametrize(
+        "dims, modalities, grid",
+        [((16, 16, 16), ("mprage", "dwi"), (16, 16, 8)), ((24, 24, 24), ("mprage",), (24,) * 3)],
+        ids=["dwi", "mprage-24"],
+    )
+    def test_evaluate_scores_a_grid_the_depth_divides(
+        self, setup, tmp_path, dims, modalities, grid, mc
+    ):
+        _, _, checkpoint = setup  # a 16^3 MPRAGE model of depth 2
+        spec = default_phantom_spec(dims=dims, modalities=modalities, seed=3)
+        manifest = generate_dataset(spec, 5, tmp_path / "phantoms", test_fraction=0.2)
+        modality = modalities[-1]
+        test = next(
+            r for r in read_manifest(manifest) if r.split == "test" and r.modality == modality
+        )
+        assert read_volume(test.volume_path).dims == grid
+        out = tmp_path / "o"
+        code, record = _run(
+            [
+                "evaluate", "--manifest", str(manifest), "--modality", modality,
+                "--checkpoint", str(checkpoint), "--mc", mc, "--mc-samples", "2",
+            ],
+            out,
+        )
+        assert code == 0 and record["volumes"] == 1
+        assert json.loads((out / "summary.json").read_text())["volumes"] == 1
+
+    def test_mc_off_forward_runs_in_a_parallel_region(self, setup, tmp_path, monkeypatch):
+        # segment's and evaluate's one dropout-free forward runs in a
+        # parallel region, and gives the fields it gives outside one
+        root, records, checkpoint = setup
+        forward = UNet3D.forward
+        seen = []
+
+        def spy(model, x, *args, **kwargs):
+            P = forward(model, x, *args, **kwargs)
+            seen.append((ad._region.get() is not None, np.array(x), P.data.copy()))
+            return P
+
+        monkeypatch.setattr(UNet3D, "forward", spy)
+        off = ["--checkpoint", str(checkpoint), "--mc", "off"]
+        segment = ["segment", "--input", str(records[1].volume_path),
+                   "--reference", str(records[0].volume_path)]
+        assert _run(segment + off, tmp_path / "s")[0] == 0
+        manifest = str(root / "phantoms" / "manifest.csv")
+        assert _run(["evaluate", "--manifest", manifest] + off, tmp_path / "e")[0] == 0
+        assert [inside for inside, _, _ in seen] == [True, True]
+        model = load_checkpoint(checkpoint)
+        for _, x, P in seen:
+            with ad.no_grad():
+                alone = forward(model, x, "eval", False).data
+            assert alone.tobytes() == P.tobytes()
 
 
 class TestGoldenPath:

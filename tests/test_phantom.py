@@ -388,6 +388,35 @@ class TestDataset:
             generate_dataset(dataclasses.replace(spec, seed=-1), 5, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    def test_an_all_test_split_is_allowed(self, tmp_path):
+        spec = default_phantom_spec(dims=(16, 16, 16), modalities=("mprage",), seed=4)
+        records = read_manifest(generate_dataset(spec, 5, tmp_path / "out", test_fraction=1.0))
+        assert [r.split for r in records] == ["test"] * 5
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"test_fraction": float("nan")}, "test fraction must lie in"),
+            ({"validation_fraction": 1.01}, "validation fraction must lie in"),
+            (
+                {"test_fraction": 0.5, "validation_fraction": 0.75},
+                r"test \+ validation fraction must lie in \[0, 1\], got 1.25",
+            ),
+            ({"n_corrupt": -2}, "negative number of subjects, got -2"),
+        ],
+        ids=["nan", "val-past-1", "sum", "corrupt"],
+    )
+    def test_bad_split_rejected_before_writing(self, tmp_path, kwargs, match):
+        spec = default_phantom_spec(dims=(16, 16, 16), modalities=("mprage",), seed=4)
+        with pytest.raises(ValueError, match=match):
+            generate_dataset(spec, 5, tmp_path / "out", **kwargs)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dims", [(16, 16), (16, 16, 16, 16), (16, -16, 16), (16.0, 16, 16)])
+    def test_dims_must_be_three_positive_counts(self, dims):
+        with pytest.raises(ValueError, match="3 positive voxel counts"):
+            dataclasses.replace(default_phantom_spec(dims=(16, 16, 16)), dims=dims)
+
     def test_corruption_without_a_mode_rejected_before_writing(self, tmp_path):
         with pytest.raises(ValueError, match="no corruption mode"):
             _dataset(tmp_path / "out", modalities=("mprage",), modes=(), n_corrupt=1)

@@ -315,6 +315,35 @@ class TestTrainLoop:
         assert "best_epoch,2" in lines[-1]
 
 
+def _two_grid_records(tmp_path):
+    return [
+        r for dims in ((16, 16, 16), (24, 24, 24))
+        for r in _tiny_records(tmp_path / str(dims[0]), dims=dims)
+    ]
+
+
+class TestGrids:
+    """train() takes volumes on any grid the model's depth divides."""
+
+    def test_a_grid_the_depth_does_not_divide_raises_before_epoch_1(self, tmp_path, monkeypatch):
+        records = _tiny_records(tmp_path, dims=(18, 18, 18))
+        monkeypatch.setattr(train_module, "augment", lambda *a: pytest.fail("epoch 1 began"))
+        with pytest.raises(ad.ShapeError, match=r"axis x has 18 voxels.*2\^depth = 4"):
+            train(_tiny_model(), records, TrainConfig(max_epochs=1, patience=1))
+
+    def test_a_batch_over_two_grids_raises_before_epoch_1(self, tmp_path, monkeypatch):
+        records = _two_grid_records(tmp_path)
+        monkeypatch.setattr(train_module, "augment", lambda *a: pytest.fail("epoch 1 began"))
+        cfg = TrainConfig(max_epochs=1, patience=1, batch_size=2)
+        with pytest.raises(ValueError, match=r"one grid.*\(16, 16, 16\), \(24, 24, 24\)"):
+            train(_tiny_model(), records, cfg)
+
+    def test_one_volume_per_batch_trains_on_two_grids(self, tmp_path):
+        records = _two_grid_records(tmp_path)
+        _, log = train(_tiny_model(dims=(8, 8, 8)), records, TrainConfig(max_epochs=1, patience=1))
+        assert len(log.epochs) == 1 and np.isfinite(log.epochs[0].val_loss)
+
+
 class TestConfigValidation:
     def test_patience_bounded(self):
         with pytest.raises(ValueError):

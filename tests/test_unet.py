@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from neuroseg import autodiff as ad
 from neuroseg import metrics
 from neuroseg.autodiff import Tensor
-from neuroseg.core import one_hot
+from neuroseg.core import Volume, one_hot
+from neuroseg.inference import hard_segment, mc_segment
 from neuroseg.unet import (
     CheckpointError,
     ModelSpec,
@@ -183,9 +184,12 @@ class TestForward:
         ).data
         assert not np.array_equal(a, b)
 
-    def test_shape_mismatch_rejected(self, tiny_model):
-        with pytest.raises(ad.ShapeError):
-            tiny_model.forward(np.zeros((1, 1, 8, 8, 16), dtype=np.float32))
+    def test_shape_mismatch_rejected(self, tiny_model, monkeypatch):
+        # depth 2 takes any grid 4 divides; z = 10 is not one, and the check
+        # comes before encoder block 1
+        monkeypatch.setattr(tiny_model, "_first", lambda *a: pytest.fail("encoder ran"))
+        with pytest.raises(ad.ShapeError, match="axis z has 10 voxels.*2\\^depth = 4"):
+            tiny_model.forward(np.zeros((1, 1, 8, 8, 10), dtype=np.float32))
 
     def test_full_scale_mprage_shape(self):
         # reference architecture on a full-size grid, inference mode
@@ -196,6 +200,36 @@ class TestForward:
             out = model.forward(x, mode="train", dropout_active=False)
         assert out.shape == (1, 28, 128, 128, 128)
         assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-4)
+
+
+class TestAnyGrid:
+    """A model takes any grid 2^depth divides; ``input_dims`` does not
+    enter the network."""
+
+    def test_off_spec_grid_equals_a_model_built_for_it(self, rng):
+        grid = (24, 24, 12)
+        models = [
+            UNet3D(ModelSpec(features=2, depth=2, bottleneck_layers=1, input_dims=dims), seed=7)
+            for dims in ((8, 8, 8), grid)
+        ]
+        x = rng.standard_normal((1, 1) + grid).astype(np.float32)
+        outputs = []
+        for model in models:
+            train = model.forward(x, mode="train", rng=np.random.default_rng(0))
+            plain = model.forward(x, "eval", False)
+            passes = []
+            model.mc_passes(x, (np.random.default_rng(s) for s in (3, 4)), passes.append)
+            outputs.append([P.data.tobytes() for P in [train, plain] + passes])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("depth, grid", [(1, (8, 8, 7)), (3, (16, 16, 12)), (2, (8, 0, 8))])
+    def test_a_grid_the_depth_does_not_divide_is_rejected(self, depth, grid):
+        model = UNet3D(ModelSpec(features=1, depth=depth, input_dims=(8, 8, 8)), seed=0)
+        step = 2**depth
+        with pytest.raises(ad.ShapeError, match=rf"not a positive multiple of 2\^depth = {step}"):
+            model.forward(np.zeros((1, 1) + grid, np.float32), "train", False)
+        with pytest.raises(ModelSpecError, match=rf"2\^depth = {step}"):
+            ModelSpec(depth=depth, input_dims=grid)
 
 
 class TestMcPasses:
@@ -222,10 +256,11 @@ class TestMcPasses:
         if rate > 0:
             assert passes[0].data.tobytes() != passes[1].data.tobytes()
 
-    def test_rejects_a_mismatched_input(self, tiny_model):
-        with pytest.raises(ad.ShapeError):
+    def test_rejects_a_mismatched_input(self, tiny_model, monkeypatch):
+        monkeypatch.setattr(tiny_model, "_first", lambda *a: pytest.fail("encoder ran"))
+        with pytest.raises(ad.ShapeError, match="axis z has 10 voxels.*2\\^depth = 4"):
             tiny_model.mc_passes(
-                np.zeros((1, 1, 8, 8, 16), np.float32), [], lambda P: pytest.fail("fused")
+                np.zeros((1, 1, 8, 8, 10), np.float32), [], lambda P: pytest.fail("fused")
             )
 
 
@@ -399,6 +434,21 @@ class TestFixtureCheckpoint:
         assert all(state.initialized for state in model._bn_states.values())
         save_checkpoint(model, tmp_path / "again.ckpt")
         assert (tmp_path / "again.ckpt").read_bytes() == FIXTURE_CKPT.read_bytes()
+
+    def test_segments_byte_for_byte(self):
+        # label digests of an MC and a dropout-free segmentation, taken
+        # before the network took grids other than its input_dims
+        model = load_checkpoint(FIXTURE_CKPT)
+        data = np.random.default_rng(3).standard_normal((8, 8, 8)).astype(np.float32)
+        v = Volume(data, (1.0, 1.0, 1.0))
+        fused, _ = mc_segment(model, v, n=3, seed=4)
+        with ad.no_grad():
+            plain = hard_segment(model.forward(data[None, None], "eval", False).data[0], like=v)
+        digests = [hashlib.sha256(lab.labels.tobytes()).hexdigest() for lab in (fused, plain)]
+        assert digests == [
+            "31ae17b6335d2044c2d2e20c044e3f3f5e71dd1465f7e9857a531d00985dc5a2",
+            "7fe1592286d3a58c05d8d3b8fc16495d5e6bf3883005cabc74536dd3725fa48f",
+        ]
 
     @pytest.mark.parametrize(
         "key, value, match",
