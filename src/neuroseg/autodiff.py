@@ -508,15 +508,14 @@ def batch_norm(
     beta: Tensor,
     state: BatchNormState,
     mode: str = "train",
-    momentum: float = BN_MOMENTUM,
-    eps: float = BN_EPS,
 ) -> Tensor:
     """Per-channel standardization with learned scale/shift.
 
     Train mode normalizes by batch statistics (population variance over
     batch and space) and updates the running stats; the first training call
-    seeds them directly, later calls blend with ``momentum``. Eval mode uses
-    the running stats and fails if none were ever recorded.
+    seeds them directly, later calls blend with ``BN_MOMENTUM``. Eval mode
+    uses the running stats and fails if none were ever recorded. Both modes
+    floor the variance at ``BN_EPS``; each constant is read at call time.
     """
     _check_5d(x)
     C = x.shape[1]
@@ -528,8 +527,8 @@ def batch_norm(
         mean = x.data.mean(axis=axes, dtype=np.float64)
         var = x.data.var(axis=axes, dtype=np.float64)
         if state.initialized:
-            state.running_mean = momentum * state.running_mean + (1 - momentum) * mean
-            state.running_var = momentum * state.running_var + (1 - momentum) * var
+            state.running_mean = BN_MOMENTUM * state.running_mean + (1 - BN_MOMENTUM) * mean
+            state.running_var = BN_MOMENTUM * state.running_var + (1 - BN_MOMENTUM) * var
         else:
             state.running_mean = mean.copy()
             state.running_var = var.copy()
@@ -541,7 +540,7 @@ def batch_norm(
         var = state.running_var
     else:
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    inv = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
+    inv = (1.0 / np.sqrt(var + BN_EPS)).astype(x.dtype)
     mean_c = mean.astype(x.dtype)
     shape = (1, C, 1, 1, 1)
     xhat = x.data - mean_c.reshape(shape)

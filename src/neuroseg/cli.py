@@ -395,7 +395,7 @@ def cmd_segment(args) -> int:
 def cmd_evaluate(args) -> int:
     """Score the test split's records of the resolved modality on the
     volumes' own grid, without registration; a volume on a grid the depth
-    does not divide exits 1 and writes nothing."""
+    does not divide exits 1, naming the volume, and writes nothing."""
     cfg = _pipeline_config(args)
     model = _load_model(cfg)
     records = [
@@ -411,6 +411,10 @@ def cmd_evaluate(args) -> int:
     cvs = []
     for rec in records:
         vol = read_as(rec.volume_path, Volume)
+        try:
+            model.spec.check_grid(vol.dims)
+        except ad.ShapeError as exc:
+            raise ad.ShapeError(f"{rec.volume_path}: {exc}") from None
         labels = read_as(rec.labels_path, LabelMap)
         normalized = normalize_intensity(vol)
         seg, _, report = _segment(model, normalized, cfg)

@@ -57,8 +57,9 @@ class DiceReport:
         return float(num / den)
 
 
-def dice_report(pred_labels: np.ndarray, true_labels: np.ndarray, num_classes: int = NUM_CLASSES) -> DiceReport:
-    """Evaluate a hard segmentation against hard ground truth.
+def dice_report(pred_labels: np.ndarray, true_labels: np.ndarray) -> DiceReport:
+    """Evaluate a hard segmentation against hard ground truth, for each of
+    the ``NUM_CLASSES`` - 1 structures.
 
     Uses joint label counts, which is exactly the set-overlap Dice
     2|A n B| / (|A| + |B|) under the eps smoothing.
@@ -67,14 +68,14 @@ def dice_report(pred_labels: np.ndarray, true_labels: np.ndarray, num_classes: i
     true = np.asarray(true_labels).reshape(-1).astype(np.int64)
     if pred.shape != true.shape:
         raise ad.ShapeError("prediction and truth differ in voxel count")
-    joint = np.bincount(true * num_classes + pred, minlength=num_classes * num_classes)
-    joint = joint.reshape(num_classes, num_classes).astype(np.float64)
+    joint = np.bincount(true * NUM_CLASSES + pred, minlength=NUM_CLASSES * NUM_CLASSES)
+    joint = joint.reshape(NUM_CLASSES, NUM_CLASSES).astype(np.float64)
     true_counts = joint.sum(axis=1)
     pred_counts = joint.sum(axis=0)
     inter = np.diag(joint)
     dice = (2.0 * inter + DICE_EPS) / (true_counts + pred_counts + DICE_EPS)
-    per_structure = {s: float(dice[s]) for s in range(1, num_classes)}
-    volumes = {s: int(true_counts[s]) for s in range(1, num_classes)}
+    per_structure = {s: float(dice[s]) for s in range(1, NUM_CLASSES)}
+    volumes = {s: int(true_counts[s]) for s in range(1, NUM_CLASSES)}
     return DiceReport(per_structure, volumes)
 
 

@@ -332,31 +332,21 @@ def _swap_partner(volumes: Dict[str, Volume], modality: str) -> Optional[Volume]
     return next((v for other, v in volumes.items() if other != modality and v.dims == dims), None)
 
 
-_CORRUPTIONS = ("noise-0.3", "noise-0.5", "noise-0.7", "occlude-0.4", "swap")
-
-
-def _parse_corruption(mode: str) -> Tuple[str, float]:
-    """(kind, level) of a mode 'noise-<level>', 'occlude-<fraction>' or
-    'swap' (level 0); any other mode raises ValueError."""
-    kind, _, level = mode.partition("-")
-    if mode == "swap":
-        return kind, 0.0
-    if kind in ("noise", "occlude"):
-        try:
-            value = float(level)
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(value) and value >= 0.0:
-                return kind, value
-    raise ValueError(f"unknown corruption mode {mode!r}")
+# the corruption of each mode, by its manifest note: (kind, level)
+_CORRUPTIONS = {
+    "noise-0.3": ("noise", 0.3),
+    "noise-0.5": ("noise", 0.5),
+    "noise-0.7": ("noise", 0.7),
+    "occlude-0.4": ("occlude", 0.4),
+    "swap": ("swap", 0.0),
+}
 
 
 def _corrupt(
     volumes: Dict[str, Volume], modality: str, mode: Tuple[str, float], rng: np.random.Generator
 ) -> Volume:
-    """``volumes[modality]`` under a parsed ``mode`` (kind, level): 'noise'
-    adds Gaussian noise of sigma level * intensity range, 'occlude' zeroes a
+    """``volumes[modality]`` under ``mode`` (kind, level): 'noise' adds
+    Gaussian noise of sigma level * intensity range, 'occlude' zeroes a
     random cuboid spanning ``level`` of each axis, and 'swap' stands in the
     same-grid volume of another modality (wrong contrast), which must exist."""
     kind, level = mode
@@ -380,6 +370,8 @@ def _corrupt(
 def _split_counts(n: int, test_fraction: float, val_fraction: float) -> Tuple[int, int]:
     n_test = int(np.floor(n * test_fraction + 0.5))  # round half up
     n_val = int(np.floor(n * val_fraction + 0.5))
+    if n_test + n_val > n:
+        raise ValueError(f"{n_test} test and {n_val} validation subjects exceed the {n} subjects")
     return n_test, n_val
 
 
@@ -391,15 +383,15 @@ def generate_dataset(
     validation_fraction: float = 0.0,
     modalities: Optional[Sequence[str]] = None,
     n_corrupt: int = 0,
-    corruption_modes: Sequence[str] = _CORRUPTIONS,
 ) -> Path:
     """Write MVOX volume/label pairs plus a manifest with train/validation/
     test split tags; the last ``n_corrupt`` test subjects get corrupted
     volumes (labels stay truthful) and a corruption note in the manifest.
-    Every mode is checked, and corruption with no mode, a negative
-    ``n_corrupt``, or a fraction or fraction sum outside [0, 1] rejected,
-    before anything is written; 'swap' on a modality with no same-grid
-    partner (DWI's grid) applies, and notes, 'noise-0.5'. Returns the
+    The corrupted subjects cycle through the five modes of ``_CORRUPTIONS``
+    by subject index; 'swap' on a modality with no same-grid partner (DWI's
+    grid) applies, and notes, 'noise-0.5'. A negative ``n_corrupt``, a
+    fraction or fraction sum outside [0, 1], or split counts that round past
+    ``n_subjects`` are rejected before anything is written. Returns the
     manifest path.
     """
     if n_subjects < 5:
@@ -413,9 +405,6 @@ def generate_dataset(
             raise ValueError(f"{name} fraction must lie in [0, 1], got {fraction}")
     if n_corrupt < 0:
         raise ValueError(f"cannot corrupt a negative number of subjects, got {n_corrupt}")
-    modes = [(mode, _parse_corruption(mode)) for mode in corruption_modes]
-    if n_corrupt > 0 and not modes:
-        raise ValueError(f"cannot corrupt {n_corrupt} subjects with no corruption mode")
     modalities = list(modalities or spec.modalities)
     n_test, n_val = _split_counts(n_subjects, test_fraction, validation_fraction)
     if n_corrupt > n_test:
@@ -442,13 +431,14 @@ def generate_dataset(
             note = ""
             vol = volumes[modality]
             if subject in corrupt_subjects:
-                mode, parsed = modes[subject % len(modes)]
+                mode = list(_CORRUPTIONS)[subject % len(_CORRUPTIONS)]
+                kind_level = _CORRUPTIONS[mode]
                 rng = np.random.default_rng(
                     np.random.SeedSequence([spec.seed, subject, 0xBAD])
                 )
                 if mode == "swap" and _swap_partner(volumes, modality) is None:
-                    mode, parsed = "noise-0.5", ("noise", 0.5)
-                vol = _corrupt(volumes, modality, parsed, rng)
+                    mode, kind_level = "noise-0.5", ("noise", 0.5)
+                vol = _corrupt(volumes, modality, kind_level, rng)
                 note = f"corrupt:{mode}"
             vol_name = f"subject{subject:03d}_{modality}.mvx"
             lab_name = f"subject{subject:03d}_{modality}_labels.mvx"
@@ -475,8 +465,8 @@ _SCALAR_FIELDS = {f.name: type(f.default) for f in fields(PhantomSpec) if f.defa
 
 def load_phantom_spec(path) -> PhantomSpec:
     """Read a PhantomSpec from its JSON config form. A file that is not JSON,
-    a missing key or an entry of the wrong type raises ValueError naming the
-    file; the spec's own checks then run as for any PhantomSpec."""
+    a missing key, an entry of the wrong type or a spec its own checks reject
+    raises ValueError naming the file."""
     try:
         cfg = json.loads(Path(path).read_text())
     except ValueError as exc:
@@ -509,7 +499,10 @@ def load_phantom_spec(path) -> PhantomSpec:
         raise ValueError(
             f"phantom spec {path}: missing or mistyped entry ({type(exc).__name__}: {exc})"
         ) from None
-    return PhantomSpec(**kwargs)
+    try:
+        return PhantomSpec(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"phantom spec {path}: {exc}") from None
 
 
 def save_phantom_spec(spec: PhantomSpec, path) -> None:

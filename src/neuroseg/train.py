@@ -114,15 +114,15 @@ class TrainLog:
             writer.writerow(["best_epoch", self.best_epoch, "stop_reason", self.stop_reason])
 
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
+
 class Adam:
     """Adam with bias correction; state arrays share the parameter dtype."""
 
-    def __init__(self, params: Dict[str, Tensor], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: Dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -133,17 +133,17 @@ class Adam:
 
     def step(self):
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - _BETA1 ** self.t
+        b2c = 1.0 - _BETA2 ** self.t
         for k, p in self.params.items():
             if p.grad is None:
                 continue
             g = p.grad
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
+            self.m[k] = _BETA1 * self.m[k] + (1.0 - _BETA1) * g
+            self.v[k] = _BETA2 * self.v[k] + (1.0 - _BETA2) * g * g
             mh = self.m[k] / b1c
             vh = self.v[k] / b2c
-            p.data = p.data - self.lr * mh / (np.sqrt(vh) + self.eps)
+            p.data = p.data - self.lr * mh / (np.sqrt(vh) + _EPS)
 
 
 def augment(
@@ -231,8 +231,9 @@ def train(model: UNet3D, records, cfg: TrainConfig) -> Tuple[UNet3D, TrainLog]:
 
     Records tagged 'validation' are used as the validation set; otherwise
     ``cfg.validation_fraction`` of the training records is carved off with
-    the run seed. The epochs run in one parallel region
-    (``autodiff.parallel``).
+    the run seed. Before epoch 1, a volume on a grid the model's depth does
+    not divide raises ShapeError naming its file. The epochs run in one
+    parallel region (``autodiff.parallel``).
 
     At each new best validation loss a copy of ``model.named_arrays()`` is
     taken; at the end it is copied back into the model's current arrays, so
@@ -261,8 +262,11 @@ def train(model: UNet3D, records, cfg: TrainConfig) -> Tuple[UNet3D, TrainLog]:
 
     train_pairs = _load_pairs(train_recs)
     val_pairs = _load_pairs(val_recs)
-    for vol, _ in train_pairs + val_pairs:
-        model.spec.check_grid(vol.dims)
+    for rec, (vol, _) in zip(train_recs + val_recs, train_pairs + val_pairs):
+        try:
+            model.spec.check_grid(vol.dims)
+        except ad.ShapeError as exc:
+            raise ad.ShapeError(f"{rec.volume_path}: {exc}") from None
     grids = sorted({vol.dims for vol, _ in train_pairs})
     if cfg.batch_size > 1 and len(grids) > 1:
         raise ValueError(f"a batch stacks volumes of one grid, but they lie on {grids}")

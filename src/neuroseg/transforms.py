@@ -10,13 +10,14 @@ Resampling and registration share one sampler, ``ndimage.affine_transform``,
 which takes the data in its own dtype. When the 3x4 matrix puts every output
 voxel within 1e-9 of an integer input position (``_on_lattice``), the sample
 is an order-0 gather through the rounded matrix, so identity, whole-voxel
-shifts and right-angle rotations are exact at every order.
+shifts and right-angle rotations are exact at both orders the resamplers
+use: 3 (``resample_spline``) and 0 (``resample_nearest``).
 
-Registration runs Adam on the mean-squared intensity difference over an
-image pyramid. Each iteration interpolates the moving image once: the warp is
-one linear ``affine_transform``, and the cost gradient comes from
-``np.gradient`` of the warped image through the chain rule, not from
-interpolated gradient images. A level runs until its iteration cap, a
+Registration runs Adam on the mean-squared intensity difference over the
+image pyramid ``_LEVELS``. Each iteration interpolates the moving image
+once: the warp is one linear ``affine_transform``, and the cost gradient
+comes from ``np.gradient`` of the warped image through the chain rule, not
+from interpolated gradient images. A level runs until its iteration cap, a
 non-finite cost, or a plateau: ``_PLATEAU_ITERS`` iterations in a row that
 each failed to lower the level's best cost by more than ``_PLATEAU_RTOL`` of
 it, ending at an iterate whose cost is not above the level's start cost. A
@@ -41,6 +42,10 @@ from scipy import ndimage
 
 from .core import AffineTransform, GeometryError, LabelMap, Volume
 
+# The registration pyramid, coarse to fine: (block-mean factor, iteration
+# cap) per level, and the Adam step on the 12 affine parameters.
+_LEVELS = ((4, 80), (2, 80), (1, 50))
+_STEP = 0.02
 # The plateau stop of a registration pyramid level (see the module docstring).
 _PLATEAU_ITERS = 10
 _PLATEAU_RTOL = 1e-4
@@ -138,14 +143,11 @@ def resample_spline(
     t: AffineTransform,
     out_dims: Sequence[int],
     out_spacing: Sequence[float],
-    order: int = 3,
 ) -> Volume:
-    """Resample intensities onto a new grid; ``t`` maps output voxel coords
-    to input voxel coords. Cubic B-spline by default (order 0/1/3 supported);
-    out-of-bounds samples fill with 0."""
-    if order not in (0, 1, 3):
-        raise ValueError(f"interpolation order must be 0, 1 or 3, got {order}")
-    data = _resample_array(v.data, t, out_dims, order)
+    """Resample intensities onto a new grid by cubic B-spline; ``t`` maps
+    output voxel coords to input voxel coords. Out-of-bounds samples fill
+    with 0."""
+    data = _resample_array(v.data, t, out_dims, order=3)
     return Volume(data, out_spacing, v.affine.compose(t))
 
 
@@ -234,22 +236,17 @@ def _mse_cost_grad(mov, ref_l, level, lin, tr, centered, need_grad=True):
     return cost, g[:, :3], g[:, 3]
 
 
-def register_affine(
-    moving: Volume,
-    reference: Volume,
-    levels: Tuple[int, ...] = (4, 2, 1),
-    iterations: Tuple[int, ...] = (80, 80, 50),
-    step: float = 0.02,
-) -> RegistrationResult:
+def register_affine(moving: Volume, reference: Volume) -> RegistrationResult:
     """Affine alignment of ``moving`` to ``reference`` by multi-resolution
     gradient descent on the mean-squared intensity difference.
 
     Initialized from the intensity centroids; parameters are the linear part
     and a translation around the centroid pairing, updated with adaptive
-    per-parameter (Adam-style) steps. Each iteration interpolates once: the
-    cost gradient comes from the warped image by the chain rule (see
-    ``_mse_cost_grad``). ``iterations`` caps each level's updates; a level
-    stops early on a plateau, once ``_PLATEAU_ITERS`` (10) iterations in a
+    per-parameter (Adam-style) steps of size ``_STEP`` (0.02). Each iteration
+    interpolates once: the cost gradient comes from the warped image by the
+    chain rule (see ``_mse_cost_grad``). The pyramid ``_LEVELS`` downsamples
+    by 4, 2 and 1 and caps their updates at 80, 80 and 50; a level stops
+    early on a plateau, once ``_PLATEAU_ITERS`` (10) iterations in a
     row have each failed to lower its best cost by more than
     ``_PLATEAU_RTOL`` (1e-4) of it, at an iterate whose cost is not above
     the level's start cost. Returns the pull-back transform (reference-grid
@@ -274,7 +271,7 @@ def register_affine(
     tstep = 0
     traces = []
 
-    for level, n_iter in zip(levels, iterations):
+    for level, n_iter in _LEVELS:
         if min(reference.dims) // level < 2 or min(moving.dims) // level < 2:
             continue
         t0 = time.perf_counter()
@@ -312,7 +309,7 @@ def register_affine(
             v = 0.999 * v + 0.001 * g * g
             mh = m / (1 - 0.9 ** tstep)
             vh = v / (1 - 0.999 ** tstep)
-            upd = step * mh / (np.sqrt(vh) + 1e-12)
+            upd = _STEP * mh / (np.sqrt(vh) + 1e-12)
             lin = lin - upd[:9].reshape(3, 3)
             tr = tr - upd[9:]
         seconds = time.perf_counter() - t0

@@ -9,7 +9,7 @@ by a channel softmax.
 
 Every model maps one single-contrast scan (``IN_CHANNELS``) to the 28
 ``core.NUM_CLASSES`` with 3x3x3 convolutions (``KERNEL``) and batch norm at
-``autodiff.batch_norm``'s momentum and eps. These five values are fixed, so
+``autodiff.BN_MOMENTUM`` and ``BN_EPS``. These five values are fixed, so
 ``ModelSpec`` holds only the settings; a checkpoint header still records them.
 """
 

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -462,6 +464,7 @@ class TestErrors:
         _, _, checkpoint = setup
         spec = default_phantom_spec(dims=(18, 18, 18), modalities=("mprage",), seed=3)
         manifest = generate_dataset(spec, 5, tmp_path / "phantoms", test_fraction=0.2)
+        (test,) = [r for r in read_manifest(manifest) if r.split == "test"]
         out = tmp_path / "o"
         code = cli.run(
             [
@@ -471,7 +474,7 @@ class TestErrors:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "axis x has 18 voxels" in err
+        assert err.startswith(f"error: {test.volume_path}: axis x has 18 voxels")
         assert "2^depth = 4" in err
         assert not (out / "summary.json").exists()
         assert not (out / "run_record.json").exists()
@@ -485,8 +488,12 @@ class TestErrors:
             (["--test-fraction", "-0.5"], "-0.5"),
             (["--test-fraction", "0.6", "--validation-fraction", "0.6"], "1.2"),
             (["--corrupt", "-1"], "-1"),
+            (["--test-fraction", "0.5", "--validation-fraction", "0.5"], "3 test and 3"),
         ],
-        ids=["two-axes", "zero-axis", "test-1.5", "test-neg", "sum-past-1", "corrupt-neg"],
+        ids=[
+            "two-axes", "zero-axis", "test-1.5", "test-neg", "sum-past-1", "corrupt-neg",
+            "counts-past-n",
+        ],
     )
     def test_malformed_phantom_flag_exits_1_and_writes_nothing(
         self, tmp_path, capsys, flags, named
@@ -512,6 +519,8 @@ class TestErrors:
         assert cli.run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "seed" in err and "non-negative" in err
+        if source == "config":
+            assert err.startswith(f"error: phantom spec {config}: ")
         assert "expected non-negative integer" not in err  # numpy's, which names no field
         assert not out.exists()
 
@@ -672,3 +681,61 @@ class TestGoldenPath:
             out = tmp_path / f"bad-{command[0]}"
             assert cli.run(command + ["--checkpoint", str(bad), "--out", str(out)]) == 1
             assert not (out / "run_record.json").exists()
+
+
+class TestGoldenDigests:
+    """The bytes of every output of one fixed 16^3 run through ``cli.run``:
+    phantoms in all four modalities with every corruption mode (DWI's ``swap``
+    falls back to noise), a 2-epoch depth-1 MPRAGE model, ``segment`` with 3
+    MC samples and with ``--mc off``, ``evaluate --mc off`` and
+    ``uncertainty``. ``run_record.json`` and ``train_log.csv`` hold wall times
+    and peak memory, so they are not pinned. A change that keeps every float
+    operation and its order keeps every digest."""
+
+    DIGESTS = Path(__file__).parent / "data" / "golden_sha256.json"
+    UNPINNED = {"run_record.json", "train_log.csv"}
+
+    @staticmethod
+    def run_commands(root):
+        data = root / "phantoms"
+        assert cli.run(
+            [
+                "phantoms", "--subjects", "10", "--dims", "16,16,16", "--corrupt", "5",
+                "--test-fraction", "0.5", "--validation-fraction", "0.1", "--seed", "3",
+                "--out", str(data),
+            ]
+        ) == 0
+        manifest = data / "manifest.csv"
+        notes = {r.note for r in read_manifest(manifest)}
+        assert {"corrupt:noise-0.3", "corrupt:noise-0.5", "corrupt:noise-0.7",
+                "corrupt:occlude-0.4", "corrupt:swap"} <= notes
+        records = [r for r in read_manifest(manifest) if r.modality == "mprage"]
+        test = next(r for r in records if r.split == "test")
+        reference = next(r for r in records if r.split == "train")
+        assert cli.run(
+            [
+                "train", "--manifest", str(manifest), "--modality", "mprage", "--epochs", "2",
+                "--features", "2", "--depth", "1", "--seed", "1", "--out", str(root / "train"),
+            ]
+        ) == 0
+        checkpoint = ["--checkpoint", str(root / "train" / "mprage_model.ckpt")]
+        segment = ["segment", "--input", str(test.volume_path),
+                   "--reference", str(reference.volume_path)] + checkpoint
+        codes = [
+            cli.run(segment + ["--mc-samples", "3", "--out", str(root / "segment-mc")]),
+            cli.run(segment + ["--mc", "off", "--out", str(root / "segment-off")]),
+            cli.run(["evaluate", "--manifest", str(manifest), "--mc", "off"] + checkpoint
+                    + ["--out", str(root / "evaluate")]),
+            cli.run(["uncertainty", "--input", str(test.volume_path)] + checkpoint
+                    + ["--out", str(root / "uncertainty")]),
+        ]
+        assert codes == [2, 0, 0, 2]
+
+    def test_every_output_byte_for_byte(self, tmp_path):
+        self.run_commands(tmp_path)
+        got = {
+            str(path.relative_to(tmp_path)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(tmp_path.rglob("*"))
+            if path.is_file() and path.name not in self.UNPINNED
+        }
+        assert got == json.loads(self.DIGESTS.read_text())

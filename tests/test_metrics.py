@@ -23,7 +23,7 @@ from conftest import central_diff, max_rel_err
 class TestDicePerStructure:
     def test_perfect_prediction(self, rng):
         labels = rng.integers(0, 4, (4, 4, 4))
-        scores = dice_report(labels, labels, num_classes=4).per_structure
+        scores = dice_report(labels, labels).per_structure
         for s in (1, 2, 3):
             assert scores[s] == pytest.approx(1.0, abs=1e-6)
 
@@ -32,7 +32,7 @@ class TestDicePerStructure:
         labels_a[0] = 1
         labels_b = np.zeros((2, 2, 2), dtype=np.uint8)
         labels_b[1] = 1
-        scores = dice_report(labels_a, labels_b, num_classes=2).per_structure
+        scores = dice_report(labels_a, labels_b).per_structure
         assert scores[1] < 1e-6
 
     def test_half_overlap_hand_count(self):
@@ -41,12 +41,12 @@ class TestDicePerStructure:
         truth[0:2, :, 0] = 1  # 4 voxels
         pred = np.zeros((4, 2, 1), dtype=np.uint8)
         pred[1:3, :, 0] = 1  # 4 voxels, 2 shared
-        scores = dice_report(pred, truth, num_classes=2).per_structure
+        scores = dice_report(pred, truth).per_structure
         assert scores[1] == pytest.approx(0.5, abs=1e-6)
 
     def test_empty_structure_defined_as_one(self):
         labels = np.zeros((2, 2, 2), dtype=np.uint8)
-        scores = dice_report(labels, labels, num_classes=3).per_structure
+        scores = dice_report(labels, labels).per_structure
         assert scores[1] == 1.0
         assert scores[2] == 1.0
 
@@ -62,7 +62,7 @@ class TestDicePerStructure:
         checked = 0
         for a in range(0, 512, 7):  # stride keeps runtime sane; full sweep in acceptance
             for b in range(512):
-                ours = dice_report(grids[a], grids[b], num_classes=2).per_structure[1]
+                ours = dice_report(grids[a], grids[b]).per_structure[1]
                 na, nb, i = counts[a], counts[b], int(inters[a, b])
                 expected = (2 * i + DICE_EPS) / (na + nb + DICE_EPS)
                 assert ours == pytest.approx(expected, rel=1e-12)
@@ -93,7 +93,7 @@ class TestSummaries:
         truth[0, 0, 0] = 1
         truth[1, 1, 1] = 0  # structure 2 never appears in truth
         pred[2, 2, 2] = 2  # but is predicted somewhere
-        rep = dice_report(pred, truth, num_classes=4)
+        rep = dice_report(pred, truth)
         assert rep.volumes[2] == 0 and rep.volumes[3] == 0
         assert rep.average == pytest.approx(rep.per_structure[1])
         assert rep.volume_weighted == pytest.approx(rep.per_structure[1])

@@ -20,6 +20,13 @@ setting no program sets is a constant: make it one, or list it in
 ``src/`` or ``perfbench/`` passes it by keyword, passes it by position to its
 class, assigns it as an attribute or names it in a string constant, outside
 the body of the dataclass itself.
+
+A default of a parameter is a setting too: of a public function, of a public
+method or of a public class's ``__init__``. Make it a constant, or list it in
+``KEPT_DEFAULTS`` with the reason it stays, unless some call in ``src/`` or
+``perfbench/`` passes it, by keyword or by position. A call matches by the
+name it calls: the function's or method's name, or the class's name for its
+``__init__``.
 """
 
 import ast
@@ -40,6 +47,13 @@ ALLOWED = {
 SET_BY_NAME = {
     f"PhantomSpec.{name}": "set by name from a phantom spec JSON"
     for name in ("radius_jitter", "rotation_jitter_deg", "scale_jitter", "translation_jitter_mm")
+}
+
+KEPT_DEFAULTS = {
+    "unet.UNet3D(dtype=)": "float64 models are the finite-difference gradient test's reference",
+    "unet.save_checkpoint(extras=)": (
+        "format-1 checkpoints carry extra.* arrays, the store of a calibrated QC threshold"
+    ),
 }
 
 
@@ -241,6 +255,60 @@ def _unset_settings():
     return unset
 
 
+def _parameter_defaults():
+    """{qualified parameter: (defining file, the name a call uses, the
+    parameter, its position among the arguments a call passes, or None if
+    it is keyword-only)} for every parameter with a default of a public
+    function of the package, a public method of a public class or a public
+    class's ``__init__``. A method's first parameter (``self`` or ``cls``)
+    is bound, so a call passes none for it."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            functions = []  # (qualified name, the name a call uses, definition, bound)
+            if isinstance(node, ast.FunctionDef) and _public(node.name):
+                functions.append((f"{module}.{node.name}", node.name, node, 0))
+            elif isinstance(node, ast.ClassDef) and _public(node.name):
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        continue
+                    if item.name == "__init__":
+                        functions.append((f"{module}.{node.name}", node.name, item, 1))
+                    elif _public(item.name):
+                        qualified = f"{module}.{node.name}.{item.name}"
+                        functions.append((qualified, item.name, item, 1))
+            for qualified, called, function, bound in functions:
+                args = function.args
+                positional = (args.posonlyargs + args.args)[bound:]
+                first = len(positional) - len(args.defaults)
+                for position, arg in enumerate(positional[first:], first):
+                    found[f"{qualified}({arg.arg}=)"] = (path.name, called, arg.arg, position)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found[f"{qualified}({arg.arg}=)"] = (path.name, called, arg.arg, None)
+    return found
+
+
+def _unset_defaults():
+    """{qualified parameter: defining file} of every parameter default that
+    no call in ``src/`` or ``perfbench/`` passes."""
+    keywords = set()
+    most_positional = {}  # called name -> the most leading positional arguments a call passes
+    for node in _sources():
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            keywords.update((name, k.arg) for k in node.keywords if k.arg)
+            n = sum(1 for _ in takewhile(lambda a: not isinstance(a, ast.Starred), node.args))
+            most_positional[name] = max(n, most_positional.get(name, 0))
+    return {
+        qualified: path
+        for qualified, (path, called, parameter, position) in _parameter_defaults().items()
+        if (called, parameter) not in keywords
+        and (position is None or most_positional.get(called, 0) <= position)
+    }
+
+
 def _unused():
     """{qualified name: defining file} of every public name with no use
     outside the tests."""
@@ -297,3 +365,18 @@ def test_set_by_name_lists_unset_settings():
     unset = _unset_settings()
     for qualified in SET_BY_NAME:
         assert qualified in unset, f"{qualified} is set by a program now, or is not a setting"
+
+
+def test_every_default_is_passed_by_a_program():
+    unset = sorted(
+        f"{qualified} ({path})"
+        for qualified, path in _unset_defaults().items()
+        if qualified not in KEPT_DEFAULTS
+    )
+    assert not unset, "parameter defaults no program passes: " + ", ".join(unset)
+
+
+def test_kept_defaults_are_unset_defaults():
+    unset = _unset_defaults()
+    for qualified in KEPT_DEFAULTS:
+        assert qualified in unset, f"{qualified} is passed by a program now, or has no default"

@@ -1,5 +1,6 @@
-import functools
+import dataclasses
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -137,7 +138,7 @@ class TestTrainLoop:
         records = _tiny_records(tmp_path)
         # frozen learning rate and frozen batch-norm stats: nothing can
         # improve after the first epoch, so patience 3 stops at epoch 4
-        monkeypatch.setattr(ad, "batch_norm", functools.partial(ad.batch_norm, momentum=1.0))
+        monkeypatch.setattr(ad, "BN_MOMENTUM", 1.0)
         spec = ModelSpec(features=2, depth=2, bottleneck_layers=1, input_dims=(16, 16, 16))
         model = UNet3D(spec, seed=4)
         cfg = TrainConfig(learning_rate=0.0, max_epochs=50, patience=3, seed=4)
@@ -326,10 +327,16 @@ class TestGrids:
     """train() takes volumes on any grid the model's depth divides."""
 
     def test_a_grid_the_depth_does_not_divide_raises_before_epoch_1(self, tmp_path, monkeypatch):
-        records = _tiny_records(tmp_path, dims=(18, 18, 18))
+        # one 18^3 volume among 16^3 ones, as a training or a validation
+        # volume: the error names its file
+        on_grid = _tiny_records(tmp_path / "16")
+        off = _tiny_records(tmp_path / "18", dims=(18, 18, 18))[0]
         monkeypatch.setattr(train_module, "augment", lambda *a: pytest.fail("epoch 1 began"))
-        with pytest.raises(ad.ShapeError, match=r"axis x has 18 voxels.*2\^depth = 4"):
-            train(_tiny_model(), records, TrainConfig(max_epochs=1, patience=1))
+        want = re.escape(str(off.volume_path)) + r": axis x has 18 voxels.*2\^depth = 4"
+        for split in ("train", "validation"):
+            records = on_grid + [dataclasses.replace(off, split=split)]
+            with pytest.raises(ad.ShapeError, match=want):
+                train(_tiny_model(), records, TrainConfig(max_epochs=1, patience=1))
 
     def test_a_batch_over_two_grids_raises_before_epoch_1(self, tmp_path, monkeypatch):
         records = _two_grid_records(tmp_path)
