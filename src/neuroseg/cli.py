@@ -8,8 +8,9 @@ back), ``evaluate`` (Dice metrics plus the Dice/CV scatter) and
 ``evaluate`` and ``uncertainty`` score scans on their own grid, without
 registration: a scan whose grid 2^depth does not divide exits 1 before
 anything is written. Only ``segment`` registers and resamples its input,
-onto the model's ``input_dims``. ``evaluate`` scores only the test
-records of one modality, the one that also picks the CV threshold:
+onto the model's ``input_dims``, and it registers only as finely as one
+voxel of that grid resolves (see ``cmd_segment``). ``evaluate`` scores only
+the test records of one modality, the one that also picks the CV threshold:
 ``--modality``, else ``modality`` in the ``--config`` file, else ``mprage``.
 
 ``segment``, ``evaluate`` and ``uncertainty`` share one MC quality check,
@@ -21,17 +22,18 @@ model (e.g. 4 classes, ``unet.load_checkpoint``) exits 1 before any is read.
 
 Exit codes: 0 success/QC pass, 2 QC warn, 1 error, usage errors included.
 Every run echoes its resolved settings into ``run_record.json`` in the
-output directory; a ``segment`` record also holds the wall seconds of each
-stage (``timings``) and the per-pass structure voxel counts of the MC
-samples (``mc_volumes``). ``segment`` and ``uncertainty`` records give the
-number of MC passes run at once (``mc_workers``) and whether OpenBLAS was
-pinned to one thread while they ran (``blas_pinned``); a ``train`` record
-gives the workers of the parallel region its epochs ran in (``workers``)
-and ``blas_pinned`` likewise. ``train`` and
-``segment`` records give the process's high-water resident memory in MB when
-the record is written (``peak_rss_mb``, from ``ru_maxrss``). It marks the
-whole process lifetime, so a caller that runs several commands in one process
-reads a cumulative value.
+output directory. ``segment``, ``evaluate`` and ``uncertainty`` records also
+hold the wall seconds of each stage and of the whole command (``timings``,
+``total_s``); a ``segment`` record holds the per-pass structure voxel counts
+of the MC samples (``mc_volumes``). ``segment`` and ``uncertainty`` records
+give the number of MC passes run at once (``mc_workers``) and whether
+OpenBLAS was pinned to one thread while they ran (``blas_pinned``); a
+``train`` record gives the workers of the parallel region its epochs ran in
+(``workers``) and ``blas_pinned`` likewise. ``train``, ``segment``,
+``evaluate`` and ``uncertainty`` records give the process's high-water
+resident memory in MB when the record is written (``peak_rss_mb``, from
+``ru_maxrss``). It marks the whole process lifetime, so a caller that runs
+several commands in one process reads a cumulative value.
 """
 
 from __future__ import annotations
@@ -336,13 +338,19 @@ def _qc_record(cfg: PipelineConfig, model, samples, report) -> Dict:
 
 
 def cmd_segment(args) -> int:
+    """Register the input to the reference, resample it onto the model's
+    ``input_dims``, segment it there and map the labels back. Registration
+    runs its pyramid only as finely as one model voxel resolves: once a level
+    fits both scans, its finest level is the largest block-mean factor no
+    larger than the smallest reference-to-model-grid voxel ratio, so a
+    reference 2x finer than the model grid skips the full-resolution level."""
     clock = _StageClock()
     cfg = _pipeline_config(args)
     model = _load_model(cfg)
     original = read_as(args.input, Volume)
     reference = read_as(cfg.reference, Volume)
     clock.lap("load")
-    reg = tf.register_affine(original, reference)
+    reg = tf.register_affine(original, reference, model.spec.input_dims)
     clock.lap("register")
     if not reg.converged:
         print(
@@ -396,6 +404,7 @@ def cmd_evaluate(args) -> int:
     """Score the test split's records of the resolved modality on the
     volumes' own grid, without registration; a volume on a grid the depth
     does not divide exits 1, naming the volume, and writes nothing."""
+    clock = _StageClock()
     cfg = _pipeline_config(args)
     model = _load_model(cfg)
     records = [
@@ -405,6 +414,7 @@ def cmd_evaluate(args) -> int:
     if not records:
         print(f"error: manifest has no {cfg.modality!r} test records", file=sys.stderr)
         return 1
+    clock.lap("load")
     rows = []
     averages = []
     weighted = []
@@ -424,6 +434,7 @@ def cmd_evaluate(args) -> int:
         weighted.append(dr.volume_weighted)
         if report is not None:
             cvs.append(report.cv)
+    clock.lap("score")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_dice_rows(rows, cfg.out_dir / "evaluation.csv")
     summary = {
@@ -444,6 +455,7 @@ def cmd_evaluate(args) -> int:
             summary["pearson_da_cv"] = None
             summary["pearson_note"] = str(exc)
     (cfg.out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    clock.lap("write")
     _write_run_record(
         cfg.out_dir,
         "evaluate",
@@ -455,6 +467,8 @@ def cmd_evaluate(args) -> int:
             "dropout_rate": model.spec.dropout_rate,
             "seed": cfg.seed,
             **summary,
+            "timings": clock.timings(),
+            "peak_rss_mb": _peak_rss_mb(),
         },
     )
     print(
@@ -466,16 +480,27 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_uncertainty(args) -> int:
+    clock = _StageClock()
     cfg = _pipeline_config(args)
     model = _load_model(cfg)
     vol = read_as(args.input, Volume)
-    _, samples, report = _segment(model, normalize_intensity(vol), cfg)
+    clock.lap("load")
+    normalized = normalize_intensity(vol)
+    clock.lap("normalize")
+    _, samples, report = _segment(model, normalized, cfg)
+    clock.lap("mc")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     code = _write_qc(report, cfg.out_dir)
+    clock.lap("write")
     _write_run_record(
         cfg.out_dir,
         "uncertainty",
-        {"input": str(args.input), **_qc_record(cfg, model, samples, report)},
+        {
+            "input": str(args.input),
+            **_qc_record(cfg, model, samples, report),
+            "timings": clock.timings(),
+            "peak_rss_mb": _peak_rss_mb(),
+        },
     )
     print(f"CV {report.cv:.4f} (threshold {report.threshold:.4f}): {report.verdict}")
     return code

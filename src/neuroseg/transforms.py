@@ -2,9 +2,9 @@
 
 Resampling convention: the transform passed to a resampler maps OUTPUT grid
 voxel coordinates to INPUT volume voxel coordinates (the pull-back map), so
-``register_affine(moving, reference)`` returns the transform that resamples
-``moving`` onto the reference grid, and ``map_back`` applies its inverse to
-carry a segmentation to the original grid.
+``register_affine(moving, reference, grid_dims)`` returns the transform that
+resamples ``moving`` onto the reference grid, and ``map_back`` applies its
+inverse to carry a segmentation to the original grid.
 
 Resampling and registration share one sampler, ``ndimage.affine_transform``,
 which takes the data in its own dtype. When the 3x4 matrix puts every output
@@ -14,17 +14,25 @@ shifts and right-angle rotations are exact at both orders the resamplers
 use: 3 (``resample_spline``) and 0 (``resample_nearest``).
 
 Registration runs Adam on the mean-squared intensity difference over the
-image pyramid ``_LEVELS``. Each iteration interpolates the moving image
-once: the warp is one linear ``affine_transform``, and the cost gradient
-comes from ``np.gradient`` of the warped image through the chain rule, not
-from interpolated gradient images. A level runs until its iteration cap, a
-non-finite cost, or a plateau: ``_PLATEAU_ITERS`` iterations in a row that
-each failed to lower the level's best cost by more than ``_PLATEAU_RTOL`` of
-it, ending at an iterate whose cost is not above the level's start cost. A
-pyramid level has diverged when a cost is non-finite or when its last
-iterate rose above its start by more than its best gain, so a plateau stop
-never diverges; ``RegistrationResult.levels`` records each level's costs,
-why it stopped and how long it ran.
+image pyramid ``_LEVELS``, only as finely as ``grid_dims``, the grid the
+transform will be sampled onto, resolves. That grid spans the reference's
+extent, so one of its voxels covers ``reference.dims / grid_dims``
+reference voxels per axis. Once a level has run, levels with a block-mean
+factor below the largest one that does not exceed the smallest of those
+ratios are skipped, their block means never computed; so a scan too thin
+for the coarser levels still runs the first level it fits. The levels run
+do exactly what they do in the whole pyramid. Each iteration
+interpolates the moving image once: the warp is one linear
+``affine_transform``, and the cost gradient comes from ``np.gradient`` of
+the warped image through the chain rule, not from interpolated gradient
+images. A level runs until its iteration cap, a non-finite cost, or a
+plateau: ``_PLATEAU_ITERS`` iterations in a row that each failed to lower
+the level's best cost by more than ``_PLATEAU_RTOL`` of it, ending at an
+iterate whose cost is not above the level's start cost. A pyramid level has
+diverged when a cost is non-finite or when its last iterate rose above its
+start by more than its best gain, so a plateau stop never diverges;
+``RegistrationResult.levels`` records each level's costs, why it stopped and
+how long it ran.
 
 All operations are pure functions of their inputs and safe to call
 concurrently on shared volumes.
@@ -236,31 +244,42 @@ def _mse_cost_grad(mov, ref_l, level, lin, tr, centered, need_grad=True):
     return cost, g[:, :3], g[:, 3]
 
 
-def register_affine(moving: Volume, reference: Volume) -> RegistrationResult:
+def register_affine(moving: Volume, reference: Volume, grid_dims) -> RegistrationResult:
     """Affine alignment of ``moving`` to ``reference`` by multi-resolution
-    gradient descent on the mean-squared intensity difference.
+    gradient descent on the mean-squared intensity difference, for sampling
+    onto ``grid_dims``, a grid spanning the reference's extent.
 
     Initialized from the intensity centroids; parameters are the linear part
     and a translation around the centroid pairing, updated with adaptive
     per-parameter (Adam-style) steps of size ``_STEP`` (0.02). Each iteration
     interpolates once: the cost gradient comes from the warped image by the
     chain rule (see ``_mse_cost_grad``). The pyramid ``_LEVELS`` downsamples
-    by 4, 2 and 1 and caps their updates at 80, 80 and 50; a level stops
+    by 4, 2 and 1 and caps their updates at 80, 80 and 50, skipping a level
+    whose block leaves fewer than 2 voxels on an axis of either scan. Once a
+    level has run, it stops at the largest factor no larger than one grid
+    voxel, counted in reference voxels: the smallest ratio
+    ``reference.dims / grid_dims`` over the axes (level 4 from a ratio of
+    4, level 2 from 2, else level 1). A level stops
     early on a plateau, once ``_PLATEAU_ITERS`` (10) iterations in a
     row have each failed to lower its best cost by more than
     ``_PLATEAU_RTOL`` (1e-4) of it, at an iterate whose cost is not above
-    the level's start cost. Returns the pull-back transform (reference-grid
-    voxel -> moving voxel), a ``LevelTrace`` per pyramid level run, and
-    ``converged``: false when a level diverged (a non-finite cost, or a
-    last iterate above the level's start by more than its best gain) or
-    when the result at full resolution is costlier than the centroid
-    initialization, which is then returned instead. Each level hands on its
-    best-seen parameters either way.
+    the level's start cost. The initial and final costs are taken at full
+    resolution whichever level ran last. Returns the pull-back transform
+    (reference-grid voxel -> moving voxel), a ``LevelTrace`` per pyramid
+    level run, and ``converged``: false when a level diverged (a non-finite
+    cost, or a last iterate above the level's start by more than its best
+    gain) or when the result at full resolution is costlier than the
+    centroid initialization, which is then returned instead. Each level
+    hands on its best-seen parameters either way.
     """
     if float(moving.data.max()) == float(moving.data.min()):
         raise ValueError("moving volume is constant; registration is ill-posed")
     if float(reference.data.max()) == float(reference.data.min()):
         raise ValueError("reference volume is constant; registration is ill-posed")
+    # levels finer than one grid voxel resolve nothing the grid keeps, once a
+    # coarser level has run; a grid as fine as the reference keeps them all
+    ratio = min(r / g for r, g in zip(reference.dims, grid_dims))
+    finest = max((f for f, _ in _LEVELS if f <= ratio), default=1)
     c_ref = _intensity_centroid(reference.data)
     c_mov = _intensity_centroid(moving.data)
     lin = np.eye(3)
@@ -272,7 +291,8 @@ def register_affine(moving: Volume, reference: Volume) -> RegistrationResult:
     traces = []
 
     for level, n_iter in _LEVELS:
-        if min(reference.dims) // level < 2 or min(moving.dims) // level < 2:
+        too_small = min(reference.dims) // level < 2 or min(moving.dims) // level < 2
+        if too_small or (traces and level < finest):
             continue
         t0 = time.perf_counter()
         ref_l = _block_mean(reference.data, level)

@@ -215,9 +215,19 @@ class TestConfigFile:
 
 
 class TestRunRecord:
-    def test_segment_records_registration_levels(self, setup, tmp_path):
-        _, _, checkpoint = setup  # a 16^3 model; the scans are 32^3
-        spec = default_phantom_spec(dims=(32, 32, 32), modalities=("mprage",), seed=1)
+    @staticmethod
+    def _check_timings(record, stages):
+        timings = record["timings"]
+        assert set(timings) == {f"{stage}_s" for stage in stages} | {"total_s"}
+        assert all(t >= 0 for t in timings.values())
+        assert sum(timings[f"{stage}_s"] for stage in stages) <= timings["total_s"]
+        assert record["peak_rss_mb"] > 0
+
+    @staticmethod
+    def _registration_levels(checkpoint, dims, tmp_path):
+        """Segment seed-1 MPRAGE phantom 1 onto phantom 0 at ``dims`` and
+        check the recorded pyramid levels; returns their factors."""
+        spec = default_phantom_spec(dims=dims, modalities=("mprage",), seed=1)
         paths = []
         for subject in (0, 1):
             path = tmp_path / f"subject{subject}.mvx"
@@ -229,13 +239,23 @@ class TestRunRecord:
         )
         assert code in (0, 2)
         levels = record["registration_levels"]
-        assert [t["level"] for t in levels] == [4, 2, 1]
         for t, cap in zip(levels, [80, 80, 50]):
             assert t["iterations"] <= cap
             assert t["stop_reason"] in ("budget", "plateau")
             assert t["best_cost"] <= t["start_cost"]
         assert not any(t["diverged"] for t in levels)
         assert record["registration_converged"]
+        return [t["level"] for t in levels]
+
+    def test_segment_records_registration_levels(self, setup, tmp_path):
+        # a 16^3 model and 32^3 scans: one model voxel is 2 reference voxels,
+        # so the pyramid stops at level 2
+        _, _, checkpoint = setup
+        assert self._registration_levels(checkpoint, (32, 32, 32), tmp_path) == [4, 2]
+
+    def test_segment_on_the_model_grid_records_every_level(self, setup, tmp_path):
+        _, _, checkpoint = setup  # the scans and the model grid are both 16^3
+        assert self._registration_levels(checkpoint, (16, 16, 16), tmp_path) == [4, 2, 1]
 
     def test_segment_records_timings_and_mc_volumes(self, setup, tmp_path):
         _, records, checkpoint = setup  # scans and model grid are both 16^3
@@ -245,11 +265,8 @@ class TestRunRecord:
             "--mc-samples", "3",
         ]
         _, record = _run(args, tmp_path / "s")
-        timings = record["timings"]
         stages = ["load", "register", "resample", "normalize", "mc", "map_back", "write"]
-        assert set(timings) == {f"{stage}_s" for stage in stages} | {"total_s"}
-        assert all(t >= 0 for t in timings.values())
-        assert sum(timings[f"{stage}_s"] for stage in stages) <= timings["total_s"]
+        self._check_timings(record, stages)
         volumes = np.asarray(record["mc_volumes"])
         assert volumes.shape == (3, 28)
         assert (volumes.sum(axis=1) == 16**3).all()
@@ -291,6 +308,26 @@ class TestRunRecord:
                 assert record["blas_pinned"] == (record["mc_workers"] > 1)
         _, record = _run(segment + ["--mc", "off"], tmp_path / "off")
         assert record["mc_workers"] is None and record["blas_pinned"] is False
+
+    def test_evaluate_records_timings_and_peak_rss(self, setup, tmp_path):
+        root, _, checkpoint = setup
+        args = [
+            "evaluate", "--manifest", str(root / "phantoms" / "manifest.csv"),
+            "--checkpoint", str(checkpoint), "--mc-samples", "2",
+        ]
+        code, record = _run(args, tmp_path / "e")
+        assert code == 0
+        self._check_timings(record, ["load", "score", "write"])
+
+    def test_uncertainty_records_timings_and_peak_rss(self, setup, tmp_path):
+        _, records, checkpoint = setup
+        args = [
+            "uncertainty", "--input", str(records[1].volume_path),
+            "--checkpoint", str(checkpoint), "--mc-samples", "2",
+        ]
+        code, record = _run(args, tmp_path / "u")
+        assert code in (0, 2)
+        self._check_timings(record, ["load", "normalize", "mc", "write"])
 
 
 class TestErrors:
@@ -608,11 +645,11 @@ class TestGoldenPath:
         "evaluate": {
             "command", "manifest", "checkpoint", "mc", "mc_samples", "dropout_rate", "seed",
             "volumes", "d_a_mean", "d_a_std", "d_v_mean", "d_v_std", "pearson_da_cv",
-            "pearson_note",
+            "pearson_note", "timings", "peak_rss_mb",
         },
         "uncertainty": {
             "command", "input", "checkpoint", "mc_samples", "dropout_rate", "cv_threshold",
-            "seed", "cv", "verdict", "mc_workers", "blas_pinned",
+            "seed", "cv", "verdict", "mc_workers", "blas_pinned", "timings", "peak_rss_mb",
         },
     }
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -120,7 +122,7 @@ class TestTransformFile:
 class TestRegistration:
     def test_self_registration_is_identity(self):
         v = make_blob_volume(seed=1, noise=1.0)
-        result = tf.register_affine(v, v)
+        result = tf.register_affine(v, v, v.dims)
         assert result.converged
         assert result.final_cost <= result.initial_cost
         # translation error under 0.1 voxel
@@ -131,14 +133,14 @@ class TestRegistration:
         flat = Volume(np.zeros((8, 8, 8), dtype=np.float32))
         blob = make_blob_volume()
         with pytest.raises(ValueError):
-            tf.register_affine(flat, blob)
+            tf.register_affine(flat, blob, blob.dims)
 
     def test_known_shift_recovered(self):
         moving = make_blob_volume(seed=2, noise=0.5)
         shift = np.array([3.0, -2.0, 1.0])
         t_true = tf.translation_transform(shift)
         reference = tf.resample_spline(moving, t_true, moving.dims, moving.spacing)
-        result = tf.register_affine(moving, reference)
+        result = tf.register_affine(moving, reference, reference.dims)
         recovered = result.transform
         assert np.max(np.abs(recovered.translation - shift)) < 0.5
         assert result.final_cost <= result.initial_cost
@@ -148,7 +150,7 @@ class TestRegistration:
         center = (np.asarray(moving.dims) - 1) / 2
         t_true = tf.rotation_transform((0.0, 0.0, 5.0), center)
         reference = tf.resample_spline(moving, t_true, moving.dims, moving.spacing)
-        result = tf.register_affine(moving, reference)
+        result = tf.register_affine(moving, reference, reference.dims)
         lin = result.transform.linear
         angle = np.rad2deg(np.arctan2(lin[1, 0], lin[0, 0]))
         assert abs(angle - 5.0) < 1.0
@@ -156,7 +158,7 @@ class TestRegistration:
     def test_cost_never_exceeds_initial(self):
         a = make_blob_volume(seed=4, noise=2.0)
         b = make_blob_volume(seed=5, noise=2.0)
-        result = tf.register_affine(a, b)
+        result = tf.register_affine(a, b, b.dims)
         assert result.final_cost <= result.initial_cost
 
     def test_absurd_step_flags_divergence(self, monkeypatch):
@@ -165,7 +167,7 @@ class TestRegistration:
             moving, tf.translation_transform((2.0, 0.0, 0.0)), moving.dims, moving.spacing
         )
         monkeypatch.setattr(tf, "_STEP", 50.0)
-        result = tf.register_affine(moving, reference)
+        result = tf.register_affine(moving, reference, reference.dims)
         assert not result.converged
         assert result.final_cost <= result.initial_cost
 
@@ -267,7 +269,7 @@ class TestConvergenceFlag:
     def test_levels_traced(self, monkeypatch):
         v = make_blob_volume(seed=1, noise=1.0)
         monkeypatch.setattr(tf, "_LEVELS", ((4, 5), (2, 4), (1, 3)))
-        result = tf.register_affine(v, v)
+        result = tf.register_affine(v, v, v.dims)
         assert [t.level for t in result.levels] == [4, 2, 1]
         assert [t.iterations for t in result.levels] == [5, 4, 3]
         assert result.iterations == 12
@@ -282,7 +284,7 @@ class TestConvergenceFlag:
             moving, tf.translation_transform((2.0, 0.0, 0.0)), moving.dims, moving.spacing
         )
         monkeypatch.setattr(tf, "_STEP", 50.0)
-        result = tf.register_affine(moving, reference)
+        result = tf.register_affine(moving, reference, reference.dims)
         assert any(t.diverged for t in result.levels)
 
     def test_last_iterate_above_start_within_best_gain_converges(self, monkeypatch):
@@ -294,7 +296,7 @@ class TestConvergenceFlag:
         spec = default_phantom_spec(dims=(48, 48, 48), modalities=("mprage",), seed=2)
         reference = generate_subject(spec, 0)[1]["mprage"]
         moving = generate_subject(spec, 2)[1]["mprage"]
-        result = tf.register_affine(moving, reference)
+        result = tf.register_affine(moving, reference, reference.dims)
         last = result.levels[-1]
         assert last.level == 1
         assert last.end_cost > last.start_cost
@@ -311,7 +313,8 @@ class TestConvergenceFlag:
         # the initial one (70.23)
         spec = default_phantom_spec(dims=(48, 48, 48), modalities=("mprage",), seed=52)
         reference = generate_subject(spec, 0)[1]["mprage"]
-        result = tf.register_affine(generate_subject(spec, 3)[1]["mprage"], reference)
+        moving = generate_subject(spec, 3)[1]["mprage"]
+        result = tf.register_affine(moving, reference, reference.dims)
         assert result.final_cost < result.initial_cost
         assert result.converged
 
@@ -327,7 +330,7 @@ def phantom_pairs_32():
 
 class TestPlateauStop:
     def test_a_level_stops_on_a_plateau(self, phantom_pairs_32):
-        result = tf.register_affine(*phantom_pairs_32[0])
+        result = tf.register_affine(*phantom_pairs_32[0], (32, 32, 32))
         caps = dict(zip((4, 2, 1), (80, 80, 50)))
         stopped = [t for t in result.levels if t.stop_reason == "plateau"]
         assert stopped
@@ -338,8 +341,8 @@ class TestPlateauStop:
         assert result.converged
 
     def test_repeat_calls_are_bitwise_equal(self, phantom_pairs_32):
-        a = tf.register_affine(*phantom_pairs_32[0])
-        b = tf.register_affine(*phantom_pairs_32[0])
+        a = tf.register_affine(*phantom_pairs_32[0], (32, 32, 32))
+        b = tf.register_affine(*phantom_pairs_32[0], (32, 32, 32))
         assert np.array_equal(a.transform.as_matrix(), b.transform.as_matrix())
         assert a.final_cost == b.final_cost
         assert a.levels == b.levels  # LevelTrace equality leaves out ``seconds``
@@ -358,7 +361,7 @@ class TestPlateauStop:
             return real(*args, need_grad=need_grad)
 
         monkeypatch.setattr(tf, "_mse_cost_grad", recording)
-        result = tf.register_affine(*phantom_pairs_32[0])
+        result = tf.register_affine(*phantom_pairs_32[0], (32, 32, 32))
         groups = list(calls.values())
         assert len(groups) == len(result.levels) + 1
         for t, level_calls in zip(result.levels, groups):
@@ -382,7 +385,7 @@ class TestPlateauStop:
 
         monkeypatch.setattr(tf.ndimage, "affine_transform", counting)
         monkeypatch.setattr(tf, "_LEVELS", tuple(zip(levels, (80, 80, 50))))
-        result = tf.register_affine(moving, reference)
+        result = tf.register_affine(moving, reference, reference.dims)
         monkeypatch.undo()
         c_ref = tf._intensity_centroid(reference.data)
         lin = result.transform.linear
@@ -411,20 +414,102 @@ class TestPlateauStop:
         spec = default_phantom_spec(dims=(48, 48, 48), modalities=("mprage",), seed=1)
         reference = generate_subject(spec, 0)[1]["mprage"]
         moving = generate_subject(spec, 2)[1]["mprage"]
-        result = tf.register_affine(moving, reference)
+        result = tf.register_affine(moving, reference, reference.dims)
         assert result.levels[-1].iterations > 10
         assert not any(t.diverged for t in result.levels)
         assert result.converged
 
     def test_final_cost_within_one_percent_of_full_budget(self, phantom_pairs_32, monkeypatch):
-        early = [tf.register_affine(m, r) for m, r in phantom_pairs_32]
+        early = [tf.register_affine(m, r, r.dims) for m, r in phantom_pairs_32]
         monkeypatch.setattr(tf, "_PLATEAU_ITERS", 10**6)
-        full = [tf.register_affine(m, r) for m, r in phantom_pairs_32]
+        full = [tf.register_affine(m, r, r.dims) for m, r in phantom_pairs_32]
         for e, f in zip(early, full):
             assert all(t.stop_reason == "budget" for t in f.levels)
             assert abs(e.final_cost - f.final_cost) <= 0.01 * f.final_cost
             assert e.converged and f.converged
         assert sum(e.iterations for e in early) < sum(f.iterations for f in full)
+
+
+class TestModelGridPyramid:
+    """The pyramid runs only as finely as one voxel of the grid the transform
+    is sampled onto, counted in reference voxels."""
+
+    @pytest.mark.parametrize(
+        "grid, levels",
+        [
+            ((24, 24, 24), [4, 2, 1]),
+            ((48, 48, 48), [4, 2, 1]),  # a grid finer than the reference
+            ((16, 16, 16), [4, 2, 1]),  # ratio 1.5
+            ((12, 12, 12), [4, 2]),
+            ((8, 8, 8), [4, 2]),  # ratio 3
+            ((6, 6, 6), [4]),
+            ((12, 24, 6), [4, 2, 1]),  # the smallest ratio over the axes
+        ],
+    )
+    def test_finest_level_is_one_grid_voxel(self, monkeypatch, grid, levels):
+        v = make_blob_volume(seed=1, noise=1.0)  # 24^3
+        monkeypatch.setattr(tf, "_LEVELS", ((4, 3), (2, 3), (1, 3)))
+        result = tf.register_affine(v, v, grid)
+        assert [t.level for t in result.levels] == levels
+
+    def test_a_scan_too_thin_for_the_grid_level_still_runs_a_level(self, monkeypatch):
+        # a 6^3 grid over a 24^3 reference ends the pyramid at level 4, but
+        # 5 voxels on one axis leave level 4 a single block there, so the
+        # first level the scan fits runs instead
+        moving = make_blob_volume(dims=(24, 24, 5), seed=1, noise=1.0)
+        reference = make_blob_volume(seed=1, noise=1.0)
+        monkeypatch.setattr(tf, "_LEVELS", ((4, 3), (2, 3), (1, 3)))
+        result = tf.register_affine(moving, reference, (6, 6, 6))
+        assert [t.level for t in result.levels] == [2]
+
+    def test_coarser_levels_run_as_in_the_whole_pyramid(self, phantom_pairs_32, monkeypatch):
+        moving, reference = phantom_pairs_32[1]
+        full = tf.register_affine(moving, reference, reference.dims)
+        factors = []
+        block_mean = tf._block_mean
+
+        def recording(data, f):
+            factors.append(f)
+            return block_mean(data, f)
+
+        monkeypatch.setattr(tf, "_block_mean", recording)
+        coarse = tf.register_affine(moving, reference, (16, 16, 16))
+        assert coarse.levels == full.levels[:2]  # LevelTrace equality leaves out ``seconds``
+        assert set(factors) == {4, 2}  # the full-resolution block means are never taken
+        assert coarse.initial_cost == full.initial_cost
+
+    def test_within_half_a_voxel_of_the_full_pyramid(self, phantom_pairs_32):
+        # a 16^3 grid over 32^3 scans skips level 1: the transform moves each
+        # reference voxel by under 0.5 native voxels RMS (a quarter of a grid
+        # voxel), and the full-resolution cost rises by under 3%. These bounds
+        # hold on the seed-1 fixture pairs (at most 0.15 voxels and +1.2%),
+        # not on every seed at this ratio: seeds 2 and 3 reach 0.68 voxels
+        # and +3.5% (ROADMAP item 4)
+        axes = [np.arange(32, dtype=np.float64)] * 3
+        grid = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(3, -1)
+        for moving, reference in phantom_pairs_32:
+            full = tf.register_affine(moving, reference, reference.dims)
+            coarse = tf.register_affine(moving, reference, (16, 16, 16))
+            assert [t.level for t in coarse.levels] == [4, 2]
+            a, b = full.transform, coarse.transform
+            moved = (a.linear - b.linear) @ grid + (a.translation - b.translation)[:, None]
+            assert np.sqrt((moved * moved).sum(axis=0).mean()) < 0.5
+            assert coarse.final_cost <= 1.03 * full.final_cost
+            assert coarse.converged
+
+    def test_same_grid_keeps_the_whole_pyramid_bit_for_bit(self, phantom_pairs_32):
+        # digests and costs taken before the grid argument existed
+        result = tf.register_affine(*phantom_pairs_32[0], (32, 32, 32))
+        digest = hashlib.sha256(result.transform.as_matrix().tobytes()).hexdigest()
+        assert digest == "838f1fc196e38c049f8706589efac1c143837b8b93076a494b8df9368dd44543"
+        assert result.final_cost == 64.43549251702092
+        assert result.initial_cost == 84.79076980269622
+        got = [(t.level, t.iterations, t.start_cost, t.best_cost, t.end_cost) for t in result.levels]
+        assert got == [
+            (4, 32, 14.540556336049175, 12.349196873917943, 12.401529974075727),
+            (2, 25, 21.890041038537014, 19.443344012340035, 19.47452883099654),
+            (1, 18, 64.8892214530845, 64.43549251702092, 64.47360501372835),
+        ]
 
 
 def _reference_resample(data, t, out_dims, order):
