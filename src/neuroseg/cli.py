@@ -10,8 +10,7 @@ registration: a scan whose grid 2^depth does not divide exits 1 before
 anything is written. Only ``segment`` registers and resamples its input,
 onto the model's ``input_dims``, and it registers only as finely as one
 voxel of that grid resolves (see ``cmd_segment``). ``evaluate`` scores only
-the test records of one modality, the one that also picks the CV threshold:
-``--modality``, else ``modality`` in the ``--config`` file, else ``mprage``.
+the test records of the modality setting, which also picks the CV threshold.
 
 ``segment``, ``evaluate`` and ``uncertainty`` share one MC quality check,
 which needs at least 2 MC samples: fewer is an error (exit 1) before the
@@ -20,20 +19,25 @@ dropout-free forward and no check; ``uncertainty`` always samples. They load
 the checkpoint before any input, so one the loader rejects as not a segctl
 model (e.g. 4 classes, ``unet.load_checkpoint``) exits 1 before any is read.
 
+Their settings are ``--modality``, ``--mc`` (not ``uncertainty``),
+``--mc-samples``, ``--dropout-rate``, ``--cv-threshold`` and ``--seed``, each
+from its flag, else the same key in the ``--config`` JSON file, else its
+default. A file entry must be a JSON number or string the flag would take as
+its text; any other entry exits 1 before the model is loaded.
+
 Exit codes: 0 success/QC pass, 2 QC warn, 1 error, usage errors included.
 Every run echoes its resolved settings into ``run_record.json`` in the
-output directory. ``segment``, ``evaluate`` and ``uncertainty`` records also
-hold the wall seconds of each stage and of the whole command (``timings``,
-``total_s``); a ``segment`` record holds the per-pass structure voxel counts
-of the MC samples (``mc_volumes``). ``segment`` and ``uncertainty`` records
-give the number of MC passes run at once (``mc_workers``) and whether
-OpenBLAS was pinned to one thread while they ran (``blas_pinned``); a
-``train`` record gives the workers of the parallel region its epochs ran in
-(``workers``) and ``blas_pinned`` likewise. ``train``, ``segment``,
-``evaluate`` and ``uncertainty`` records give the process's high-water
-resident memory in MB when the record is written (``peak_rss_mb``, from
-``ru_maxrss``). It marks the whole process lifetime, so a caller that runs
-several commands in one process reads a cumulative value.
+output directory. ``segment``, ``evaluate`` and ``uncertainty`` records hold
+``checkpoint``, ``modality``, ``mc``, ``mc_samples``, ``dropout_rate``,
+``cv_threshold``, ``seed``, ``mc_workers`` (the MC passes run at once),
+``blas_pinned`` (OpenBLAS held to one thread while they ran) and the wall
+seconds of each stage and in all (``timings``, ``total_s``). ``segment``
+and ``uncertainty`` add the QC ``cv`` and ``verdict``, and ``segment`` the
+structure voxel counts of each MC pass (``mc_volumes``). ``train`` records
+give their parallel region's ``workers`` and ``blas_pinned``. All but
+``phantoms`` records give the process's high-water resident memory in MB
+(``peak_rss_mb``, from ``ru_maxrss``) over the whole process lifetime, so a
+caller that runs several commands in one process reads a cumulative value.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import resource
 import sys
 import time
@@ -85,8 +90,6 @@ class PipelineConfig:
     cv_threshold: float
 
     def __post_init__(self):
-        if self.modality not in MODALITIES:
-            raise ValueError(f"modality must be one of {MODALITIES}, got {self.modality!r}")
         if self.mc and self.mc_samples < 2:
             raise ValueError(f"MC QC needs at least 2 MC samples, got {self.mc_samples}")
         for path in (self.reference, self.checkpoint):
@@ -94,13 +97,11 @@ class PipelineConfig:
                 raise FileNotFoundError(f"missing input: {path}")
 
 
-def _write_run_record(out_dir: Path, command: str, resolved: Dict) -> None:
+def _write_run_record(out_dir: Path, command: str, **resolved) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    record = {"command": command}
-    record.update(
-        {k: (str(v) if isinstance(v, Path) else v) for k, v in sorted(resolved.items())}
-    )
-    (out_dir / "run_record.json").write_text(json.dumps(record, indent=2, sort_keys=True))
+    record = {"command": command, **resolved}  # a Path is written as its text
+    text = json.dumps(record, indent=2, sort_keys=True, default=os.fspath)
+    (out_dir / "run_record.json").write_text(text)
 
 
 def _peak_rss_mb() -> float:
@@ -126,60 +127,64 @@ class _StageClock:
         return {**self._seconds, "total_s": time.perf_counter() - self._start}
 
 
-# the settings a --config file may hold, each with the cast its flag applies;
-# flags and defaults already have these types
-_CONFIG_CASTS = {
-    "modality": str, "cv-threshold": float, "seed": int,
-    "mc": str, "mc-samples": int, "dropout-rate": float,
+# The settings of segment, evaluate and uncertainty: flag type, choices and
+# default. A None default is the checkpoint's rate or the modality's threshold.
+_SETTINGS = {
+    "modality": (str, MODALITIES, "mprage"),
+    "mc": (str, ("on", "off"), "on"),
+    "mc-samples": (int, None, DEFAULT_MC_SAMPLES),
+    "dropout-rate": (float, None, None),
+    "cv-threshold": (float, None, None),
+    "seed": (int, None, 0),
 }
 
 
-def _read_config(path) -> Dict:
-    """The settings of a ``--config`` file, cast as their flags are."""
+def _read_config(path, settings) -> Dict:
+    """The entries of a ``--config`` file, each one of ``settings`` and read
+    as its flag reads its text: a JSON number or string, converted with the
+    flag's type and checked against its choices."""
     try:
-        settings = json.loads(Path(path).read_text())
+        entries = json.loads(Path(path).read_text())
     except ValueError as exc:
         raise ValueError(f"config {path}: not JSON ({exc})") from None
-    if not isinstance(settings, dict):
+    if not isinstance(entries, dict):
         raise ValueError(f"config {path}: expected a JSON object of settings")
-    for key, value in settings.items():
+    for key, value in entries.items():
         try:
-            if key not in _CONFIG_CASTS:
-                raise ValueError(f"not one of the settings {', '.join(_CONFIG_CASTS)}")
-            settings[key] = _CONFIG_CASTS[key](value)
-            if key == "mc" and value not in ("on", "off"):
-                raise ValueError(f"expected 'on' or 'off', got {value!r}")
+            if key not in settings:
+                raise ValueError(f"not one of the settings {', '.join(settings)}")
+            if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+                raise TypeError(f"expected a JSON number or string, got {json.dumps(value)}")
+            kind, choices, _ = _SETTINGS[key]
+            entries[key] = kind(str(value))
+            if choices and entries[key] not in choices:
+                raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
         except (TypeError, ValueError) as exc:
             raise ValueError(f"config {path}: setting {key!r}: {exc}") from None
-    return settings
+    return entries
 
 
 def _pipeline_config(args) -> PipelineConfig:
-    """Each setting comes from its flag, else the ``--config`` JSON file,
-    else its default. The file must hold one JSON object; a key that is not
-    one of the six settings, a value its flag's cast rejects, or an ``mc``
-    other than ``on`` or ``off`` raises ValueError naming the file and key."""
-    from_file = _read_config(args.config) if args.config else {}
-
-    def resolve(key, default):
-        for value in (getattr(args, key.replace("-", "_")), from_file.get(key)):
-            if value is not None:
-                return value
-        return default
-
-    modality = resolve("modality", "mprage")
-    threshold = resolve("cv-threshold", CV_THRESHOLDS.get(modality))
+    """Each of the command's settings flags takes its value from the flag,
+    else the ``--config`` file, else its default. A file that is not one JSON
+    object of such settings raises ValueError naming the file (and key)."""
+    settings = [key for key in _SETTINGS if hasattr(args, key.replace("-", "_"))]
+    from_file = _read_config(args.config, settings) if args.config else {}
+    value = {}
+    for key in settings:
+        flag = getattr(args, key.replace("-", "_"))
+        value[key] = from_file.get(key, _SETTINGS[key][2]) if flag is None else flag
+    threshold = value["cv-threshold"]
     return PipelineConfig(
-        modality=modality,
+        modality=value["modality"],
         reference=Path(args.reference) if getattr(args, "reference", None) else None,
         checkpoint=Path(args.checkpoint),
         out_dir=Path(args.out),
-        seed=resolve("seed", 0),
-        # uncertainty has no --mc: it always samples
-        mc=not hasattr(args, "mc") or resolve("mc", "on") == "on",
-        mc_samples=resolve("mc-samples", DEFAULT_MC_SAMPLES),
-        dropout_rate=resolve("dropout-rate", None),
-        cv_threshold=threshold,
+        seed=value["seed"],
+        mc=value.get("mc") != "off",  # uncertainty has no --mc: it always samples
+        mc_samples=value["mc-samples"],
+        dropout_rate=value["dropout-rate"],
+        cv_threshold=CV_THRESHOLDS[value["modality"]] if threshold is None else threshold,
     )
 
 
@@ -215,14 +220,12 @@ def cmd_phantoms(args) -> int:
     _write_run_record(
         out_dir,
         "phantoms",
-        {
-            "subjects": args.subjects,
-            "test_fraction": args.test_fraction,
-            "validation_fraction": args.validation_fraction,
-            "corrupt": args.corrupt,
-            "seed": spec.seed,
-            "manifest": manifest.name,
-        },
+        subjects=args.subjects,
+        test_fraction=args.test_fraction,
+        validation_fraction=args.validation_fraction,
+        corrupt=args.corrupt,
+        seed=spec.seed,
+        manifest=manifest.name,
     )
     print(f"wrote dataset manifest {manifest}")
     return 0
@@ -267,21 +270,19 @@ def cmd_train(args) -> int:
     _write_run_record(
         out_dir,
         "train",
-        {
-            "manifest": str(args.manifest),
-            "modality": args.modality,
-            **dataclasses.asdict(cfg),
-            "features": spec.features,
-            "depth": spec.depth,
-            "bottleneck": spec.bottleneck_layers,
-            "input_dims": list(spec.input_dims),
-            "checkpoint": ckpt.name,
-            "best_epoch": log.best_epoch,
-            "stop_reason": log.stop_reason,
-            "workers": log.workers,
-            "blas_pinned": log.workers > 1,
-            "peak_rss_mb": _peak_rss_mb(),
-        },
+        manifest=args.manifest,
+        modality=args.modality,
+        **dataclasses.asdict(cfg),
+        features=spec.features,
+        depth=spec.depth,
+        bottleneck=spec.bottleneck_layers,
+        input_dims=list(spec.input_dims),
+        checkpoint=ckpt.name,
+        best_epoch=log.best_epoch,
+        stop_reason=log.stop_reason,
+        workers=log.workers,
+        blas_pinned=log.workers > 1,
+        peak_rss_mb=_peak_rss_mb(),
     )
     print(
         f"trained {args.modality}: best epoch {log.best_epoch} "
@@ -319,21 +320,23 @@ def _write_qc(report, out_dir: Path) -> int:
     return 2
 
 
-def _qc_record(cfg: PipelineConfig, model, samples, report) -> Dict:
-    """The run-record keys ``segment`` and ``uncertainty`` share: the MC
-    settings, the QC result, the passes run at once and whether BLAS was
-    pinned to one thread for them (it is whenever more than one ran at once)."""
+def _qc_record(cfg: PipelineConfig, model, samples, clock: _StageClock) -> Dict:
+    """The run-record keys of ``segment``, ``evaluate`` and ``uncertainty``:
+    the settings, the MC passes run at once, whether BLAS was pinned to one
+    thread for them (whenever more than one ran), timings and peak memory."""
     workers = None if samples is None else samples.workers
     return {
-        "checkpoint": str(cfg.checkpoint),
+        "checkpoint": cfg.checkpoint,
+        "modality": cfg.modality,
+        "mc": cfg.mc,
         "mc_samples": cfg.mc_samples,
         "dropout_rate": model.spec.dropout_rate,
         "cv_threshold": cfg.cv_threshold,
         "seed": cfg.seed,
-        "cv": None if report is None else report.cv,
-        "verdict": None if report is None else report.verdict,
         "mc_workers": workers,
         "blas_pinned": workers is not None and workers > 1,
+        "timings": clock.timings(),
+        "peak_rss_mb": _peak_rss_mb(),
     }
 
 
@@ -380,21 +383,17 @@ def cmd_segment(args) -> int:
     _write_run_record(
         cfg.out_dir,
         "segment",
-        {
-            "input": str(args.input),
-            "reference": str(cfg.reference),
-            "modality": cfg.modality,
-            "mc": cfg.mc,
-            "registration_converged": reg.converged,
-            "registration_cost": reg.final_cost,
-            "registration_levels": [
-                {**dataclasses.asdict(t), "diverged": t.diverged} for t in reg.levels
-            ],
-            "mc_volumes": None if samples is None else samples.volumes.tolist(),
-            **_qc_record(cfg, model, samples, report),
-            "timings": clock.timings(),
-            "peak_rss_mb": _peak_rss_mb(),
-        },
+        input=args.input,
+        reference=cfg.reference,
+        registration_converged=reg.converged,
+        registration_cost=reg.final_cost,
+        registration_levels=[
+            {**dataclasses.asdict(t), "diverged": t.diverged} for t in reg.levels
+        ],
+        mc_volumes=None if samples is None else samples.volumes.tolist(),
+        cv=getattr(report, "cv", None),
+        verdict=getattr(report, "verdict", None),
+        **_qc_record(cfg, model, samples, clock),
     )
     print(f"segmentation written to {cfg.out_dir / 'segmentation.mvx'}")
     return code
@@ -416,8 +415,6 @@ def cmd_evaluate(args) -> int:
         return 1
     clock.lap("load")
     rows = []
-    averages = []
-    weighted = []
     cvs = []
     for rec in records:
         vol = read_as(rec.volume_path, Volume)
@@ -427,16 +424,15 @@ def cmd_evaluate(args) -> int:
             raise ad.ShapeError(f"{rec.volume_path}: {exc}") from None
         labels = read_as(rec.labels_path, LabelMap)
         normalized = normalize_intensity(vol)
-        seg, _, report = _segment(model, normalized, cfg)
-        dr = dice_report(seg.labels, labels.labels)
-        rows.append((rec.volume_path.name, dr))
-        averages.append(dr.average)
-        weighted.append(dr.volume_weighted)
+        seg, samples, report = _segment(model, normalized, cfg)
+        rows.append((rec.volume_path.name, dice_report(seg.labels, labels.labels)))
         if report is not None:
             cvs.append(report.cv)
     clock.lap("score")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_dice_rows(rows, cfg.out_dir / "evaluation.csv")
+    averages = [dr.average for _, dr in rows]
+    weighted = [dr.volume_weighted for _, dr in rows]
     summary = {
         "volumes": len(rows),
         "d_a_mean": float(np.mean(averages)),
@@ -447,8 +443,8 @@ def cmd_evaluate(args) -> int:
     if cvs:
         with open(cfg.out_dir / "scatter.csv", "w", newline="") as fh:
             fh.write("volume,d_a,cv\n")
-            for (name, _), da, cv in zip(rows, averages, cvs):
-                fh.write(f"{name},{da!r},{cv!r}\n")
+            for (name, dr), cv in zip(rows, cvs):
+                fh.write(f"{name},{dr.average!r},{cv!r}\n")
         try:
             summary["pearson_da_cv"] = pearson(averages, cvs)
         except CorrelationError as exc:
@@ -459,17 +455,9 @@ def cmd_evaluate(args) -> int:
     _write_run_record(
         cfg.out_dir,
         "evaluate",
-        {
-            "manifest": str(args.manifest),
-            "checkpoint": str(cfg.checkpoint),
-            "mc": cfg.mc,
-            "mc_samples": cfg.mc_samples,
-            "dropout_rate": model.spec.dropout_rate,
-            "seed": cfg.seed,
-            **summary,
-            "timings": clock.timings(),
-            "peak_rss_mb": _peak_rss_mb(),
-        },
+        manifest=args.manifest,
+        **summary,
+        **_qc_record(cfg, model, samples, clock),
     )
     print(
         f"evaluated {len(rows)} volumes: D_A {summary['d_a_mean']:.4f} "
@@ -495,12 +483,10 @@ def cmd_uncertainty(args) -> int:
     _write_run_record(
         cfg.out_dir,
         "uncertainty",
-        {
-            "input": str(args.input),
-            **_qc_record(cfg, model, samples, report),
-            "timings": clock.timings(),
-            "peak_rss_mb": _peak_rss_mb(),
-        },
+        input=args.input,
+        cv=report.cv,
+        verdict=report.verdict,
+        **_qc_record(cfg, model, samples, clock),
     )
     print(f"CV {report.cv:.4f} (threshold {report.threshold:.4f}): {report.verdict}")
     return code
@@ -519,14 +505,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(parser):
+def _add_common(parser, settings):
+    """The flags of ``segment``, ``evaluate`` and ``uncertainty``; each of
+    ``settings`` parses to None when not given, so ``--config`` can fill it."""
     parser.add_argument("--config", help="JSON config file; flags take precedence")
     parser.add_argument("--checkpoint", required=True)
-    parser.add_argument("--modality", choices=MODALITIES, default=None)
-    parser.add_argument("--mc-samples", type=int, default=None)
-    parser.add_argument("--dropout-rate", type=float, default=None)
-    parser.add_argument("--cv-threshold", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=None)
+    for key in settings:
+        kind, choices, _ = _SETTINGS[key]
+        parser.add_argument(f"--{key}", type=kind, choices=choices)
     parser.add_argument("--out", required=True, help="output directory")
 
 
@@ -569,19 +555,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("segment", help="segment one volume end to end")
     p.add_argument("--input", required=True)
     p.add_argument("--reference", required=True)
-    p.add_argument("--mc", choices=("on", "off"), default=None)
-    _add_common(p)
+    _add_common(p, _SETTINGS)
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a manifest's test split")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--mc", choices=("on", "off"), default=None)
-    _add_common(p)
+    _add_common(p, _SETTINGS)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("uncertainty", help="MC-dropout QC verdict for one volume")
     p.add_argument("--input", required=True)
-    _add_common(p)
+    _add_common(p, [key for key in _SETTINGS if key != "mc"])  # it always samples
     p.set_defaults(func=cmd_uncertainty)
 
     return parser

@@ -171,8 +171,8 @@ def read_manifest(path) -> List[ManifestRecord]:
             note = row[4].strip() if len(row) > 4 else ""
             records.append(
                 ManifestRecord(
-                    volume_path=(base / vol) if not Path(vol).is_absolute() else Path(vol),
-                    labels_path=(base / lab) if not Path(lab).is_absolute() else Path(lab),
+                    volume_path=base / vol,  # an absolute vol replaces base
+                    labels_path=base / lab,
                     modality=modality,
                     split=split,
                     note=note,

@@ -463,6 +463,17 @@ def generate_dataset(
 _SCALAR_FIELDS = {f.name: type(f.default) for f in fields(PhantomSpec) if f.default is not MISSING}
 
 
+def _json_number(cfg, name, kind):
+    """``cfg[name]`` as ``kind``: a JSON number, whole for an int; a bool is
+    not a number."""
+    value, whole = cfg[name], kind is int
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or whole and isinstance(value, float) and not value.is_integer()):
+        expected = "an integer" if whole else "a number"
+        raise ValueError(f"{name!r}: expected {expected}, got {json.dumps(value)}")
+    return kind(value)
+
+
 def load_phantom_spec(path) -> PhantomSpec:
     """Read a PhantomSpec from its JSON config form. A file that is not JSON,
     a missing key, an entry of the wrong type or a spec its own checks reject
@@ -473,7 +484,7 @@ def load_phantom_spec(path) -> PhantomSpec:
         raise ValueError(f"phantom spec {path}: not JSON ({exc})") from None
     try:
         structures = tuple(
-            PaintStep(int(s["label"]), tuple(s["center"]), tuple(s["radii"]))
+            PaintStep(_json_number(s, "label", int), tuple(s["center"]), tuple(s["radii"]))
             for s in cfg["structures"]
         )
         modalities = {
@@ -489,12 +500,9 @@ def load_phantom_spec(path) -> PhantomSpec:
             modalities=modalities,
             reference_modality=cfg["reference_modality"],
         )
-        for name, cast in _SCALAR_FIELDS.items():
+        for name, kind in _SCALAR_FIELDS.items():
             if name in cfg:  # one the config omits keeps the PhantomSpec default
-                try:
-                    kwargs[name] = cast(cfg[name])
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"{name!r}: {exc}") from None
+                kwargs[name] = _json_number(cfg, name, kind)
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(
             f"phantom spec {path}: missing or mistyped entry ({type(exc).__name__}: {exc})"

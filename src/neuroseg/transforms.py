@@ -87,10 +87,13 @@ class LevelTrace:
 class RegistrationResult:
     transform: AffineTransform
     final_cost: float
-    iterations: int
     converged: bool
-    initial_cost: float = 0.0
-    levels: Tuple[LevelTrace, ...] = ()
+    initial_cost: float
+    levels: Tuple[LevelTrace, ...]
+
+    @property
+    def iterations(self) -> int:
+        return sum(t.iterations for t in self.levels)
 
 
 def translation_transform(offset) -> AffineTransform:
@@ -266,11 +269,12 @@ def register_affine(moving: Volume, reference: Volume, grid_dims) -> Registratio
     the level's start cost. The initial and final costs are taken at full
     resolution whichever level ran last. Returns the pull-back transform
     (reference-grid voxel -> moving voxel), a ``LevelTrace`` per pyramid
-    level run, and ``converged``: false when a level diverged (a non-finite
-    cost, or a last iterate above the level's start by more than its best
-    gain) or when the result at full resolution is costlier than the
-    centroid initialization, which is then returned instead. Each level
-    hands on its best-seen parameters either way.
+    level run, and ``converged``: false when no level ran (a scan with an
+    axis under 2 voxels), when a level diverged (a non-finite cost, or a last
+    iterate above the level's start by more than its best gain) or when the
+    result at full resolution is costlier than the centroid initialization,
+    which is then returned instead. Each level hands on its best-seen
+    parameters either way.
     """
     if float(moving.data.max()) == float(moving.data.min()):
         raise ValueError("moving volume is constant; registration is ill-posed")
@@ -359,8 +363,7 @@ def register_affine(moving: Volume, reference: Volume, grid_dims) -> Registratio
     return RegistrationResult(
         transform=transform,
         final_cost=float(final_cost),
-        iterations=sum(t.iterations for t in traces),
-        converged=not (fell_back or any(t.diverged for t in traces)),
+        converged=bool(traces) and not (fell_back or any(t.diverged for t in traces)),
         initial_cost=float(init_cost),
         levels=tuple(traces),
     )

@@ -220,27 +220,29 @@ class TestBatchNorm:
         ad.batch_norm(Tensor(x2), gamma, beta, state, mode="train")
         assert np.allclose(state.running_mean, 0.9 * first + 0.1 * x2.mean())
 
-    @pytest.mark.parametrize("seed", range(N_SEEDS))
-    def test_gradients(self, seed):
+    # the train-mode cases keep their seed as id
+    @pytest.mark.parametrize(
+        "mode, seed",
+        [("train", s) for s in range(N_SEEDS)] + [("eval", s) for s in range(N_SEEDS)],
+        ids=[str(s) for s in range(N_SEEDS)] + [f"eval-{s}" for s in range(N_SEEDS)],
+    )
+    def test_gradients(self, mode, seed):
         gen = np.random.default_rng(seed)
         x = gen.standard_normal((2, 2, 3, 3, 3))
         gamma = gen.uniform(0.5, 2.0, 2)
         beta = gen.standard_normal(2)
         weights = gen.standard_normal((2, 2, 3, 3, 3))
+        # train mode normalizes by batch statistics whatever the running ones
+        state = BatchNormState.for_channels(2)
+        if mode == "eval":  # running statistics from one train-mode call on another batch
+            seeding = Tensor(gen.normal(1.0, 2.0, x.shape))
+            ad.batch_norm(seeding, Tensor(gamma), Tensor(beta), state, mode="train")
         xt, gt, bt = tensor(x), tensor(gamma), tensor(beta)
-        scalar_loss(
-            ad.batch_norm(xt, gt, bt, BatchNormState.for_channels(2)), weights
-        ).backward()
+        scalar_loss(ad.batch_norm(xt, gt, bt, state, mode), weights).backward()
 
         def f():
-            return float(
-                (
-                    ad.batch_norm(
-                        Tensor(x), Tensor(gamma), Tensor(beta), BatchNormState.for_channels(2)
-                    ).data
-                    * weights
-                ).sum()
-            )
+            out = ad.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), state, mode)
+            return float((out.data * weights).sum())
 
         assert max_rel_err(xt.grad, central_diff(f, x)) < TOL
         assert max_rel_err(gt.grad, central_diff(f, gamma)) < TOL

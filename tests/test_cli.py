@@ -180,19 +180,27 @@ class TestConfigFile:
         assert "_mprage.mvx" in scored["bare"][0] and "_ct.mvx" not in scored["bare"][0]
 
     @pytest.mark.parametrize(
-        "content, key",
+        "content, key, command",
         [
-            ([3], None),
-            ({"mc-samples": [3]}, "mc-samples"),
-            ({"cv-threshold": "low"}, "cv-threshold"),
-            ({"mc": "ON"}, "mc"),
-            ({"mc_samples": 1}, "mc_samples"),
-            ("{not json", None),
+            ([3], None, "segment"),
+            ({"mc-samples": [3]}, "mc-samples", "segment"),
+            ({"cv-threshold": "low"}, "cv-threshold", "segment"),
+            ({"mc": "ON"}, "mc", "segment"),
+            ({"mc_samples": 1}, "mc_samples", "segment"),
+            ("{not json", None, "segment"),
+            ({"cv-threshold": True}, "cv-threshold", "segment"),
+            ({"mc-samples": 3.9}, "mc-samples", "segment"),
+            ({"seed": 1.5}, "seed", "segment"),
+            ({"seed": True}, "seed", "segment"),
+            ({"mc": "off"}, "mc", "uncertainty"),
         ],
-        ids=["list", "list-value", "bad-float", "mc-case", "unknown-key", "not-json"],
+        ids=[
+            "list", "list-value", "bad-float", "mc-case", "unknown-key", "not-json",
+            "bool-threshold", "float-samples", "float-seed", "bool-seed", "uncertainty-mc",
+        ],
     )
     def test_bad_config_exits_1_before_any_work(
-        self, setup, tmp_path, capsys, monkeypatch, content, key
+        self, setup, tmp_path, capsys, monkeypatch, content, key, command
     ):
         # each value is checked as its flag is, and a typo is not ignored
         _, records, checkpoint = setup
@@ -200,18 +208,41 @@ class TestConfigFile:
         config = tmp_path / "config.json"
         config.write_text(content if isinstance(content, str) else json.dumps(content))
         out = tmp_path / "o"
+        reference = ["--reference", str(records[0].volume_path)] if command == "segment" else []
         code = cli.run(
-            [
-                "segment", "--input", str(records[1].volume_path),
-                "--reference", str(records[0].volume_path), "--checkpoint", str(checkpoint),
-                "--config", str(config), "--out", str(out),
-            ]
+            [command, "--input", str(records[1].volume_path)] + reference
+            + ["--checkpoint", str(checkpoint), "--config", str(config), "--out", str(out)]
         )
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(config) in err
-        assert key is None or repr(key) in err
+        assert key is None or f"error: config {config}: setting {key!r}: " in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, inputs",
+        [
+            ("segment", ["--input", "i", "--reference", "r"]),
+            ("evaluate", ["--manifest", "m"]),
+            ("uncertainty", ["--input", "i"]),
+        ],
+        ids=["segment", "evaluate", "uncertainty"],
+    )
+    def test_config_keys_are_the_commands_settings_flags(
+        self, tmp_path, capsys, command, inputs
+    ):
+        # an unknown key's error lists the keys the command's config may hold
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"bogus": 1}))
+        argv = [command] + inputs + ["--checkpoint", "c", "--out", str(tmp_path / "o")]
+        assert cli.run(argv + ["--config", str(config)]) == 1
+        listed = capsys.readouterr().err.strip().split("not one of the settings ")[1].split(", ")
+        settings = ["modality", "mc", "mc-samples", "dropout-rate", "cv-threshold", "seed"]
+        assert listed == [key for key in settings if command != "uncertainty" or key != "mc"]
+        valid = {"modality": "ct", "mc": "off"}
+        for key in listed:  # each is a flag of the command
+            args = cli.build_parser().parse_args(argv + [f"--{key}", valid.get(key, "2")])
+            assert getattr(args, key.replace("-", "_")) is not None
 
 
 class TestRunRecord:
@@ -467,8 +498,14 @@ class TestErrors:
             (lambda cfg: cfg.update(seed="x"), "'seed'"),
             (lambda cfg: cfg.update(radius_jitter="x"), "'radius_jitter'"),
             (lambda cfg: "{not json", "not JSON"),
+            (lambda cfg: cfg.update(seed=1.5), "'seed': expected an integer, got 1.5"),
+            (lambda cfg: cfg.update(seed=True), "'seed': expected an integer, got true"),
+            (
+                lambda cfg: cfg["structures"][0].update(label=2.7),
+                "'label': expected an integer, got 2.7",
+            ),
         ],
-        ids=["str-seed", "str-jitter", "not-json"],
+        ids=["str-seed", "str-jitter", "not-json", "float-seed", "bool-seed", "float-label"],
     )
     def test_bad_phantom_spec_exits_1_and_writes_nothing(self, tmp_path, capsys, edit, entry):
         config = tmp_path / "s.json"
@@ -646,10 +683,12 @@ class TestGoldenPath:
             "command", "manifest", "checkpoint", "mc", "mc_samples", "dropout_rate", "seed",
             "volumes", "d_a_mean", "d_a_std", "d_v_mean", "d_v_std", "pearson_da_cv",
             "pearson_note", "timings", "peak_rss_mb",
+            "modality", "cv_threshold", "mc_workers", "blas_pinned",
         },
         "uncertainty": {
             "command", "input", "checkpoint", "mc_samples", "dropout_rate", "cv_threshold",
             "seed", "cv", "verdict", "mc_workers", "blas_pinned", "timings", "peak_rss_mb",
+            "modality", "mc",
         },
     }
 

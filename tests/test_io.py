@@ -114,12 +114,16 @@ class TestManifest:
         records = [
             ManifestRecord("s0_mprage.mvx", "s0_labels.mvx", "mprage", "train"),
             ManifestRecord("s1_ct.mvx", "s1_labels.mvx", "ct", "test", "corrupt:noise-0.5"),
+            ManifestRecord(tmp_path / "a" / "s2.mvx", "s2_labels.mvx", "ct", "validation"),
         ]
-        path = tmp_path / "manifest.csv"
+        path = tmp_path / "m" / "manifest.csv"
+        path.parent.mkdir()
         write_manifest(records, path)
         loaded = read_manifest(path)
-        assert len(loaded) == 2
-        assert loaded[0].volume_path == tmp_path / "s0_mprage.mvx"
+        assert len(loaded) == 3
+        assert loaded[0].volume_path == tmp_path / "m" / "s0_mprage.mvx"
+        assert loaded[2].volume_path == tmp_path / "a" / "s2.mvx"  # absolute: kept as is
+        assert loaded[2].labels_path == tmp_path / "m" / "s2_labels.mvx"
         assert loaded[0].note == ""
         assert loaded[1].split == "test"
         assert loaded[1].note == "corrupt:noise-0.5"

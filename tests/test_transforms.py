@@ -278,6 +278,16 @@ class TestConvergenceFlag:
             assert t.best_cost <= t.end_cost
             assert t.stop_reason == "budget"
 
+    def test_no_level_run_is_not_converged(self):
+        # one voxel on an axis leaves every level fewer than 2 blocks there,
+        # so only the centroid transform comes back
+        moving = make_blob_volume(dims=(24, 24, 1), seed=1, noise=1.0)
+        reference = make_blob_volume(seed=1, noise=1.0)
+        result = tf.register_affine(moving, reference, reference.dims)
+        assert result.levels == () and result.iterations == 0
+        assert result.final_cost == result.initial_cost
+        assert not result.converged
+
     def test_absurd_step_diverges_on_a_level(self, monkeypatch):
         moving = make_blob_volume(seed=6)
         reference = tf.resample_spline(
