@@ -237,9 +237,13 @@ class Tensor:
         return float(self.data)
 
     def accumulate_grad(self, value):
+        """Add ``value`` into ``grad``. The first write is ``value + 0`` cast
+        into an array shaped like ``data``: the bits a zeroed array plus
+        ``value`` would hold (a -0.0 becomes +0.0), written in one pass."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += value
+            self.grad = np.add(value, 0, out=np.empty_like(self.data))
+        else:
+            self.grad += value
 
     def backward(self):
         """Backpropagate from a scalar output through the recorded graph."""
@@ -516,6 +520,12 @@ def batch_norm(
     seeds them directly, later calls blend with ``BN_MOMENTUM``. Eval mode
     uses the running stats and fails if none were ever recorded. Both modes
     floor the variance at ``BN_EPS``; each constant is read at call time.
+
+    Train mode takes the variance from the batch mean it already has, by
+    np.var's own steps in one float64 deviation buffer, and its backward
+    builds the input gradient in the one ``g * xhat`` buffer it sums for
+    gamma; every float operation and its order are those of ``np.var`` and
+    of ``scale * (g - (sg + xhat * sgx) / n)``.
     """
     _check_5d(x)
     C = x.shape[1]
@@ -523,9 +533,15 @@ def batch_norm(
         raise ShapeError(f"gamma/beta must be ({C},), got {gamma.shape}/{beta.shape}")
     axes = (0, 2, 3, 4)
     n = x.data.size // C
+    shape = (1, C, 1, 1, 1)
     if mode == "train":
         mean = x.data.mean(axis=axes, dtype=np.float64)
-        var = x.data.var(axis=axes, dtype=np.float64)
+        # np.var's steps, from this mean: square the float64 deviations in
+        # their own buffer and sum them
+        dev = np.subtract(x.data, mean.reshape(shape))
+        np.square(dev, out=dev)
+        var = dev.sum(axis=axes) / n
+        del dev
         if state.initialized:
             state.running_mean = BN_MOMENTUM * state.running_mean + (1 - BN_MOMENTUM) * mean
             state.running_var = BN_MOMENTUM * state.running_var + (1 - BN_MOMENTUM) * var
@@ -542,7 +558,6 @@ def batch_norm(
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     inv = (1.0 / np.sqrt(var + BN_EPS)).astype(x.dtype)
     mean_c = mean.astype(x.dtype)
-    shape = (1, C, 1, 1, 1)
     xhat = x.data - mean_c.reshape(shape)
     xhat *= inv.reshape(shape)
     out_data = gamma.data.reshape(shape) * xhat
@@ -550,7 +565,8 @@ def batch_norm(
 
     def bwd(g):
         sg = g.sum(axis=axes)
-        sgx = (g * xhat).sum(axis=axes)
+        gx = np.multiply(g, xhat)
+        sgx = gx.sum(axis=axes)
         if beta.requires_grad:
             beta.accumulate_grad(sg)
         if gamma.requires_grad:
@@ -558,9 +574,13 @@ def batch_norm(
         if x.requires_grad:
             scale = (gamma.data * inv).reshape(shape)
             if mode == "train":
-                gx = scale * (
-                    g - (sg.reshape(shape) + xhat * sgx.reshape(shape)) / n
-                )
+                # scale * (g - (sg + xhat * sgx) / n), one step at a time in
+                # the g * xhat buffer
+                np.multiply(xhat, sgx.reshape(shape), out=gx)
+                np.add(sg.reshape(shape), gx, out=gx)
+                np.divide(gx, n, out=gx)
+                np.subtract(g, gx, out=gx)
+                np.multiply(scale, gx, out=gx)
             else:
                 gx = scale * g
             x.accumulate_grad(gx)

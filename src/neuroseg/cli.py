@@ -320,11 +320,11 @@ def _write_qc(report, out_dir: Path) -> int:
     return 2
 
 
-def _qc_record(cfg: PipelineConfig, model, samples, clock: _StageClock) -> Dict:
+def _qc_record(cfg: PipelineConfig, model, workers, clock: _StageClock) -> Dict:
     """The run-record keys of ``segment``, ``evaluate`` and ``uncertainty``:
-    the settings, the MC passes run at once, whether BLAS was pinned to one
-    thread for them (whenever more than one ran), timings and peak memory."""
-    workers = None if samples is None else samples.workers
+    the settings, ``workers`` (the MC passes run at once, None with
+    ``--mc off``), whether BLAS was pinned to one thread for them (whenever
+    more than one ran), timings and peak memory."""
     return {
         "checkpoint": cfg.checkpoint,
         "modality": cfg.modality,
@@ -393,7 +393,7 @@ def cmd_segment(args) -> int:
         mc_volumes=None if samples is None else samples.volumes.tolist(),
         cv=getattr(report, "cv", None),
         verdict=getattr(report, "verdict", None),
-        **_qc_record(cfg, model, samples, clock),
+        **_qc_record(cfg, model, None if samples is None else samples.workers, clock),
     )
     print(f"segmentation written to {cfg.out_dir / 'segmentation.mvx'}")
     return code
@@ -402,7 +402,8 @@ def cmd_segment(args) -> int:
 def cmd_evaluate(args) -> int:
     """Score the test split's records of the resolved modality on the
     volumes' own grid, without registration; a volume on a grid the depth
-    does not divide exits 1, naming the volume, and writes nothing."""
+    does not divide exits 1, naming the volume, and writes nothing. The
+    scans run in one parallel region, which every scan's passes share."""
     clock = _StageClock()
     cfg = _pipeline_config(args)
     model = _load_model(cfg)
@@ -416,18 +417,21 @@ def cmd_evaluate(args) -> int:
     clock.lap("load")
     rows = []
     cvs = []
-    for rec in records:
-        vol = read_as(rec.volume_path, Volume)
-        try:
-            model.spec.check_grid(vol.dims)
-        except ad.ShapeError as exc:
-            raise ad.ShapeError(f"{rec.volume_path}: {exc}") from None
-        labels = read_as(rec.labels_path, LabelMap)
-        normalized = normalize_intensity(vol)
-        seg, samples, report = _segment(model, normalized, cfg)
-        rows.append((rec.volume_path.name, dice_report(seg.labels, labels.labels)))
-        if report is not None:
-            cvs.append(report.cv)
+    with ad.parallel() as region:
+        for rec in records:
+            vol = read_as(rec.volume_path, Volume)
+            try:
+                model.spec.check_grid(vol.dims)
+            except ad.ShapeError as exc:
+                raise ad.ShapeError(f"{rec.volume_path}: {exc}") from None
+            labels = read_as(rec.labels_path, LabelMap)
+            normalized = normalize_intensity(vol)
+            seg, _, report = _segment(model, normalized, cfg)
+            rows.append((rec.volume_path.name, dice_report(seg.labels, labels.labels)))
+            if report is not None:
+                cvs.append(report.cv)
+    # every scan's passes ran in this region, one per worker (mc_segment)
+    mc_workers = min(region.workers, cfg.mc_samples) if cfg.mc else None
     clock.lap("score")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_dice_rows(rows, cfg.out_dir / "evaluation.csv")
@@ -457,7 +461,7 @@ def cmd_evaluate(args) -> int:
         "evaluate",
         manifest=args.manifest,
         **summary,
-        **_qc_record(cfg, model, samples, clock),
+        **_qc_record(cfg, model, mc_workers, clock),
     )
     print(
         f"evaluated {len(rows)} volumes: D_A {summary['d_a_mean']:.4f} "
@@ -486,7 +490,7 @@ def cmd_uncertainty(args) -> int:
         input=args.input,
         cv=report.cv,
         verdict=report.verdict,
-        **_qc_record(cfg, model, samples, clock),
+        **_qc_record(cfg, model, samples.workers, clock),
     )
     print(f"CV {report.cv:.4f} (threshold {report.threshold:.4f}): {report.verdict}")
     return code

@@ -88,6 +88,13 @@ def combined_loss(P: Tensor, T: np.ndarray) -> Tensor:
     logits (and onward to the weights). The Dice fraction and the
     cross-entropy term share one hand-derived gradient, checked against
     finite differences in the test suite.
+
+    T's dtype is P's or narrower (``one_hot`` gives float32). Every step
+    writes with ``out=`` into one field per dtype: the forward fills one
+    float64 product and one log field in P's dtype and keeps neither for
+    the backward, which fills one float64 Dice term and one field in P's
+    dtype that ends as the gradient. Every float operation and its order
+    are those of the expressions in the comments.
     """
     ad._check_5d(P, "prediction")
     T = np.asarray(T)
@@ -95,21 +102,33 @@ def combined_loss(P: Tensor, T: np.ndarray) -> Tensor:
         raise ad.ShapeError(f"prediction {P.data.shape} vs truth {T.shape}")
     axes = (0, 2, 3, 4)
     cshape = (1, -1, 1, 1, 1)
-    inter = (P.data.astype(np.float64) * T).sum(axis=axes)
+    inter = np.multiply(P.data, T, dtype=np.float64).sum(axis=axes)
     psum = P.data.sum(axis=axes, dtype=np.float64)
     tsum = T.sum(axis=axes, dtype=np.float64)
     denom = psum + tsum + DICE_EPS
     dice = (2.0 * inter + DICE_EPS) / denom
-    Pc = np.maximum(P.data, _LOG_CLAMP)
-    ce = -(T * np.log(Pc)).sum(dtype=np.float64)
+    # ce = -(T * log(max(P, clamp))).sum(), the sum in float64
+    logp = np.maximum(P.data, _LOG_CLAMP)
+    np.log(logp, out=logp)
+    ce = -np.multiply(T, logp, out=logp).sum(dtype=np.float64)
+    del logp  # the backward recomputes max(P, clamp)
     value = np.asarray(ce - dice.sum())
 
     def bwd(g):
         # d(-dice_s)/dP = -(2*T*denom - (2*inter+eps)) / denom^2, per class
-        ddice = (2.0 * T * denom.reshape(cshape) - (2.0 * inter + DICE_EPS).reshape(cshape))
-        ddice = ddice / (denom ** 2).reshape(cshape)
-        dce = np.where(P.data >= _LOG_CLAMP, -T / Pc, 0.0)
-        P.accumulate_grad((g * (dce - ddice)).astype(P.data.dtype))
+        ddice = np.multiply(T, 2.0, dtype=np.result_type(T, 2.0), out=np.empty(T.shape))
+        np.multiply(ddice, denom.reshape(cshape), out=ddice)
+        np.subtract(ddice, (2.0 * inter + DICE_EPS).reshape(cshape), out=ddice)
+        np.divide(ddice, (denom ** 2).reshape(cshape), out=ddice)
+        # dce = -T / max(P, clamp) where P >= clamp, else 0 (so 0 at a NaN);
+        # -(T / p) is (-T) / p bit for bit
+        dce = np.maximum(P.data, _LOG_CLAMP)
+        np.divide(T, dce, out=dce)
+        np.negative(dce, out=dce)
+        np.copyto(dce, 0.0, where=~(P.data >= _LOG_CLAMP))
+        np.subtract(dce, ddice, out=ddice)
+        # g * (dce - ddice) in float64, cast into P's dtype
+        P.accumulate_grad(np.multiply(g, ddice, out=dce))
 
     return ad._make(value, (P,), bwd)
 

@@ -463,10 +463,10 @@ def generate_dataset(
 _SCALAR_FIELDS = {f.name: type(f.default) for f in fields(PhantomSpec) if f.default is not MISSING}
 
 
-def _json_number(cfg, name, kind):
-    """``cfg[name]`` as ``kind``: a JSON number, whole for an int; a bool is
-    not a number."""
-    value, whole = cfg[name], kind is int
+def _json_number(value, name, kind):
+    """``value``, the config entry ``name``, as ``kind``: a JSON number,
+    whole for an int; a bool is not a number."""
+    whole = kind is int
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or whole and isinstance(value, float) and not value.is_integer()):
         expected = "an integer" if whole else "a number"
@@ -474,23 +474,40 @@ def _json_number(cfg, name, kind):
     return kind(value)
 
 
+def _json_numbers(values, name, count):
+    """``values``, the config entry ``name``, as a tuple of floats: a JSON
+    list of ``count`` numbers, each read by ``_json_number``."""
+    if not isinstance(values, list) or len(values) != count:
+        raise ValueError(f"{name!r}: expected a list of {count} numbers, got {json.dumps(values)}")
+    return tuple(_json_number(v, name, float) for v in values)
+
+
 def load_phantom_spec(path) -> PhantomSpec:
     """Read a PhantomSpec from its JSON config form. A file that is not JSON,
     a missing key, an entry of the wrong type or a spec its own checks reject
-    raises ValueError naming the file."""
+    raises ValueError naming the file. Every number is read by
+    ``_json_number``, in a list too: a centre, radii and a spacing are lists
+    of 3 numbers, a contrast entry a list of 2 (mean, sigma)."""
     try:
         cfg = json.loads(Path(path).read_text())
     except ValueError as exc:
         raise ValueError(f"phantom spec {path}: not JSON ({exc})") from None
     try:
         structures = tuple(
-            PaintStep(_json_number(s, "label", int), tuple(s["center"]), tuple(s["radii"]))
-            for s in cfg["structures"]
+            PaintStep(
+                _json_number(s["label"], "label", int),
+                _json_numbers(s["center"], f"structures[{i}].center", 3),
+                _json_numbers(s["radii"], f"structures[{i}].radii", 3),
+            )
+            for i, s in enumerate(cfg["structures"])
         )
         modalities = {
             name: ModalityProfile(
-                spacing=tuple(p["spacing"]),
-                contrast={int(k): tuple(v) for k, v in p["contrast"].items()},
+                spacing=_json_numbers(p["spacing"], f"modalities.{name}.spacing", 3),
+                contrast={
+                    int(k): _json_numbers(v, f"modalities.{name}.contrast.{k}", 2)
+                    for k, v in p["contrast"].items()
+                },
             )
             for name, p in cfg["modalities"].items()
         }
@@ -502,7 +519,7 @@ def load_phantom_spec(path) -> PhantomSpec:
         )
         for name, kind in _SCALAR_FIELDS.items():
             if name in cfg:  # one the config omits keeps the PhantomSpec default
-                kwargs[name] = _json_number(cfg, name, kind)
+                kwargs[name] = _json_number(cfg[name], name, kind)
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(
             f"phantom spec {path}: missing or mistyped entry ({type(exc).__name__}: {exc})"

@@ -18,8 +18,14 @@ the next volume and the next epoch.
 
 All epochs run in one parallel region (``autodiff.parallel``): every
 convolution, forward and both gradients, splits its im2col slabs over one
-worker per usable core, with OpenBLAS pinned to one thread. Results are
-bitwise those of one thread, whatever the worker count.
+worker per usable core, with OpenBLAS pinned to one thread. A convolution
+uses all but one of the pool's threads, so the spare one prepares the next
+batch of the epoch (``augment``, then ``normalize_intensity``) while the
+current step runs; its spline resamples release the GIL. Only that one
+preparation is in flight, and it alone draws from the augmentation rng, so
+the draws come in batch order; with one worker each batch is prepared on
+the calling thread when its step is due. Results are bitwise those of one
+thread, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -194,6 +200,37 @@ def _load_pairs(records: Sequence[ManifestRecord]) -> List[Tuple[Volume, LabelMa
     ]
 
 
+def _prepare(pairs, idx, rng: np.random.Generator, cfg: TrainConfig):
+    """The training batch of ``pairs[i]`` for i in ``idx``: each pair
+    augmented with draws from ``rng``, its volume then normalized."""
+    batch = []
+    for i in idx:
+        vol, lab = pairs[i]
+        av, al = augment(
+            vol, lab, rng, cfg.translation_voxels, cfg.rotation_degrees, cfg.crop_fraction
+        )
+        batch.append((normalize_intensity(av), al))
+    return batch
+
+
+def _prepared(region, pairs, batches, rng: np.random.Generator, cfg: TrainConfig):
+    """Yield ``_prepare`` of each index list of ``batches``, in order. With a
+    pool, batch k+1 is prepared on a pool thread while the caller works on
+    batch k, which it has been handed; only that one preparation is in
+    flight, so ``rng`` is drawn in batch order. Without one, each batch is
+    prepared when the caller asks for it."""
+    if region.pool is None:
+        for idx in batches:
+            yield _prepare(pairs, idx, rng, cfg)
+        return
+    pending = region.pool.submit(_prepare, pairs, batches[0], rng, cfg)
+    for idx in batches[1:]:
+        batch = pending.result()
+        pending = region.pool.submit(_prepare, pairs, idx, rng, cfg)
+        yield batch
+    yield pending.result()
+
+
 def _forward_loss(model: UNet3D, batch, mode, dropout_active, rng):
     xs = np.stack([np.asarray(v.data, dtype=model.dtype)[None] for v, _ in batch])
     ts = np.stack([one_hot(l) for _, l in batch])
@@ -282,25 +319,13 @@ def train(model: UNet3D, records, cfg: TrainConfig) -> Tuple[UNet3D, TrainLog]:
         for epoch in range(1, cfg.max_epochs + 1):
             started = time.perf_counter()
             order = rng_shuffle.permutation(len(train_pairs))
+            batches = [order[i : i + cfg.batch_size] for i in range(0, len(order), cfg.batch_size)]
             epoch_losses = []
-            for start in range(0, len(order), cfg.batch_size):
-                batch_idx = order[start : start + cfg.batch_size]
-                batch = []
-                for i in batch_idx:
-                    vol, lab = train_pairs[i]
-                    av, al = augment(
-                        vol,
-                        lab,
-                        rng_augment,
-                        cfg.translation_voxels,
-                        cfg.rotation_degrees,
-                        cfg.crop_fraction,
-                    )
-                    batch.append((normalize_intensity(av), al))
+            for b, batch in enumerate(_prepared(region, train_pairs, batches, rng_augment, cfg)):
                 value = _train_step(model, opt, batch, rng_dropout)
                 history.append(value)
                 if not np.isfinite(value):
-                    raise NonFiniteLossError(epoch, start // cfg.batch_size, history)
+                    raise NonFiniteLossError(epoch, b, history)
                 epoch_losses.append(value)
             train_loss = float(np.mean(epoch_losses, dtype=np.float64))
 

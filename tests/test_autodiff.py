@@ -249,6 +249,80 @@ class TestBatchNorm:
         assert max_rel_err(bt.grad, central_diff(f, beta)) < TOL
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_mode_bitwise_equals_the_plain_expressions(self, dtype):
+        # the statistics by np.var, the input gradient as one expression, on
+        # data with a -0.0 and a constant channel (variance exactly 0); the
+        # second call blends the running statistics
+        gen = np.random.default_rng(4)
+        shape, axes = (2, 3, 4, 5, 6), (0, 2, 3, 4)
+        cshape = (1, 3, 1, 1, 1)
+        n = 2 * 4 * 5 * 6
+        state = BatchNormState.for_channels(3)
+        for call in range(2):
+            x = gen.normal(call, 2.0, shape).astype(dtype)
+            x[0, 0, 0, 0, 0] = -0.0
+            x[:, 1] = 2.5
+            gamma = gen.uniform(0.5, 2.0, 3).astype(dtype)
+            beta = gen.standard_normal(3).astype(dtype)
+            weights = gen.standard_normal(shape).astype(dtype)
+            running = state.running_mean.copy(), state.running_var.copy()
+            xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+            out = ad.batch_norm(xt, gt, bt, state, mode="train")
+            scalar_loss(out, weights).backward()
+
+            mean = x.mean(axis=axes, dtype=np.float64)
+            var = x.var(axis=axes, dtype=np.float64)
+            assert var[1] == 0.0
+            if call:
+                mean_want = ad.BN_MOMENTUM * running[0] + (1 - ad.BN_MOMENTUM) * mean
+                var_want = ad.BN_MOMENTUM * running[1] + (1 - ad.BN_MOMENTUM) * var
+            else:
+                mean_want, var_want = mean, var
+            assert state.running_mean.tobytes() == mean_want.tobytes()
+            assert state.running_var.tobytes() == var_want.tobytes()
+            inv = (1.0 / np.sqrt(var + ad.BN_EPS)).astype(dtype).reshape(cshape)
+            xhat = (x - mean.astype(dtype).reshape(cshape)) * inv
+            want_out = gamma.reshape(cshape) * xhat + beta.reshape(cshape)
+            assert out.data.tobytes() == want_out.tobytes()
+
+            g = out.grad  # what the backward received
+            sg, sgx = g.sum(axis=axes), (g * xhat).sum(axis=axes)
+            scale = gamma.reshape(cshape) * inv
+            gx = scale * (g - (sg.reshape(cshape) + xhat * sgx.reshape(cshape)) / n)
+            for got, value in ((xt.grad, gx), (gt.grad, sgx), (bt.grad, sg)):
+                want = np.zeros_like(got)
+                want += value
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestAccumulateGrad:
+    def test_first_write_is_zeros_plus_the_value(self):
+        # -0.0 becomes +0.0, and a float64 value is cast into a float32 grad,
+        # as np.zeros_like(data) followed by += gave
+        t = Tensor(np.ones(4, dtype=np.float32), requires_grad=True)
+        value = np.array([-0.0, 1.0 / 3.0, -1e-50, 1.0 + 2.0 ** -40])
+        t.accumulate_grad(value)
+        want = np.zeros(4, dtype=np.float32)
+        want += value
+        assert t.grad.dtype == np.float32 and t.grad.tobytes() == want.tobytes()
+        assert not np.signbit(t.grad[0])
+        t.accumulate_grad(value)  # later writes add in place
+        want += value
+        assert t.grad.tobytes() == want.tobytes()
+
+    def test_first_write_broadcasts_and_copies(self):
+        t = Tensor(np.ones((2, 3)), requires_grad=True)
+        value = np.broadcast_to(np.float64(-0.0), (2, 3))
+        t.accumulate_grad(value)
+        assert t.grad.shape == (2, 3) and not np.signbit(t.grad).any()
+        own = np.full((2, 3), 5.0)
+        t2 = Tensor(np.ones((2, 3)), requires_grad=True)
+        t2.accumulate_grad(own)
+        own[0, 0] = 7.0
+        assert t2.grad[0, 0] == 5.0  # the grad is its own array
+
+
 class TestSimpleOps:
     def test_relu_values(self):
         out = ad.relu(Tensor(np.asarray([-1.0, 0.0, 2.0])))

@@ -340,6 +340,36 @@ class TestRunRecord:
         _, record = _run(segment + ["--mc", "off"], tmp_path / "off")
         assert record["mc_workers"] is None and record["blas_pinned"] is False
 
+    def test_evaluate_records_mc_workers(self, setup, tmp_path, monkeypatch):
+        # the record's count is that of every scan's passes, not read from
+        # the last scan's sample set
+        root, _, checkpoint = setup
+        args = [
+            "evaluate", "--manifest", str(root / "phantoms" / "manifest.csv"),
+            "--checkpoint", str(checkpoint),
+        ]
+        ran = []
+
+        def recording_mc_segment(*a, **kw):
+            fused, samples = mc_segment(*a, **kw)
+            ran.append(samples.workers)
+            return fused, samples
+
+        monkeypatch.setattr(cli, "mc_segment", recording_mc_segment)
+        pinnable = ad._blas_thread_api() is not None
+        for workers in (1, 3) if pinnable else (1,):
+            monkeypatch.setattr(ad, "parallel_workers", lambda: workers)
+            for n in (2, 3):
+                ran.clear()
+                out = tmp_path / f"{workers}-{n}"
+                code, record = _run(args + ["--mc-samples", str(n)], out)
+                assert code == 0 and ran
+                assert record["mc_workers"] == min(workers, n)
+                assert ran == [record["mc_workers"]] * len(ran)
+                assert record["blas_pinned"] == (record["mc_workers"] > 1)
+        _, record = _run(args + ["--mc", "off"], tmp_path / "off")
+        assert record["mc_workers"] is None and record["blas_pinned"] is False
+
     def test_evaluate_records_timings_and_peak_rss(self, setup, tmp_path):
         root, _, checkpoint = setup
         args = [
@@ -504,8 +534,21 @@ class TestErrors:
                 lambda cfg: cfg["structures"][0].update(label=2.7),
                 "'label': expected an integer, got 2.7",
             ),
+            (
+                lambda cfg: cfg["modalities"]["mprage"].update(spacing=["1", 1, 1]),
+                "'modalities.mprage.spacing': expected a number, got \"1\"",
+            ),
+            (
+                lambda cfg: cfg["modalities"]["mprage"]["contrast"].update({"0": ["x", 1]}),
+                "'modalities.mprage.contrast.0': expected a number, got \"x\"",
+            ),
+            (
+                lambda cfg: cfg["structures"][0].update(radii=[True, 2, 2]),
+                "'structures[0].radii': expected a number, got true",
+            ),
         ],
-        ids=["str-seed", "str-jitter", "not-json", "float-seed", "bool-seed", "float-label"],
+        ids=["str-seed", "str-jitter", "not-json", "float-seed", "bool-seed", "float-label",
+             "str-spacing", "str-contrast", "bool-radius"],
     )
     def test_bad_phantom_spec_exits_1_and_writes_nothing(self, tmp_path, capsys, edit, entry):
         config = tmp_path / "s.json"

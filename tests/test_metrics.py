@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from neuroseg import autodiff as ad
 from neuroseg.autodiff import Tensor
 from neuroseg.core import one_hot
 from neuroseg.metrics import (
+    _LOG_CLAMP,
     DICE_EPS,
     CorrelationError,
     DiceReport,
@@ -170,6 +172,68 @@ class TestCombinedLoss:
         assert loss.item() < first
         assert np.all(np.argmax(final_P[0], axis=0) == labels)
         assert np.max(np.abs(final_P - T)) < 0.05
+
+
+def _plain_loss(P, T):
+    """combined_loss's value and first-write gradient as plain expressions,
+    one full-size array per step."""
+    axes, cshape = (0, 2, 3, 4), (1, -1, 1, 1, 1)
+    inter = (P.astype(np.float64) * T).sum(axis=axes)
+    denom = P.sum(axis=axes, dtype=np.float64) + T.sum(axis=axes, dtype=np.float64) + DICE_EPS
+    dice = (2.0 * inter + DICE_EPS) / denom
+    Pc = np.maximum(P, _LOG_CLAMP)
+    value = np.asarray(-(T * np.log(Pc)).sum(dtype=np.float64) - dice.sum())
+    ddice = 2.0 * T * denom.reshape(cshape) - (2.0 * inter + DICE_EPS).reshape(cshape)
+    ddice = ddice / (denom ** 2).reshape(cshape)
+    dce = np.where(P >= _LOG_CLAMP, -T / Pc, 0.0)
+    grad = np.zeros_like(P)
+    grad += (np.ones_like(value) * (dce - ddice)).astype(P.dtype)
+    return value, grad
+
+
+class TestCombinedLossBuffers:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equals_the_plain_expressions(self, dtype):
+        # softmax fields of a batch of 2 with values below the log clamp,
+        # zeros and -0.0; the truth is float32 one-hot, as training passes
+        gen = np.random.default_rng(8)
+        for _ in range(5):
+            z = gen.standard_normal((2, 6, 5, 6, 7)) * 4
+            P = np.exp(z)
+            P = (P / P.sum(axis=1, keepdims=True)).astype(dtype)
+            for value, count in ((0.0, 40), (_LOG_CLAMP / 100, 40), (-0.0, 5)):
+                P.flat[gen.integers(0, P.size, count)] = value
+            T = np.stack([one_hot(gen.integers(0, 6, (5, 6, 7)), 6) for _ in range(2)])
+            Pt = Tensor(P, requires_grad=True)
+            loss = combined_loss(Pt, T)
+            loss.backward()
+            value, grad = _plain_loss(P, T)
+            assert loss.data.dtype == value.dtype and loss.data.tobytes() == value.tobytes()
+            assert Pt.grad.dtype == grad.dtype and Pt.grad.tobytes() == grad.tobytes()
+
+    def test_peak_memory_in_fields(self):
+        # a float32 (1, 28, 16, 16, 16) field is one unit. The forward peaks
+        # at its float64 product (2 units) and keeps no field for the
+        # backward; the backward holds its float64 Dice term, one float32
+        # field, a mask and the gradient the first write copies. The plain
+        # expressions kept max(P, clamp) and peaked at 6 units backward.
+        gen = np.random.default_rng(2)
+        P = gen.dirichlet(np.ones(28), (16, 16, 16)).transpose(3, 0, 1, 2)[None]
+        P = np.ascontiguousarray(P, dtype=np.float32)
+        T = one_hot(gen.integers(0, 28, (16, 16, 16)))[None]
+        Pt = Tensor(P, requires_grad=True)
+        tracemalloc.start()
+        try:
+            loss = combined_loss(Pt, T)
+            kept, forward = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            loss.backward()
+            backward = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept < 0.1 * P.nbytes
+        assert forward < 2.5 * P.nbytes
+        assert backward < 4.5 * P.nbytes
 
 
 class TestPearson:

@@ -267,9 +267,11 @@ class TestSpecConfig:
             lambda cfg: cfg["structures"].append(5),
             lambda cfg: cfg.update(seed="x"),
             lambda cfg: cfg.update(scale_jitter=[0.1]),
+            lambda cfg: cfg["structures"][0].update(center=[0.5, 0.5]),
+            lambda cfg: cfg["modalities"]["mprage"]["contrast"].update({"0": [2.0]}),
         ],
         ids=["no-structures", "no-radii", "modality-list", "contrast-list", "int-structure",
-             "str-seed", "list-jitter"],
+             "str-seed", "list-jitter", "short-center", "short-contrast"],
     )
     def test_malformed_config_names_the_file(self, tmp_path, edit):
         path = tmp_path / "spec.json"

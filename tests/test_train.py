@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import re
+import threading
 import weakref
 
 import numpy as np
@@ -302,6 +303,54 @@ class TestTrainLoop:
             assert get() == 2 and ad._region.get() is None
         finally:
             put(before)
+
+    @pytest.mark.parametrize("plateau", [False, True], ids=["max-epochs", "early-stop"])
+    def test_bitwise_whatever_the_workers(self, tmp_path, monkeypatch, submits, plateau):
+        # with 2 or 3 workers each next batch is prepared on a pool thread,
+        # submitted before the current step starts, one batch ahead at most;
+        # with 1 it is augmented on this thread. Logs, parameters and
+        # batch-norm statistics are equal bit for bit, so rng_augment was
+        # drawn in batch order.
+        if ad._blas_thread_api() is None:
+            pytest.skip("numpy's BLAS exports no OpenBLAS thread-count functions")
+        records = _tiny_records(tmp_path)
+        cfg = TrainConfig(max_epochs=3, patience=3, seed=11)
+        if plateau:  # as in test_early_stop_on_constructed_plateau
+            monkeypatch.setattr(ad, "BN_MOMENTUM", 1.0)
+            cfg = TrainConfig(learning_rate=0.0, max_epochs=50, patience=2, seed=11)
+        augment_threads, prepared_at_step = [], []
+        train_step = train_module._train_step
+
+        def recording_augment(*args):
+            augment_threads.append(threading.current_thread())
+            return augment(*args)
+
+        def recording_train_step(*args):
+            prepared_at_step.append(sum(fn is train_module._prepare for _, fn in submits))
+            return train_step(*args)
+
+        monkeypatch.setattr(train_module, "augment", recording_augment)
+        monkeypatch.setattr(train_module, "_train_step", recording_train_step)
+        runs = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(ad, "parallel_workers", lambda: workers)
+            augment_threads.clear()
+            prepared_at_step.clear()
+            submits.clear()
+            model, log = train(_tiny_model(seed=8), records, cfg)
+            on_caller = [t is threading.current_thread() for t in augment_threads]
+            assert on_caller == [workers == 1] * len(on_caller)
+            # 4 training volumes, so 4 steps an epoch
+            ahead = [4 * e + k for e in range(len(log.epochs)) for k in (2, 3, 4, 4)]
+            assert prepared_at_step == (ahead if workers > 1 else [0] * len(ahead))
+            runs[workers] = log, {k: a.copy() for k, a in model.named_arrays().items()}
+        log, arrays = runs[1]
+        assert log.stop_reason == ("early-stop" if plateau else "max-epochs")
+        for other_log, other_arrays in (runs[2], runs[3]):
+            assert other_log == log
+            assert list(other_arrays) == list(arrays)
+            for name, arr in arrays.items():
+                assert other_arrays[name].tobytes() == arr.tobytes(), name
 
     def test_log_csv_round_trip(self, tmp_path):
         log = TrainLog(stop_reason="max-epochs", best_epoch=2)

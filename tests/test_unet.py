@@ -192,11 +192,12 @@ class TestForward:
             tiny_model.forward(np.zeros((1, 1, 8, 8, 10), dtype=np.float32))
 
     def test_full_scale_mprage_shape(self):
-        # reference architecture on a full-size grid, inference mode
+        # reference architecture on a full-size grid, no graph, inside a
+        # parallel region as segment runs its forward
         spec = ModelSpec(features=16, depth=4, bottleneck_layers=2)
         model = UNet3D(spec, seed=0)
         x = np.zeros((1, 1, 128, 128, 128), dtype=np.float32)
-        with ad.no_grad():
+        with ad.parallel(), ad.no_grad():
             out = model.forward(x, mode="train", dropout_active=False)
         assert out.shape == (1, 28, 128, 128, 128)
         assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-4)
