@@ -18,9 +18,9 @@ blocks.
 
 ``parallel()`` opens the one parallel region: a pool of one thread per
 usable core (``parallel_workers``), OpenBLAS pinned to one thread while it is
-open, and the region published to the current context as ``no_grad``
-publishes its flag, for as long as the ``with`` block that opened it; a
-nested ``parallel()`` reuses it. Inside it, a convolution shares its slabs
+open if there are two or more, and the region published to the current
+context as ``no_grad`` publishes its flag, for as long as the ``with`` block
+that opened it; a nested ``parallel()`` reuses it. Inside it, a convolution shares its slabs
 among the calling thread and the workers, which take them in slab order from
 one queue, and every slab runs the same GEMM as outside it; the weight
 gradient keeps its per-slab partials and sums them in slab order, so every
@@ -39,7 +39,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -124,8 +123,7 @@ def _one_blas_thread():
 
 def parallel_workers() -> int:
     """Workers of a parallel region: one per usable core when numpy's
-    OpenBLAS thread count can be set, else 1 (no pool, BLAS threads as they
-    are)."""
+    OpenBLAS thread count can be set, else 1."""
     if _blas_thread_api() is None:
         return 1
     if hasattr(os, "sched_getaffinity"):
@@ -135,11 +133,14 @@ def parallel_workers() -> int:
 
 @dataclass(frozen=True)
 class _Region:
+    """``workers`` pool threads; OpenBLAS ``pinned`` to one thread while open."""
+
     workers: int
-    pool: Optional[ThreadPoolExecutor]  # None with one worker
+    pinned: bool
+    pool: ThreadPoolExecutor
 
 
-_region: ContextVar[Optional[_Region]] = ContextVar("parallel_region", default=None)
+_region: "ContextVar[_Region | None]" = ContextVar("parallel_region", default=None)
 
 
 def _pool_thread_context():
@@ -154,8 +155,8 @@ def _pool_thread_context():
 def parallel():
     """Run the block in a parallel region and yield it: the region already
     published in this context, else a new one published for the block, with
-    ``parallel_workers()`` pool threads and OpenBLAS pinned to one thread
-    while they exist.
+    a pool of ``parallel_workers()`` threads and, if there are two or more,
+    OpenBLAS pinned to one thread while they exist.
 
     A pool thread sees no region and builds no graph, whoever submits to it:
     an op run there returns a tensor with no backward, even on inputs that
@@ -166,12 +167,9 @@ def parallel():
         yield region
         return
     n = parallel_workers()
-    pin, pool = nullcontext(), nullcontext()
-    if n > 1:
-        pin = _one_blas_thread()
-        pool = ThreadPoolExecutor(n, "parallel", initializer=_pool_thread_context)
-    with pin, pool as executor:
-        region = _Region(n, executor)
+    pin = _one_blas_thread() if n > 1 else nullcontext()
+    with pin, ThreadPoolExecutor(n, "parallel", initializer=_pool_thread_context) as pool:
+        region = _Region(n, n > 1, pool)
         token = _region.set(region)
         try:
             yield region

@@ -29,8 +29,9 @@ Exit codes: 0 success/QC pass, 2 QC warn, 1 error, usage errors included.
 Every run echoes its resolved settings into ``run_record.json`` in the
 output directory. ``segment``, ``evaluate`` and ``uncertainty`` records hold
 ``checkpoint``, ``modality``, ``mc``, ``mc_samples``, ``dropout_rate``,
-``cv_threshold``, ``seed``, ``mc_workers`` (the MC passes run at once),
-``blas_pinned`` (OpenBLAS held to one thread while they ran) and the wall
+``cv_threshold``, ``seed``, ``mc_workers`` (the MC passes run at once, None
+with ``--mc off``), ``blas_pinned`` (OpenBLAS held to one thread while the
+network ran), both read from the network's parallel region, and the wall
 seconds of each stage and in all (``timings``, ``total_s``). ``segment``
 and ``uncertainty`` add the QC ``cv`` and ``verdict``, and ``segment`` the
 structure voxel counts of each MC pass (``mc_volumes``). ``train`` records
@@ -262,7 +263,8 @@ def cmd_train(args) -> int:
     )
     cfg = _train_config(args)
     model = UNet3D(spec, seed=cfg.seed)
-    model, log = train(model, records, cfg)
+    with ad.parallel() as region:
+        model, log = train(model, records, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / f"{args.modality}_model.ckpt"
     save_checkpoint(model, ckpt)
@@ -280,8 +282,8 @@ def cmd_train(args) -> int:
         checkpoint=ckpt.name,
         best_epoch=log.best_epoch,
         stop_reason=log.stop_reason,
-        workers=log.workers,
-        blas_pinned=log.workers > 1,
+        workers=region.workers,
+        blas_pinned=region.pinned,
         peak_rss_mb=_peak_rss_mb(),
     )
     print(
@@ -292,13 +294,12 @@ def cmd_train(args) -> int:
 
 
 def _segment(model, volume, cfg: PipelineConfig):
-    """Returns (labels on the volume's grid, MC sample set, QC report); the
-    last two are None with ``--mc off``, whose one forward runs in a parallel
-    region as the MC passes do."""
+    """Returns (labels on the volume's grid, MC structure volumes, QC
+    report); the last two are None with ``--mc off``, which runs one forward."""
     if cfg.mc:
-        fused, samples = mc_segment(model, volume, n=cfg.mc_samples, seed=cfg.seed)
-        return fused, samples, uncertainty(samples, cfg.cv_threshold)
-    with ad.parallel(), ad.no_grad():
+        fused, volumes = mc_segment(model, volume, n=cfg.mc_samples, seed=cfg.seed)
+        return fused, volumes, uncertainty(volumes, cfg.cv_threshold)
+    with ad.no_grad():
         P = model.forward(
             np.asarray(volume.data, dtype=model.dtype)[None, None],
             mode="eval",
@@ -320,11 +321,11 @@ def _write_qc(report, out_dir: Path) -> int:
     return 2
 
 
-def _qc_record(cfg: PipelineConfig, model, workers, clock: _StageClock) -> Dict:
+def _qc_record(cfg: PipelineConfig, model, region, clock: _StageClock) -> Dict:
     """The run-record keys of ``segment``, ``evaluate`` and ``uncertainty``:
-    the settings, ``workers`` (the MC passes run at once, None with
-    ``--mc off``), whether BLAS was pinned to one thread for them (whenever
-    more than one ran), timings and peak memory."""
+    the settings; from ``region``, the parallel region the network ran in,
+    the MC passes run at once (one per worker, None with ``--mc off``) and
+    whether BLAS was pinned to one thread; timings and peak memory."""
     return {
         "checkpoint": cfg.checkpoint,
         "modality": cfg.modality,
@@ -333,8 +334,8 @@ def _qc_record(cfg: PipelineConfig, model, workers, clock: _StageClock) -> Dict:
         "dropout_rate": model.spec.dropout_rate,
         "cv_threshold": cfg.cv_threshold,
         "seed": cfg.seed,
-        "mc_workers": workers,
-        "blas_pinned": workers is not None and workers > 1,
+        "mc_workers": min(region.workers, cfg.mc_samples) if cfg.mc else None,
+        "blas_pinned": region.pinned,
         "timings": clock.timings(),
         "peak_rss_mb": _peak_rss_mb(),
     }
@@ -370,7 +371,8 @@ def cmd_segment(args) -> int:
     clock.lap("resample")
     normalized = normalize_intensity(resampled)
     clock.lap("normalize")
-    seg_model_grid, samples, report = _segment(model, normalized, cfg)
+    with ad.parallel() as region:
+        seg_model_grid, volumes, report = _segment(model, normalized, cfg)
     clock.lap("mc")
     out_labels = tf.map_back(seg_model_grid, original, t_total)
     clock.lap("map_back")
@@ -390,10 +392,10 @@ def cmd_segment(args) -> int:
         registration_levels=[
             {**dataclasses.asdict(t), "diverged": t.diverged} for t in reg.levels
         ],
-        mc_volumes=None if samples is None else samples.volumes.tolist(),
+        mc_volumes=None if volumes is None else volumes.tolist(),
         cv=getattr(report, "cv", None),
         verdict=getattr(report, "verdict", None),
-        **_qc_record(cfg, model, None if samples is None else samples.workers, clock),
+        **_qc_record(cfg, model, region, clock),
     )
     print(f"segmentation written to {cfg.out_dir / 'segmentation.mvx'}")
     return code
@@ -430,8 +432,6 @@ def cmd_evaluate(args) -> int:
             rows.append((rec.volume_path.name, dice_report(seg.labels, labels.labels)))
             if report is not None:
                 cvs.append(report.cv)
-    # every scan's passes ran in this region, one per worker (mc_segment)
-    mc_workers = min(region.workers, cfg.mc_samples) if cfg.mc else None
     clock.lap("score")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_dice_rows(rows, cfg.out_dir / "evaluation.csv")
@@ -461,7 +461,7 @@ def cmd_evaluate(args) -> int:
         "evaluate",
         manifest=args.manifest,
         **summary,
-        **_qc_record(cfg, model, mc_workers, clock),
+        **_qc_record(cfg, model, region, clock),
     )
     print(
         f"evaluated {len(rows)} volumes: D_A {summary['d_a_mean']:.4f} "
@@ -479,7 +479,8 @@ def cmd_uncertainty(args) -> int:
     clock.lap("load")
     normalized = normalize_intensity(vol)
     clock.lap("normalize")
-    _, samples, report = _segment(model, normalized, cfg)
+    with ad.parallel() as region:
+        _, _, report = _segment(model, normalized, cfg)
     clock.lap("mc")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     code = _write_qc(report, cfg.out_dir)
@@ -490,7 +491,7 @@ def cmd_uncertainty(args) -> int:
         input=args.input,
         cv=report.cv,
         verdict=report.verdict,
-        **_qc_record(cfg, model, samples.workers, clock),
+        **_qc_record(cfg, model, region, clock),
     )
     print(f"CV {report.cv:.4f} (threshold {report.threshold:.4f}): {report.verdict}")
     return code
@@ -548,7 +549,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
     p.add_argument("--patience", type=int, default=None, help="default: --epochs")
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--validation-fraction", type=float, default=TrainConfig.validation_fraction)
+    p.add_argument(
+        "--validation-fraction", type=float, default=TrainConfig.validation_fraction,
+        help="training records held out for validation, only when the manifest has none",
+    )
     p.add_argument("--aug-translation", type=float, default=TrainConfig.translation_voxels)
     p.add_argument("--aug-rotation", type=float, default=TrainConfig.rotation_degrees)
     p.add_argument("--aug-crop", type=float, default=TrainConfig.crop_fraction)

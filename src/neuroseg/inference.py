@@ -5,14 +5,14 @@ MC sampling runs the trained network N times with eval-mode batch norm and
 active dropout. The layers before the first dropout (encoder block 1) are
 the same in every pass, so they run once per volume and each pass starts
 from their output. The passes stream through one parallel region
-(``autodiff.parallel``) of one worker per usable core, with OpenBLAS pinned
-to one thread: each worker runs one pass at a time, and the calling thread
-fuses pass i while the workers run the next ones (``UNet3D.mc_passes``).
-Each pass in flight holds its own working set, so w workers need about w
-passes' memory. Every pass draws from its own rng and the sum runs in pass
-order, so the results are bitwise those of one pass at a time. The fused map
-is the voxelwise argmax (``hard_segment``) of the summed softmax fields
-(equivalently their mean).
+(``autodiff.parallel``) of one worker per usable core (OpenBLAS pinned to
+one thread if there are two or more): each worker runs one pass at a time,
+and the calling thread fuses pass i while the workers run the next ones
+(``UNet3D.mc_passes``). Each pass in flight holds its own working set, so w
+workers need about w passes' memory. Every pass draws from its own rng and
+the sum runs in pass order, so the results are bitwise those of one pass at
+a time. The fused map is the voxelwise argmax (``hard_segment``) of the
+summed softmax fields (equivalently their mean).
 Per-sample anatomical volumes are the voxel counts of each sample's hard
 segmentation; their dispersion across samples yields CV_s = sigma_s / mu_s,
 and the aggregate CV is the mean of CV_s over structures with mu_s > 0. The
@@ -32,14 +32,6 @@ from .unet import UNet3D
 
 DEFAULT_MC_SAMPLES = 15
 CV_THRESHOLDS = {"mprage": 0.01, "flair": 0.025, "dwi": 0.025, "ct": 0.025}
-
-
-@dataclass
-class McSampleSet:
-    """Per-sample structure volumes (voxel counts) from N stochastic passes."""
-
-    volumes: np.ndarray  # (N, num_classes) int64
-    workers: int = 1  # passes run at once (the parallel region's workers)
 
 
 @dataclass
@@ -74,8 +66,9 @@ def mc_segment(
     runs at once while this thread fuses the finished ones
     (``UNet3D.mc_passes``); every pass equals a full ``forward`` bitwise, and
     the float64 sum of the softmax fields runs in pass order.
-    Returns the fused LabelMap (``hard_segment`` of that sum) and the sample
-    set for the CV computation.
+    Returns the fused LabelMap (``hard_segment`` of that sum) and the
+    structure volumes of each pass, an (n, NUM_CLASSES) int64 array of voxel
+    counts, for the CV computation.
     """
     if n < 1:
         raise ValueError(f"need at least 1 MC sample, got {n}")
@@ -89,28 +82,28 @@ def mc_segment(
 
     x = np.asarray(v.data, dtype=model.dtype)[None, None]
     rngs = (np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n))
-    workers = model.mc_passes(x, rngs, fuse)
-    samples = McSampleSet(volumes=np.array(volumes, dtype=np.int64), workers=min(workers, n))
-    return hard_segment(total, v), samples
+    model.mc_passes(x, rngs, fuse)
+    return hard_segment(total, v), np.array(volumes, dtype=np.int64)
 
 
-def uncertainty(samples: McSampleSet, threshold: float) -> UncertaintyReport:
-    """Coefficient-of-variation report over MC samples, for each structure
-    of ``STRUCTURE_NAMES``.
+def uncertainty(volumes: np.ndarray, threshold: float) -> UncertaintyReport:
+    """Coefficient-of-variation report over the (N, NUM_CLASSES) structure
+    volumes of N MC samples (``mc_segment``), for each structure of
+    ``STRUCTURE_NAMES``.
 
     CV_s = sigma_s / mu_s with population standard deviation; structures with
     mu_s = 0 have no CV_s and stay out of the aggregate (the report writes
     them as 'absent', since a missing structure is itself a quality signal).
     Verdict is 'warn' iff the aggregate CV exceeds the threshold.
     """
-    n = len(samples.volumes)
+    n = len(volumes)
     if n < 2:
         raise ValueError(f"CV needs at least 2 MC samples, got {n}")
     mean_volume = {}
     std_volume = {}
     cv_per_structure = {}
     for s in range(1, len(STRUCTURE_NAMES) + 1):
-        vols = samples.volumes[:, s].astype(np.float64)
+        vols = volumes[:, s].astype(np.float64)
         mu = float(vols.mean())
         sigma = float(vols.std())  # population
         mean_volume[s] = mu

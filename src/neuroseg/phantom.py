@@ -482,12 +482,21 @@ def _json_numbers(values, name, count):
     return tuple(_json_number(v, name, float) for v in values)
 
 
+def _json_label(key, table):
+    """``key`` of the config entry ``table`` as a label: only the decimal
+    text of an integer, as ``save_phantom_spec`` writes it."""
+    if key.removeprefix("-").isdecimal() and str(int(key)) == key:
+        return int(key)
+    raise ValueError(f"{f'{table}.{key}'!r}: expected an integer label as its key")
+
+
 def load_phantom_spec(path) -> PhantomSpec:
     """Read a PhantomSpec from its JSON config form. A file that is not JSON,
     a missing key, an entry of the wrong type or a spec its own checks reject
     raises ValueError naming the file. Every number is read by
     ``_json_number``, in a list too: a centre, radii and a spacing are lists
-    of 3 numbers, a contrast entry a list of 2 (mean, sigma)."""
+    of 3 numbers, a contrast entry a list of 2 (mean, sigma) under the label
+    it paints, written as a decimal integer (``_json_label``)."""
     try:
         cfg = json.loads(Path(path).read_text())
     except ValueError as exc:
@@ -505,7 +514,9 @@ def load_phantom_spec(path) -> PhantomSpec:
             name: ModalityProfile(
                 spacing=_json_numbers(p["spacing"], f"modalities.{name}.spacing", 3),
                 contrast={
-                    int(k): _json_numbers(v, f"modalities.{name}.contrast.{k}", 2)
+                    _json_label(k, f"modalities.{name}.contrast"): _json_numbers(
+                        v, f"modalities.{name}.contrast.{k}", 2
+                    )
                     for k, v in p["contrast"].items()
                 },
             )

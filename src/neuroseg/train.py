@@ -18,14 +18,13 @@ the next volume and the next epoch.
 
 All epochs run in one parallel region (``autodiff.parallel``): every
 convolution, forward and both gradients, splits its im2col slabs over one
-worker per usable core, with OpenBLAS pinned to one thread. A convolution
-uses all but one of the pool's threads, so the spare one prepares the next
-batch of the epoch (``augment``, then ``normalize_intensity``) while the
-current step runs; its spline resamples release the GIL. Only that one
-preparation is in flight, and it alone draws from the augmentation rng, so
-the draws come in batch order; with one worker each batch is prepared on
-the calling thread when its step is due. Results are bitwise those of one
-thread, whatever the worker count.
+worker per usable core, with OpenBLAS pinned to one thread if there are two
+or more. A convolution uses all but one of the pool's threads, so the spare
+one prepares the next batch of the epoch (``augment``, then
+``normalize_intensity``) while the current step runs; its spline resamples
+release the GIL. Only that one preparation is in flight, and it alone draws
+from the augmentation rng, so the draws come in batch order. Results are
+bitwise those of one thread, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -99,9 +98,6 @@ class TrainLog:
     epochs: List[EpochStats] = field(default_factory=list)
     best_epoch: int = 0
     stop_reason: str = ""
-    # workers of the parallel region the epochs ran in; how, not what, was
-    # computed, so not part of a log's equality
-    workers: int = field(default=1, compare=False)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -214,15 +210,10 @@ def _prepare(pairs, idx, rng: np.random.Generator, cfg: TrainConfig):
 
 
 def _prepared(region, pairs, batches, rng: np.random.Generator, cfg: TrainConfig):
-    """Yield ``_prepare`` of each index list of ``batches``, in order. With a
-    pool, batch k+1 is prepared on a pool thread while the caller works on
-    batch k, which it has been handed; only that one preparation is in
-    flight, so ``rng`` is drawn in batch order. Without one, each batch is
-    prepared when the caller asks for it."""
-    if region.pool is None:
-        for idx in batches:
-            yield _prepare(pairs, idx, rng, cfg)
-        return
+    """Yield ``_prepare`` of each index list of ``batches``, in order. Batch
+    k+1 is prepared on a pool thread while the caller works on batch k,
+    which it has been handed; only that one preparation is in flight, so
+    ``rng`` is drawn in batch order."""
     pending = region.pool.submit(_prepare, pairs, batches[0], rng, cfg)
     for idx in batches[1:]:
         batch = pending.result()
@@ -315,7 +306,6 @@ def train(model: UNet3D, records, cfg: TrainConfig) -> Tuple[UNet3D, TrainLog]:
     history: List[float] = []
 
     with ad.parallel() as region:
-        log.workers = region.workers
         for epoch in range(1, cfg.max_epochs + 1):
             started = time.perf_counter()
             order = rng_shuffle.permutation(len(train_pairs))

@@ -208,12 +208,12 @@ class UNet3D:
 
     def mc_passes(
         self, x, rngs: Iterable[np.random.Generator], fuse: Callable[[Tensor], None]
-    ) -> int:
+    ) -> None:
         """Run one MC-dropout pass (eval statistics, active dropout) per rng
         and call ``fuse(field)`` on this thread for each, in rng order. The
         whole call, ``fuse`` included, runs under ``no_grad``, and a pool
         thread builds no graph (``autodiff.parallel``), so no pass builds
-        one. Returns the workers of the parallel region the passes ran in.
+        one.
 
         Encoder block 1 comes before the first dropout, so it runs once and
         every pass starts from its output. Each field is bitwise equal to
@@ -232,18 +232,13 @@ class UNet3D:
         """
         with ad.parallel() as region, ad.no_grad():
             h = self._first(self._input(x), "eval")
-            if region.pool is None:
-                for rng in rngs:
-                    fuse(self._rest(h, "eval", True, rng))
-            else:
-                rngs = iter(rngs)
-                submit = functools.partial(region.pool.submit, self._rest, h, "eval", True)
-                pending = deque(map(submit, islice(rngs, region.workers)))
-                while pending:
-                    field = pending.popleft().result()
-                    pending.extend(map(submit, islice(rngs, 1)))
-                    fuse(field)
-        return region.workers
+            rngs = iter(rngs)
+            submit = functools.partial(region.pool.submit, self._rest, h, "eval", True)
+            pending = deque(map(submit, islice(rngs, region.workers)))
+            while pending:
+                field = pending.popleft().result()
+                pending.extend(map(submit, islice(rngs, 1)))
+                fuse(field)
 
     def _input(self, x) -> Tensor:
         if isinstance(x, np.ndarray):

@@ -646,6 +646,22 @@ class TestParallelRegion:
         assert there._backward is None
         assert np.array_equal(there.data, here.data)
 
+    def test_one_worker_region_has_a_one_thread_pool_and_no_pin(self, monkeypatch):
+        get, put = _blas_api()
+        before = get()
+        put(2)  # a count a pin would visibly change, even on a one-core host
+        try:
+            monkeypatch.setattr(ad, "parallel_workers", lambda: 1)
+            with ad.parallel() as region:
+                assert (region.workers, region.pinned) == (1, False)
+                assert get() == 2
+                names = {region.pool.submit(lambda: threading.current_thread().name).result(30)
+                         for _ in range(4)}
+            assert len(names) == 1 and names != {threading.current_thread().name}
+            assert get() == 2
+        finally:
+            put(before)
+
     def test_blas_pinned_inside_and_restored_after_an_exception(self, monkeypatch):
         get, put = _blas_api()
         before = get()

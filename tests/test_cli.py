@@ -54,8 +54,8 @@ def _uncertainty_csv(checkpoint, volume_path, rate, n, seed, path):
     """The report of the uncertainty command, computed directly at ``rate``."""
     model = load_checkpoint(checkpoint)
     model.spec = dataclasses.replace(model.spec, dropout_rate=rate)
-    _, samples = mc_segment(model, normalize_intensity(read_volume(volume_path)), n, seed)
-    write_uncertainty_report(uncertainty(samples, 0.01), path)
+    _, volumes = mc_segment(model, normalize_intensity(read_volume(volume_path)), n, seed)
+    write_uncertainty_report(uncertainty(volumes, 0.01), path)
     return path.read_text()
 
 
@@ -337,12 +337,14 @@ class TestRunRecord:
                 _, record = _run(args + ["--mc-samples", str(n)], tmp_path / f"{n}-{i}")
                 assert record["mc_workers"] == min(parallel_workers(), n)
                 assert record["blas_pinned"] == (record["mc_workers"] > 1)
+        # the one forward of --mc off runs in the region too, pinned as it is
         _, record = _run(segment + ["--mc", "off"], tmp_path / "off")
-        assert record["mc_workers"] is None and record["blas_pinned"] is False
+        assert record["mc_workers"] is None
+        assert record["blas_pinned"] == (parallel_workers() > 1)
 
     def test_evaluate_records_mc_workers(self, setup, tmp_path, monkeypatch):
-        # the record's count is that of every scan's passes, not read from
-        # the last scan's sample set
+        # the record's count is that of every scan's passes: each scan's
+        # passes ran in the one region the record reads
         root, _, checkpoint = setup
         args = [
             "evaluate", "--manifest", str(root / "phantoms" / "manifest.csv"),
@@ -351,9 +353,8 @@ class TestRunRecord:
         ran = []
 
         def recording_mc_segment(*a, **kw):
-            fused, samples = mc_segment(*a, **kw)
-            ran.append(samples.workers)
-            return fused, samples
+            ran.append(min(ad._region.get().workers, kw["n"]))
+            return mc_segment(*a, **kw)
 
         monkeypatch.setattr(cli, "mc_segment", recording_mc_segment)
         pinnable = ad._blas_thread_api() is not None
@@ -368,7 +369,8 @@ class TestRunRecord:
                 assert ran == [record["mc_workers"]] * len(ran)
                 assert record["blas_pinned"] == (record["mc_workers"] > 1)
         _, record = _run(args + ["--mc", "off"], tmp_path / "off")
-        assert record["mc_workers"] is None and record["blas_pinned"] is False
+        assert record["mc_workers"] is None
+        assert record["blas_pinned"] == (ad.parallel_workers() > 1)  # as last patched
 
     def test_evaluate_records_timings_and_peak_rss(self, setup, tmp_path):
         root, _, checkpoint = setup

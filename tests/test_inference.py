@@ -8,7 +8,6 @@ import pytest
 from neuroseg import autodiff as ad
 from neuroseg.core import AffineTransform, Volume
 from neuroseg.inference import (
-    McSampleSet,
     hard_segment,
     mc_segment,
     uncertainty,
@@ -25,7 +24,7 @@ def _samples():
     volumes[:, 0] = [1000, 5000, 200, 9000]
     volumes[:, 2] = [90, 110, 90, 110]
     volumes[:, 5] = 0
-    return McSampleSet(volumes=volumes)
+    return volumes
 
 
 class TestUncertainty:
@@ -48,12 +47,10 @@ class TestUncertainty:
         assert uncertainty(_samples(), threshold=below).verdict == "warn"
 
     def test_needs_two_samples_and_one_structure(self):
-        one = McSampleSet(volumes=np.ones((1, 28), dtype=np.int64))
         with pytest.raises(ValueError, match="at least 2"):
-            uncertainty(one, 0.01)
-        empty = McSampleSet(volumes=np.zeros((2, 28), dtype=np.int64))
+            uncertainty(np.ones((1, 28), dtype=np.int64), 0.01)
         with pytest.raises(ValueError, match="no structure"):
-            uncertainty(empty, 0.01)
+            uncertainty(np.zeros((2, 28), dtype=np.int64), 0.01)
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 10")
     def test_one_voxel_flicker_does_not_drive_the_aggregate(self):
@@ -65,7 +62,7 @@ class TestUncertainty:
         volumes[:, 1] = 1000 + 10 * sign
         volumes[:, 2] = 500 + 5 * sign
         volumes[0, 7] = 1
-        report = uncertainty(McSampleSet(volumes=volumes), threshold=0.05)
+        report = uncertainty(volumes, threshold=0.05)
         assert report.cv < 0.05
 
     def test_report_marks_absent_structure(self, tmp_path):
@@ -117,7 +114,7 @@ class TestMcSegment:
         x = gen.random((1, 1, 8, 8, 8), dtype=np.float32) * 100
         model.forward(x, mode="train", rng=np.random.default_rng(0))  # batch-norm stats
         v = Volume(x[0, 0])
-        fused, samples = mc_segment(model, v, n=5, seed=3)
+        fused, volumes = mc_segment(model, v, n=5, seed=3)
 
         # the same passes, each with its own child rng, run in reverse order;
         # float32 probabilities sum exactly in float64, so the order of the
@@ -131,9 +128,9 @@ class TestMcSegment:
                 )
             total += P.data[0]
             counts = np.bincount(np.argmax(P.data[0], axis=0).ravel(), minlength=28)
-            assert np.array_equal(samples.volumes[i], counts)
+            assert np.array_equal(volumes[i], counts)
         assert np.array_equal(fused.labels, np.argmax(total, axis=0))
-        assert len(np.unique(samples.volumes, axis=0)) > 1  # the passes differ
+        assert len(np.unique(volumes, axis=0)) > 1  # the passes differ
 
     def test_encoder_block_1_runs_once_per_volume(self, monkeypatch):
         spec = ModelSpec(features=2, depth=2, bottleneck_layers=1, input_dims=(8, 8, 8))
@@ -210,18 +207,17 @@ class TestParallelPasses:
     @pytest.mark.parametrize("n", [2, 5])
     def test_mc_segment_equals_one_pass_at_a_time(self, n):
         model, x = _mc_model()
-        fused, samples = mc_segment(model, Volume(x[0, 0]), n=n, seed=4)
+        fused, got = mc_segment(model, Volume(x[0, 0]), n=n, seed=4)
         labels, volumes = _one_at_a_time(model, x, n, 4)
         assert np.array_equal(fused.labels, labels)
-        assert np.array_equal(samples.volumes, volumes)
-        assert samples.workers == min(ad.parallel_workers(), n)
+        assert np.array_equal(got, volumes) and got.dtype == np.int64
 
     def test_streamed_fields_are_bitwise_forward(self, three_workers):
         model, x = _mc_model()
         seeds = [7, 8, 9, 10, 11]
         passes = []
-        workers = model.mc_passes(x, (np.random.default_rng(s) for s in seeds), passes.append)
-        assert workers == 3 and len(passes) == 5
+        model.mc_passes(x, (np.random.default_rng(s) for s in seeds), passes.append)
+        assert len(passes) == 5
         for s, P in zip(seeds, passes):
             # graph building is off in the pool threads too
             assert not P.requires_grad and P._parents == ()
@@ -233,11 +229,10 @@ class TestParallelPasses:
         monkeypatch.setattr(ad, "_blas_thread_api", lambda: None)
         assert ad.parallel_workers() == 1
         model, x = _mc_model()
-        fused, samples = mc_segment(model, Volume(x[0, 0]), n=5, seed=4)
+        fused, got = mc_segment(model, Volume(x[0, 0]), n=5, seed=4)
         labels, volumes = _one_at_a_time(model, x, 5, 4)
         assert np.array_equal(fused.labels, labels)
-        assert np.array_equal(samples.volumes, volumes)
-        assert samples.workers == 1
+        assert np.array_equal(got, volumes)
 
     def test_workers_are_the_usable_cores(self):
         _blas_threads()
@@ -316,13 +311,13 @@ class TestParallelPasses:
         # only the calling thread hands work to the pool: encoder block 1's
         # conv slabs and one task per pass; a pass never splits its convs
         model, x = _mc_model()
-        fused, samples = mc_segment(model, Volume(x[0, 0]), n=5, seed=4)
+        fused, got = mc_segment(model, Volume(x[0, 0]), n=5, seed=4)
         assert {thread for thread, _ in submits} == {threading.current_thread()}
         assert sum(fn == model._rest for _, fn in submits) == 5
         assert len(submits) > 5  # encoder block 1's convs were split too
         labels, volumes = _one_at_a_time(model, x, 5, 4)
         assert np.array_equal(fused.labels, labels)
-        assert np.array_equal(samples.volumes, volumes)
+        assert np.array_equal(got, volumes)
 
     def test_two_concurrent_calls(self):
         before = _blas_threads()
@@ -331,8 +326,7 @@ class TestParallelPasses:
         got = {}
 
         def call(seed):
-            fused, samples = mc_segment(model, Volume(x[0, 0]), n=5, seed=seed)
-            got[seed] = (fused.labels, samples.volumes)
+            got[seed] = mc_segment(model, Volume(x[0, 0]), n=5, seed=seed)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -346,6 +340,6 @@ class TestParallelPasses:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         for seed in (0, 1):
-            assert np.array_equal(got[seed][0], want[seed][0])
+            assert np.array_equal(got[seed][0].labels, want[seed][0])
             assert np.array_equal(got[seed][1], want[seed][1])
         assert ad._blas_thread_api()[0]() == before

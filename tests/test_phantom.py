@@ -282,6 +282,19 @@ class TestSpecConfig:
         with pytest.raises(ValueError, match="spec.json: missing or mistyped entry"):
             load_phantom_spec(path)
 
+    def test_contrast_key_is_the_decimal_text_of_a_label(self, tmp_path):
+        path = tmp_path / "spec.json"
+        save_phantom_spec(default_phantom_spec(dims=(16, 16, 16)), path)
+        cfg = json.loads(path.read_text())
+        for key in ("x", " 14 "):
+            edited = json.loads(json.dumps(cfg))
+            contrast = edited["modalities"]["mprage"]["contrast"]
+            contrast[key] = contrast.pop("14")
+            path.write_text(json.dumps(edited))
+            entry = re.escape(repr(f"modalities.mprage.contrast.{key}"))
+            with pytest.raises(ValueError, match=f"spec.json: .*{entry}: expected an integer"):
+                load_phantom_spec(path)
+
     def test_not_json_names_the_file(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text("{not json")
