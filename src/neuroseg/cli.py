@@ -202,9 +202,8 @@ def cmd_phantoms(args) -> int:
     if args.config:
         spec = load_phantom_spec(args.config)
     else:
-        dims = tuple(int(d) for d in args.dims.split(","))
         spec = default_phantom_spec(
-            dims=dims,
+            dims=args.dims,
             modalities=tuple(args.modalities.split(",")),
             seed=args.seed,
             isotropic=args.isotropic,
@@ -510,6 +509,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _voxel_counts(text):
+    """``--dims`` as a tuple of ints; ``PhantomSpec`` checks that they are
+    3 positive counts."""
+    try:
+        return tuple(int(d) for d in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integer voxel counts, got {text!r}"
+        ) from None
+
+
 def _add_common(parser, settings):
     """The flags of ``segment``, ``evaluate`` and ``uncertainty``; each of
     ``settings`` parses to None when not given, so ``--config`` can fill it."""
@@ -527,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phantoms", help="generate a synthetic labeled dataset")
     p.add_argument("--subjects", type=int, default=20)
-    p.add_argument("--dims", default="32,32,32")
+    p.add_argument("--dims", type=_voxel_counts, default="32,32,32")
     p.add_argument("--modalities", default="mprage,flair,dwi,ct")
     p.add_argument("--test-fraction", type=float, default=0.1)
     p.add_argument("--validation-fraction", type=float, default=0.0)

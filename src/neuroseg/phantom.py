@@ -15,7 +15,9 @@ on the generated means. Everything is reproducible from (spec.seed,
 subject_seed): ``generate_subject`` draws a subject's geometry once and
 rasterizes it once per modality grid, and returns ``(labels, volumes)``, two
 dicts keyed by modality that hold the ``LabelMap`` and the ``Volume`` on that
-modality's own grid.
+modality's own grid. Rasterization tests each structure only on the voxels of
+its ``structure_bounds`` box, so its cost follows the structures' boxes, not
+grid x structures.
 
 A spec is rejected unless no structure can reach the grid border: for every
 subject its jitter ranges allow, each structure stays strictly inside the
@@ -81,7 +83,9 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.dims) != 3 or not all(isinstance(d, int) and d > 0 for d in self.dims):
+        if len(self.dims) != 3 or not all(
+            isinstance(d, int) and not isinstance(d, bool) and d > 0 for d in self.dims
+        ):
             raise ValueError(f"phantom dims must be 3 positive voxel counts, got {self.dims}")
         if self.seed < 0:
             raise ValueError(f"phantom seed must be non-negative, got {self.seed}")
@@ -269,16 +273,26 @@ def _subject_geometry(spec: PhantomSpec, rng: np.random.Generator) -> _SubjectGe
 
 
 def _rasterize(spec: PhantomSpec, modality: str, geom: _SubjectGeometry) -> np.ndarray:
+    """The subject's label grid on ``modality``'s voxel centres. Each step
+    is tested only inside its ``structure_bounds`` box, widened by one voxel
+    spacing so that rounding at the surface cannot move a label; the test
+    on each voxel is the same float expression as on the whole grid."""
     extent = spec.world_extent()
     world_center = extent / 2
     dims = spec.modality_dims(modality)
     sp = np.asarray(spec.modalities[modality].spacing)
-    # voxel-centre world coordinates, each broadcast along its own axis
-    x, y, z = ((np.arange(dims[d]) + 0.5) * sp[d] for d in range(3))
-    x, y, z = x[:, None, None], y[None, :, None], z[None, None, :]
+    axes = [(np.arange(dims[d]) + 0.5) * sp[d] for d in range(3)]
     labels = np.zeros(dims, dtype=np.uint8)
     rot_inv = geom.rotation.T
     for step, rfac in zip(spec.structures, geom.radius_factors):
+        lo, hi = structure_bounds(spec, step)
+        box = tuple(
+            slice(np.searchsorted(a, l - s), np.searchsorted(a, h + s, side="right"))
+            for a, l, h, s in zip(axes, lo, hi, sp)
+        )
+        # the box's voxel-centre coordinates, each broadcast along its own axis
+        x, y, z = (a[b] for a, b in zip(axes, box))
+        x, y, z = x[:, None, None], y[None, :, None], z[None, None, :]
         center = np.asarray(step.center) * extent
         center = geom.scale * (geom.rotation @ (center - world_center)) + world_center + geom.translation
         radii = np.asarray(step.radii) * extent * rfac * geom.scale
@@ -292,7 +306,7 @@ def _rasterize(spec: PhantomSpec, modality: str, geom: _SubjectGeometry) -> np.n
         inside = (
             (ux / radii[0]) ** 2 + (uy / radii[1]) ** 2 + (uz / radii[2]) ** 2
         ) <= 1.0
-        labels[inside] = step.label
+        labels[box][inside] = step.label
     return labels
 
 
@@ -319,7 +333,7 @@ def generate_subject(
         data = means[raster]
         noise = rng.standard_normal(raster.shape)
         data = data + noise * sigmas[raster]
-        volumes[name] = Volume(data.astype(np.float32), profile.spacing)
+        volumes[name] = Volume(data, profile.spacing)  # its one float32 copy
     return labels, volumes
 
 
@@ -474,12 +488,12 @@ def _json_number(value, name, kind):
     return kind(value)
 
 
-def _json_numbers(values, name, count):
-    """``values``, the config entry ``name``, as a tuple of floats: a JSON
+def _json_numbers(values, name, count, kind=float):
+    """``values``, the config entry ``name``, as a tuple of ``kind``: a JSON
     list of ``count`` numbers, each read by ``_json_number``."""
     if not isinstance(values, list) or len(values) != count:
         raise ValueError(f"{name!r}: expected a list of {count} numbers, got {json.dumps(values)}")
-    return tuple(_json_number(v, name, float) for v in values)
+    return tuple(_json_number(v, name, kind) for v in values)
 
 
 def _json_label(key, table):
@@ -494,9 +508,10 @@ def load_phantom_spec(path) -> PhantomSpec:
     """Read a PhantomSpec from its JSON config form. A file that is not JSON,
     a missing key, an entry of the wrong type or a spec its own checks reject
     raises ValueError naming the file. Every number is read by
-    ``_json_number``, in a list too: a centre, radii and a spacing are lists
-    of 3 numbers, a contrast entry a list of 2 (mean, sigma) under the label
-    it paints, written as a decimal integer (``_json_label``)."""
+    ``_json_number``, in a list too: dims are a list of 3 integers, a centre,
+    radii and a spacing lists of 3 numbers, a contrast entry a list of 2
+    (mean, sigma) under the label it paints, written as a decimal integer
+    (``_json_label``)."""
     try:
         cfg = json.loads(Path(path).read_text())
     except ValueError as exc:
@@ -523,7 +538,7 @@ def load_phantom_spec(path) -> PhantomSpec:
             for name, p in cfg["modalities"].items()
         }
         kwargs = dict(
-            dims=tuple(cfg["dims"]),
+            dims=_json_numbers(cfg["dims"], "dims", 3, int),
             structures=structures,
             modalities=modalities,
             reference_modality=cfg["reference_modality"],

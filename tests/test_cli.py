@@ -624,6 +624,15 @@ class TestErrors:
         assert err.startswith("error: ") and named in err
         assert not out.exists()
 
+    def test_non_integer_dims_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["phantoms", "--subjects", "5", "--dims", "32,32,x", "--out", str(out)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "usage: segctl" in err and "argument --dims" in err and "'32,32,x'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_phantom_seed_exits_1_and_writes_nothing(self, tmp_path, capsys, source):
         out = tmp_path / "o"

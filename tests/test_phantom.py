@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,18 +199,45 @@ def _reference_geometry(spec, subject):
 
 class TestSubjectLabels:
     @pytest.mark.parametrize("seed", [0, 3, 21])
-    @pytest.mark.parametrize("edge", [16, 32])
-    def test_labels_equal_meshgrid_reference_bitwise(self, edge, seed):
-        spec = default_phantom_spec(dims=(edge,) * 3, modalities=ALL_MODALITIES, seed=seed)
+    @pytest.mark.parametrize(
+        "make_spec",
+        [
+            *(
+                functools.partial(default_phantom_spec, dims=(edge,) * 3, modalities=ALL_MODALITIES)
+                for edge in (16, 32, 48)
+            ),
+            _interior_spec,
+            _axis_points_spec,
+        ],
+        ids=["16", "32", "48", "interior-wide-jitter", "axis-points-30deg"],
+    )
+    def test_labels_equal_meshgrid_reference_bitwise(self, make_spec, seed):
+        # each structure is painted only inside its box: the wide-jitter
+        # specs rotate and scale the boxes furthest from their centres
+        spec = dataclasses.replace(make_spec(), seed=seed)
         for subject in range(3):
             labels, volumes = generate_subject(spec, subject)
-            assert list(labels) == list(ALL_MODALITIES)
+            assert list(labels) == list(spec.modalities)
             geom = _reference_geometry(spec, subject)
-            for modality in ALL_MODALITIES:
+            for modality in spec.modalities:
                 expected = _meshgrid_rasterize(spec, modality, geom)
                 assert np.array_equal(labels[modality].labels, expected)
                 assert labels[modality].spacing == spec.modalities[modality].spacing
                 assert labels[modality].dims == volumes[modality].dims
+
+    def test_rasterize_peak_is_below_two_fields(self):
+        # one float64 field of the grid is 2 MiB at 64^3; testing every
+        # structure on the whole grid peaked at 5.25 fields, testing it in its
+        # box peaks at 1.43
+        spec = default_phantom_spec(dims=(64, 64, 64), modalities=("mprage",))
+        geom = _reference_geometry(spec, 1)
+        tracemalloc.start()
+        try:
+            phantom._rasterize(spec, "mprage", geom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 64**3 * 8
 
     def test_dataset_rasterizes_each_grid_once(self, tmp_path, monkeypatch):
         calls = []
@@ -269,9 +298,13 @@ class TestSpecConfig:
             lambda cfg: cfg.update(scale_jitter=[0.1]),
             lambda cfg: cfg["structures"][0].update(center=[0.5, 0.5]),
             lambda cfg: cfg["modalities"]["mprage"]["contrast"].update({"0": [2.0]}),
+            lambda cfg: cfg.update(dims=[True, 16, 16]),
+            lambda cfg: cfg.update(dims=[16.5, 16, 16]),
+            lambda cfg: cfg.update(dims=[16, 16]),
         ],
         ids=["no-structures", "no-radii", "modality-list", "contrast-list", "int-structure",
-             "str-seed", "list-jitter", "short-center", "short-contrast"],
+             "str-seed", "list-jitter", "short-center", "short-contrast", "bool-dim",
+             "fractional-dim", "two-dims"],
     )
     def test_malformed_config_names_the_file(self, tmp_path, edit):
         path = tmp_path / "spec.json"
@@ -306,11 +339,12 @@ class TestSpecConfig:
         path = tmp_path / "spec.json"
         save_phantom_spec(spec, path)
         cfg = json.loads(path.read_text())
-        cfg.update(seed=0.0, rotation_jitter_deg=3)
+        cfg.update(seed=0.0, rotation_jitter_deg=3, dims=[16.0, 16, 16])
         path.write_text(json.dumps(cfg))
         loaded = load_phantom_spec(path)
         assert loaded == spec
         assert type(loaded.seed) is int and type(loaded.rotation_jitter_deg) is float
+        assert all(type(d) is int for d in loaded.dims)
 
     def test_unknown_modality_is_named(self):
         with pytest.raises(ValueError, match="unknown modality 'pet', known: mprage, flair"):
@@ -431,7 +465,9 @@ class TestDataset:
             generate_dataset(spec, 5, tmp_path / "out", **kwargs)
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("dims", [(16, 16), (16, 16, 16, 16), (16, -16, 16), (16.0, 16, 16)])
+    @pytest.mark.parametrize(
+        "dims", [(16, 16), (16, 16, 16, 16), (16, -16, 16), (16.0, 16, 16), (True, 16, 16)]
+    )
     def test_dims_must_be_three_positive_counts(self, dims):
         with pytest.raises(ValueError, match="3 positive voxel counts"):
             dataclasses.replace(default_phantom_spec(dims=(16, 16, 16)), dims=dims)
