@@ -11,21 +11,25 @@ The op set is exactly what the segmentation network needs: 3-D convolution
 convolution, inverted dropout, channel softmax, channel concatenation, and
 elementwise/reduction basics for building small test graphs. Convolutions are
 lowered to matrix products by im2col (Chetlur et al., cuDNN, arXiv:1410.0759):
-the input is unfolded one slab of x-planes at a time into a (C·kx·ky·kz,
-B·slab·Y·Z) block, so BLAS sees one large GEMM per slab while a block stays
-about the size of the input. The forward pass and both gradients read these
-blocks.
+the input is unfolded in slabs of x-planes, each a (C·kx·ky·kz, B·slab·Y·Z)
+block about the size of the input, and BLAS runs one GEMM per slab. The slab
+width fixes each GEMM's shape, and so its bits. Consecutive slabs are
+gathered in stacks of about ``_STACK_BYTES`` of im2col, and one ``np.matmul``
+runs a stack's GEMMs (batched BLAS, Dongarra et al., ICCS 2017): a small grid
+costs a few calls, not one gather, GEMM and write per slab, and every GEMM
+is the 2-D BLAS call a plain ``@`` on its slab makes. The forward pass and
+both gradients read these stacks.
 
 ``parallel()`` opens the one parallel region: a pool of one thread per
 usable core (``parallel_workers``), OpenBLAS pinned to one thread while it is
 open if there are two or more, and the region published to the current
 context as ``no_grad`` publishes its flag, for as long as the ``with`` block
-that opened it; a nested ``parallel()`` reuses it. Inside it, a convolution shares its slabs
-among the calling thread and the workers, which take them in slab order from
-one queue, and every slab runs the same GEMM as outside it; the weight
-gradient keeps its per-slab partials and sums them in slab order, so every
-result is bitwise that of one thread. Pool threads see no region and build
-no graph, so work running on them is never split again and records no
+that opened it; a nested ``parallel()`` reuses it. Inside it, a convolution
+shares its stacks among the calling thread and the workers, which take them
+in order from one queue, and every slab runs the same GEMM as outside it; the
+weight gradient keeps its per-slab partials and sums them in slab order, so
+every result is bitwise that of one thread. Pool threads see no region and
+build no graph, so work running on them is never split again and records no
 backward; every graph is built on a thread outside the pool.
 """
 
@@ -178,11 +182,12 @@ def parallel():
 
 
 def _each_slab(fn, slabs):
-    """Yield ``fn(s)`` for each slab, in slab order. Outside a parallel region
-    each slab runs as it is yielded. In one, the calling thread and one pool
-    thread per further worker take slabs from one shared queue, in slab
-    order, until it is empty, so a slow or stalled worker holds up only the
-    slab it has; the results are yielded once every slab is done."""
+    """Yield ``fn(s)`` for each stack of slabs (``_slabs``), in order. Outside
+    a parallel region each stack runs as it is yielded. In one, the calling
+    thread and one pool thread per further worker take stacks from one shared
+    queue, in order, until it is empty, so a slow or stalled worker holds up
+    only the stack it has; the results are yielded once every stack is
+    done."""
     region = _region.get()
     n = 1 if region is None else min(region.workers, len(slabs))
     if n == 1:
@@ -342,36 +347,63 @@ def _pad(a, w):
     return out
 
 
+# im2col bytes that one np.matmul call of a convolution gathers: slabs are
+# stacked up to this size (the sweep that set it is in CHANGES.md)
+_STACK_BYTES = 1 << 20
+
+
 def _slabs(xp, w, dims):
-    """``(planes, gather)``: the slabs of output x-planes, as slices, and
-    ``gather(p)``, the im2col matrix (C·kx·ky·kz, B·slab·Y·Z) of the padded
-    input ``xp`` for slab ``p``, rows in ``w.reshape(O, -1)`` order. A slab is
-    X // (kx·ky·kz) planes (at least one), so a block holds about one copy of
-    the input, not kx·ky·kz."""
+    """``(stacks, gather)``: the stacks of output x-planes, as slices, and
+    ``gather(p)``, the (n, C·kx·ky·kz, B·slab·Y·Z) im2col matrices of the
+    padded input ``xp`` for the n slabs of stack ``p``, rows in
+    ``w.reshape(O, -1)`` order. A slab is X // (kx·ky·kz) planes (at least
+    one), so a matrix holds about one copy of the input, not kx·ky·kz. A
+    stack is as many consecutive slabs of that width as fit in
+    ``_STACK_BYTES`` (at least one); a short last slab is a stack of its own.
+    Each matrix is laid out, copied or viewed, as a gather of its slab alone
+    would be, so a GEMM on it is the same BLAS call."""
     X = dims[0]
-    kernel = w.shape[2:]
+    B, kernel, K = xp.shape[0], w.shape[2:], w[0].size
     windows = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=(2, 3, 4))
     slab = max(1, X // int(np.prod(kernel)))
+    per_slab = K * B * slab * dims[1] * dims[2] * xp.itemsize
+    step = slab * max(1, _STACK_BYTES // max(1, per_slab))
+    full = X - X % slab
+    stacks = [slice(x0, min(x0 + step, full)) for x0 in range(0, full, step)]
+    if full < X:
+        stacks.append(slice(full, X))
 
     def gather(planes):
-        view = windows[:, :, planes].transpose(1, 5, 6, 7, 0, 2, 3, 4)
-        return view.reshape(w[0].size, -1)
+        view = windows[:, :, planes]
+        n = max(1, view.shape[2] // slab)
+        view = view.reshape(view.shape[:2] + (n, view.shape[2] // n) + view.shape[3:])
+        return view.transpose(2, 1, 6, 7, 8, 0, 3, 4, 5).reshape(n, K, -1)
 
-    return [slice(x0, x0 + slab) for x0 in range(0, X, slab)], gather
+    return stacks, gather
+
+
+def _by_slab(planes, n):
+    """The (O, B, n·slab, Y, Z) ``planes`` as a (n, O, B, slab, Y, Z) view:
+    slab i's planes at index i."""
+    O, B, L, Y, Z = planes.shape
+    return planes.reshape(O, B, n, L // n, Y, Z).transpose(2, 0, 1, 3, 4, 5)
 
 
 def _correlate(xp, w, dims):
     """Cross-correlation of the padded input ``xp`` (B, C, ...) with kernel
-    ``w`` (O, C, kx, ky, kz): one GEMM per slab. Returns a (B, O, X, Y, Z) view."""
+    ``w`` (O, C, kx, ky, kz): per stack, one gather, one ``np.matmul`` that
+    runs each slab's GEMM and one write. Returns a (B, O, X, Y, Z) view."""
     B, O = xp.shape[0], w.shape[0]
     w2 = w.reshape(O, -1)
     acc = np.empty((O, B, *dims), dtype=xp.dtype)
-    planes, gather = _slabs(xp, w, dims)
+    stacks, gather = _slabs(xp, w, dims)
 
-    def slab(p):
-        acc[:, :, p] = (w2 @ gather(p)).reshape(acc[:, :, p].shape)
+    def stack(p):
+        prods = np.matmul(w2, gather(p))
+        out = _by_slab(acc[:, :, p], len(prods))
+        out[...] = prods.reshape(out.shape)
 
-    for _ in _each_slab(slab, planes):
+    for _ in _each_slab(stack, stacks):
         pass  # each call writes its own planes of acc
     return acc.transpose(1, 0, 2, 3, 4)
 
@@ -383,7 +415,7 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     Output spatial dims equal input dims. The forward pass and the input
     gradient are ``_correlate`` calls (the latter with the kernel flipped in
     space and its channel axes swapped); the weight gradient reads the same
-    im2col slabs as the forward pass.
+    im2col stacks as the forward pass.
     """
     _check_5d(x)
     if w.data.ndim != 5:
@@ -406,11 +438,18 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             b.accumulate_grad(g.sum(axis=(0, 2, 3, 4)))
         if w.requires_grad:
             go = g.transpose(1, 0, 2, 3, 4)
-            planes, gather = _slabs(xp, w.data, dims)
+            stacks, gather = _slabs(xp, w.data, dims)
+
+            def parts(p):
+                cols = gather(p)
+                gos = _by_slab(go[:, :, p], len(cols)).reshape(len(cols), O, -1)
+                return np.matmul(gos, cols.transpose(0, 2, 1))
+
             gw = 0
-            # summed in slab order, whatever the worker count
-            for part in _each_slab(lambda p: go[:, :, p].reshape(O, -1) @ gather(p).T, planes):
-                gw = gw + part
+            # summed slab by slab in slab order, whatever the worker count
+            for stack in _each_slab(parts, stacks):
+                for part in stack:
+                    gw = gw + part
             w.accumulate_grad(gw.reshape(w.shape))
         if x.requires_grad:
             flipped = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)

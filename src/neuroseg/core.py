@@ -205,8 +205,9 @@ def one_hot(labels, num_classes: int = NUM_CLASSES) -> np.ndarray:
     label's voxel count.
     """
     arr = labels.labels if isinstance(labels, LabelMap) else np.asarray(labels)
-    if arr.max(initial=0) >= num_classes:
-        raise ValueError(f"label {int(arr.max())} out of range for {num_classes} classes")
+    for label in (arr.min(initial=0), arr.max(initial=0)):
+        if not 0 <= label < num_classes:
+            raise ValueError(f"label {int(label)} out of range for {num_classes} classes")
     flat = arr.reshape(-1).astype(np.intp)
     out = np.zeros((num_classes, flat.size), dtype=np.float32)
     out[flat, np.arange(flat.size)] = 1.0

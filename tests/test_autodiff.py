@@ -59,6 +59,15 @@ class TestConv3d:
         expected = np.einsum("oc,bcxyz->boxyz", w[:, :, 0, 0, 0], x) + b.reshape(1, 4, 1, 1, 1)
         assert np.allclose(out.data, expected)
 
+    def test_empty_batch(self):
+        x = tensor(np.zeros((0, 2, 4, 4, 4)))
+        w = tensor(np.ones((3, 2, 3, 3, 3)))
+        out = ad.conv3d(x, w, tensor(np.zeros(3)))
+        assert out.shape == (0, 3, 4, 4, 4)
+        out._backward(np.zeros(out.shape))
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+        assert not w.grad.any()
+
     def test_channel_mismatch(self, rng):
         with pytest.raises(ShapeError):
             ad.conv3d(
@@ -134,6 +143,105 @@ class TestConv3d:
             tracemalloc.stop()
         assert w.grad.shape == w.shape
         assert peak < 1.5 * block
+
+    def test_conv_holds_one_im2col_stack(self, rng):
+        # 2 -> 2 channels at 32^3: a slab is one x-plane of (2*27, 32*32)
+        # float32 im2col, and the conv's 32 slabs make several stacks
+        x = Tensor(rng.standard_normal((1, 2, 32, 32, 32), dtype=np.float32))
+        w = Tensor(rng.standard_normal((2, 2, 3, 3, 3), dtype=np.float32), requires_grad=True)
+        b = Tensor(np.zeros(2, dtype=np.float32))
+        slab = 2 * 27 * 32 * 32 * 4
+        stack = ad._STACK_BYTES // slab * slab
+        assert 2 * stack < 32 * slab
+        padded = 2 * 34**3 * 4
+        g = np.ones(x.shape, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            out = ad.conv3d(x, w, b)
+            kept, forward = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out._backward(g)
+            backward = tracemalloc.get_traced_memory()[1] - kept
+        finally:
+            tracemalloc.stop()
+        # the padded input and the output, then one stack and less than a
+        # slab of products; the weight gradient reads the same stacks
+        assert forward < padded + x.data.nbytes + stack + slab
+        assert backward < stack + slab
+
+
+def _one_slab_per_call(x, w, b, g):
+    """``_conv_all``'s forward output and x and w gradients, as bytes, from
+    one 2-D GEMM per slab of X // (kx·ky·kz) planes, with no stacks."""
+    O = w.shape[0]
+    kernel = w.shape[2:]
+    X = x.shape[2]
+    slab = max(1, X // int(np.prod(kernel)))
+    planes = [slice(x0, x0 + slab) for x0 in range(0, X, slab)]
+
+    def cols(xp, p):
+        windows = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=(2, 3, 4))
+        view = windows[:, :, p].transpose(1, 5, 6, 7, 0, 2, 3, 4)
+        return view.reshape(xp.shape[1] * int(np.prod(kernel)), -1)
+
+    def correlate(xp, k):
+        k2 = k.reshape(k.shape[0], -1)
+        acc = np.empty((k.shape[0], xp.shape[0]) + x.shape[2:], dtype=xp.dtype)
+        for p in planes:
+            acc[:, :, p] = (k2 @ cols(xp, p)).reshape(acc[:, :, p].shape)
+        return acc.transpose(1, 0, 2, 3, 4)
+
+    xp = ad._pad(x, w)
+    out = correlate(xp, w) + b.reshape(1, O, 1, 1, 1)
+    flipped = w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+    gx = correlate(ad._pad(g, w), flipped)
+    go = g.transpose(1, 0, 2, 3, 4)
+    gw = 0
+    for p in planes:
+        gw = gw + go[:, :, p].reshape(O, -1) @ cols(xp, p).T
+    return out.tobytes(), (gx + 0).tobytes(), (gw.reshape(w.shape) + 0).tobytes()
+
+
+# (spatial dims, kernel): cubes from 2^3 to 32^3, which span OpenBLAS's
+# small-matrix and packed GEMM paths, and X = 88, whose 3-plane slabs leave
+# a one-plane tail
+STACK_CASES = [
+    ((n, n, n), kernel)
+    for n in (2, 4, 8, 16, 32)
+    for kernel in ((3, 3, 3), (3, 1, 5), (1, 1, 1))
+] + [((88, 4, 3), (3, 3, 3))]
+
+
+class TestStackedGemms:
+    @pytest.mark.parametrize("budget", ["default", "one-stack"])
+    @pytest.mark.parametrize(
+        "dims, kernel",
+        [
+            pytest.param(d, k, id="-".join("x".join(map(str, t)) for t in (d, k)))
+            for d, k in STACK_CASES
+        ],
+    )
+    def test_bitwise_one_slab_per_call(self, dims, kernel, budget, monkeypatch, rng):
+        if budget == "one-stack":
+            monkeypatch.setattr(ad, "_STACK_BYTES", 1 << 40)
+        x = Tensor(rng.standard_normal((2, 4) + dims, dtype=np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((6, 4) + kernel, dtype=np.float32), requires_grad=True)
+        b = Tensor(rng.standard_normal(6, dtype=np.float32), requires_grad=True)
+        g = rng.standard_normal((2, 6) + dims, dtype=np.float32)
+        out, (gx, gw, _) = _conv_all(x, w, b, g)
+        assert (out, gx, gw) == _one_slab_per_call(x.data, w.data, b.data, g)
+
+    def test_stacks_are_full_width_slabs_and_a_tail(self, monkeypatch):
+        # X = 88 under a 3^3 kernel: 29 slabs of 3 planes and one of 1
+        xp = np.zeros((1, 1, 90, 6, 5), dtype=np.float32)
+        w = np.zeros((1, 1, 3, 3, 3), dtype=np.float32)
+        slab = 27 * 3 * 4 * 3 * 4
+        monkeypatch.setattr(ad, "_STACK_BYTES", 8 * slab + 1)
+        stacks, gather = ad._slabs(xp, w, (88, 4, 3))
+        assert [(p.start, p.stop) for p in stacks] == [
+            (0, 24), (24, 48), (48, 72), (72, 87), (87, 88)
+        ]
+        assert [gather(p).shape for p in stacks[-2:]] == [(5, 27, 36), (1, 27, 12)]
 
 
 class TestTransposeConv3d:
@@ -601,6 +709,7 @@ class TestParallelRegion:
         B, C, O, dims, kernel, x_grad = PARALLEL_CASES[case]
         if workers > 1:
             _blas_api()
+        monkeypatch.setattr(ad, "_STACK_BYTES", 1)  # one slab per stack
         x = Tensor(rng.standard_normal((B, C) + dims, dtype=np.float32), requires_grad=x_grad)
         w = Tensor(rng.standard_normal((O, C) + kernel, dtype=np.float32), requires_grad=True)
         b = Tensor(rng.standard_normal(O, dtype=np.float32), requires_grad=True)
@@ -617,6 +726,27 @@ class TestParallelRegion:
             # forward, input gradient and weight gradient each start
             # workers - 1 pool threads taking slabs
             assert len(submits) == (3 if x_grad else 2) * (workers - 1)
+
+    @pytest.mark.parametrize("slabs_per_stack, stacks", [(1, 5), (2, 3), (3, 2), (5, 1)])
+    def test_submits_follow_the_stacks(self, slabs_per_stack, stacks, monkeypatch, rng, submits):
+        # 5 one-plane slabs; C = O, so the input gradient's im2col is the
+        # forward's size: a (81, 24) float32 matrix of 7776 bytes per slab
+        _blas_api()
+        x = Tensor(rng.standard_normal((2, 3, 5, 4, 3), dtype=np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 3, 3, 3, 3), dtype=np.float32), requires_grad=True)
+        b = Tensor(rng.standard_normal(3, dtype=np.float32), requires_grad=True)
+        g = rng.standard_normal((2, 3, 5, 4, 3), dtype=np.float32)
+        monkeypatch.setattr(ad, "_STACK_BYTES", 1)
+        want = _conv_all(x, w, b, g)
+        monkeypatch.setattr(ad, "_STACK_BYTES", slabs_per_stack * 81 * 24 * 4)
+        assert len(ad._slabs(ad._pad(x.data, w.data), w.data, (5, 4, 3))[0]) == stacks
+        monkeypatch.setattr(ad, "parallel_workers", lambda: 3)
+        with ad.parallel():
+            got = _conv_all(x, w, b, g)
+        assert got == want
+        # forward, input gradient and weight gradient each start one pool
+        # thread per stack beyond the first, at most workers - 1
+        assert len(submits) == 3 * (min(3, stacks) - 1)
 
     def test_nested_region_reuses_the_outer_pool(self, monkeypatch):
         _blas_api()

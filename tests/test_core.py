@@ -145,6 +145,11 @@ class TestOneHot:
         with pytest.raises(ValueError, match="out of range"):
             one_hot(np.full((1, 1, 1), 7, dtype=np.uint8), num_classes=4)
 
+    def test_negative_label_rejected(self):
+        # not wrapped round to class num_classes - 1 by the index
+        with pytest.raises(ValueError, match="label -1 out of range"):
+            one_hot(np.array([[[-1]]]))
+
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_sums_match_histogram(self, seed):
