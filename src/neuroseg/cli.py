@@ -20,10 +20,11 @@ the checkpoint before any input, so one the loader rejects as not a segctl
 model (e.g. 4 classes, ``unet.load_checkpoint``) exits 1 before any is read.
 
 Their settings are ``--modality``, ``--mc`` (not ``uncertainty``),
-``--mc-samples``, ``--dropout-rate``, ``--cv-threshold`` and ``--seed``, each
-from its flag, else the same key in the ``--config`` JSON file, else its
-default. A file entry must be a JSON number or string the flag would take as
-its text; any other entry exits 1 before the model is loaded.
+``--mc-samples``, ``--dropout-rate``, ``--cv-threshold`` and ``--seed`` (a
+non-negative integer, as for ``train``), each from its flag, else the same
+key in the ``--config`` JSON file, else its default. A file entry must be a
+JSON number or string the flag would take as its text; any other entry exits
+1 before the model is loaded.
 
 Exit codes: 0 success/QC pass, 2 QC warn, 1 error, usage errors included.
 Every run echoes its resolved settings into ``run_record.json`` in the
@@ -128,6 +129,13 @@ class _StageClock:
         return {**self._seconds, "total_s": time.perf_counter() - self._start}
 
 
+def _seed(text) -> int:
+    """A ``--seed`` value: a non-negative integer, as numpy's seeding takes."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 # The settings of segment, evaluate and uncertainty: flag type, choices and
 # default. A None default is the checkpoint's rate or the modality's threshold.
 _SETTINGS = {
@@ -136,7 +144,7 @@ _SETTINGS = {
     "mc-samples": (int, None, DEFAULT_MC_SAMPLES),
     "dropout-rate": (float, None, None),
     "cv-threshold": (float, None, None),
-    "seed": (int, None, 0),
+    "seed": (_seed, None, 0),
 }
 
 
@@ -160,7 +168,7 @@ def _read_config(path, settings) -> Dict:
             entries[key] = kind(str(value))
             if choices and entries[key] not in choices:
                 raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"config {path}: setting {key!r}: {exc}") from None
     return entries
 
@@ -252,15 +260,18 @@ def cmd_train(args) -> int:
     if not records:
         print(f"error: manifest has no {args.modality!r} records", file=sys.stderr)
         return 1
-    first = read_as(records[0].volume_path, Volume)
-    spec = ModelSpec(
-        features=args.features,
-        depth=args.depth,
-        bottleneck_layers=args.bottleneck,
-        dropout_rate=args.dropout_rate,
-        input_dims=first.dims,
-    )
     cfg = _train_config(args)
+    # the flags' spec on no grid yet, so that a grid error names the scan
+    spec = ModelSpec(
+        features=args.features, depth=args.depth, bottleneck_layers=args.bottleneck,
+        dropout_rate=args.dropout_rate, input_dims=(),
+    )
+    first = read_as(records[0].volume_path, Volume)
+    try:
+        spec.check_grid(first.dims)
+    except ad.ShapeError as exc:
+        raise ad.ShapeError(f"{records[0].volume_path}: {exc}") from None
+    spec = dataclasses.replace(spec, input_dims=first.dims)
     model = UNet3D(spec, seed=cfg.seed)
     with ad.parallel() as region:
         model, log = train(model, records, cfg)
@@ -566,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aug-translation", type=float, default=TrainConfig.translation_voxels)
     p.add_argument("--aug-rotation", type=float, default=TrainConfig.rotation_degrees)
     p.add_argument("--aug-crop", type=float, default=TrainConfig.crop_fraction)
-    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--seed", type=_seed, default=TrainConfig.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -202,9 +202,11 @@ def one_hot(labels, num_classes: int = NUM_CLASSES) -> np.ndarray:
     """Per-class indicator field of shape (num_classes, x, y, z), float32.
 
     Exactly one class is 1 at every voxel; summing a class plane gives that
-    label's voxel count.
+    label's voxel count. Labels must be integers, as ``LabelMap``'s are.
     """
     arr = labels.labels if isinstance(labels, LabelMap) else np.asarray(labels)
+    if arr.dtype.kind not in "ui":
+        raise ValueError(f"labels must be integers, got dtype {arr.dtype}")
     for label in (arr.min(initial=0), arr.max(initial=0)):
         if not 0 <= label < num_classes:
             raise ValueError(f"label {int(label)} out of range for {num_classes} classes")

@@ -16,14 +16,15 @@ summed softmax fields (equivalently their mean).
 Per-sample anatomical volumes are the voxel counts of each sample's hard
 segmentation; their dispersion across samples yields CV_s = sigma_s / mu_s,
 and the aggregate CV is the mean of CV_s over structures with mu_s > 0. The
-structures are the 27 of ``core.STRUCTURE_NAMES``.
+structures are the 27 of ``core.STRUCTURE_NAMES``. Each per-structure table
+of the report is a ``NUM_CLASSES``-long array indexed by label, whose index 0
+(background) is carried but never scored.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
@@ -36,9 +37,9 @@ CV_THRESHOLDS = {"mprage": 0.01, "flair": 0.025, "dwi": 0.025, "ct": 0.025}
 
 @dataclass
 class UncertaintyReport:
-    mean_volume: Dict[int, float]  # mu_s over MC samples
-    std_volume: Dict[int, float]  # population sigma_s
-    cv_per_structure: Dict[int, float]  # structures with mu_s > 0 only
+    mean_volume: np.ndarray  # mu_s over MC samples
+    std_volume: np.ndarray  # population sigma_s
+    cv_per_structure: np.ndarray  # NaN where mu_s = 0
     cv: float
     threshold: float
     verdict: str  # "pass" | "warn"
@@ -88,62 +89,39 @@ def mc_segment(
 
 def uncertainty(volumes: np.ndarray, threshold: float) -> UncertaintyReport:
     """Coefficient-of-variation report over the (N, NUM_CLASSES) structure
-    volumes of N MC samples (``mc_segment``), for each structure of
-    ``STRUCTURE_NAMES``.
+    volumes of N MC samples (``mc_segment``), as arrays indexed by label.
 
-    CV_s = sigma_s / mu_s with population standard deviation; structures with
-    mu_s = 0 have no CV_s and stay out of the aggregate (the report writes
-    them as 'absent', since a missing structure is itself a quality signal).
-    Verdict is 'warn' iff the aggregate CV exceeds the threshold.
+    CV_s = sigma_s / mu_s with population standard deviation. The aggregate
+    CV is the mean of CV_s over the structures of ``STRUCTURE_NAMES`` with
+    mu_s > 0; CV_s is NaN where mu_s = 0 (the report writes 'absent', since a
+    missing structure is itself a quality signal). Verdict is 'warn' iff the
+    aggregate CV exceeds the threshold.
     """
     n = len(volumes)
     if n < 2:
         raise ValueError(f"CV needs at least 2 MC samples, got {n}")
-    mean_volume = {}
-    std_volume = {}
-    cv_per_structure = {}
-    for s in range(1, len(STRUCTURE_NAMES) + 1):
-        vols = volumes[:, s].astype(np.float64)
-        mu = float(vols.mean())
-        sigma = float(vols.std())  # population
-        mean_volume[s] = mu
-        std_volume[s] = sigma
-        if mu > 0:
-            cv_per_structure[s] = sigma / mu
-    if not cv_per_structure:
+    vols = volumes.T.astype(np.float64, order="C")  # C rows: each std is its row's 1-D std
+    mean_volume = vols.mean(axis=1)
+    std_volume = vols.std(axis=1)  # population
+    with np.errstate(invalid="ignore"):  # 0/0, so NaN where mu_s = 0
+        cv_per_structure = std_volume / mean_volume
+    scored = cv_per_structure[1:][mean_volume[1:] > 0]
+    if not scored.size:
         raise ValueError("no structure present in any MC sample")
-    cv = float(np.mean(list(cv_per_structure.values()), dtype=np.float64))
+    cv = float(scored.mean())
     verdict = "warn" if cv > threshold else "pass"
-    return UncertaintyReport(
-        mean_volume=mean_volume,
-        std_volume=std_volume,
-        cv_per_structure=cv_per_structure,
-        cv=cv,
-        threshold=threshold,
-        verdict=verdict,
-    )
+    return UncertaintyReport(mean_volume, std_volume, cv_per_structure, cv, threshold, verdict)
 
 
 def write_uncertainty_report(report: UncertaintyReport, path) -> None:
     """One row per structure of ``STRUCTURE_NAMES`` (mu, sigma, CV
-    or 'absent'), then a summary row with the aggregate CV, threshold and
-    verdict."""
+    or 'absent' where mu is 0), then a summary row with the aggregate CV,
+    threshold and verdict."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["structure", "name", "mean_volume", "std_volume", "cv"])
         for s, name in enumerate(STRUCTURE_NAMES, start=1):
-            if s in report.cv_per_structure:
-                writer.writerow(
-                    [
-                        s,
-                        name,
-                        repr(report.mean_volume[s]),
-                        repr(report.std_volume[s]),
-                        repr(report.cv_per_structure[s]),
-                    ]
-                )
-            else:
-                writer.writerow([s, name, "0.0", "0.0", "absent"])
-        writer.writerow(
-            ["summary", "", repr(report.cv), repr(report.threshold), report.verdict]
-        )
+            mu, sigma = float(report.mean_volume[s]), float(report.std_volume[s])
+            cv = "absent" if mu == 0 else repr(float(report.cv_per_structure[s]))
+            writer.writerow([s, name, repr(mu), repr(sigma), cv])
+        writer.writerow(["summary", "", repr(report.cv), repr(report.threshold), report.verdict])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -29,37 +29,38 @@ class CorrelationError(ValueError):
 
 @dataclass
 class DiceReport:
-    """Per-structure Dice with ground-truth volumes and both summary scores."""
+    """Per-structure Dice and ground-truth voxel counts, each a
+    ``NUM_CLASSES``-long float64 array indexed by label, and both summary
+    scores. Index 0 (background) is carried but never scored."""
 
-    per_structure: Dict[int, float]
-    volumes: Dict[int, int]  # 0 for a structure absent from the ground truth
+    per_structure: np.ndarray
+    volumes: np.ndarray  # 0 for a structure absent from the ground truth
+
+    def _present(self) -> np.ndarray:
+        """The structures present in the ground truth, in label order."""
+        present = np.flatnonzero(self.volumes[1:]) + 1
+        if not present.size:
+            raise ValueError("no structures present in ground truth")
+        return present
 
     @property
     def average(self) -> float:
         """Arithmetic mean of per-structure Dice; background and structures
         absent from the ground truth are excluded."""
-        scores = [d for s, d in self.per_structure.items() if self.volumes.get(s, 0) > 0]
-        if not scores:
-            raise ValueError("no structures present in ground truth")
-        return float(np.mean(scores, dtype=np.float64))
+        return float(self.per_structure[self._present()].mean())
 
     @property
     def volume_weighted(self) -> float:
-        """Ground-truth-volume-weighted mean of per-structure Dice."""
-        num = 0.0
-        den = 0.0
-        for s, d in self.per_structure.items():
-            v = self.volumes.get(s, 0)
-            num += v * d
-            den += v
-        if den == 0:
-            raise ValueError("no structures present in ground truth")
-        return float(num / den)
+        """Ground-truth-volume-weighted mean of per-structure Dice; the
+        products are summed one after another in label order."""
+        present = self._present()
+        v = self.volumes[present]
+        return float(np.add.accumulate(v * self.per_structure[present])[-1] / v.sum())
 
 
 def dice_report(pred_labels: np.ndarray, true_labels: np.ndarray) -> DiceReport:
-    """Evaluate a hard segmentation against hard ground truth, for each of
-    the ``NUM_CLASSES`` - 1 structures.
+    """Evaluate a hard segmentation against hard ground truth: the Dice and
+    ground-truth voxel count of every label, background included.
 
     Uses joint label counts, which is exactly the set-overlap Dice
     2|A n B| / (|A| + |B|) under the eps smoothing.
@@ -74,9 +75,7 @@ def dice_report(pred_labels: np.ndarray, true_labels: np.ndarray) -> DiceReport:
     pred_counts = joint.sum(axis=0)
     inter = np.diag(joint)
     dice = (2.0 * inter + DICE_EPS) / (true_counts + pred_counts + DICE_EPS)
-    per_structure = {s: float(dice[s]) for s in range(1, NUM_CLASSES)}
-    volumes = {s: int(true_counts[s]) for s in range(1, NUM_CLASSES)}
-    return DiceReport(per_structure, volumes)
+    return DiceReport(dice, true_counts)
 
 
 def combined_loss(P: Tensor, T: np.ndarray) -> Tensor:
@@ -158,11 +157,9 @@ def write_dice_rows(rows: Sequence[Tuple[str, DiceReport]], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["volume", "structure", "dice", "voxels", "d_a", "d_v"])
         for name, report in rows:
-            for s in sorted(report.per_structure):
-                if report.volumes.get(s, 0) > 0:
-                    writer.writerow(
-                        [name, s, repr(report.per_structure[s]), report.volumes[s], "", ""]
-                    )
+            for s in report._present():
+                dice, voxels = float(report.per_structure[s]), int(report.volumes[s])
+                writer.writerow([name, s, repr(dice), voxels, "", ""])
             writer.writerow(
                 [name, "summary", "", "", repr(report.average), repr(report.volume_weighted)]
             )

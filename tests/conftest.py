@@ -43,6 +43,11 @@ def rewrite_header(path, raw, edit):
     path.write_bytes(raw[:4] + struct.pack("<I", len(payload)) + payload + raw[8 + hlen :])
 
 
+def float_bits(x):
+    """The IEEE bytes of x as a float64, for bitwise comparisons."""
+    return np.float64(x).tobytes()
+
+
 def tensor(arr, requires_grad=True):
     return ad.Tensor(np.asarray(arr, dtype=np.float64), requires_grad=requires_grad)
 

@@ -193,30 +193,41 @@ class TestConfigFile:
             ({"seed": 1.5}, "seed", "segment"),
             ({"seed": True}, "seed", "segment"),
             ({"mc": "off"}, "mc", "uncertainty"),
+            ({"seed": -1}, "seed", "segment"),
+            ({"seed": -1}, "seed", "evaluate"),
+            ({"seed": "-1"}, "seed", "uncertainty"),
         ],
         ids=[
             "list", "list-value", "bad-float", "mc-case", "unknown-key", "not-json",
             "bool-threshold", "float-samples", "float-seed", "bool-seed", "uncertainty-mc",
+            "negative-seed", "evaluate-negative-seed", "uncertainty-negative-seed",
         ],
     )
     def test_bad_config_exits_1_before_any_work(
         self, setup, tmp_path, capsys, monkeypatch, content, key, command
     ):
         # each value is checked as its flag is, and a typo is not ignored
-        _, records, checkpoint = setup
+        root, records, checkpoint = setup
         monkeypatch.setattr(cli, "load_checkpoint", lambda path: pytest.fail("model loaded"))
         config = tmp_path / "config.json"
         config.write_text(content if isinstance(content, str) else json.dumps(content))
         out = tmp_path / "o"
-        reference = ["--reference", str(records[0].volume_path)] if command == "segment" else []
+        inputs = {
+            "segment": ["--input", str(records[1].volume_path),
+                        "--reference", str(records[0].volume_path)],
+            "evaluate": ["--manifest", str(root / "phantoms" / "manifest.csv")],
+            "uncertainty": ["--input", str(records[1].volume_path)],
+        }[command]
         code = cli.run(
-            [command, "--input", str(records[1].volume_path)] + reference
+            [command] + inputs
             + ["--checkpoint", str(checkpoint), "--config", str(config), "--out", str(out)]
         )
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(config) in err
         assert key is None or f"error: config {config}: setting {key!r}: " in err
+        if content in ({"seed": -1}, {"seed": "-1"}):
+            assert "expected a non-negative integer, got '-1'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -436,16 +447,27 @@ class TestErrors:
             (["uncertainty", "--input", "a.mvx", "--checkpoint", "m.ckpt", "--mc", "off",
               "--out", "o"], 1),
             (["segment", "--help"], 0),
+            (["segment", "--input", "a.mvx", "--reference", "r.mvx", "--checkpoint", "m.ckpt",
+              "--seed", "-1", "--out", "o"], 1),
+            (["evaluate", "--manifest", "m.csv", "--checkpoint", "m.ckpt", "--seed", "-1",
+              "--out", "o"], 1),
+            (["uncertainty", "--input", "a.mvx", "--checkpoint", "m.ckpt", "--seed", "-1",
+              "--out", "o"], 1),
+            (["train", "--manifest", "m.csv", "--modality", "mprage", "--seed", "-1",
+              "--out", "o"], 1),
         ],
     )
     def test_usage_errors_exit_1(self, argv, code, capsys):
         # exit 2 is a QC warning, so a usage error must not use argparse's 2;
-        # --help still exits 0
+        # --help still exits 0. A negative seed fails here, before any file
+        # is read or written, and names the flag
         with pytest.raises(SystemExit) as exc:
             cli.run(argv)
         assert exc.value.code == code
         out, err = capsys.readouterr()
         assert "usage: segctl" in (out if code == 0 else err)
+        if "-1" in argv:
+            assert "argument --seed: expected a non-negative integer, got '-1'" in err
 
     @pytest.mark.parametrize(
         "argv, expected",
@@ -597,6 +619,22 @@ class TestErrors:
         assert "2^depth = 4" in err
         assert not (out / "summary.json").exists()
         assert not (out / "run_record.json").exists()
+
+    def test_train_off_the_depth_grid_exits_1(self, tmp_path, capsys):
+        # the first record's grid sets the model's: the error names that scan
+        spec = default_phantom_spec(dims=(18, 18, 18), modalities=("mprage",), seed=3)
+        manifest = generate_dataset(spec, 5, tmp_path / "phantoms", test_fraction=0.2)
+        first = read_manifest(manifest)[0]
+        out = tmp_path / "o"
+        code = cli.run(
+            ["train", "--manifest", str(manifest), "--modality", "mprage", "--epochs", "1",
+             "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {first.volume_path}: axis x has 18 voxels")
+        assert "2^depth = 4" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags, named",

@@ -150,6 +150,12 @@ class TestOneHot:
         with pytest.raises(ValueError, match="label -1 out of range"):
             one_hot(np.array([[[-1]]]))
 
+    @pytest.mark.parametrize("label", [1.5, 27.9, True])
+    def test_non_integer_label_rejected(self, label):
+        # not truncated to class 1 or 27 by the index cast
+        with pytest.raises(ValueError, match="labels must be integers"):
+            one_hot(np.array([[[label]]]))
+
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_sums_match_histogram(self, seed):

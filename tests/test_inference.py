@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import sys
 import threading
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from neuroseg import autodiff as ad
-from neuroseg.core import AffineTransform, Volume
+from neuroseg.core import NUM_CLASSES, STRUCTURE_NAMES, AffineTransform, Volume
 from neuroseg.inference import (
     hard_segment,
     mc_segment,
@@ -14,6 +16,8 @@ from neuroseg.inference import (
     write_uncertainty_report,
 )
 from neuroseg.unet import ModelSpec, UNet3D
+
+from conftest import float_bits
 
 
 def _samples():
@@ -35,9 +39,9 @@ class TestUncertainty:
         assert report.cv_per_structure[2] == 0.1
         assert report.cv_per_structure[1] == 0.0
         # structure 5 is left out of the mean over 26 structures
-        assert 5 not in report.cv_per_structure
+        assert np.isnan(report.cv_per_structure[5])
         assert report.mean_volume[5] == 0.0
-        assert len(report.cv_per_structure) == 26
+        assert np.count_nonzero(~np.isnan(report.cv_per_structure[1:])) == 26
         assert report.cv == 0.1 / 26
 
     def test_verdict_at_threshold(self):
@@ -73,6 +77,97 @@ class TestUncertainty:
         assert rows[5][0] == "5" and rows[5][-1] == "absent"
         assert rows[2][-1] == repr(0.1)
         assert rows[-1] == ["summary", "", repr(report.cv), repr(0.01), "pass"]
+
+
+def _dict_uncertainty(volumes):
+    """``uncertainty``'s mu_s, sigma_s and CV_s as the per-label dict loop
+    computed them, and the aggregate CV (None with no structure present)."""
+    mean_volume, std_volume, cv_per_structure = {}, {}, {}
+    for s in range(1, len(STRUCTURE_NAMES) + 1):
+        vols = volumes[:, s].astype(np.float64)
+        mu = float(vols.mean())
+        sigma = float(vols.std())
+        mean_volume[s] = mu
+        std_volume[s] = sigma
+        if mu > 0:
+            cv_per_structure[s] = sigma / mu
+    if not cv_per_structure:
+        return mean_volume, std_volume, cv_per_structure, None
+    cv = float(np.mean(list(cv_per_structure.values()), dtype=np.float64))
+    return mean_volume, std_volume, cv_per_structure, cv
+
+
+def _dict_report_bytes(volumes, threshold):
+    """``write_uncertainty_report``'s bytes as its per-label dict loop wrote them."""
+    mean_volume, std_volume, cv_per_structure, cv = _dict_uncertainty(volumes)
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["structure", "name", "mean_volume", "std_volume", "cv"])
+    for s, name in enumerate(STRUCTURE_NAMES, start=1):
+        if s in cv_per_structure:
+            writer.writerow(
+                [s, name, repr(mean_volume[s]), repr(std_volume[s]), repr(cv_per_structure[s])]
+            )
+        else:
+            writer.writerow([s, name, "0.0", "0.0", "absent"])
+    verdict = "warn" if cv > threshold else "pass"
+    writer.writerow(["summary", "", repr(cv), repr(threshold), verdict])
+    return fh.getvalue().encode()
+
+
+class TestArraysMatchDictLoop:
+    """The label-indexed arrays give every statistic and report byte that the
+    per-label dict loop gave."""
+
+    @staticmethod
+    def _volumes(n):
+        # N from 2 to 30 passes; structures absent from every pass or from
+        # some; a background column far larger than any structure
+        gen = np.random.default_rng(30)
+        for _ in range(n):
+            passes = int(gen.integers(2, 31))
+            scale = 10 ** int(gen.integers(1, 7))
+            volumes = gen.integers(0, scale, (passes, NUM_CLASSES))
+            volumes[:, gen.random(NUM_CLASSES) < 0.2] = 0
+            volumes[gen.random(volumes.shape) < 0.05] = 0
+            volumes[:, 0] = gen.integers(0, 100 * scale, passes)
+            yield volumes
+
+    def test_statistics_bitwise_on_random_volumes(self):
+        cases = absent = 0
+        for volumes in self._volumes(1500):
+            mean_volume, std_volume, cv_per_structure, cv = _dict_uncertainty(volumes)
+            if cv is None:
+                with pytest.raises(ValueError, match="no structure"):
+                    uncertainty(volumes, 0.01)
+                continue
+            report = uncertainty(volumes, 0.01)
+            for table in (report.mean_volume, report.std_volume, report.cv_per_structure):
+                assert table.shape == (NUM_CLASSES,) and table.dtype == np.float64
+            labels = range(1, NUM_CLASSES)
+            assert [float_bits(report.mean_volume[s]) for s in labels] == [
+                float_bits(mean_volume[s]) for s in labels
+            ]
+            assert [float_bits(report.std_volume[s]) for s in labels] == [
+                float_bits(std_volume[s]) for s in labels
+            ]
+            for s in labels:
+                if s in cv_per_structure:
+                    assert float_bits(report.cv_per_structure[s]) == float_bits(cv_per_structure[s])
+                else:
+                    assert np.isnan(report.cv_per_structure[s])
+            assert float_bits(report.cv) == float_bits(cv)
+            absent += len(cv_per_structure) < NUM_CLASSES - 1
+            cases += 1
+        assert cases >= 1000 and absent > 500
+
+    def test_report_file_bitwise_on_random_volumes(self, tmp_path):
+        path = tmp_path / "uncertainty.csv"
+        for volumes in self._volumes(300):
+            if not volumes[:, 1:].any():
+                continue
+            write_uncertainty_report(uncertainty(volumes, 0.05), path)
+            assert path.read_bytes() == _dict_report_bytes(volumes, 0.05)
 
 
 class TestHardSegment:

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import math
 import tracemalloc
@@ -7,7 +9,7 @@ import pytest
 
 from neuroseg import autodiff as ad
 from neuroseg.autodiff import Tensor
-from neuroseg.core import one_hot
+from neuroseg.core import NUM_CLASSES, one_hot
 from neuroseg.metrics import (
     _LOG_CLAMP,
     DICE_EPS,
@@ -19,7 +21,16 @@ from neuroseg.metrics import (
     write_dice_rows,
 )
 
-from conftest import central_diff, max_rel_err
+from conftest import central_diff, float_bits, max_rel_err
+
+
+def _report(scores, voxels):
+    """A DiceReport whose arrays hold the given label -> value entries, and 0
+    at every other label."""
+    per_structure, volumes = np.zeros(NUM_CLASSES), np.zeros(NUM_CLASSES)
+    per_structure[list(scores)] = list(scores.values())
+    volumes[list(voxels)] = list(voxels.values())
+    return DiceReport(per_structure, volumes)
 
 
 class TestDicePerStructure:
@@ -74,17 +85,17 @@ class TestDicePerStructure:
 
 class TestSummaries:
     def test_uniform_scores(self):
-        rep = DiceReport({1: 0.8, 2: 0.8}, {1: 10, 2: 90})
+        rep = _report({1: 0.8, 2: 0.8}, {1: 10, 2: 90})
         assert rep.average == pytest.approx(0.8)
         assert rep.volume_weighted == pytest.approx(0.8)
 
     def test_hand_weighted_example(self):
-        rep = DiceReport({1: 1.0, 2: 0.5}, {1: 100, 2: 300})
+        rep = _report({1: 1.0, 2: 0.5}, {1: 100, 2: 300})
         assert rep.average == pytest.approx(0.75, abs=1e-12)
         assert rep.volume_weighted == pytest.approx(0.625, abs=1e-12)
 
     def test_single_structure(self):
-        rep = DiceReport({1: 0.62}, {1: 50})
+        rep = _report({1: 0.62}, {1: 50})
         assert rep.average == pytest.approx(0.62)
         assert rep.volume_weighted == pytest.approx(0.62)
 
@@ -103,15 +114,133 @@ class TestSummaries:
     def test_summaries_bounded_by_extremes(self, rng):
         scores = {s: float(rng.uniform(0.2, 0.9)) for s in range(1, 8)}
         vols = {s: int(rng.integers(5, 500)) for s in range(1, 8)}
-        rep = DiceReport(scores, vols)
+        rep = _report(scores, vols)
         lo, hi = min(scores.values()), max(scores.values())
         assert lo <= rep.average <= hi
         assert lo <= rep.volume_weighted <= hi
 
     def test_equal_volumes_make_weighted_equal_average(self, rng):
         scores = {s: float(rng.uniform(0, 1)) for s in range(1, 6)}
-        rep = DiceReport(scores, {s: 77 for s in scores})
+        rep = _report(scores, {s: 77 for s in scores})
         assert rep.volume_weighted == pytest.approx(rep.average, abs=1e-12)
+
+
+def _dict_dice_report(pred, truth):
+    """The per-label dicts ``dice_report`` built before its tables became
+    arrays: Dice and ground-truth voxels of structures 1..27."""
+    joint = np.bincount(
+        truth.ravel().astype(np.int64) * NUM_CLASSES + pred.ravel(),
+        minlength=NUM_CLASSES * NUM_CLASSES,
+    ).reshape(NUM_CLASSES, NUM_CLASSES).astype(np.float64)
+    true_counts, pred_counts = joint.sum(axis=1), joint.sum(axis=0)
+    dice = (2.0 * np.diag(joint) + DICE_EPS) / (true_counts + pred_counts + DICE_EPS)
+    per_structure = {s: float(dice[s]) for s in range(1, NUM_CLASSES)}
+    volumes = {s: int(true_counts[s]) for s in range(1, NUM_CLASSES)}
+    return per_structure, volumes
+
+
+def _dict_average(per_structure, volumes):
+    scores = [d for s, d in per_structure.items() if volumes.get(s, 0) > 0]
+    if not scores:
+        raise ValueError("no structures present in ground truth")
+    return float(np.mean(scores, dtype=np.float64))
+
+
+def _dict_volume_weighted(per_structure, volumes):
+    num = 0.0
+    den = 0.0
+    for s, d in per_structure.items():
+        v = volumes.get(s, 0)
+        num += v * d
+        den += v
+    if den == 0:
+        raise ValueError("no structures present in ground truth")
+    return float(num / den)
+
+
+def _dict_rows(rows):
+    """``write_dice_rows``'s bytes as its per-label dict loop wrote them."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["volume", "structure", "dice", "voxels", "d_a", "d_v"])
+    for name, (per_structure, volumes) in rows:
+        for s in sorted(per_structure):
+            if volumes.get(s, 0) > 0:
+                writer.writerow([name, s, repr(per_structure[s]), volumes[s], "", ""])
+        writer.writerow(
+            [
+                name, "summary", "", "",
+                repr(_dict_average(per_structure, volumes)),
+                repr(_dict_volume_weighted(per_structure, volumes)),
+            ]
+        )
+    return fh.getvalue().encode()
+
+
+class TestArraysMatchDictLoops:
+    """The label-indexed arrays give every summary and report byte that the
+    per-label dict loops gave."""
+
+    @staticmethod
+    def _pairs(n):
+        # truths draw from a random subset of labels, so structures go missing,
+        # and background (label 0) fills much of every map but is never scored
+        gen = np.random.default_rng(30)
+        for _ in range(n):
+            shape = tuple(gen.integers(2, 9, 3))
+            labels = gen.choice(NUM_CLASSES, int(gen.integers(1, NUM_CLASSES + 1)), replace=False)
+            truth = np.where(
+                gen.random(shape) < gen.random(), 0, gen.choice(labels, shape)
+            ).astype(np.uint8)
+            pred = np.where(
+                gen.random(shape) < gen.random(), truth, gen.integers(0, NUM_CLASSES, shape)
+            ).astype(np.uint8)
+            yield pred, truth
+
+    def test_summaries_bitwise_on_random_label_maps(self):
+        cases = absent = empty = 0
+        for pred, truth in self._pairs(1500):
+            rep = dice_report(pred, truth)
+            per_structure, volumes = _dict_dice_report(pred, truth)
+            assert rep.per_structure.shape == rep.volumes.shape == (NUM_CLASSES,)
+            assert [float_bits(rep.per_structure[s]) for s in per_structure] == [
+                float_bits(d) for d in per_structure.values()
+            ]
+            assert [rep.volumes[s] for s in volumes] == list(volumes.values())
+            if not any(volumes.values()):
+                empty += 1
+                for summary in ("average", "volume_weighted"):
+                    with pytest.raises(ValueError, match="no structures present"):
+                        getattr(rep, summary)
+                continue
+            assert float_bits(rep.average) == float_bits(_dict_average(per_structure, volumes))
+            weighted = _dict_volume_weighted(per_structure, volumes)
+            assert float_bits(rep.volume_weighted) == float_bits(weighted)
+            absent += 0 in volumes.values()
+            cases += 1
+        assert cases >= 1000 and absent > 500 and empty > 0
+
+    def test_summaries_bitwise_on_random_tables(self):
+        # whole-brain voxel counts, where a pairwise sum of the products
+        # would round differently from the label-order one
+        gen = np.random.default_rng(31)
+        for _ in range(1000):
+            per_structure = gen.random(NUM_CLASSES)
+            volumes = gen.integers(0, 10 ** int(gen.integers(1, 8)), NUM_CLASSES).astype(float)
+            volumes[gen.random(NUM_CLASSES) < 0.3] = 0
+            volumes[1] = max(volumes[1], 1)  # one structure present
+            rep = DiceReport(per_structure, volumes)
+            scores = {s: float(per_structure[s]) for s in range(1, NUM_CLASSES)}
+            voxels = {s: int(volumes[s]) for s in range(1, NUM_CLASSES)}
+            assert float_bits(rep.average) == float_bits(_dict_average(scores, voxels))
+            assert float_bits(rep.volume_weighted) == float_bits(_dict_volume_weighted(scores, voxels))
+
+    def test_report_file_bitwise_on_random_label_maps(self, tmp_path):
+        pairs = [(p, t) for p, t in self._pairs(1500) if t.any()]
+        path = tmp_path / "eval.csv"
+        write_dice_rows([(f"v{i}", dice_report(p, t)) for i, (p, t) in enumerate(pairs)], path)
+        want = _dict_rows([(f"v{i}", _dict_dice_report(p, t)) for i, (p, t) in enumerate(pairs)])
+        assert path.read_bytes() == want
 
 
 class TestCombinedLoss:
@@ -261,7 +390,7 @@ class TestPearson:
 
 class TestReportFile:
     def test_rows_and_summary(self, tmp_path):
-        rep = DiceReport({1: 0.9, 2: 0.7, 3: 0.5}, {1: 10, 2: 20, 3: 0})
+        rep = _report({1: 0.9, 2: 0.7, 3: 0.5}, {1: 10, 2: 20, 3: 0})
         path = tmp_path / "eval.csv"
         write_dice_rows([("vol0", rep), ("vol1", rep)], path)
         lines = path.read_text().strip().splitlines()
