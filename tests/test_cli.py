@@ -855,8 +855,8 @@ class TestGoldenDigests:
     """The bytes of every output of one fixed 16^3 run through ``cli.run``:
     phantoms in all four modalities with every corruption mode (DWI's ``swap``
     falls back to noise), a 2-epoch depth-1 MPRAGE model, ``segment`` with 3
-    MC samples and with ``--mc off``, ``evaluate --mc off`` and
-    ``uncertainty``. ``run_record.json`` and ``train_log.csv`` hold wall times
+    MC samples and with ``--mc off``, ``evaluate`` with 3 MC samples and
+    with ``--mc off``, and ``uncertainty``. ``run_record.json`` and ``train_log.csv`` hold wall times
     and peak memory, so they are not pinned. A change that keeps every float
     operation and its order keeps every digest."""
 
@@ -894,10 +894,12 @@ class TestGoldenDigests:
             cli.run(segment + ["--mc", "off", "--out", str(root / "segment-off")]),
             cli.run(["evaluate", "--manifest", str(manifest), "--mc", "off"] + checkpoint
                     + ["--out", str(root / "evaluate")]),
+            cli.run(["evaluate", "--manifest", str(manifest), "--mc-samples", "3"] + checkpoint
+                    + ["--out", str(root / "evaluate-mc")]),
             cli.run(["uncertainty", "--input", str(test.volume_path)] + checkpoint
                     + ["--out", str(root / "uncertainty")]),
         ]
-        assert codes == [2, 0, 0, 2]
+        assert codes == [2, 0, 0, 0, 2]
 
     def test_every_output_byte_for_byte(self, tmp_path):
         self.run_commands(tmp_path)
