@@ -2,25 +2,23 @@
 
 Subcommands: ``phantoms`` (synthetic datasets), ``train`` (fit a model from a
 manifest), ``segment`` (register -> resample -> normalize -> segment -> map
-back), ``evaluate`` (Dice metrics plus the Dice/CV scatter) and
-``uncertainty`` (MC-dropout QC on one volume).
+back) and ``evaluate`` (Dice metrics plus the Dice/CV scatter).
 
-``evaluate`` and ``uncertainty`` score scans on their own grid, without
-registration: a scan whose grid 2^depth does not divide exits 1 before
-anything is written. Only ``segment`` registers and resamples its input,
-onto the model's ``input_dims``, and it registers only as finely as one
-voxel of that grid resolves (see ``cmd_segment``). ``evaluate`` scores only
-the test records of the modality setting, which also picks the CV threshold.
+``segment`` registers its input to ``--reference`` only as finely as one
+voxel of the model's ``input_dims`` resolves, and resamples it onto that grid
+(see ``cmd_segment``). Without ``--reference`` it segments the input on its
+own grid, as ``evaluate`` scores each scan: nothing is registered, resampled
+or mapped back, and a scan whose grid 2^depth does not divide exits 1,
+naming the scan, before anything is written. ``evaluate`` scores only the
+test records of the modality setting, which also picks the CV threshold.
 
-``segment``, ``evaluate`` and ``uncertainty`` share one MC quality check,
-which needs at least 2 MC samples: fewer is an error (exit 1) before the
-model is loaded. ``--mc off`` (``segment`` and ``evaluate`` only) runs one
-dropout-free forward and no check; ``uncertainty`` always samples. They load
-the checkpoint before any input, so one the loader rejects as not a segctl
-model (e.g. 4 classes, ``unet.load_checkpoint``) exits 1 before any is read.
-
-Their settings are ``--modality``, ``--mc`` (not ``uncertainty``),
-``--mc-samples``, ``--dropout-rate``, ``--cv-threshold`` and ``--seed`` (a
+Both share one MC quality check, which needs at least 2 MC samples: fewer is
+an error (exit 1) before the model is loaded; ``--mc off`` runs one
+dropout-free forward and no check. They load the checkpoint before any
+input, so one the loader rejects as not a segctl model (e.g. 4 classes,
+``unet.load_checkpoint``) exits 1 before any is read. Their settings are
+``--modality``, ``--mc``, ``--mc-samples``, ``--dropout-rate``,
+``--cv-threshold`` (a finite non-negative number) and ``--seed`` (a
 non-negative integer, as for ``train``), each from its flag, else the same
 key in the ``--config`` JSON file, else its default. A file entry must be a
 JSON number or string the flag would take as its text; any other entry exits
@@ -28,25 +26,29 @@ JSON number or string the flag would take as its text; any other entry exits
 
 Exit codes: 0 success/QC pass, 2 QC warn, 1 error, usage errors included.
 Every run echoes its resolved settings into ``run_record.json`` in the
-output directory. ``segment``, ``evaluate`` and ``uncertainty`` records hold
-``checkpoint``, ``modality``, ``mc``, ``mc_samples``, ``dropout_rate``,
-``cv_threshold``, ``seed``, ``mc_workers`` (the MC passes run at once, None
-with ``--mc off``), ``blas_pinned`` (OpenBLAS held to one thread while the
-network ran), both read from the network's parallel region, and the wall
-seconds of each stage and in all (``timings``, ``total_s``). ``segment``
-and ``uncertainty`` add the QC ``cv`` and ``verdict``, and ``segment`` the
-structure voxel counts of each MC pass (``mc_volumes``). ``train`` records
-give their parallel region's ``workers`` and ``blas_pinned``. All but
-``phantoms`` records give the process's high-water resident memory in MB
-(``peak_rss_mb``, from ``ru_maxrss``) over the whole process lifetime, so a
-caller that runs several commands in one process reads a cumulative value.
+output directory. ``segment`` and ``evaluate`` records hold ``checkpoint``,
+``modality``, ``mc``, ``mc_samples``, ``dropout_rate``, ``cv_threshold``,
+``seed``, ``mc_workers`` (the MC passes run at once, None with ``--mc off``),
+``blas_pinned`` (OpenBLAS held to one thread while the network ran), both
+read from the network's parallel region, and the wall seconds of each stage
+that ran and in all (``timings``, ``total_s``). ``segment`` adds ``input``,
+``reference`` and ``registration_converged``, ``_cost`` and ``_levels`` (all
+None without ``--reference``), and the scan's QC ``cv``, ``verdict`` and
+structure voxel counts of each MC pass (``mc_volumes``; all None with ``--mc
+off``). ``train`` records give their parallel region's ``workers`` and
+``blas_pinned``. All but ``phantoms`` records give the process's high-water
+resident memory in MB (``peak_rss_mb``, from ``ru_maxrss``) over the whole
+process lifetime, so a caller that runs several commands in one process
+reads a cumulative value.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import math
 import os
 import resource
 import sys
@@ -136,22 +138,34 @@ def _seed(text) -> int:
     return int(text)
 
 
-# The settings of segment, evaluate and uncertainty: flag type, choices and
-# default. A None default is the checkpoint's rate or the modality's threshold.
+def _cv_threshold(text) -> float:
+    """A ``--cv-threshold`` value: a finite non-negative number, since no CV
+    exceeds NaN or infinity and every CV exceeds a negative threshold."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # not a number: rejected below
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}")
+    return value
+
+
+# The settings of segment and evaluate: flag type, choices and default. A
+# None default is the checkpoint's rate or the modality's threshold.
 _SETTINGS = {
     "modality": (str, MODALITIES, "mprage"),
     "mc": (str, ("on", "off"), "on"),
     "mc-samples": (int, None, DEFAULT_MC_SAMPLES),
     "dropout-rate": (float, None, None),
-    "cv-threshold": (float, None, None),
+    "cv-threshold": (_cv_threshold, None, None),
     "seed": (_seed, None, 0),
 }
 
 
-def _read_config(path, settings) -> Dict:
-    """The entries of a ``--config`` file, each one of ``settings`` and read
-    as its flag reads its text: a JSON number or string, converted with the
-    flag's type and checked against its choices."""
+def _read_config(path) -> Dict:
+    """The entries of a ``--config`` file, each a setting read as its flag
+    reads its text: a JSON number or string, converted with the flag's type
+    and checked against its choices."""
     try:
         entries = json.loads(Path(path).read_text())
     except ValueError as exc:
@@ -160,8 +174,8 @@ def _read_config(path, settings) -> Dict:
         raise ValueError(f"config {path}: expected a JSON object of settings")
     for key, value in entries.items():
         try:
-            if key not in settings:
-                raise ValueError(f"not one of the settings {', '.join(settings)}")
+            if key not in _SETTINGS:
+                raise ValueError(f"not one of the settings {', '.join(_SETTINGS)}")
             if isinstance(value, bool) or not isinstance(value, (int, float, str)):
                 raise TypeError(f"expected a JSON number or string, got {json.dumps(value)}")
             kind, choices, _ = _SETTINGS[key]
@@ -174,15 +188,14 @@ def _read_config(path, settings) -> Dict:
 
 
 def _pipeline_config(args) -> PipelineConfig:
-    """Each of the command's settings flags takes its value from the flag,
-    else the ``--config`` file, else its default. A file that is not one JSON
-    object of such settings raises ValueError naming the file (and key)."""
-    settings = [key for key in _SETTINGS if hasattr(args, key.replace("-", "_"))]
-    from_file = _read_config(args.config, settings) if args.config else {}
+    """Each setting takes its value from its flag, else the ``--config``
+    file, else its default. A file that is not one JSON object of settings
+    raises ValueError naming the file (and key)."""
+    from_file = _read_config(args.config) if args.config else {}
     value = {}
-    for key in settings:
+    for key, (_, _, default) in _SETTINGS.items():
         flag = getattr(args, key.replace("-", "_"))
-        value[key] = from_file.get(key, _SETTINGS[key][2]) if flag is None else flag
+        value[key] = from_file.get(key, default) if flag is None else flag
     threshold = value["cv-threshold"]
     return PipelineConfig(
         modality=value["modality"],
@@ -190,11 +203,21 @@ def _pipeline_config(args) -> PipelineConfig:
         checkpoint=Path(args.checkpoint),
         out_dir=Path(args.out),
         seed=value["seed"],
-        mc=value.get("mc") != "off",  # uncertainty has no --mc: it always samples
+        mc=value["mc"] == "on",
         mc_samples=value["mc-samples"],
         dropout_rate=value["dropout-rate"],
         cv_threshold=CV_THRESHOLDS[value["modality"]] if threshold is None else threshold,
     )
+
+
+@contextlib.contextmanager
+def _named(path):
+    """Prefix ``path`` to a ShapeError raised in the block, so that the
+    error names the file on the wrong grid."""
+    try:
+        yield
+    except ad.ShapeError as exc:
+        raise ad.ShapeError(f"{path}: {exc}") from None
 
 
 def _load_model(cfg: PipelineConfig) -> UNet3D:
@@ -267,10 +290,8 @@ def cmd_train(args) -> int:
         dropout_rate=args.dropout_rate, input_dims=(),
     )
     first = read_as(records[0].volume_path, Volume)
-    try:
+    with _named(records[0].volume_path):
         spec.check_grid(first.dims)
-    except ad.ShapeError as exc:
-        raise ad.ShapeError(f"{records[0].volume_path}: {exc}") from None
     spec = dataclasses.replace(spec, input_dims=first.dims)
     model = UNet3D(spec, seed=cfg.seed)
     with ad.parallel() as region:
@@ -304,35 +325,26 @@ def cmd_train(args) -> int:
 
 
 def _segment(model, volume, cfg: PipelineConfig):
-    """Returns (labels on the volume's grid, MC structure volumes, QC
-    report); the last two are None with ``--mc off``, which runs one forward."""
+    """Segment a normalized scan on its own grid. Returns the labels, the QC
+    report and the scan's QC record keys ``cv``, ``verdict`` and
+    ``mc_volumes``; ``--mc off`` runs one forward, with no report and every
+    key None."""
+    qc_keys = ("cv", "verdict", "mc_volumes")
     if cfg.mc:
         fused, volumes = mc_segment(model, volume, n=cfg.mc_samples, seed=cfg.seed)
-        return fused, volumes, uncertainty(volumes, cfg.cv_threshold)
+        report = uncertainty(volumes, cfg.cv_threshold)
+        return fused, report, dict(zip(qc_keys, (report.cv, report.verdict, volumes.tolist())))
     with ad.no_grad():
         P = model.forward(
             np.asarray(volume.data, dtype=model.dtype)[None, None],
             mode="eval",
             dropout_active=False,
         )
-    return hard_segment(P.data[0], like=volume), None, None
-
-
-def _write_qc(report, out_dir: Path) -> int:
-    """Write ``uncertainty.csv`` and return the exit code: 2, with a
-    warning, when the CV exceeds the threshold, else 0."""
-    write_uncertainty_report(report, out_dir / "uncertainty.csv")
-    if report.verdict == "pass":
-        return 0
-    print(
-        f"QC warning: CV {report.cv:.4f} exceeds threshold {report.threshold:.4f}",
-        file=sys.stderr,
-    )
-    return 2
+    return hard_segment(P.data[0], like=volume), None, dict.fromkeys(qc_keys)
 
 
 def _qc_record(cfg: PipelineConfig, model, region, clock: _StageClock) -> Dict:
-    """The run-record keys of ``segment``, ``evaluate`` and ``uncertainty``:
+    """The run-record keys of ``segment`` and ``evaluate``:
     the settings; from ``region``, the parallel region the network ran in,
     the MC passes run at once (one per worker, None with ``--mc off``) and
     whether BLAS was pinned to one thread; timings and peak memory."""
@@ -353,58 +365,71 @@ def _qc_record(cfg: PipelineConfig, model, region, clock: _StageClock) -> Dict:
 
 def cmd_segment(args) -> int:
     """Register the input to the reference, resample it onto the model's
-    ``input_dims``, segment it there and map the labels back. Registration
-    runs its pyramid only as finely as one model voxel resolves: once a level
-    fits both scans, its finest level is the largest block-mean factor no
-    larger than the smallest reference-to-model-grid voxel ratio, so a
-    reference 2x finer than the model grid skips the full-resolution level."""
+    ``input_dims``, segment it there and map the labels back; without a
+    reference, segment it on its own grid. Registration runs its pyramid
+    only as finely as one model voxel resolves: once a level fits both scans,
+    its finest level is the largest block-mean factor no larger than the
+    smallest reference-to-model-grid voxel ratio, so a reference 2x finer
+    than the model grid skips the full-resolution level."""
     clock = _StageClock()
     cfg = _pipeline_config(args)
     model = _load_model(cfg)
     original = read_as(args.input, Volume)
-    reference = read_as(cfg.reference, Volume)
+    reference = None if cfg.reference is None else read_as(cfg.reference, Volume)
     clock.lap("load")
-    reg = tf.register_affine(original, reference, model.spec.input_dims)
-    clock.lap("register")
-    if not reg.converged:
-        print(
-            f"warning: coregistration did not converge (final cost {reg.final_cost:.6g})",
-            file=sys.stderr,
-        )
-    to_model_grid = tf.grid_scaling(model.spec.input_dims, reference.dims)
-    t_total = reg.transform.compose(to_model_grid)
-    model_spacing = tuple(
-        s * d / m
-        for s, d, m in zip(reference.spacing, reference.dims, model.spec.input_dims)
+    scan, t_total = original, None
+    registration = dict.fromkeys(
+        ("registration_converged", "registration_cost", "registration_levels")
     )
-    resampled = tf.resample_spline(original, t_total, model.spec.input_dims, model_spacing)
-    clock.lap("resample")
-    normalized = normalize_intensity(resampled)
+    if reference is not None:
+        reg = tf.register_affine(original, reference, model.spec.input_dims)
+        clock.lap("register")
+        if not reg.converged:
+            print(
+                f"warning: coregistration did not converge (final cost {reg.final_cost:.6g})",
+                file=sys.stderr,
+            )
+        grid = model.spec.input_dims
+        t_total = reg.transform.compose(tf.grid_scaling(grid, reference.dims))
+        spacing = tuple(s * d / m for s, d, m in zip(reference.spacing, reference.dims, grid))
+        scan = tf.resample_spline(original, t_total, grid, spacing)
+        clock.lap("resample")
+        registration = {
+            "registration_converged": reg.converged,
+            "registration_cost": reg.final_cost,
+            "registration_levels": [
+                {**dataclasses.asdict(t), "diverged": t.diverged} for t in reg.levels
+            ],
+        }
+    normalized = normalize_intensity(scan)
     clock.lap("normalize")
-    with ad.parallel() as region:
-        seg_model_grid, volumes, report = _segment(model, normalized, cfg)
+    with ad.parallel() as region, _named(args.input):  # an unregistered input off the grid
+        labels, report, qc = _segment(model, normalized, cfg)
     clock.lap("mc")
-    out_labels = tf.map_back(seg_model_grid, original, t_total)
-    clock.lap("map_back")
-
+    if t_total is not None:
+        labels = tf.map_back(labels, original, t_total)
+        clock.lap("map_back")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    write_volume(out_labels, cfg.out_dir / "segmentation.mvx")
-    tf.save_transform(t_total, cfg.out_dir / "transform.txt")
-    code = 0 if report is None else _write_qc(report, cfg.out_dir)
+    write_volume(labels, cfg.out_dir / "segmentation.mvx")
+    if t_total is not None:
+        tf.save_transform(t_total, cfg.out_dir / "transform.txt")
+    code = 0
+    if report is not None:
+        write_uncertainty_report(report, cfg.out_dir / "uncertainty.csv")
+        if report.verdict == "warn":
+            print(
+                f"QC warning: CV {report.cv:.4f} exceeds threshold {report.threshold:.4f}",
+                file=sys.stderr,
+            )
+            code = 2
     clock.lap("write")
     _write_run_record(
         cfg.out_dir,
         "segment",
         input=args.input,
         reference=cfg.reference,
-        registration_converged=reg.converged,
-        registration_cost=reg.final_cost,
-        registration_levels=[
-            {**dataclasses.asdict(t), "diverged": t.diverged} for t in reg.levels
-        ],
-        mc_volumes=None if volumes is None else volumes.tolist(),
-        cv=getattr(report, "cv", None),
-        verdict=getattr(report, "verdict", None),
+        **registration,
+        **qc,
         **_qc_record(cfg, model, region, clock),
     )
     print(f"segmentation written to {cfg.out_dir / 'segmentation.mvx'}")
@@ -414,8 +439,9 @@ def cmd_segment(args) -> int:
 def cmd_evaluate(args) -> int:
     """Score the test split's records of the resolved modality on the
     volumes' own grid, without registration; a volume on a grid the depth
-    does not divide exits 1, naming the volume, and writes nothing. The
-    scans run in one parallel region, which every scan's passes share."""
+    does not divide, or labels on another grid than their volume's, exit 1,
+    naming the file, and write nothing. The scans run in one parallel
+    region, which every scan's passes share."""
     clock = _StageClock()
     cfg = _pipeline_config(args)
     model = _load_model(cfg)
@@ -432,16 +458,12 @@ def cmd_evaluate(args) -> int:
     with ad.parallel() as region:
         for rec in records:
             vol = read_as(rec.volume_path, Volume)
-            try:
-                model.spec.check_grid(vol.dims)
-            except ad.ShapeError as exc:
-                raise ad.ShapeError(f"{rec.volume_path}: {exc}") from None
             labels = read_as(rec.labels_path, LabelMap)
-            normalized = normalize_intensity(vol)
-            seg, _, report = _segment(model, normalized, cfg)
-            rows.append((rec.volume_path.name, dice_report(seg.labels, labels.labels)))
-            if report is not None:
-                cvs.append(report.cv)
+            with _named(rec.volume_path):  # a grid the depth does not divide
+                seg, _, qc = _segment(model, normalize_intensity(vol), cfg)
+            with _named(rec.labels_path):
+                rows.append((rec.volume_path.name, dice_report(seg.labels, labels.labels)))
+            cvs.append(qc["cv"])
     clock.lap("score")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_dice_rows(rows, cfg.out_dir / "evaluation.csv")
@@ -454,7 +476,7 @@ def cmd_evaluate(args) -> int:
         "d_v_mean": float(np.mean(weighted)),
         "d_v_std": float(np.std(weighted)),
     }
-    if cvs:
+    if cfg.mc:
         with open(cfg.out_dir / "scatter.csv", "w", newline="") as fh:
             fh.write("volume,d_a,cv\n")
             for (name, dr), cv in zip(rows, cvs):
@@ -481,36 +503,10 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_uncertainty(args) -> int:
-    clock = _StageClock()
-    cfg = _pipeline_config(args)
-    model = _load_model(cfg)
-    vol = read_as(args.input, Volume)
-    clock.lap("load")
-    normalized = normalize_intensity(vol)
-    clock.lap("normalize")
-    with ad.parallel() as region:
-        _, _, report = _segment(model, normalized, cfg)
-    clock.lap("mc")
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    code = _write_qc(report, cfg.out_dir)
-    clock.lap("write")
-    _write_run_record(
-        cfg.out_dir,
-        "uncertainty",
-        input=args.input,
-        cv=report.cv,
-        verdict=report.verdict,
-        **_qc_record(cfg, model, region, clock),
-    )
-    print(f"CV {report.cv:.4f} (threshold {report.threshold:.4f}): {report.verdict}")
-    return code
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1, as every other error does: 2 means a QC warning.
-    Long flags are not abbreviated, so ``uncertainty --mc`` is an error, not
-    ``--mc-samples``."""
+    Long flags are not abbreviated, so ``segment --dropout 0.1`` is an error,
+    not ``--dropout-rate``."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
@@ -531,13 +527,12 @@ def _voxel_counts(text):
         ) from None
 
 
-def _add_common(parser, settings):
-    """The flags of ``segment``, ``evaluate`` and ``uncertainty``; each of
-    ``settings`` parses to None when not given, so ``--config`` can fill it."""
+def _add_common(parser):
+    """The flags of ``segment`` and ``evaluate``; each setting parses to None
+    when not given, so ``--config`` can fill it."""
     parser.add_argument("--config", help="JSON config file; flags take precedence")
     parser.add_argument("--checkpoint", required=True)
-    for key in settings:
-        kind, choices, _ = _SETTINGS[key]
+    for key, (kind, choices, _) in _SETTINGS.items():
         parser.add_argument(f"--{key}", type=kind, choices=choices)
     parser.add_argument("--out", required=True, help="output directory")
 
@@ -583,19 +578,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("segment", help="segment one volume end to end")
     p.add_argument("--input", required=True)
-    p.add_argument("--reference", required=True)
-    _add_common(p, _SETTINGS)
+    p.add_argument(
+        "--reference",
+        help="scan to register the input to; without it the input is segmented "
+        "on its own grid, which 2^depth must divide",
+    )
+    _add_common(p)
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a manifest's test split")
     p.add_argument("--manifest", required=True)
-    _add_common(p, _SETTINGS)
+    _add_common(p)
     p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("uncertainty", help="MC-dropout QC verdict for one volume")
-    p.add_argument("--input", required=True)
-    _add_common(p, [key for key in _SETTINGS if key != "mc"])  # it always samples
-    p.set_defaults(func=cmd_uncertainty)
 
     return parser
 

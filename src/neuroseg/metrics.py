@@ -59,16 +59,19 @@ class DiceReport:
 
 
 def dice_report(pred_labels: np.ndarray, true_labels: np.ndarray) -> DiceReport:
-    """Evaluate a hard segmentation against hard ground truth: the Dice and
-    ground-truth voxel count of every label, background included.
+    """Evaluate a hard segmentation against hard ground truth on the same
+    grid (else ``ShapeError`` naming both shapes): the Dice and ground-truth
+    voxel count of every label, background included.
 
     Uses joint label counts, which is exactly the set-overlap Dice
     2|A n B| / (|A| + |B|) under the eps smoothing.
     """
+    if np.shape(pred_labels) != np.shape(true_labels):
+        raise ad.ShapeError(
+            f"prediction grid {np.shape(pred_labels)} vs truth grid {np.shape(true_labels)}"
+        )
     pred = np.asarray(pred_labels).reshape(-1).astype(np.int64)
     true = np.asarray(true_labels).reshape(-1).astype(np.int64)
-    if pred.shape != true.shape:
-        raise ad.ShapeError("prediction and truth differ in voxel count")
     joint = np.bincount(true * NUM_CLASSES + pred, minlength=NUM_CLASSES * NUM_CLASSES)
     joint = joint.reshape(NUM_CLASSES, NUM_CLASSES).astype(np.float64)
     true_counts = joint.sum(axis=1)

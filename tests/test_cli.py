@@ -50,8 +50,21 @@ def _run(args, out):
     return code, json.loads((out / "run_record.json").read_text())
 
 
+def _pipeline_inputs(kind, root, records):
+    """The command and input flags of one pipeline run: ``segment``
+    registers records[1] to records[0], ``own-grid`` segments records[1] on
+    its own grid and ``evaluate`` scores the test split."""
+    return {
+        "segment": ["segment", "--input", str(records[1].volume_path),
+                    "--reference", str(records[0].volume_path)],
+        "own-grid": ["segment", "--input", str(records[1].volume_path)],
+        "evaluate": ["evaluate", "--manifest", str(root / "phantoms" / "manifest.csv")],
+    }[kind]
+
+
 def _uncertainty_csv(checkpoint, volume_path, rate, n, seed, path):
-    """The report of the uncertainty command, computed directly at ``rate``."""
+    """The QC report of ``segment`` without ``--reference``, computed
+    directly at ``rate``."""
     model = load_checkpoint(checkpoint)
     model.spec = dataclasses.replace(model.spec, dropout_rate=rate)
     _, volumes = mc_segment(model, normalize_intensity(read_volume(volume_path)), n, seed)
@@ -64,7 +77,7 @@ class TestDropoutRate:
         root, records, checkpoint = setup
         args = ["--checkpoint", str(checkpoint), "--mc-samples", "3"]
         volume = records[1].volume_path
-        code, record = _run(["uncertainty", "--input", str(volume)] + args, tmp_path / "u")
+        code, record = _run(["segment", "--input", str(volume)] + args, tmp_path / "u")
         assert code in (0, 2)
         assert record["dropout_rate"] == 0.05
         want = _uncertainty_csv(checkpoint, volume, 0.05, 3, 0, tmp_path / "want.csv")
@@ -86,7 +99,7 @@ class TestDropoutRate:
     def test_flag_overrides_checkpoint_rate(self, setup, tmp_path):
         _, records, checkpoint = setup
         volume = records[1].volume_path
-        args = ["uncertainty", "--input", str(volume), "--checkpoint", str(checkpoint)]
+        args = ["segment", "--input", str(volume), "--checkpoint", str(checkpoint)]
         code, record = _run(args + ["--mc-samples", "3", "--dropout-rate", "0.3"], tmp_path / "u")
         assert code in (0, 2)
         assert record["dropout_rate"] == 0.3
@@ -144,7 +157,7 @@ class TestConfigFile:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"mc-samples": 3, "seed": 4, "cv-threshold": 0.5}))
         args = [
-            "uncertainty", "--input", str(records[1].volume_path),
+            "segment", "--input", str(records[1].volume_path),
             "--checkpoint", str(checkpoint), "--config", str(config),
         ]
         _, record = _run(args, tmp_path / "from_file")
@@ -180,7 +193,7 @@ class TestConfigFile:
         assert "_mprage.mvx" in scored["bare"][0] and "_ct.mvx" not in scored["bare"][0]
 
     @pytest.mark.parametrize(
-        "content, key, command",
+        "content, key, inputs",
         [
             ([3], None, "segment"),
             ({"mc-samples": [3]}, "mc-samples", "segment"),
@@ -192,19 +205,24 @@ class TestConfigFile:
             ({"mc-samples": 3.9}, "mc-samples", "segment"),
             ({"seed": 1.5}, "seed", "segment"),
             ({"seed": True}, "seed", "segment"),
-            ({"mc": "off"}, "mc", "uncertainty"),
             ({"seed": -1}, "seed", "segment"),
             ({"seed": -1}, "seed", "evaluate"),
-            ({"seed": "-1"}, "seed", "uncertainty"),
+            ({"seed": "-1"}, "seed", "own-grid"),
+            ({"cv-threshold": "nan"}, "cv-threshold", "segment"),
+            ({"cv-threshold": float("nan")}, "cv-threshold", "own-grid"),
+            ({"cv-threshold": float("inf")}, "cv-threshold", "evaluate"),
+            ({"cv-threshold": -0.5}, "cv-threshold", "own-grid"),
         ],
         ids=[
             "list", "list-value", "bad-float", "mc-case", "unknown-key", "not-json",
-            "bool-threshold", "float-samples", "float-seed", "bool-seed", "uncertainty-mc",
-            "negative-seed", "evaluate-negative-seed", "uncertainty-negative-seed",
+            "bool-threshold", "float-samples", "float-seed", "bool-seed",
+            "negative-seed", "evaluate-negative-seed", "own-grid-negative-seed",
+            "nan-threshold", "json-nan-threshold", "json-infinity-threshold",
+            "negative-threshold",
         ],
     )
     def test_bad_config_exits_1_before_any_work(
-        self, setup, tmp_path, capsys, monkeypatch, content, key, command
+        self, setup, tmp_path, capsys, monkeypatch, content, key, inputs
     ):
         # each value is checked as its flag is, and a typo is not ignored
         root, records, checkpoint = setup
@@ -212,14 +230,8 @@ class TestConfigFile:
         config = tmp_path / "config.json"
         config.write_text(content if isinstance(content, str) else json.dumps(content))
         out = tmp_path / "o"
-        inputs = {
-            "segment": ["--input", str(records[1].volume_path),
-                        "--reference", str(records[0].volume_path)],
-            "evaluate": ["--manifest", str(root / "phantoms" / "manifest.csv")],
-            "uncertainty": ["--input", str(records[1].volume_path)],
-        }[command]
         code = cli.run(
-            [command] + inputs
+            _pipeline_inputs(inputs, root, records)
             + ["--checkpoint", str(checkpoint), "--config", str(config), "--out", str(out)]
         )
         assert code == 1
@@ -228,6 +240,8 @@ class TestConfigFile:
         assert key is None or f"error: config {config}: setting {key!r}: " in err
         if content in ({"seed": -1}, {"seed": "-1"}):
             assert "expected a non-negative integer, got '-1'" in err
+        if key == "cv-threshold" and content[key] is not True:
+            assert "expected a finite non-negative number" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -235,9 +249,8 @@ class TestConfigFile:
         [
             ("segment", ["--input", "i", "--reference", "r"]),
             ("evaluate", ["--manifest", "m"]),
-            ("uncertainty", ["--input", "i"]),
         ],
-        ids=["segment", "evaluate", "uncertainty"],
+        ids=["segment", "evaluate"],
     )
     def test_config_keys_are_the_commands_settings_flags(
         self, tmp_path, capsys, command, inputs
@@ -248,8 +261,7 @@ class TestConfigFile:
         argv = [command] + inputs + ["--checkpoint", "c", "--out", str(tmp_path / "o")]
         assert cli.run(argv + ["--config", str(config)]) == 1
         listed = capsys.readouterr().err.strip().split("not one of the settings ")[1].split(", ")
-        settings = ["modality", "mc", "mc-samples", "dropout-rate", "cv-threshold", "seed"]
-        assert listed == [key for key in settings if command != "uncertainty" or key != "mc"]
+        assert listed == ["modality", "mc", "mc-samples", "dropout-rate", "cv-threshold", "seed"]
         valid = {"modality": "ct", "mc": "off"}
         for key in listed:  # each is a flag of the command
             args = cli.build_parser().parse_args(argv + [f"--{key}", valid.get(key, "2")])
@@ -344,7 +356,7 @@ class TestRunRecord:
         common = ["--input", str(records[1].volume_path), "--checkpoint", str(checkpoint)]
         segment = ["segment", "--reference", str(records[0].volume_path)] + common
         for n in (2, 3):
-            for i, args in enumerate((segment, ["uncertainty"] + common)):
+            for i, args in enumerate((segment, ["segment"] + common)):
                 _, record = _run(args + ["--mc-samples", str(n)], tmp_path / f"{n}-{i}")
                 assert record["mc_workers"] == min(parallel_workers(), n)
                 assert record["blas_pinned"] == (record["mc_workers"] > 1)
@@ -394,14 +406,18 @@ class TestRunRecord:
         self._check_timings(record, ["load", "score", "write"])
 
     def test_uncertainty_records_timings_and_peak_rss(self, setup, tmp_path):
+        # segment without --reference times only the stages that ran
         _, records, checkpoint = setup
         args = [
-            "uncertainty", "--input", str(records[1].volume_path),
+            "segment", "--input", str(records[1].volume_path),
             "--checkpoint", str(checkpoint), "--mc-samples", "2",
         ]
         code, record = _run(args, tmp_path / "u")
         assert code in (0, 2)
         self._check_timings(record, ["load", "normalize", "mc", "write"])
+        assert sorted(p.name for p in (tmp_path / "u").iterdir()) == [
+            "run_record.json", "segmentation.mvx", "uncertainty.csv"
+        ]
 
 
 class TestErrors:
@@ -411,28 +427,22 @@ class TestErrors:
         bad.write_bytes(b"NSU1\x00")
         code = cli.run(
             [
-                "uncertainty", "--input", str(records[1].volume_path),
+                "segment", "--input", str(records[1].volume_path),
                 "--checkpoint", str(bad), "--out", str(tmp_path / "o"),
             ]
         )
         assert code == 1
         assert "short.ckpt" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["segment", "evaluate", "uncertainty"])
+    @pytest.mark.parametrize("inputs", ["segment", "evaluate", "own-grid"])
     def test_one_mc_sample_exits_1_before_writing(
-        self, setup, tmp_path, capsys, monkeypatch, command
+        self, setup, tmp_path, capsys, monkeypatch, inputs
     ):
         root, records, checkpoint = setup
         monkeypatch.setattr(cli, "load_checkpoint", lambda path: pytest.fail("model loaded"))
-        inputs = {
-            "segment": ["--input", str(records[1].volume_path),
-                        "--reference", str(records[0].volume_path)],
-            "evaluate": ["--manifest", str(root / "phantoms" / "manifest.csv")],
-            "uncertainty": ["--input", str(records[1].volume_path)],
-        }[command]
         out = tmp_path / "o"
         code = cli.run(
-            [command] + inputs
+            _pipeline_inputs(inputs, root, records)
             + ["--checkpoint", str(checkpoint), "--mc-samples", "1", "--out", str(out)]
         )
         assert code == 1
@@ -443,24 +453,31 @@ class TestErrors:
         "argv, code",
         [
             (["segment", "--bogus", "1"], 1),
-            (["segment", "--input", "a.mvx", "--checkpoint", "m.ckpt", "--out", "o"], 1),
-            (["uncertainty", "--input", "a.mvx", "--checkpoint", "m.ckpt", "--mc", "off",
-              "--out", "o"], 1),
+            (["segment", "--reference", "r.mvx", "--checkpoint", "m.ckpt", "--out", "o"], 1),
+            (["uncertainty", "--input", "a.mvx", "--checkpoint", "m.ckpt", "--out", "o"], 1),
             (["segment", "--help"], 0),
             (["segment", "--input", "a.mvx", "--reference", "r.mvx", "--checkpoint", "m.ckpt",
               "--seed", "-1", "--out", "o"], 1),
             (["evaluate", "--manifest", "m.csv", "--checkpoint", "m.ckpt", "--seed", "-1",
               "--out", "o"], 1),
-            (["uncertainty", "--input", "a.mvx", "--checkpoint", "m.ckpt", "--seed", "-1",
+            (["segment", "--input", "a.mvx", "--checkpoint", "m.ckpt", "--seed", "-1",
               "--out", "o"], 1),
             (["train", "--manifest", "m.csv", "--modality", "mprage", "--seed", "-1",
               "--out", "o"], 1),
+            (["segment", "--input", "a.mvx", "--checkpoint", "m.ckpt", "--cv-threshold", "nan",
+              "--out", "o"], 1),
+            (["segment", "--input", "a.mvx", "--reference", "r.mvx", "--checkpoint", "m.ckpt",
+              "--cv-threshold", "inf", "--out", "o"], 1),
+            (["evaluate", "--manifest", "m.csv", "--checkpoint", "m.ckpt", "--cv-threshold",
+              "-0.5", "--out", "o"], 1),
         ],
     )
     def test_usage_errors_exit_1(self, argv, code, capsys):
         # exit 2 is a QC warning, so a usage error must not use argparse's 2;
-        # --help still exits 0. A negative seed fails here, before any file
-        # is read or written, and names the flag
+        # --help still exits 0. A negative seed or a CV threshold no CV can
+        # be judged against fails here, before any file is read or written,
+        # and names the flag. There is no uncertainty command: segment
+        # without --reference runs its QC
         with pytest.raises(SystemExit) as exc:
             cli.run(argv)
         assert exc.value.code == code
@@ -468,20 +485,24 @@ class TestErrors:
         assert "usage: segctl" in (out if code == 0 else err)
         if "-1" in argv:
             assert "argument --seed: expected a non-negative integer, got '-1'" in err
+        if "--cv-threshold" in argv:
+            assert "argument --cv-threshold: expected a finite non-negative number" in err
+        if argv[0] == "uncertainty":
+            assert "invalid choice: 'uncertainty'" in err
 
     @pytest.mark.parametrize(
         "argv, expected",
         [
             (["segment", "--input", "{labels}", "--reference", "{volume}"], "Volume"),
             (["segment", "--input", "{volume}", "--reference", "{labels}"], "Volume"),
-            (["uncertainty", "--input", "{labels}"], "Volume"),
+            (["segment", "--input", "{labels}"], "Volume"),
             (["evaluate", "--manifest", "{swapped}"], "Volume"),
             (["evaluate", "--manifest", "{no_labels}"], "LabelMap"),
             (["train", "--manifest", "{swapped}", "--modality", "mprage"], "Volume"),
             (["train", "--manifest", "{no_labels}", "--modality", "mprage"], "LabelMap"),
         ],
         ids=[
-            "segment-input", "segment-reference", "uncertainty-input",
+            "segment-input", "segment-reference", "own-grid-input",
             "evaluate-volume", "evaluate-labels", "train-volume", "train-labels",
         ],
     )
@@ -509,11 +530,11 @@ class TestErrors:
         assert err.startswith("error: ") and f"expected a {expected}" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["segment", "uncertainty"])
+    @pytest.mark.parametrize("inputs", ["segment", "own-grid"])
     def test_checkpoint_without_28_classes_exits_1_before_any_work(
-        self, setup, tmp_path, capsys, monkeypatch, command
+        self, setup, tmp_path, capsys, monkeypatch, inputs
     ):
-        _, records, _ = setup
+        root, records, _ = setup
         model = UNet3D(ModelSpec(features=2, depth=1, input_dims=(16, 16, 16)), seed=0)
         checkpoint = tmp_path / "four.ckpt"
         save_checkpoint(model, checkpoint)
@@ -521,14 +542,9 @@ class TestErrors:
             checkpoint, checkpoint.read_bytes(), lambda h: h["spec"].update(num_classes=4)
         )
         monkeypatch.setattr(cli, "read_as", lambda *a: pytest.fail("input read"))
-        inputs = {
-            "segment": ["--input", str(records[1].volume_path),
-                        "--reference", str(records[0].volume_path)],
-            "uncertainty": ["--input", str(records[1].volume_path)],
-        }[command]
         out = tmp_path / "o"
         code = cli.run(
-            [command] + inputs
+            _pipeline_inputs(inputs, root, records)
             + ["--checkpoint", str(checkpoint), "--mc-samples", "2", "--out", str(out)]
         )
         assert code == 1
@@ -619,6 +635,42 @@ class TestErrors:
         assert "2^depth = 4" in err
         assert not (out / "summary.json").exists()
         assert not (out / "run_record.json").exists()
+
+    def test_segment_off_the_model_grid_without_reference_exits_1(self, setup, tmp_path, capsys):
+        # without --reference nothing resamples the scan onto a grid the model takes
+        _, _, checkpoint = setup
+        spec = default_phantom_spec(dims=(18, 18, 18), modalities=("mprage",), seed=3)
+        scan = tmp_path / "scan.mvx"
+        write_volume(generate_subject(spec, 0)[1]["mprage"], scan)
+        out = tmp_path / "o"
+        code = cli.run(
+            ["segment", "--input", str(scan), "--checkpoint", str(checkpoint),
+             "--mc-samples", "2", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {scan}: axis x has 18 voxels") and "2^depth = 4" in err
+        assert not out.exists()
+
+    def test_evaluate_labels_on_another_grid_exits_1(self, setup, tmp_path, capsys):
+        # a 16x32x16 scan scored against 32x16x16 labels: the voxel counts
+        # agree, but the grids do not
+        _, _, checkpoint = setup
+        scan, labels = tmp_path / "scan.mvx", tmp_path / "labels.mvx"
+        for dims, index, path in (((16, 32, 16), 1, scan), ((32, 16, 16), 0, labels)):
+            spec = default_phantom_spec(dims=dims, modalities=("mprage",), seed=3)
+            write_volume(generate_subject(spec, 0)[index]["mprage"], path)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"{scan},{labels},mprage,test\n")
+        out = tmp_path / "o"
+        code = cli.run(
+            ["evaluate", "--manifest", str(manifest), "--checkpoint", str(checkpoint),
+             "--mc-samples", "2", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {labels}: prediction grid (16, 32, 16) vs truth grid")
+        assert not out.exists()
 
     def test_train_off_the_depth_grid_exits_1(self, tmp_path, capsys):
         # the first record's grid sets the model's: the error names that scan
@@ -750,8 +802,9 @@ class TestOwnGrid:
 
 
 class TestGoldenPath:
-    """phantoms -> train one epoch -> segment -> evaluate -> uncertainty at
-    16^3, through ``cli.run`` as a user would, and a bad checkpoint."""
+    """phantoms -> train one epoch -> segment -> evaluate -> segment without
+    ``--reference`` (its uncertainty report on the scan's own grid) at 16^3,
+    through ``cli.run`` as a user would, and a bad checkpoint."""
 
     RECORD_KEYS = {
         "phantoms": {
@@ -776,11 +829,6 @@ class TestGoldenPath:
             "volumes", "d_a_mean", "d_a_std", "d_v_mean", "d_v_std", "pearson_da_cv",
             "pearson_note", "timings", "peak_rss_mb",
             "modality", "cv_threshold", "mc_workers", "blas_pinned",
-        },
-        "uncertainty": {
-            "command", "input", "checkpoint", "mc_samples", "dropout_rate", "cv_threshold",
-            "seed", "cv", "verdict", "mc_workers", "blas_pinned", "timings", "peak_rss_mb",
-            "modality", "mc",
         },
     }
 
@@ -833,20 +881,25 @@ class TestGoldenPath:
         assert record["pearson_da_cv"] is None  # one volume: no correlation, a note
 
         code, record = _run(
-            ["uncertainty", "--input", str(test.volume_path)] + mc, tmp_path / "unc"
+            ["segment", "--input", str(test.volume_path)] + mc, tmp_path / "own-grid"
         )
-        assert code in (0, 2) and set(record) == self.RECORD_KEYS["uncertainty"]
+        assert code in (0, 2) and set(record) == self.RECORD_KEYS["segment"]
         assert (code == 2) == (record["verdict"] == "warn")
+        assert record["reference"] is None and len(record["mc_volumes"]) == 3
+        for key in ("converged", "cost", "levels"):
+            assert record[f"registration_{key}"] is None
+        assert read_volume(tmp_path / "own-grid" / "segmentation.mvx").dims == (16, 16, 16)
+        assert not (tmp_path / "own-grid" / "transform.txt").exists()
 
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(checkpoint.read_bytes()[:-100])
-        for command in (
+        for i, command in enumerate((
             ["segment", "--input", str(test.volume_path), "--reference",
              str(reference.volume_path)],
             ["evaluate", "--manifest", str(manifest)],
-            ["uncertainty", "--input", str(test.volume_path)],
-        ):
-            out = tmp_path / f"bad-{command[0]}"
+            ["segment", "--input", str(test.volume_path)],
+        )):
+            out = tmp_path / f"bad-{i}"
             assert cli.run(command + ["--checkpoint", str(bad), "--out", str(out)]) == 1
             assert not (out / "run_record.json").exists()
 
@@ -856,8 +909,9 @@ class TestGoldenDigests:
     phantoms in all four modalities with every corruption mode (DWI's ``swap``
     falls back to noise), a 2-epoch depth-1 MPRAGE model, ``segment`` with 3
     MC samples and with ``--mc off``, ``evaluate`` with 3 MC samples and
-    with ``--mc off``, and ``uncertainty``. ``run_record.json`` and ``train_log.csv`` hold wall times
-    and peak memory, so they are not pinned. A change that keeps every float
+    with ``--mc off``, and ``segment`` without ``--reference``.
+    ``run_record.json`` and ``train_log.csv`` hold wall times and peak
+    memory, so they are not pinned. A change that keeps every float
     operation and its order keeps every digest."""
 
     DIGESTS = Path(__file__).parent / "data" / "golden_sha256.json"
@@ -865,6 +919,8 @@ class TestGoldenDigests:
 
     @staticmethod
     def run_commands(root):
+        """Run every command into ``root``; returns the MPRAGE test scan that
+        ``segment`` reads."""
         data = root / "phantoms"
         assert cli.run(
             [
@@ -896,16 +952,25 @@ class TestGoldenDigests:
                     + ["--out", str(root / "evaluate")]),
             cli.run(["evaluate", "--manifest", str(manifest), "--mc-samples", "3"] + checkpoint
                     + ["--out", str(root / "evaluate-mc")]),
-            cli.run(["uncertainty", "--input", str(test.volume_path)] + checkpoint
-                    + ["--out", str(root / "uncertainty")]),
+            cli.run(["segment", "--input", str(test.volume_path)] + checkpoint
+                    + ["--out", str(root / "segment-own-grid")]),
         ]
         assert codes == [2, 0, 0, 0, 2]
+        return test.volume_path
 
     def test_every_output_byte_for_byte(self, tmp_path):
-        self.run_commands(tmp_path)
+        runs = tmp_path / "runs"
+        scan = self.run_commands(runs)
         got = {
-            str(path.relative_to(tmp_path)): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(tmp_path.rglob("*"))
+            str(path.relative_to(runs)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(runs.rglob("*"))
             if path.is_file() and path.name not in self.UNPINNED
         }
         assert got == json.loads(self.DIGESTS.read_text())
+        # without --reference, segment writes mc_segment's labels on the
+        # scan's grid (15 passes and seed 0, segment's defaults)
+        model = load_checkpoint(runs / "train" / "mprage_model.ckpt")
+        labels, _ = mc_segment(model, normalize_intensity(read_volume(scan)), n=15, seed=0)
+        write_volume(labels, tmp_path / "direct.mvx")
+        direct = (tmp_path / "direct.mvx").read_bytes()
+        assert (runs / "segment-own-grid" / "segmentation.mvx").read_bytes() == direct

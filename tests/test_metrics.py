@@ -82,6 +82,13 @@ class TestDicePerStructure:
                 checked += 1
         assert checked == 74 * 512
 
+    def test_permuted_grid_is_a_shape_error(self):
+        # the same voxel count on another grid is not the same segmentation
+        labels = np.zeros((16, 32, 16), dtype=np.uint8)
+        labels[:8] = 1
+        with pytest.raises(ad.ShapeError, match=r"\(16, 32, 16\) vs truth grid \(32, 16, 16\)"):
+            dice_report(labels, labels.reshape(32, 16, 16))
+
 
 class TestSummaries:
     def test_uniform_scores(self):
