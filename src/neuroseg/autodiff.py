@@ -30,7 +30,8 @@ in order from one queue, and every slab runs the same GEMM as outside it; the
 weight gradient keeps its per-slab partials and sums them in slab order, so
 every result is bitwise that of one thread. Pool threads see no region and
 build no graph, so work running on them is never split again and records no
-backward; every graph is built on a thread outside the pool.
+backward; every graph is built on a thread outside the pool. Work that runs
+ahead of its caller on the pool, n items at a time, runs in ``run_ahead``.
 """
 
 from __future__ import annotations
@@ -39,16 +40,28 @@ import ctypes
 import functools
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 
 class ShapeError(ValueError):
     pass
+
+
+@contextmanager
+def named(path):
+    """Prefix ``path`` to a ShapeError raised in the block, so that the
+    error names the file on the wrong grid."""
+    try:
+        yield
+    except ShapeError as exc:
+        raise ShapeError(f"{path}: {exc}") from None
 
 
 class BatchNormStatsError(RuntimeError):
@@ -142,6 +155,19 @@ class _Region:
     workers: int
     pinned: bool
     pool: ThreadPoolExecutor
+
+    def run_ahead(self, fn, items, n, *args):
+        """Yield ``fn(*args, item)`` for each of ``items`` in order, run on
+        the pool: the first ``n`` are submitted at once, then the next as each
+        result is taken, before it is yielded. Items are taken on the calling
+        thread; an error ``fn`` raises comes at its item's turn."""
+        items = iter(items)
+        submit = functools.partial(self.pool.submit, fn, *args)
+        pending = deque(map(submit, islice(items, n)))
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(map(submit, islice(items, 1)))
+            yield result
 
 
 _region: "ContextVar[_Region | None]" = ContextVar("parallel_region", default=None)

@@ -10,7 +10,8 @@ voxel of the model's ``input_dims`` resolves, and resamples it onto that grid
 own grid, as ``evaluate`` scores each scan: nothing is registered, resampled
 or mapped back, and a scan whose grid 2^depth does not divide exits 1,
 naming the scan, before anything is written. ``evaluate`` scores only the
-test records of the modality setting, which also picks the CV threshold.
+test records of the modality setting, which also picks the CV threshold,
+and checks each record's grids (``train.read_pair``) before its passes.
 
 Both share one MC quality check, which needs at least 2 MC samples: fewer is
 an error (exit 1) before the model is loaded; ``--mc off`` runs one
@@ -45,7 +46,6 @@ reads a cumulative value.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import math
@@ -61,7 +61,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import transforms as tf
-from .core import LabelMap, Volume, normalize_intensity
+from .core import Volume, normalize_intensity
 from .inference import (
     CV_THRESHOLDS,
     DEFAULT_MC_SAMPLES,
@@ -73,7 +73,7 @@ from .inference import (
 from .io import read_as, read_manifest, write_volume
 from .metrics import CorrelationError, dice_report, pearson, write_dice_rows
 from .phantom import default_phantom_spec, generate_dataset, load_phantom_spec, save_phantom_spec
-from .train import TrainConfig, train
+from .train import TrainConfig, read_pair, train
 from .unet import ModelSpec, UNet3D, load_checkpoint, save_checkpoint
 
 MODALITIES = ("mprage", "flair", "dwi", "ct")
@@ -210,16 +210,6 @@ def _pipeline_config(args) -> PipelineConfig:
     )
 
 
-@contextlib.contextmanager
-def _named(path):
-    """Prefix ``path`` to a ShapeError raised in the block, so that the
-    error names the file on the wrong grid."""
-    try:
-        yield
-    except ad.ShapeError as exc:
-        raise ad.ShapeError(f"{path}: {exc}") from None
-
-
 def _load_model(cfg: PipelineConfig) -> UNet3D:
     """Load the checkpoint; a set dropout rate replaces the trained one."""
     model = load_checkpoint(cfg.checkpoint)
@@ -289,9 +279,7 @@ def cmd_train(args) -> int:
         features=args.features, depth=args.depth, bottleneck_layers=args.bottleneck,
         dropout_rate=args.dropout_rate, input_dims=(),
     )
-    first = read_as(records[0].volume_path, Volume)
-    with _named(records[0].volume_path):
-        spec.check_grid(first.dims)
+    first, _ = read_pair(records[0], spec)
     spec = dataclasses.replace(spec, input_dims=first.dims)
     model = UNet3D(spec, seed=cfg.seed)
     with ad.parallel() as region:
@@ -403,7 +391,7 @@ def cmd_segment(args) -> int:
         }
     normalized = normalize_intensity(scan)
     clock.lap("normalize")
-    with ad.parallel() as region, _named(args.input):  # an unregistered input off the grid
+    with ad.parallel() as region, ad.named(args.input):  # an unregistered input off the grid
         labels, report, qc = _segment(model, normalized, cfg)
     clock.lap("mc")
     if t_total is not None:
@@ -438,10 +426,11 @@ def cmd_segment(args) -> int:
 
 def cmd_evaluate(args) -> int:
     """Score the test split's records of the resolved modality on the
-    volumes' own grid, without registration; a volume on a grid the depth
-    does not divide, or labels on another grid than their volume's, exit 1,
-    naming the file, and write nothing. The scans run in one parallel
-    region, which every scan's passes share."""
+    volumes' own grid, without registration. Each record is read and checked
+    (``read_pair``) just before its scan's passes: a volume on a grid the
+    depth does not divide, or labels on another grid than their volume's,
+    exit 1, naming the file, and write nothing. The scans run in one
+    parallel region, which every scan's passes share."""
     clock = _StageClock()
     cfg = _pipeline_config(args)
     model = _load_model(cfg)
@@ -457,12 +446,9 @@ def cmd_evaluate(args) -> int:
     cvs = []
     with ad.parallel() as region:
         for rec in records:
-            vol = read_as(rec.volume_path, Volume)
-            labels = read_as(rec.labels_path, LabelMap)
-            with _named(rec.volume_path):  # a grid the depth does not divide
-                seg, _, qc = _segment(model, normalize_intensity(vol), cfg)
-            with _named(rec.labels_path):
-                rows.append((rec.volume_path.name, dice_report(seg.labels, labels.labels)))
+            vol, labels = read_pair(rec, model.spec)
+            seg, _, qc = _segment(model, normalize_intensity(vol), cfg)
+            rows.append((rec.volume_path.name, dice_report(seg.labels, labels.labels)))
             cvs.append(qc["cv"])
     clock.lap("score")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)

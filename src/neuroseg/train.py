@@ -1,6 +1,7 @@
 """Optimization loop: Adam, paired augmentation, validation split, early
 stopping and deterministic seeding.
 
+Before epoch 1, ``read_pair`` checks each record's volume and labels grids.
 One epoch is a seeded-shuffle pass over the training volumes. After each
 epoch the validation loss is evaluated with dropout off and eval batch-norm
 statistics; training stops at ``max_epochs`` or once the validation loss has
@@ -21,10 +22,11 @@ convolution, forward and both gradients, splits its im2col slabs over one
 worker per usable core, with OpenBLAS pinned to one thread if there are two
 or more. A convolution uses all but one of the pool's threads, so the spare
 one prepares the next batch of the epoch (``augment``, then
-``normalize_intensity``) while the current step runs; its spline resamples
-release the GIL. Only that one preparation is in flight, and it alone draws
-from the augmentation rng, so the draws come in batch order. Results are
-bitwise those of one thread, whatever the worker count.
+``normalize_intensity``) while the current step runs, one ahead in the
+region's run-ahead loop (``run_ahead``); its spline resamples release the
+GIL. Only that one preparation is in flight, and it alone draws from the
+augmentation rng, so the draws come in batch order. Results are bitwise
+those of one thread, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from .autodiff import Tensor
 from .core import LabelMap, Volume, normalize_intensity, one_hot
 from .io import ManifestRecord, read_as
 from .metrics import combined_loss, dice_report
-from .unet import UNet3D
+from .unet import ModelSpec, UNet3D
 
 
 class NonFiniteLossError(RuntimeError):
@@ -71,6 +73,15 @@ class TrainConfig:
     validation_fraction: float = 0.1
 
     def __post_init__(self):
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        for name in ("translation_voxels", "rotation_degrees"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not 0.0 <= self.crop_fraction < 1.0:
+            # a crop of a whole axis would zero the volume and its labels
+            raise ValueError(f"crop_fraction must lie in [0, 1), got {self.crop_fraction}")
         if self.max_epochs < 1 or self.patience < 1:
             # with no epoch, the checkpoint's batch norms would never have run
             raise ValueError("max_epochs and patience must be >= 1")
@@ -189,14 +200,20 @@ def augment(
     )
 
 
-def _load_pairs(records: Sequence[ManifestRecord]) -> List[Tuple[Volume, LabelMap]]:
-    return [
-        (read_as(rec.volume_path, Volume), read_as(rec.labels_path, LabelMap))
-        for rec in records
-    ]
+def read_pair(record: ManifestRecord, spec: ModelSpec) -> Tuple[Volume, LabelMap]:
+    """The volume and labels of ``record``: the volume on a grid ``spec``
+    takes, the labels on its grid, else a ShapeError naming the file."""
+    vol = read_as(record.volume_path, Volume)
+    with ad.named(record.volume_path):
+        spec.check_grid(vol.dims)
+    labels = read_as(record.labels_path, LabelMap)
+    with ad.named(record.labels_path):
+        if labels.dims != vol.dims:  # worded as dice_report words it
+            raise ad.ShapeError(f"prediction grid {vol.dims} vs truth grid {labels.dims}")
+    return vol, labels
 
 
-def _prepare(pairs, idx, rng: np.random.Generator, cfg: TrainConfig):
+def _prepare(pairs, rng: np.random.Generator, cfg: TrainConfig, idx):
     """The training batch of ``pairs[i]`` for i in ``idx``: each pair
     augmented with draws from ``rng``, its volume then normalized."""
     batch = []
@@ -207,19 +224,6 @@ def _prepare(pairs, idx, rng: np.random.Generator, cfg: TrainConfig):
         )
         batch.append((normalize_intensity(av), al))
     return batch
-
-
-def _prepared(region, pairs, batches, rng: np.random.Generator, cfg: TrainConfig):
-    """Yield ``_prepare`` of each index list of ``batches``, in order. Batch
-    k+1 is prepared on a pool thread while the caller works on batch k,
-    which it has been handed; only that one preparation is in flight, so
-    ``rng`` is drawn in batch order."""
-    pending = region.pool.submit(_prepare, pairs, batches[0], rng, cfg)
-    for idx in batches[1:]:
-        batch = pending.result()
-        pending = region.pool.submit(_prepare, pairs, idx, rng, cfg)
-        yield batch
-    yield pending.result()
 
 
 def _forward_loss(model: UNet3D, batch, mode, dropout_active, rng):
@@ -259,9 +263,9 @@ def train(model: UNet3D, records, cfg: TrainConfig) -> Tuple[UNet3D, TrainLog]:
 
     Records tagged 'validation' are used as the validation set; otherwise
     ``cfg.validation_fraction`` of the training records is carved off with
-    the run seed. Before epoch 1, a volume on a grid the model's depth does
-    not divide raises ShapeError naming its file. The epochs run in one
-    parallel region (``autodiff.parallel``).
+    the run seed. Before epoch 1, ``read_pair`` checks every record's volume
+    and labels grids, raising ShapeError naming the file. The epochs run in
+    one parallel region (``autodiff.parallel``).
 
     At each new best validation loss a copy of ``model.named_arrays()`` is
     taken; at the end it is copied back into the model's current arrays, so
@@ -288,13 +292,8 @@ def train(model: UNet3D, records, cfg: TrainConfig) -> Tuple[UNet3D, TrainLog]:
     if len(train_recs) < 2:
         raise ValueError(f"need at least 2 training volumes, got {len(train_recs)}")
 
-    train_pairs = _load_pairs(train_recs)
-    val_pairs = _load_pairs(val_recs)
-    for rec, (vol, _) in zip(train_recs + val_recs, train_pairs + val_pairs):
-        try:
-            model.spec.check_grid(vol.dims)
-        except ad.ShapeError as exc:
-            raise ad.ShapeError(f"{rec.volume_path}: {exc}") from None
+    train_pairs = [read_pair(rec, model.spec) for rec in train_recs]
+    val_pairs = [read_pair(rec, model.spec) for rec in val_recs]
     grids = sorted({vol.dims for vol, _ in train_pairs})
     if cfg.batch_size > 1 and len(grids) > 1:
         raise ValueError(f"a batch stacks volumes of one grid, but they lie on {grids}")
@@ -311,7 +310,8 @@ def train(model: UNet3D, records, cfg: TrainConfig) -> Tuple[UNet3D, TrainLog]:
             order = rng_shuffle.permutation(len(train_pairs))
             batches = [order[i : i + cfg.batch_size] for i in range(0, len(order), cfg.batch_size)]
             epoch_losses = []
-            for b, batch in enumerate(_prepared(region, train_pairs, batches, rng_augment, cfg)):
+            prepared = region.run_ahead(_prepare, batches, 1, train_pairs, rng_augment, cfg)
+            for b, batch in enumerate(prepared):
                 value = _train_step(model, opt, batch, rng_dropout)
                 history.append(value)
                 if not np.isfinite(value):

@@ -15,12 +15,10 @@ Every model maps one single-contrast scan (``IN_CHANNELS``) to the 28
 
 from __future__ import annotations
 
-import functools
 import json
 import struct
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from itertools import islice
 from typing import Callable, ClassVar, Dict, Iterable, Optional, Tuple, Union
 
 import numpy as np
@@ -221,23 +219,17 @@ class UNet3D:
 
         Everything runs in one parallel region (``autodiff.parallel``) of w
         workers. Encoder block 1 runs first, its convolutions split over the
-        pool. The passes then stream through the pool, one per worker: rngs
-        are taken from ``rngs`` on this thread, and before pass i goes to
-        ``fuse`` the next rng goes to the pool, so while ``fuse`` runs the
+        pool. The passes then stream through the pool in its run-ahead loop
+        (``run_ahead``), one per worker, so while ``fuse`` takes pass i the
         workers run i+1 to i+w. There is no barrier between groups of passes,
-        and at most w passes are in flight, each with its own working set. A
-        pass's convolutions run on its worker alone. If a pass or ``fuse``
-        raises, the passes already submitted still run, and a region this
-        call opened closes before the error propagates.
+        and each pass in flight has its own working set. A pass's
+        convolutions run on its worker alone. If a pass or ``fuse`` raises,
+        the passes already submitted still run, and a region this call
+        opened closes before the error propagates.
         """
         with ad.parallel() as region, ad.no_grad():
             h = self._first(self._input(x), "eval")
-            rngs = iter(rngs)
-            submit = functools.partial(region.pool.submit, self._rest, h, "eval", True)
-            pending = deque(map(submit, islice(rngs, region.workers)))
-            while pending:
-                field = pending.popleft().result()
-                pending.extend(map(submit, islice(rngs, 1)))
+            for field in region.run_ahead(self._rest, rngs, region.workers, h, "eval", True):
                 fuse(field)
 
     def _input(self, x) -> Tensor:

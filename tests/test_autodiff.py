@@ -1,6 +1,8 @@
 import sys
 import threading
+import time
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -844,3 +846,62 @@ class TestParallelRegion:
         assert sorted(results) == [0, 1, 2]
         assert all(got == [want] * 5 for got in results.values())
         assert get() == before
+
+
+class TestRunAhead:
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_n_ahead_then_one_per_result_in_item_order(self, n, monkeypatch, submits):
+        # 5 items; the later an item, the sooner it finishes, so the order of
+        # the results is the order of the items, not of their completion
+        _blas_api()
+        monkeypatch.setattr(ad, "parallel_workers", lambda: 3)
+        taken_at = []  # submits when each result was waited for
+        result = Future.result
+
+        def recording_result(self, timeout=None):
+            if threading.current_thread() is threading.main_thread():
+                taken_at.append(len(submits))
+            return result(self, timeout)
+
+        def slow_square(offset, i):
+            time.sleep(0.002 * (5 - i))
+            return offset + i * i
+
+        monkeypatch.setattr(Future, "result", recording_result)
+        got, yielded_at = [], []
+        with ad.parallel() as region:
+            for value in region.run_ahead(slow_square, iter(range(5)), n, 100):
+                got.append(value)
+                yielded_at.append(len(submits))
+        assert got == [100 + i * i for i in range(5)]
+        assert taken_at == [min(n + k, 5) for k in range(5)]
+        assert yielded_at == [min(n + k + 1, 5) for k in range(5)]
+        assert {fn for _, fn in submits} == {slow_square}
+
+    def test_an_error_comes_back_at_its_items_turn(self, monkeypatch):
+        get, put = _blas_api()
+        before = get()
+        put(2)  # a count the pin visibly changes, even on a one-core host
+        try:
+            monkeypatch.setattr(ad, "parallel_workers", lambda: 2)
+            ran, got = [], []
+
+            def fail_on_2(i):
+                if i == 2:
+                    raise RuntimeError("item 2 failed")
+                ran.append(i)
+                return i
+
+            with pytest.raises(RuntimeError, match="item 2 failed"):
+                with ad.parallel() as region:
+                    for value in region.run_ahead(fail_on_2, range(5), 2):
+                        got.append(value)
+            assert got == [0, 1]
+            # item 3 was submitted before item 2's turn and still ran; item 4
+            # never was
+            assert sorted(ran) == [0, 1, 3]
+            assert get() == 2
+            assert ad._region.get() is None
+            assert not [t for t in threading.enumerate() if t.name.startswith("parallel")]
+        finally:
+            put(before)

@@ -8,10 +8,11 @@ import pytest
 
 from neuroseg import autodiff as ad
 from neuroseg import cli
+from neuroseg import train as train_module
 from neuroseg.autodiff import parallel_workers
-from neuroseg.core import normalize_intensity
+from neuroseg.core import LabelMap, normalize_intensity
 from neuroseg.inference import mc_segment, uncertainty, write_uncertainty_report
-from neuroseg.io import read_manifest, read_volume, write_volume
+from neuroseg.io import read_manifest, read_volume, write_manifest, write_volume
 from neuroseg.phantom import (
     default_phantom_spec,
     generate_dataset,
@@ -148,6 +149,60 @@ class TestTrain:
         )
         assert code == 1
         assert "must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [("--aug-crop", "1.5", "crop_fraction"), ("--aug-translation", "nan", "translation"),
+         ("--lr", "-1", "learning_rate")],
+    )
+    def test_unusable_setting_exits_1_before_any_epoch(
+        self, setup, tmp_path, capsys, monkeypatch, flag, value, named
+    ):
+        # a crop of 1.5 zeroes whole volumes; nan overflowed in augment; a
+        # negative rate climbs the loss
+        root, _, _ = setup
+        monkeypatch.setattr(train_module, "augment", lambda *a: pytest.fail("epoch 1 began"))
+        out = tmp_path / "train"
+        code = cli.run(
+            [
+                "train", "--manifest", str(root / "phantoms" / "manifest.csv"),
+                "--modality", "mprage", "--features", "2", "--epochs", "1", "--out", str(out),
+                flag, value,
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and value in err
+        assert not out.exists()
+
+    def test_training_labels_on_another_grid_exit_1_before_any_step(
+        self, setup, tmp_path, capsys, monkeypatch
+    ):
+        # 16x32x8 labels for a 16^3 training scan: the voxel counts agree,
+        # but the grids do not. Not the first record, which cmd_train reads
+        # for the model's grid, so train() itself finds it.
+        root, records, _ = setup
+        k = max(i for i, r in enumerate(records) if r.split == "train")
+        assert k > 0
+        labels = tmp_path / "labels.mvx"
+        truth = read_volume(records[k].labels_path).labels
+        write_volume(LabelMap(truth.reshape(16, 32, 8)), labels)
+        records = list(records)
+        records[k] = dataclasses.replace(records[k], labels_path=labels)
+        manifest = tmp_path / "manifest.csv"
+        write_manifest(records, manifest)
+        monkeypatch.setattr(train_module, "_train_step", lambda *a: pytest.fail("a step ran"))
+        out = tmp_path / "train"
+        code = cli.run(
+            ["train", "--manifest", str(manifest), "--modality", "mprage", "--features", "2",
+             "--epochs", "1", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: {labels}: prediction grid (16, 16, 16) vs truth grid (16, 32, 8)"
+        )
         assert not out.exists()
 
 
@@ -652,7 +707,7 @@ class TestErrors:
         assert err.startswith(f"error: {scan}: axis x has 18 voxels") and "2^depth = 4" in err
         assert not out.exists()
 
-    def test_evaluate_labels_on_another_grid_exits_1(self, setup, tmp_path, capsys):
+    def test_evaluate_labels_on_another_grid_exits_1(self, setup, tmp_path, capsys, submits):
         # a 16x32x16 scan scored against 32x16x16 labels: the voxel counts
         # agree, but the grids do not
         _, _, checkpoint = setup
@@ -671,6 +726,8 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {labels}: prediction grid (16, 32, 16) vs truth grid")
         assert not out.exists()
+        # the record is checked before its scan's passes: none ran
+        assert not [fn for _, fn in submits if getattr(fn, "__func__", None) is UNet3D._rest]
 
     def test_train_off_the_depth_grid_exits_1(self, tmp_path, capsys):
         # the first record's grid sets the model's: the error names that scan

@@ -137,12 +137,14 @@ class TestTrainLoop:
 
     def test_early_stop_on_constructed_plateau(self, tmp_path, monkeypatch):
         records = _tiny_records(tmp_path)
-        # frozen learning rate and frozen batch-norm stats: nothing can
-        # improve after the first epoch, so patience 3 stops at epoch 4
+        # frozen parameters (an Adam step changes nothing) and frozen
+        # batch-norm stats: nothing can improve after the first epoch, so
+        # patience 3 stops at epoch 4
         monkeypatch.setattr(ad, "BN_MOMENTUM", 1.0)
+        monkeypatch.setattr(Adam, "step", lambda self: None)
         spec = ModelSpec(features=2, depth=2, bottleneck_layers=1, input_dims=(16, 16, 16))
         model = UNet3D(spec, seed=4)
-        cfg = TrainConfig(learning_rate=0.0, max_epochs=50, patience=3, seed=4)
+        cfg = TrainConfig(max_epochs=50, patience=3, seed=4)
         model, log = train(model, records, cfg)
         assert log.stop_reason == "early-stop"
         assert log.best_epoch == 1
@@ -314,7 +316,8 @@ class TestTrainLoop:
         cfg = TrainConfig(max_epochs=3, patience=3, seed=11)
         if plateau:  # as in test_early_stop_on_constructed_plateau
             monkeypatch.setattr(ad, "BN_MOMENTUM", 1.0)
-            cfg = TrainConfig(learning_rate=0.0, max_epochs=50, patience=2, seed=11)
+            monkeypatch.setattr(Adam, "step", lambda self: None)
+            cfg = TrainConfig(max_epochs=50, patience=2, seed=11)
         augment_threads, prepared_at_step = [], []
         train_step = train_module._train_step
 
@@ -404,6 +407,38 @@ class TestConfigValidation:
     def test_validation_fraction_bounds(self):
         with pytest.raises(ValueError):
             TrainConfig(validation_fraction=0.9)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", 0.0),
+            ("learning_rate", -1.0),
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("translation_voxels", -1.0),
+            ("translation_voxels", float("nan")),
+            ("translation_voxels", float("inf")),
+            ("rotation_degrees", -1.0),
+            ("rotation_degrees", float("nan")),
+            ("rotation_degrees", float("inf")),
+            ("crop_fraction", -0.1),
+            ("crop_fraction", 1.0),
+            ("crop_fraction", 1.5),
+            ("crop_fraction", float("nan")),
+        ],
+    )
+    def test_values_no_run_can_use(self, field, value):
+        # a learning rate that trains nothing or diverges; augmentation
+        # ranges numpy cannot draw from; a crop that wipes a whole axis
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("translation_voxels", 0.0), ("rotation_degrees", 0.0), ("crop_fraction", 0.0)],
+    )
+    def test_no_augmentation_is_accepted(self, field, value):
+        assert getattr(TrainConfig(**{field: value}), field) == value
 
     def test_defaults_match_training_protocol(self):
         cfg = TrainConfig()
