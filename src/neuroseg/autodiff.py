@@ -9,29 +9,46 @@ subexpressions are handled correctly.
 The op set is exactly what the segmentation network needs: 3-D convolution
 (same padding), batch normalization, relu, 2x max pooling, 2x transpose
 convolution, inverted dropout, channel softmax, channel concatenation, and
-elementwise/reduction basics for building small test graphs. Convolutions are
-lowered to matrix products by im2col (Chetlur et al., cuDNN, arXiv:1410.0759):
-the input is unfolded in slabs of x-planes, each a (C·kx·ky·kz, B·slab·Y·Z)
-block about the size of the input, and BLAS runs one GEMM per slab. The slab
-width fixes each GEMM's shape, and so its bits. Consecutive slabs are
-gathered in stacks of about ``_STACK_BYTES`` of im2col, and one ``np.matmul``
-runs a stack's GEMMs (batched BLAS, Dongarra et al., ICCS 2017): a small grid
-costs a few calls, not one gather, GEMM and write per slab, and every GEMM
-is the 2-D BLAS call a plain ``@`` on its slab makes. The forward pass and
-both gradients read these stacks.
+elementwise/reduction basics for building small test graphs.
+
+A convolution's forward pass and its input gradient are one correlation
+each (``_correlate``), lowered to matrix products by one of two methods,
+chosen per call from the input's channel count C and plane size Y·Z
+(``_kn2row_wins``):
+
+- kn2row (Vasudevan, Anderson & Gregg, arXiv:1704.04428) where C >= 4,
+  Y·Z >= 256 and C·Y·Z >= ``_KN2ROW_MIN``, under a kernel wider than one
+  voxel: the full-resolution levels of a wide network. Each kernel offset's
+  input is a strided view of the flattened padded input, so nothing is
+  gathered; the output is the sum of one (O, C)·(C, L) GEMM per offset, in
+  chunks of output planes sized by ``_KN2ROW_CHUNK``.
+- im2col (Chetlur et al., cuDNN, arXiv:1410.0759) elsewhere: the one-channel
+  first conv, small grids, narrow levels and the 1x1x1 head. The input is
+  unfolded in slabs of x-planes, each a (C·kx·ky·kz, B·slab·Y·Z) block about
+  the size of the input, and BLAS runs one GEMM per slab. The slab width
+  fixes each GEMM's shape, and so its bits. Consecutive slabs are gathered in
+  stacks of about ``_STACK_BYTES`` of im2col, and one ``np.matmul`` runs a
+  stack's GEMMs (batched BLAS, Dongarra et al., ICCS 2017): a small grid
+  costs a few calls, not one gather, GEMM and write per slab, and every GEMM
+  is the 2-D BLAS call a plain ``@`` on its slab makes.
+
+The weight gradient always reads the im2col stacks. The two methods sum each
+output's terms in different orders, so their results agree to float
+rounding, not bit for bit; a given shape always takes the same method.
 
 ``parallel()`` opens the one parallel region: a pool of one thread per
 usable core (``parallel_workers``), OpenBLAS pinned to one thread while it is
 open if there are two or more, and the region published to the current
 context as ``no_grad`` publishes its flag, for as long as the ``with`` block
 that opened it; a nested ``parallel()`` reuses it. Inside it, a convolution
-shares its stacks among the calling thread and the workers, which take them
-in order from one queue, and every slab runs the same GEMM as outside it; the
-weight gradient keeps its per-slab partials and sums them in slab order, so
-every result is bitwise that of one thread. Pool threads see no region and
-build no graph, so work running on them is never split again and records no
-backward; every graph is built on a thread outside the pool. Work that runs
-ahead of its caller on the pool, n items at a time, runs in ``run_ahead``.
+shares its im2col stacks or kn2row chunks among the calling thread and the
+workers, which take them in order from one queue, and every stack or chunk
+runs the same GEMMs as outside it; the weight gradient keeps its per-slab
+partials and sums them in slab order, so every result is bitwise that of one
+thread. Pool threads see no region and build no graph, so work running on
+them is never split again and records no backward; every graph is built on a
+thread outside the pool. Work that runs ahead of its caller on the pool, n
+items at a time, runs in ``run_ahead``.
 """
 
 from __future__ import annotations
@@ -208,12 +225,13 @@ def parallel():
 
 
 def _each_slab(fn, slabs):
-    """Yield ``fn(s)`` for each stack of slabs (``_slabs``), in order. Outside
-    a parallel region each stack runs as it is yielded. In one, the calling
-    thread and one pool thread per further worker take stacks from one shared
-    queue, in order, until it is empty, so a slow or stalled worker holds up
-    only the stack it has; the results are yielded once every stack is
-    done."""
+    """Yield ``fn(s)`` for each item of ``slabs``, in order: the stacks of
+    slabs of an im2col call (``_slabs``) or the chunks of output planes of a
+    kn2row call (``_kn2row``). Outside a parallel region each item runs as it
+    is yielded. In one, the calling thread and one pool thread per further
+    worker take items from one shared queue, in order, until it is empty, so a
+    slow or stalled worker holds up only the item it has; the results are
+    yielded once every item is done."""
     region = _region.get()
     n = 1 if region is None else min(region.workers, len(slabs))
     if n == 1:
@@ -415,10 +433,81 @@ def _by_slab(planes, n):
     return planes.reshape(O, B, n, L // n, Y, Z).transpose(2, 0, 1, 3, 4, 5)
 
 
+# kn2row runs a correlation of C input channels on Y x Z planes, under a
+# kernel wider than one voxel, where C >= 4, Y·Z >= 256 and C·Y·Z >= this:
+# the shapes where it beat im2col on one thread (the sweep is in CHANGES.md).
+# With 1 or 2 channels each offset's GEMM only streams memory (2-28x slower);
+# on 8 x 8 planes kn2row ran at 0.5-1.5x, on convs of a few milliseconds.
+_KN2ROW_MIN = 1 << 13
+# input and output elements of one kn2row chunk, which stay in cache across
+# its kernel offsets: a chunk is max(1, _KN2ROW_CHUNK // ((C + O)·Y·Z))
+# output planes
+_KN2ROW_CHUNK = 1 << 16
+
+
+def _kn2row_wins(C, dims, kernel):
+    """Whether ``_correlate`` runs kn2row on C input channels and ``dims``."""
+    plane = dims[1] * dims[2]
+    return kernel != (1, 1, 1) and C >= 4 and plane >= 256 and C * plane >= _KN2ROW_MIN
+
+
+def _kn2row(xp, w, dims):
+    """``_correlate`` by kn2row (Vasudevan, Anderson & Gregg, arXiv:1704.04428).
+    In the padded input ``xp`` flattened per channel, the input of output
+    voxel v under kernel offset (i, j, k) sits i·Yp·Zp + j·Zp + k past v's
+    own flat index, so the inputs of every offset form one strided
+    (B, kx, ky, kz, C, L) view, with no copy. The output over the padded-plane
+    domain is the sum over offsets of one (O, C)·(C, L) GEMM each. Per chunk
+    of output planes, one ``np.matmul`` runs the ky·kz GEMMs of each x-offset
+    i and their products are summed; the x-offsets' sums are added in order
+    of i. So a chunk is a few numpy calls, not two per offset, and threads
+    running chunks side by side seldom wait on each other for the
+    interpreter. Chunks run through ``_each_slab`` and are cropped to (Y, Z)
+    as each is written. Returns a (B, O, X, Y, Z) array."""
+    B, C = xp.shape[:2]
+    O, _, kx, ky, kz = w.shape
+    X, Y, Z = dims
+    Xp, Yp, Zp = xp.shape[2:]
+    plane = Yp * Zp
+    flat = xp.reshape(B, C, Xp * plane)
+    taps = np.ascontiguousarray(w.transpose(2, 3, 4, 0, 1))  # (kx, ky, kz, O, C)
+    # one past the last output voxel's flat index: its offsets end the input
+    end = (X - 1) * plane + (Y - 1) * Zp + Z
+    e = xp.itemsize
+    windows = np.lib.stride_tricks.as_strided(
+        flat,
+        (B, kx, ky, kz, C, end),
+        (flat.strides[0], plane * e, Zp * e, e, flat.strides[1], e),
+        writeable=False,
+    )
+    out = np.empty((B, O, *dims), dtype=xp.dtype)
+    step = max(1, _KN2ROW_CHUNK // ((C + O) * Y * Z))
+    chunks = [slice(x0, min(x0 + step, X)) for x0 in range(0, X, step)]
+
+    def chunk(p):
+        n, l0 = p.stop - p.start, p.start * plane
+        cols = windows[..., l0 : min(p.stop * plane, end)]
+        acc = np.empty((B, O, n * plane), dtype=xp.dtype)
+        head = acc[:, :, : cols.shape[-1]]
+        np.sum(np.matmul(taps[0], cols[:, 0]), axis=(1, 2), out=head)
+        for i in range(1, kx):
+            head += np.matmul(taps[i], cols[:, i]).sum(axis=(1, 2))
+        # the columns after head are the last plane's padding: cropped unread
+        out[:, :, p] = acc.reshape(B, O, n, Yp, Zp)[..., :Y, :Z]
+
+    for _ in _each_slab(chunk, chunks):
+        pass  # each call writes its own planes of out
+    return out
+
+
 def _correlate(xp, w, dims):
     """Cross-correlation of the padded input ``xp`` (B, C, ...) with kernel
-    ``w`` (O, C, kx, ky, kz): per stack, one gather, one ``np.matmul`` that
-    runs each slab's GEMM and one write. Returns a (B, O, X, Y, Z) view."""
+    ``w`` (O, C, kx, ky, kz), returned as a (B, O, X, Y, Z) array or view.
+    Where ``_kn2row_wins`` it runs ``_kn2row``; elsewhere im2col: per stack,
+    one gather, one ``np.matmul`` that runs each slab's GEMM and one
+    write."""
+    if _kn2row_wins(xp.shape[1], dims, w.shape[2:]):
+        return _kn2row(xp, w, dims)
     B, O = xp.shape[0], w.shape[0]
     w2 = w.reshape(O, -1)
     acc = np.empty((O, B, *dims), dtype=xp.dtype)
@@ -440,8 +529,10 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x: (B, C_in, X, Y, Z); w: (C_out, C_in, kx, ky, kz); b: (C_out,).
     Output spatial dims equal input dims. The forward pass and the input
     gradient are ``_correlate`` calls (the latter with the kernel flipped in
-    space and its channel axes swapped); the weight gradient reads the same
-    im2col stacks as the forward pass.
+    space and its channel axes swapped), so each runs kn2row or im2col by
+    ``_kn2row_wins`` on its own input channels: C for the forward pass, C_out
+    for the input gradient. The weight gradient reads the im2col stacks of
+    the padded input, whichever method the forward pass ran.
     """
     _check_5d(x)
     if w.data.ndim != 5:

@@ -79,9 +79,10 @@ class TrainConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not 0.0 <= self.crop_fraction < 1.0:
-            # a crop of a whole axis would zero the volume and its labels
-            raise ValueError(f"crop_fraction must lie in [0, 1), got {self.crop_fraction}")
+        if not 0.0 <= self.crop_fraction <= 0.5:
+            # every crop keeps at least half of each axis; deeper crops on
+            # three axes at once can leave no labelled voxel
+            raise ValueError(f"crop_fraction must lie in [0, 0.5], got {self.crop_fraction}")
         if self.max_epochs < 1 or self.patience < 1:
             # with no epoch, the checkpoint's batch norms would never have run
             raise ValueError("max_epochs and patience must be >= 1")

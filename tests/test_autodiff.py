@@ -246,6 +246,158 @@ class TestStackedGemms:
         assert [gather(p).shape for p in stacks[-2:]] == [(5, 27, 36), (1, 27, 12)]
 
 
+def _float64_conv(x, w, g):
+    """The forward output and the input gradient for output gradient g, in
+    float64, one kernel offset at a time."""
+    x, w, g = (a.astype(np.float64) for a in (x, w, g))
+    kernel, dims = w.shape[2:], x.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0)) + tuple((k // 2, k // 2) for k in kernel))
+    out = np.zeros(g.shape)
+    gxp = np.zeros(xp.shape)
+    for off in np.ndindex(*kernel):
+        window = (slice(None), slice(None)) + tuple(slice(i, i + n) for i, n in zip(off, dims))
+        tap = w[(slice(None), slice(None)) + off]
+        out += np.einsum("oc,bcxyz->boxyz", tap, xp[window], optimize=True)
+        gxp[window] += np.einsum("oc,boxyz->bcxyz", tap, g, optimize=True)
+    crop = (slice(None), slice(None)) + tuple(slice(k // 2, k // 2 + n) for k, n in zip(kernel, dims))
+    return out, gxp[crop]
+
+
+# (B, C, O, spatial dims, kernel, forward on kn2row, input gradient on
+# kn2row): kn2row needs C >= 4 input channels, Y·Z >= 256 and C·Y·Z >= 8192.
+# The kn2row calls run chunks of 3 or 5 planes over X = 11, so the last chunk
+# is short.
+KN2ROW_CASES = [
+    (2, 32, 32, (11, 16, 20), (3, 3, 3), True, True),
+    (2, 32, 32, (11, 16, 20), (3, 1, 5), True, True),
+    (2, 32, 6, (11, 16, 20), (3, 3, 3), True, False),
+    (2, 4, 6, (11, 16, 20), (3, 3, 3), False, False),
+    (2, 32, 32, (11, 8, 20), (3, 1, 5), False, False),
+]
+
+
+class TestKn2row:
+    @pytest.mark.parametrize("case", range(len(KN2ROW_CASES)))
+    def test_float32_within_1e_5_of_float64(self, case, rng):
+        # kn2row sums each voxel's terms in another order than im2col, so it
+        # is compared by tolerance: the largest error at most 1e-5 of the
+        # largest reference value, forward and input gradient alike
+        B, C, O, dims, kernel, forward, backward = KN2ROW_CASES[case]
+        assert ad._kn2row_wins(C, dims, kernel) == forward
+        assert ad._kn2row_wins(O, dims, kernel) == backward
+        x = Tensor(rng.standard_normal((B, C) + dims, dtype=np.float32), requires_grad=True)
+        w = Tensor((rng.standard_normal((O, C) + kernel) / 8).astype(np.float32))
+        g = rng.standard_normal((B, O) + dims, dtype=np.float32)
+        out = ad.conv3d(x, w, Tensor(np.zeros(O, dtype=np.float32)))
+        out._backward(g)
+        assert out.dtype == x.grad.dtype == np.float32
+        for got, want in zip((out.data, x.grad), _float64_conv(x.data, w.data, g)):
+            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+    def test_gradients_by_central_differences(self):
+        # 4 -> 4 channels on 16 x 128 planes: the forward pass and the input
+        # gradient run kn2row, the weight gradient im2col; x is checked along
+        # random directions, w and b entry by entry
+        gen = np.random.default_rng(7)
+        dims = (3, 16, 128)
+        assert ad._kn2row_wins(4, dims, (3, 3, 3))
+        x = gen.standard_normal((1, 4) + dims)
+        w = gen.standard_normal((4, 4, 3, 3, 3))
+        b = gen.standard_normal(4)
+        weights = gen.standard_normal((1, 4) + dims)
+        xt, wt, bt = tensor(x), tensor(w), tensor(b)
+        scalar_loss(ad.conv3d(xt, wt, bt), weights).backward()
+
+        def f():
+            return float((ad.conv3d(Tensor(x), Tensor(w), Tensor(b)).data * weights).sum())
+
+        for _ in range(3):
+            d = gen.standard_normal(x.shape)
+            h = 1e-5
+            x0 = x.copy()
+            x[...] = x0 + h * d
+            fp = f()
+            x[...] = x0 - h * d
+            fm = f()
+            x[...] = x0
+            assert max_rel_err(np.sum(xt.grad * d), (fp - fm) / (2 * h)) < TOL
+        assert max_rel_err(wt.grad, central_diff(f, w)) < TOL
+        assert max_rel_err(bt.grad, central_diff(f, b)) < TOL
+
+    def test_empty_batch(self):
+        # as TestConv3d.test_empty_batch, on a shape whose forward pass and
+        # input gradient run kn2row
+        x = tensor(np.zeros((0, 16, 4, 16, 32)))
+        w = tensor(np.ones((16, 16, 3, 3, 3)))
+        assert ad._kn2row_wins(16, x.shape[2:], w.shape[2:])
+        out = ad.conv3d(x, w, tensor(np.zeros(16)))
+        assert out.shape == (0, 16, 4, 16, 32)
+        out._backward(np.zeros(out.shape))
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+        assert not w.grad.any()
+
+    def test_forward_holds_no_im2col(self, rng):
+        # 32 -> 32 channels at 32^3: a chunk is one plane, so the forward
+        # pass holds the padded input, the output, the kernel's taps and, per
+        # chunk, 11 float32 (32, 34 * 34) blocks: the products of one
+        # x-offset's 9 GEMMs, their sum and the accumulator. An im2col slab
+        # of one plane would be (32 * 27, 32 * 32), 3.5 MB.
+        x = Tensor(rng.standard_normal((1, 32, 32, 32, 32), dtype=np.float32))
+        w = Tensor(rng.standard_normal((32, 32, 3, 3, 3), dtype=np.float32))
+        b = Tensor(np.zeros(32, dtype=np.float32))
+        padded = 32 * 34**3 * 4
+        chunk = 11 * 32 * 34 * 34 * 4
+        tracemalloc.start()
+        try:
+            ad.conv3d(x, w, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < padded + x.data.nbytes + w.data.nbytes + chunk + (1 << 16)
+
+    @pytest.mark.parametrize(
+        "C, dims, kernel",
+        [
+            (1, (128, 128, 128), (3, 3, 3)),  # the one-channel first conv
+            (1, (256, 256, 256), (3, 3, 3)),
+            (2, (128, 128, 128), (3, 3, 3)),
+            (16, (128, 128, 128), (1, 1, 1)),  # the 1x1x1 head
+            (16, (16, 16, 16), (3, 3, 3)),
+            (256, (8, 8, 8), (3, 3, 3)),
+            (4, (32, 32, 32), (3, 3, 3)),  # TestStackedGemms' forward
+            (6, (32, 32, 32), (3, 3, 3)),  # and input gradient at 32^3
+        ],
+    )
+    def test_shapes_that_stay_on_im2col(self, C, dims, kernel):
+        assert not ad._kn2row_wins(C, dims, kernel)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pytest.param(dict(features=8, depth=2), id="reg-48"),
+            pytest.param(dict(features=2, depth=1), id="golden"),
+            pytest.param(dict(features=2, depth=2, bottleneck_layers=1), id="cli-tests"),
+        ],
+    )
+    def test_small_grid_networks_stay_on_im2col(self, spec, monkeypatch):
+        # every conv of these 16^3 networks, forward and backward, keeps the
+        # im2col stacks, so their outputs and the golden digests keep their bits
+        from neuroseg.unet import ModelSpec, UNet3D
+
+        monkeypatch.setattr(ad, "_kn2row", lambda *a: pytest.fail("kn2row ran"))
+        model = UNet3D(ModelSpec(input_dims=(16, 16, 16), **spec), seed=0)
+        x = np.random.default_rng(0).standard_normal((1, 1, 16, 16, 16)).astype(np.float32)
+        out = model.forward(x, "train", rng=np.random.default_rng(1))
+        ad.sum_all(out).backward()
+        assert all(p.grad is not None for p in model.parameters().values())
+
+    def test_wide_levels_of_the_reference_network_run_kn2row(self):
+        # features 16 at 32^3 (mc-32) and 128^3: the full-resolution convs
+        # after the first, and 16^3 with 32 or more channels
+        for C, n in [(16, 32), (32, 32), (32, 16), (64, 16), (16, 128), (32, 128), (64, 64)]:
+            assert ad._kn2row_wins(C, (n, n, n), (3, 3, 3))
+
+
 class TestTransposeConv3d:
     def test_doubles_dims_no_overlap(self, rng):
         x = rng.standard_normal((1, 2, 3, 2, 4))
@@ -749,6 +901,45 @@ class TestParallelRegion:
         # forward, input gradient and weight gradient each start one pool
         # thread per stack beyond the first, at most workers - 1
         assert len(submits) == 3 * (min(3, stacks) - 1)
+
+    @pytest.mark.parametrize("planes_per_chunk, chunks", [(1, 5), (2, 3), (3, 2), (5, 1)])
+    def test_submits_follow_the_kn2row_chunks(
+        self, planes_per_chunk, chunks, monkeypatch, rng, submits
+    ):
+        # 16 -> 16 channels on 5 planes of 16 x 32: the forward pass and the
+        # input gradient run kn2row, whose chunks of n planes hold
+        # n * 32 * 16 * 32 input and output elements; w has no gradient, so
+        # no im2col runs
+        _blas_api()
+        assert ad._kn2row_wins(16, (5, 16, 32), (3, 3, 3))
+        x = Tensor(rng.standard_normal((2, 16, 5, 16, 32), dtype=np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((16, 16, 3, 3, 3), dtype=np.float32))
+        b = Tensor(rng.standard_normal(16, dtype=np.float32), requires_grad=True)
+        g = rng.standard_normal((2, 16, 5, 16, 32), dtype=np.float32)
+        monkeypatch.setattr(ad, "_KN2ROW_CHUNK", planes_per_chunk * 32 * 16 * 32)
+        want = _conv_all(x, w, b, g)
+        monkeypatch.setattr(ad, "parallel_workers", lambda: 3)
+        with ad.parallel():
+            got = _conv_all(x, w, b, g)
+        assert got == want
+        # forward and input gradient each start one pool thread per chunk
+        # beyond the first, at most workers - 1
+        assert len(submits) == 2 * (min(3, chunks) - 1)
+
+    def test_kn2row_bitwise_inside_and_outside(self, monkeypatch, rng, submits):
+        # the shape above at its own chunk size: 4 planes and then 1, one per
+        # worker; every output and gradient keeps its bits in a 2-worker region
+        _blas_api()
+        x = Tensor(rng.standard_normal((2, 16, 5, 16, 32), dtype=np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((16, 16, 3, 3, 3), dtype=np.float32), requires_grad=True)
+        b = Tensor(rng.standard_normal(16, dtype=np.float32), requires_grad=True)
+        g = rng.standard_normal((2, 16, 5, 16, 32), dtype=np.float32)
+        want = _conv_all(x, w, b, g)
+        monkeypatch.setattr(ad, "parallel_workers", lambda: 2)
+        with ad.parallel():
+            got = _conv_all(x, w, b, g)
+        assert got == want
+        assert len(submits) == 3  # forward, input gradient, weight gradient
 
     def test_nested_region_reuses_the_outer_pool(self, monkeypatch):
         _blas_api()

@@ -153,14 +153,14 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "flag, value, named",
-        [("--aug-crop", "1.5", "crop_fraction"), ("--aug-translation", "nan", "translation"),
-         ("--lr", "-1", "learning_rate")],
+        [("--aug-crop", "1.5", "crop_fraction"), ("--aug-crop", "0.6", "crop_fraction"),
+         ("--aug-translation", "nan", "translation"), ("--lr", "-1", "learning_rate")],
     )
     def test_unusable_setting_exits_1_before_any_epoch(
         self, setup, tmp_path, capsys, monkeypatch, flag, value, named
     ):
-        # a crop of 1.5 zeroes whole volumes; nan overflowed in augment; a
-        # negative rate climbs the loss
+        # a crop of 1.5 zeroes whole volumes and one of 0.6 can wipe every
+        # label; nan overflowed in augment; a negative rate climbs the loss
         root, _, _ = setup
         monkeypatch.setattr(train_module, "augment", lambda *a: pytest.fail("epoch 1 began"))
         out = tmp_path / "train"

@@ -102,6 +102,16 @@ class TestAugment:
         assert av.dims == vol.dims
         assert al.dims == labels.dims
 
+    def test_deepest_accepted_crop_keeps_labels(self, pair):
+        # TrainConfig's largest crop_fraction keeps half of each axis, so no
+        # draw leaves a scan without labelled voxels (0.99 left none in 3 of
+        # these 20 draws)
+        vol, labels = pair
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            _, al = augment(vol, labels, rng, 0.0, 0.0, 0.5)
+            assert (al.labels > 0).any()
+
 
 def _tiny_records(tmp_path, n=6, dims=(16, 16, 16), seed=33):
     spec = default_phantom_spec(dims=dims, modalities=("mprage",), seed=seed)
@@ -422,6 +432,8 @@ class TestConfigValidation:
             ("rotation_degrees", float("nan")),
             ("rotation_degrees", float("inf")),
             ("crop_fraction", -0.1),
+            ("crop_fraction", 0.6),
+            ("crop_fraction", 0.99),
             ("crop_fraction", 1.0),
             ("crop_fraction", 1.5),
             ("crop_fraction", float("nan")),
@@ -429,13 +441,14 @@ class TestConfigValidation:
     )
     def test_values_no_run_can_use(self, field, value):
         # a learning rate that trains nothing or diverges; augmentation
-        # ranges numpy cannot draw from; a crop that wipes a whole axis
+        # ranges numpy cannot draw from; a crop that can wipe every label
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
     @pytest.mark.parametrize(
         "field, value",
-        [("translation_voxels", 0.0), ("rotation_degrees", 0.0), ("crop_fraction", 0.0)],
+        [("translation_voxels", 0.0), ("rotation_degrees", 0.0), ("crop_fraction", 0.0),
+         ("crop_fraction", 0.5)],
     )
     def test_no_augmentation_is_accepted(self, field, value):
         assert getattr(TrainConfig(**{field: value}), field) == value
