@@ -12,16 +12,20 @@ convolution, inverted dropout, channel softmax, channel concatenation, and
 elementwise/reduction basics for building small test graphs.
 
 A convolution's forward pass and its input gradient are one correlation
-each (``_correlate``), lowered to matrix products by one of two methods,
-chosen per call from the input's channel count C and plane size Y·Z
+each (``_correlate``), and its weight gradient pairs the same shifted inputs
+with the output gradient. Each is lowered to matrix products by one of two
+methods, chosen per call from the input's channel count C and plane size Y·Z
 (``_kn2row_wins``):
 
 - kn2row (Vasudevan, Anderson & Gregg, arXiv:1704.04428) where C >= 4,
   Y·Z >= 256 and C·Y·Z >= ``_KN2ROW_MIN``, under a kernel wider than one
   voxel: the full-resolution levels of a wide network. Each kernel offset's
-  input is a strided view of the flattened padded input, so nothing is
-  gathered; the output is the sum of one (O, C)·(C, L) GEMM per offset, in
-  chunks of output planes sized by ``_KN2ROW_CHUNK``.
+  input is a strided view of the flattened padded input (``_shifted``), so
+  nothing is gathered. A correlation's output is the sum of one
+  (O, C)·(C, L) GEMM per offset, in chunks of output planes sized by
+  ``_KN2ROW_CHUNK``; a correlation that expands (O > C) stays on im2col. The
+  weight gradient is one (O, L)·(L, C) GEMM per offset on the same view, in
+  chunks of columns, wherever the forward pass's C wins, whatever O.
 - im2col (Chetlur et al., cuDNN, arXiv:1410.0759) elsewhere: the one-channel
   first conv, small grids, narrow levels and the 1x1x1 head. The input is
   unfolded in slabs of x-planes, each a (C·kx·ky·kz, B·slab·Y·Z) block about
@@ -32,9 +36,9 @@ chosen per call from the input's channel count C and plane size Y·Z
   costs a few calls, not one gather, GEMM and write per slab, and every GEMM
   is the 2-D BLAS call a plain ``@`` on its slab makes.
 
-The weight gradient always reads the im2col stacks. The two methods sum each
-output's terms in different orders, so their results agree to float
-rounding, not bit for bit; a given shape always takes the same method.
+The two methods sum each output's terms in different orders, so their
+results agree to float rounding, not bit for bit; a given shape always takes
+the same method.
 
 ``parallel()`` opens the one parallel region: a pool of one thread per
 usable core (``parallel_workers``), OpenBLAS pinned to one thread while it is
@@ -43,12 +47,12 @@ context as ``no_grad`` publishes its flag, for as long as the ``with`` block
 that opened it; a nested ``parallel()`` reuses it. Inside it, a convolution
 shares its im2col stacks or kn2row chunks among the calling thread and the
 workers, which take them in order from one queue, and every stack or chunk
-runs the same GEMMs as outside it; the weight gradient keeps its per-slab
-partials and sums them in slab order, so every result is bitwise that of one
-thread. Pool threads see no region and build no graph, so work running on
-them is never split again and records no backward; every graph is built on a
-thread outside the pool. Work that runs ahead of its caller on the pool, n
-items at a time, runs in ``run_ahead``.
+runs the same GEMMs as outside it; the weight gradient keeps its partial
+sums, one per im2col slab or kn2row chunk, and adds them in that order, so
+every result is bitwise that of one thread. Pool threads see no region and
+build no graph, so work running on them is never split again and records no
+backward; every graph is built on a thread outside the pool. Work that runs
+ahead of its caller on the pool, n items at a time, runs in ``run_ahead``.
 """
 
 from __future__ import annotations
@@ -226,12 +230,13 @@ def parallel():
 
 def _each_slab(fn, slabs):
     """Yield ``fn(s)`` for each item of ``slabs``, in order: the stacks of
-    slabs of an im2col call (``_slabs``) or the chunks of output planes of a
-    kn2row call (``_kn2row``). Outside a parallel region each item runs as it
-    is yielded. In one, the calling thread and one pool thread per further
-    worker take items from one shared queue, in order, until it is empty, so a
-    slow or stalled worker holds up only the item it has; the results are
-    yielded once every item is done."""
+    slabs of an im2col call (``_slabs``), the chunks of output planes of a
+    kn2row correlation (``_kn2row``) or the column chunks of a kn2row weight
+    gradient (``_kn2row_weight_grad``). Outside a parallel region each item
+    runs as it is yielded. In one, the calling thread and one pool thread per
+    further worker take items from one shared queue, in order, until it is
+    empty, so a slow or stalled worker holds up only the item it has; the
+    results are yielded once every item is done."""
     region = _region.get()
     n = 1 if region is None else min(region.workers, len(slabs))
     if n == 1:
@@ -441,52 +446,67 @@ def _by_slab(planes, n):
 _KN2ROW_MIN = 1 << 13
 # input and output elements of one kn2row chunk, which stay in cache across
 # its kernel offsets: a chunk is max(1, _KN2ROW_CHUNK // ((C + O)·Y·Z))
-# output planes
+# output planes of a correlation, max(1, _KN2ROW_CHUNK // (C + O)) columns of
+# a weight gradient
 _KN2ROW_CHUNK = 1 << 16
 
 
 def _kn2row_wins(C, dims, kernel):
-    """Whether ``_correlate`` runs kn2row on C input channels and ``dims``."""
+    """Whether kn2row runs on C input channels and ``dims``: a conv's weight
+    gradient, for its forward pass's C whatever O, and a correlation of C
+    input channels that does not expand (on C8->16 and C32->64 at 32^3,
+    kn2row ran at 1.2-1.3x im2col; the sweep is in CHANGES.md)."""
     plane = dims[1] * dims[2]
     return kernel != (1, 1, 1) and C >= 4 and plane >= 256 and C * plane >= _KN2ROW_MIN
 
 
-def _kn2row(xp, w, dims):
-    """``_correlate`` by kn2row (Vasudevan, Anderson & Gregg, arXiv:1704.04428).
-    In the padded input ``xp`` flattened per channel, the input of output
-    voxel v under kernel offset (i, j, k) sits i·Yp·Zp + j·Zp + k past v's
-    own flat index, so the inputs of every offset form one strided
-    (B, kx, ky, kz, C, L) view, with no copy. The output over the padded-plane
-    domain is the sum over offsets of one (O, C)·(C, L) GEMM each. Per chunk
-    of output planes, one ``np.matmul`` runs the ky·kz GEMMs of each x-offset
-    i and their products are summed; the x-offsets' sums are added in order
-    of i. So a chunk is a few numpy calls, not two per offset, and threads
-    running chunks side by side seldom wait on each other for the
-    interpreter. Chunks run through ``_each_slab`` and are cropped to (Y, Z)
-    as each is written. Returns a (B, O, X, Y, Z) array."""
+def _shifted(xp, kernel, dims):
+    """The inputs of every kernel offset of kn2row (Vasudevan, Anderson &
+    Gregg, arXiv:1704.04428) as one strided (B, kx, ky, kz, C, L) view of the
+    padded input ``xp``, with no copy. In ``xp`` flattened per channel, the
+    input of output voxel v under offset (i, j, k) sits i·Yp·Zp + j·Zp + k
+    past v's own flat index. The L columns are the padded-plane domain of the
+    output, Yp·Zp per x-plane, up to one past the last output voxel."""
     B, C = xp.shape[:2]
-    O, _, kx, ky, kz = w.shape
     X, Y, Z = dims
     Xp, Yp, Zp = xp.shape[2:]
     plane = Yp * Zp
     flat = xp.reshape(B, C, Xp * plane)
-    taps = np.ascontiguousarray(w.transpose(2, 3, 4, 0, 1))  # (kx, ky, kz, O, C)
     # one past the last output voxel's flat index: its offsets end the input
     end = (X - 1) * plane + (Y - 1) * Zp + Z
     e = xp.itemsize
-    windows = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         flat,
-        (B, kx, ky, kz, C, end),
+        (B, *kernel, C, end),
         (flat.strides[0], plane * e, Zp * e, e, flat.strides[1], e),
         writeable=False,
     )
+
+
+def _kn2row(xp, w, dims):
+    """``_correlate`` by kn2row: the output over the padded-plane domain is
+    the sum over kernel offsets of one (O, C)·(C, L) GEMM each on
+    ``_shifted``'s view. Per chunk of output planes, one ``np.matmul`` runs
+    the ky·kz GEMMs of each x-offset i and their products are summed; the
+    x-offsets' sums are added in order of i. So a chunk is a few numpy calls,
+    not two per offset, and threads running chunks side by side seldom wait
+    on each other for the interpreter. Chunks run through ``_each_slab`` and
+    are cropped to (Y, Z) as each is written. Returns a (B, O, X, Y, Z)
+    array."""
+    B, C = xp.shape[:2]
+    O, _, kx = w.shape[:3]
+    X, Y, Z = dims
+    Yp, Zp = xp.shape[3:]
+    plane = Yp * Zp
+    taps = np.ascontiguousarray(w.transpose(2, 3, 4, 0, 1))  # (kx, ky, kz, O, C)
+    windows = _shifted(xp, w.shape[2:], dims)
     out = np.empty((B, O, *dims), dtype=xp.dtype)
     step = max(1, _KN2ROW_CHUNK // ((C + O) * Y * Z))
     chunks = [slice(x0, min(x0 + step, X)) for x0 in range(0, X, step)]
 
     def chunk(p):
-        n, l0 = p.stop - p.start, p.start * plane
-        cols = windows[..., l0 : min(p.stop * plane, end)]
+        n = p.stop - p.start
+        cols = windows[..., p.start * plane : p.stop * plane]
         acc = np.empty((B, O, n * plane), dtype=xp.dtype)
         head = acc[:, :, : cols.shape[-1]]
         np.sum(np.matmul(taps[0], cols[:, 0]), axis=(1, 2), out=head)
@@ -500,15 +520,68 @@ def _kn2row(xp, w, dims):
     return out
 
 
+def _kn2row_weight_grad(xp, gp, kernel, dims):
+    """A conv's weight gradient by kn2row, as an (O, C, kx, ky, kz) view: for
+    each kernel offset, the output gradient times that offset's ``_shifted``
+    view of the padded input ``xp``, transposed, summed over the batch. The
+    output gradient comes from ``gp``, its own zero 'same' padding: from the
+    first interior voxel on, the flat data of ``gp`` hold it on the
+    padded-plane domain with every padding column zero, so no copy is made
+    and the padding adds nothing. The columns are taken in chunks of
+    max(1, ``_KN2ROW_CHUNK`` // (C + O)), not in whole planes: every offset's
+    (O, L)·(L, C) GEMM of a chunk runs in one ``np.matmul``, and on a 64^3
+    plane such chunks ran 2x faster than one-plane ones. Chunks run through
+    ``_each_slab`` and their partial sums are added in chunk order, whatever
+    the worker count."""
+    B, O = gp.shape[:2]
+    C = xp.shape[1]
+    Xp, Yp, Zp = xp.shape[2:]
+    windows = _shifted(xp, kernel, dims)
+    end = windows.shape[-1]
+    start = sum(k // 2 * n for k, n in zip(kernel, (Yp * Zp, Zp, 1)))
+    grads = gp.reshape(B, 1, 1, 1, O, Xp * Yp * Zp)[..., start : start + end]
+    step = max(1, _KN2ROW_CHUNK // (C + O))
+
+    def chunk(c0):
+        cols = slice(c0, c0 + step)
+        return np.matmul(grads[..., cols], windows[..., cols].swapaxes(-1, -2)).sum(axis=0)
+
+    gw = 0
+    for part in _each_slab(chunk, range(0, end, step)):
+        gw = gw + part
+    return gw.transpose(3, 4, 0, 1, 2)
+
+
+def _im2col_weight_grad(xp, g, w, dims):
+    """A conv's weight gradient from the im2col stacks of the padded input
+    ``xp`` and the output gradient ``g``: one GEMM per slab, and the slabs'
+    products added in slab order, whatever the worker count."""
+    O = w.shape[0]
+    go = g.transpose(1, 0, 2, 3, 4)
+    stacks, gather = _slabs(xp, w, dims)
+
+    def parts(p):
+        cols = gather(p)
+        gos = _by_slab(go[:, :, p], len(cols)).reshape(len(cols), O, -1)
+        return np.matmul(gos, cols.transpose(0, 2, 1))
+
+    gw = 0
+    for stack in _each_slab(parts, stacks):
+        for part in stack:
+            gw = gw + part
+    return gw.reshape(w.shape)
+
+
 def _correlate(xp, w, dims):
     """Cross-correlation of the padded input ``xp`` (B, C, ...) with kernel
     ``w`` (O, C, kx, ky, kz), returned as a (B, O, X, Y, Z) array or view.
-    Where ``_kn2row_wins`` it runs ``_kn2row``; elsewhere im2col: per stack,
-    one gather, one ``np.matmul`` that runs each slab's GEMM and one
-    write."""
-    if _kn2row_wins(xp.shape[1], dims, w.shape[2:]):
+    Where ``_kn2row_wins`` and O <= C it runs ``_kn2row``; elsewhere
+    im2col: per stack, one gather, one ``np.matmul`` that runs each slab's
+    GEMM and one write."""
+    B, C = xp.shape[:2]
+    O = w.shape[0]
+    if O <= C and _kn2row_wins(C, dims, w.shape[2:]):
         return _kn2row(xp, w, dims)
-    B, O = xp.shape[0], w.shape[0]
     w2 = w.reshape(O, -1)
     acc = np.empty((O, B, *dims), dtype=xp.dtype)
     stacks, gather = _slabs(xp, w, dims)
@@ -530,9 +603,11 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     Output spatial dims equal input dims. The forward pass and the input
     gradient are ``_correlate`` calls (the latter with the kernel flipped in
     space and its channel axes swapped), so each runs kn2row or im2col by
-    ``_kn2row_wins`` on its own input channels: C for the forward pass, C_out
-    for the input gradient. The weight gradient reads the im2col stacks of
-    the padded input, whichever method the forward pass ran.
+    ``_kn2row_wins`` on its own input and output channels: C -> C_out for
+    the forward pass, C_out -> C for the input gradient. The weight gradient
+    runs kn2row (``_kn2row_weight_grad``) where ``_kn2row_wins`` holds for C,
+    on the padded output gradient that the input gradient also reads, and
+    the im2col stacks of the padded input elsewhere.
     """
     _check_5d(x)
     if w.data.ndim != 5:
@@ -553,24 +628,16 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         if b.requires_grad:
             b.accumulate_grad(g.sum(axis=(0, 2, 3, 4)))
-        if w.requires_grad:
-            go = g.transpose(1, 0, 2, 3, 4)
-            stacks, gather = _slabs(xp, w.data, dims)
-
-            def parts(p):
-                cols = gather(p)
-                gos = _by_slab(go[:, :, p], len(cols)).reshape(len(cols), O, -1)
-                return np.matmul(gos, cols.transpose(0, 2, 1))
-
-            gw = 0
-            # summed slab by slab in slab order, whatever the worker count
-            for stack in _each_slab(parts, stacks):
-                for part in stack:
-                    gw = gw + part
-            w.accumulate_grad(gw.reshape(w.shape))
+        kn2row = w.requires_grad and _kn2row_wins(C, dims, w.shape[2:])
+        if kn2row or x.requires_grad:
+            gp = _pad(g, w.data)
+        if kn2row:
+            w.accumulate_grad(_kn2row_weight_grad(xp, gp, w.shape[2:], dims))
+        elif w.requires_grad:
+            w.accumulate_grad(_im2col_weight_grad(xp, g, w.data, dims))
         if x.requires_grad:
             flipped = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-            x.accumulate_grad(_correlate(_pad(g, w.data), flipped, dims))
+            x.accumulate_grad(_correlate(gp, flipped, dims))
 
     return _make(out_data, (x, w, b), bwd)
 

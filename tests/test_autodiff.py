@@ -130,13 +130,15 @@ class TestConv3d:
         assert (got is a) == (kernel == (1, 1, 1))
 
     def test_weight_gradient_holds_one_im2col_block(self, rng):
-        # 32 -> 32 channels at 32^3: a slab is one x-plane, so a block is a
-        # (32*27, 32*32) float32 matrix of 3.5 MB
-        x = Tensor(rng.standard_normal((1, 32, 32, 32, 32), dtype=np.float32))
-        w = Tensor(rng.standard_normal((32, 32, 3, 3, 3), dtype=np.float32), requires_grad=True)
+        # 3 -> 32 channels on 8 planes of 64 x 64, which stay on im2col (C < 4):
+        # a slab is one x-plane, so a block is a (3*27, 64*64) float32 matrix
+        # of 1.3 MB, more than one stack's budget
+        assert not ad._kn2row_wins(3, (8, 64, 64), (3, 3, 3))
+        x = Tensor(rng.standard_normal((1, 3, 8, 64, 64), dtype=np.float32))
+        w = Tensor(rng.standard_normal((32, 3, 3, 3, 3), dtype=np.float32), requires_grad=True)
         out = ad.conv3d(x, w, Tensor(np.zeros(32, dtype=np.float32)))
         g = np.ones(out.shape, dtype=np.float32)
-        block = 32 * 27 * 32 * 32 * 4
+        block = 3 * 27 * 64 * 64 * 4
         tracemalloc.start()
         try:
             out._backward(g)
@@ -247,57 +249,83 @@ class TestStackedGemms:
 
 
 def _float64_conv(x, w, g):
-    """The forward output and the input gradient for output gradient g, in
-    float64, one kernel offset at a time."""
+    """The forward output and the input and weight gradients for output
+    gradient g, in float64, one kernel offset at a time."""
     x, w, g = (a.astype(np.float64) for a in (x, w, g))
     kernel, dims = w.shape[2:], x.shape[2:]
     xp = np.pad(x, ((0, 0), (0, 0)) + tuple((k // 2, k // 2) for k in kernel))
     out = np.zeros(g.shape)
     gxp = np.zeros(xp.shape)
+    gw = np.zeros(w.shape)
     for off in np.ndindex(*kernel):
         window = (slice(None), slice(None)) + tuple(slice(i, i + n) for i, n in zip(off, dims))
-        tap = w[(slice(None), slice(None)) + off]
-        out += np.einsum("oc,bcxyz->boxyz", tap, xp[window], optimize=True)
-        gxp[window] += np.einsum("oc,boxyz->bcxyz", tap, g, optimize=True)
+        tap = (slice(None), slice(None)) + off
+        out += np.einsum("oc,bcxyz->boxyz", w[tap], xp[window], optimize=True)
+        gxp[window] += np.einsum("oc,boxyz->bcxyz", w[tap], g, optimize=True)
+        gw[tap] = np.einsum("boxyz,bcxyz->oc", g, xp[window], optimize=True)
     crop = (slice(None), slice(None)) + tuple(slice(k // 2, k // 2 + n) for k, n in zip(kernel, dims))
-    return out, gxp[crop]
+    return out, gxp[crop], gw
 
 
-# (B, C, O, spatial dims, kernel, forward on kn2row, input gradient on
-# kn2row): kn2row needs C >= 4 input channels, Y·Z >= 256 and C·Y·Z >= 8192.
-# The kn2row calls run chunks of 3 or 5 planes over X = 11, so the last chunk
-# is short.
+def _spy_kn2row(monkeypatch):
+    """Record the calls of the kn2row correlation and weight gradient as
+    ("correlate", C, O) and ("weight", C, O)."""
+    calls = []
+    correlate, weight_grad = ad._kn2row, ad._kn2row_weight_grad
+
+    def spy_correlate(xp, w, dims):
+        calls.append(("correlate", xp.shape[1], w.shape[0]))
+        return correlate(xp, w, dims)
+
+    def spy_weight_grad(xp, gp, kernel, dims):
+        calls.append(("weight", xp.shape[1], gp.shape[1]))
+        return weight_grad(xp, gp, kernel, dims)
+
+    monkeypatch.setattr(ad, "_kn2row", spy_correlate)
+    monkeypatch.setattr(ad, "_kn2row_weight_grad", spy_weight_grad)
+    return calls
+
+
+# (B, C, O, spatial dims, kernel, and whether the forward pass, the input
+# gradient and the weight gradient run kn2row): kn2row needs C >= 4 input
+# channels, Y·Z >= 256 and C·Y·Z >= 8192, and a correlation must not expand.
+# The kn2row correlations run chunks of 2, 3 or 5 planes over X = 11 and the
+# weight gradients chunks of 819, 1024 or 1724 of the 4310 columns, so each
+# last chunk is short. C32 -> 48 expands: its forward pass stays on im2col.
 KN2ROW_CASES = [
-    (2, 32, 32, (11, 16, 20), (3, 3, 3), True, True),
-    (2, 32, 32, (11, 16, 20), (3, 1, 5), True, True),
-    (2, 32, 6, (11, 16, 20), (3, 3, 3), True, False),
-    (2, 4, 6, (11, 16, 20), (3, 3, 3), False, False),
-    (2, 32, 32, (11, 8, 20), (3, 1, 5), False, False),
+    (2, 32, 32, (11, 16, 20), (3, 3, 3), True, True, True),
+    (2, 32, 32, (11, 16, 20), (3, 1, 5), True, True, True),
+    (2, 32, 6, (11, 16, 20), (3, 3, 3), True, False, True),
+    (2, 32, 48, (11, 16, 20), (3, 3, 3), False, True, True),
+    (2, 4, 6, (11, 16, 20), (3, 3, 3), False, False, False),
+    (2, 32, 32, (11, 8, 20), (3, 1, 5), False, False, False),
 ]
 
 
 class TestKn2row:
     @pytest.mark.parametrize("case", range(len(KN2ROW_CASES)))
-    def test_float32_within_1e_5_of_float64(self, case, rng):
+    def test_float32_within_1e_5_of_float64(self, case, monkeypatch, rng):
         # kn2row sums each voxel's terms in another order than im2col, so it
         # is compared by tolerance: the largest error at most 1e-5 of the
-        # largest reference value, forward and input gradient alike
-        B, C, O, dims, kernel, forward, backward = KN2ROW_CASES[case]
-        assert ad._kn2row_wins(C, dims, kernel) == forward
-        assert ad._kn2row_wins(O, dims, kernel) == backward
+        # largest reference value, forward, input and weight gradient alike
+        B, C, O, dims, kernel, forward, backward, weight = KN2ROW_CASES[case]
+        calls = _spy_kn2row(monkeypatch)
         x = Tensor(rng.standard_normal((B, C) + dims, dtype=np.float32), requires_grad=True)
-        w = Tensor((rng.standard_normal((O, C) + kernel) / 8).astype(np.float32))
+        w = rng.standard_normal((O, C) + kernel) / 8
+        w = Tensor(w.astype(np.float32), requires_grad=True)
         g = rng.standard_normal((B, O) + dims, dtype=np.float32)
         out = ad.conv3d(x, w, Tensor(np.zeros(O, dtype=np.float32)))
         out._backward(g)
-        assert out.dtype == x.grad.dtype == np.float32
-        for got, want in zip((out.data, x.grad), _float64_conv(x.data, w.data, g)):
+        ran = [("correlate", C, O), ("weight", C, O), ("correlate", O, C)]
+        assert calls == [c for c, on in zip(ran, (forward, weight, backward)) if on]
+        assert out.dtype == x.grad.dtype == w.grad.dtype == np.float32
+        for got, want in zip((out.data, x.grad, w.grad), _float64_conv(x.data, w.data, g)):
             assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
     def test_gradients_by_central_differences(self):
-        # 4 -> 4 channels on 16 x 128 planes: the forward pass and the input
-        # gradient run kn2row, the weight gradient im2col; x is checked along
-        # random directions, w and b entry by entry
+        # 4 -> 4 channels on 16 x 128 planes: the forward pass and both
+        # gradients run kn2row; x is checked along random directions, w and b
+        # entry by entry
         gen = np.random.default_rng(7)
         dims = (3, 16, 128)
         assert ad._kn2row_wins(4, dims, (3, 3, 3))
@@ -326,7 +354,7 @@ class TestKn2row:
 
     def test_empty_batch(self):
         # as TestConv3d.test_empty_batch, on a shape whose forward pass and
-        # input gradient run kn2row
+        # both gradients run kn2row
         x = tensor(np.zeros((0, 16, 4, 16, 32)))
         w = tensor(np.ones((16, 16, 3, 3, 3)))
         assert ad._kn2row_wins(16, x.shape[2:], w.shape[2:])
@@ -355,6 +383,27 @@ class TestKn2row:
             tracemalloc.stop()
         assert peak < padded + x.data.nbytes + w.data.nbytes + chunk + (1 << 16)
 
+    def test_weight_gradient_holds_no_im2col(self, rng):
+        # 32 -> 8 channels on 4 planes of 32 x 32, x without a gradient: the
+        # weight gradient holds the padded output gradient, 8 * 6 * 34 * 34
+        # float32, and per chunk a few (3, 3, 3, 8, 32) float32 partials of
+        # 27 KiB. An im2col block of one plane would be (32 * 27, 32 * 32),
+        # 3.5 MB.
+        x = Tensor(rng.standard_normal((1, 32, 4, 32, 32), dtype=np.float32))
+        w = Tensor(rng.standard_normal((8, 32, 3, 3, 3), dtype=np.float32), requires_grad=True)
+        out = ad.conv3d(x, w, Tensor(np.zeros(8, dtype=np.float32)))
+        g = np.ones(out.shape, dtype=np.float32)
+        padded = 8 * 6 * 34 * 34 * 4
+        part = 27 * 8 * 32 * 4
+        tracemalloc.start()
+        try:
+            out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.grad.shape == w.shape
+        assert peak < padded + 5 * part + (1 << 16)
+
     @pytest.mark.parametrize(
         "C, dims, kernel",
         [
@@ -371,6 +420,19 @@ class TestKn2row:
     def test_shapes_that_stay_on_im2col(self, C, dims, kernel):
         assert not ad._kn2row_wins(C, dims, kernel)
 
+    def test_expanding_correlation_stays_on_im2col(self, monkeypatch, rng):
+        # 8 -> 16 channels at 32^3, the input gradient of train-32's C16 -> 8
+        # decoder conv: kn2row ran it at 1.2-1.3x im2col, so the correlation
+        # stays on im2col, and the weight gradient of a C8 -> 16 conv runs
+        # kn2row, where it ran at 0.5x
+        calls = _spy_kn2row(monkeypatch)
+        x = Tensor(rng.standard_normal((1, 8, 32, 32, 32), dtype=np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((16, 8, 3, 3, 3), dtype=np.float32), requires_grad=True)
+        out = ad.conv3d(x, w, Tensor(np.zeros(16, dtype=np.float32)))
+        out._backward(np.ones(out.shape, dtype=np.float32))
+        assert ad._kn2row_wins(8, (32, 32, 32), (3, 3, 3))
+        assert calls == [("weight", 8, 16), ("correlate", 16, 8)]
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -385,17 +447,31 @@ class TestKn2row:
         from neuroseg.unet import ModelSpec, UNet3D
 
         monkeypatch.setattr(ad, "_kn2row", lambda *a: pytest.fail("kn2row ran"))
+        monkeypatch.setattr(ad, "_kn2row_weight_grad", lambda *a: pytest.fail("kn2row ran"))
         model = UNet3D(ModelSpec(input_dims=(16, 16, 16), **spec), seed=0)
         x = np.random.default_rng(0).standard_normal((1, 1, 16, 16, 16)).astype(np.float32)
         out = model.forward(x, "train", rng=np.random.default_rng(1))
         ad.sum_all(out).backward()
         assert all(p.grad is not None for p in model.parameters().values())
 
-    def test_wide_levels_of_the_reference_network_run_kn2row(self):
+    def test_wide_levels_of_the_reference_network_run_kn2row(self, monkeypatch):
         # features 16 at 32^3 (mc-32) and 128^3: the full-resolution convs
         # after the first, and 16^3 with 32 or more channels
         for C, n in [(16, 32), (32, 32), (32, 16), (64, 16), (16, 128), (32, 128), (64, 64)]:
             assert ad._kn2row_wins(C, (n, n, n), (3, 3, 3))
+        # none of mc-32's wide forward convs expands, so each of the six runs
+        # kn2row
+        from neuroseg.unet import ModelSpec, UNet3D
+
+        calls = _spy_kn2row(monkeypatch)
+        model = UNet3D(ModelSpec(input_dims=(32, 32, 32)), seed=0)
+        x = np.random.default_rng(0).standard_normal((1, 1, 32, 32, 32)).astype(np.float32)
+        with ad.no_grad():
+            model.forward(x, "train", rng=np.random.default_rng(1))
+        assert sorted(calls) == sorted(
+            ("correlate", C, O)
+            for C, O in [(16, 16), (32, 32), (64, 32), (32, 32), (32, 16), (16, 16)]
+        )
 
 
 class TestTransposeConv3d:
@@ -926,9 +1002,35 @@ class TestParallelRegion:
         # beyond the first, at most workers - 1
         assert len(submits) == 2 * (min(3, chunks) - 1)
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("chunks", [1, 2, 3, 5])
+    def test_weight_gradient_bitwise_and_submits_follow_its_chunks(
+        self, workers, chunks, monkeypatch, rng, submits
+    ):
+        # 16 -> 16 channels on 5 planes of 16 x 32: the weight gradient runs
+        # kn2row over the 2990 columns of the padded-plane domain, in chunks
+        # of _KN2ROW_CHUNK // 32 columns. Only w has a gradient, and the
+        # backward alone runs in the region.
+        _blas_api()
+        x = Tensor(rng.standard_normal((2, 16, 5, 16, 32), dtype=np.float32))
+        w = Tensor(rng.standard_normal((16, 16, 3, 3, 3), dtype=np.float32), requires_grad=True)
+        b = Tensor(rng.standard_normal(16, dtype=np.float32))
+        g = rng.standard_normal((2, 16, 5, 16, 32), dtype=np.float32)
+        monkeypatch.setattr(ad, "_KN2ROW_CHUNK", -(-2990 // chunks) * 32)
+        out = ad.conv3d(x, w, b)
+        out._backward(g)
+        want, w.grad = w.grad.tobytes(), None
+        monkeypatch.setattr(ad, "parallel_workers", lambda: workers)
+        with ad.parallel():
+            out._backward(g)
+        assert w.grad.tobytes() == want
+        # one pool thread per chunk beyond the first, at most workers - 1
+        assert len(submits) == min(workers, chunks) - 1
+
     def test_kn2row_bitwise_inside_and_outside(self, monkeypatch, rng, submits):
-        # the shape above at its own chunk size: 4 planes and then 1, one per
-        # worker; every output and gradient keeps its bits in a 2-worker region
+        # the shape above at its own chunk size: 4 planes and then 1, and 2
+        # chunks of 2048 columns for the weight gradient, one per worker;
+        # every output and gradient keeps its bits in a 2-worker region
         _blas_api()
         x = Tensor(rng.standard_normal((2, 16, 5, 16, 32), dtype=np.float32), requires_grad=True)
         w = Tensor(rng.standard_normal((16, 16, 3, 3, 3), dtype=np.float32), requires_grad=True)
