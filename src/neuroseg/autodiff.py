@@ -12,20 +12,17 @@ convolution, inverted dropout, channel softmax, channel concatenation, and
 elementwise/reduction basics for building small test graphs.
 
 A convolution's forward pass and its input gradient are one correlation
-each (``_correlate``), and its weight gradient pairs the same shifted inputs
-with the output gradient. Each is lowered to matrix products by one of two
-methods, chosen per call from the input's channel count C and plane size Y·Z
+each (``_correlate``), lowered to matrix products by one of two methods,
+chosen per call from the input's channel count C and plane size Y·Z
 (``_kn2row_wins``):
 
 - kn2row (Vasudevan, Anderson & Gregg, arXiv:1704.04428) where C >= 4,
   Y·Z >= 256 and C·Y·Z >= ``_KN2ROW_MIN``, under a kernel wider than one
-  voxel: the full-resolution levels of a wide network. Each kernel offset's
-  input is a strided view of the flattened padded input (``_shifted``), so
-  nothing is gathered. A correlation's output is the sum of one
-  (O, C)·(C, L) GEMM per offset, in chunks of output planes sized by
-  ``_KN2ROW_CHUNK``; a correlation that expands (O > C) stays on im2col. The
-  weight gradient is one (O, L)·(L, C) GEMM per offset on the same view, in
-  chunks of columns, wherever the forward pass's C wins, whatever O.
+  voxel, and the correlation does not expand (O <= C): the full-resolution
+  levels of a wide network. Each kernel offset's input is a strided view of
+  the flattened padded input (``_shifted``), so nothing is gathered. The
+  output is the sum of one (O, C)·(C, L) GEMM per offset, in chunks of
+  output planes sized by ``_KN2ROW_CHUNK``.
 - im2col (Chetlur et al., cuDNN, arXiv:1410.0759) elsewhere: the one-channel
   first conv, small grids, narrow levels and the 1x1x1 head. The input is
   unfolded in slabs of x-planes, each a (C·kx·ky·kz, B·slab·Y·Z) block about
@@ -38,7 +35,10 @@ methods, chosen per call from the input's channel count C and plane size Y·Z
 
 The two methods sum each output's terms in different orders, so their
 results agree to float rounding, not bit for bit; a given shape always takes
-the same method.
+the same method. A convolution's weight gradient has one method for every
+shape (``_kn2row_weight_grad``): per kernel offset, one (O, L)·(L, C) GEMM of
+the output gradient and that offset's ``_shifted`` view, in chunks of
+columns.
 
 ``parallel()`` opens the one parallel region: a pool of one thread per
 usable core (``parallel_workers``), OpenBLAS pinned to one thread while it is
@@ -48,11 +48,11 @@ that opened it; a nested ``parallel()`` reuses it. Inside it, a convolution
 shares its im2col stacks or kn2row chunks among the calling thread and the
 workers, which take them in order from one queue, and every stack or chunk
 runs the same GEMMs as outside it; the weight gradient keeps its partial
-sums, one per im2col slab or kn2row chunk, and adds them in that order, so
-every result is bitwise that of one thread. Pool threads see no region and
-build no graph, so work running on them is never split again and records no
-backward; every graph is built on a thread outside the pool. Work that runs
-ahead of its caller on the pool, n items at a time, runs in ``run_ahead``.
+sums, one per column chunk, and adds them in that order, so every result is
+bitwise that of one thread. Pool threads see no region and build no graph,
+so work running on them is never split again and records no backward; every
+graph is built on a thread outside the pool. Work that runs ahead of its
+caller on the pool, n items at a time, runs in ``run_ahead``.
 """
 
 from __future__ import annotations
@@ -230,8 +230,8 @@ def parallel():
 
 def _each_slab(fn, slabs):
     """Yield ``fn(s)`` for each item of ``slabs``, in order: the stacks of
-    slabs of an im2col call (``_slabs``), the chunks of output planes of a
-    kn2row correlation (``_kn2row``) or the column chunks of a kn2row weight
+    slabs of an im2col correlation (``_slabs``), the chunks of output planes
+    of a kn2row correlation (``_kn2row``) or the column chunks of a weight
     gradient (``_kn2row_weight_grad``). Outside a parallel region each item
     runs as it is yielded. In one, the calling thread and one pool thread per
     further worker take items from one shared queue, in order, until it is
@@ -446,16 +446,15 @@ def _by_slab(planes, n):
 _KN2ROW_MIN = 1 << 13
 # input and output elements of one kn2row chunk, which stay in cache across
 # its kernel offsets: a chunk is max(1, _KN2ROW_CHUNK // ((C + O)·Y·Z))
-# output planes of a correlation, max(1, _KN2ROW_CHUNK // (C + O)) columns of
-# a weight gradient
+# output planes of a kn2row correlation, max(1, _KN2ROW_CHUNK // (C + O))
+# columns of any weight gradient
 _KN2ROW_CHUNK = 1 << 16
 
 
 def _kn2row_wins(C, dims, kernel):
-    """Whether kn2row runs on C input channels and ``dims``: a conv's weight
-    gradient, for its forward pass's C whatever O, and a correlation of C
-    input channels that does not expand (on C8->16 and C32->64 at 32^3,
-    kn2row ran at 1.2-1.3x im2col; the sweep is in CHANGES.md)."""
+    """Whether kn2row runs a correlation of C input channels on ``dims``;
+    ``_correlate`` also asks that it not expand (on C8->16 and C32->64 at
+    32^3, kn2row ran at 1.2-1.3x im2col; the sweep is in CHANGES.md)."""
     plane = dims[1] * dims[2]
     return kernel != (1, 1, 1) and C >= 4 and plane >= 256 and C * plane >= _KN2ROW_MIN
 
@@ -466,7 +465,9 @@ def _shifted(xp, kernel, dims):
     padded input ``xp``, with no copy. In ``xp`` flattened per channel, the
     input of output voxel v under offset (i, j, k) sits i·Yp·Zp + j·Zp + k
     past v's own flat index. The L columns are the padded-plane domain of the
-    output, Yp·Zp per x-plane, up to one past the last output voxel."""
+    output, Yp·Zp per x-plane, up to one past the last output voxel. An
+    unpadded input (a 1x1x1 kernel's) may itself be a strided view, so the
+    column stride is that of the flattened array, not the item size."""
     B, C = xp.shape[:2]
     X, Y, Z = dims
     Xp, Yp, Zp = xp.shape[2:]
@@ -474,7 +475,7 @@ def _shifted(xp, kernel, dims):
     flat = xp.reshape(B, C, Xp * plane)
     # one past the last output voxel's flat index: its offsets end the input
     end = (X - 1) * plane + (Y - 1) * Zp + Z
-    e = xp.itemsize
+    e = flat.strides[2]
     return np.lib.stride_tricks.as_strided(
         flat,
         (B, *kernel, C, end),
@@ -521,9 +522,10 @@ def _kn2row(xp, w, dims):
 
 
 def _kn2row_weight_grad(xp, gp, kernel, dims):
-    """A conv's weight gradient by kn2row, as an (O, C, kx, ky, kz) view: for
-    each kernel offset, the output gradient times that offset's ``_shifted``
-    view of the padded input ``xp``, transposed, summed over the batch. The
+    """A conv's weight gradient, for every kernel, grid and channel count, as
+    an (O, C, kx, ky, kz) view: for each kernel offset, the output gradient
+    times that offset's ``_shifted`` view of the padded input ``xp``,
+    transposed, summed over the batch (kn2row's form, with no im2col). The
     output gradient comes from ``gp``, its own zero 'same' padding: from the
     first interior voxel on, the flat data of ``gp`` hold it on the
     padded-plane domain with every padding column zero, so no copy is made
@@ -550,26 +552,6 @@ def _kn2row_weight_grad(xp, gp, kernel, dims):
     for part in _each_slab(chunk, range(0, end, step)):
         gw = gw + part
     return gw.transpose(3, 4, 0, 1, 2)
-
-
-def _im2col_weight_grad(xp, g, w, dims):
-    """A conv's weight gradient from the im2col stacks of the padded input
-    ``xp`` and the output gradient ``g``: one GEMM per slab, and the slabs'
-    products added in slab order, whatever the worker count."""
-    O = w.shape[0]
-    go = g.transpose(1, 0, 2, 3, 4)
-    stacks, gather = _slabs(xp, w, dims)
-
-    def parts(p):
-        cols = gather(p)
-        gos = _by_slab(go[:, :, p], len(cols)).reshape(len(cols), O, -1)
-        return np.matmul(gos, cols.transpose(0, 2, 1))
-
-    gw = 0
-    for stack in _each_slab(parts, stacks):
-        for part in stack:
-            gw = gw + part
-    return gw.reshape(w.shape)
 
 
 def _correlate(xp, w, dims):
@@ -605,9 +587,8 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     space and its channel axes swapped), so each runs kn2row or im2col by
     ``_kn2row_wins`` on its own input and output channels: C -> C_out for
     the forward pass, C_out -> C for the input gradient. The weight gradient
-    runs kn2row (``_kn2row_weight_grad``) where ``_kn2row_wins`` holds for C,
-    on the padded output gradient that the input gradient also reads, and
-    the im2col stacks of the padded input elsewhere.
+    is one ``_kn2row_weight_grad`` call on the padded output gradient that
+    the input gradient also reads.
     """
     _check_5d(x)
     if w.data.ndim != 5:
@@ -628,13 +609,9 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         if b.requires_grad:
             b.accumulate_grad(g.sum(axis=(0, 2, 3, 4)))
-        kn2row = w.requires_grad and _kn2row_wins(C, dims, w.shape[2:])
-        if kn2row or x.requires_grad:
-            gp = _pad(g, w.data)
-        if kn2row:
+        gp = _pad(g, w.data)
+        if w.requires_grad:
             w.accumulate_grad(_kn2row_weight_grad(xp, gp, w.shape[2:], dims))
-        elif w.requires_grad:
-            w.accumulate_grad(_im2col_weight_grad(xp, g, w.data, dims))
         if x.requires_grad:
             flipped = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
             x.accumulate_grad(_correlate(gp, flipped, dims))

@@ -129,24 +129,25 @@ class TestConv3d:
         # a 1x1x1 kernel pads nothing, so the input is not copied
         assert (got is a) == (kernel == (1, 1, 1))
 
-    def test_weight_gradient_holds_one_im2col_block(self, rng):
-        # 3 -> 32 channels on 8 planes of 64 x 64, which stay on im2col (C < 4):
-        # a slab is one x-plane, so a block is a (3*27, 64*64) float32 matrix
-        # of 1.3 MB, more than one stack's budget
-        assert not ad._kn2row_wins(3, (8, 64, 64), (3, 3, 3))
-        x = Tensor(rng.standard_normal((1, 3, 8, 64, 64), dtype=np.float32))
-        w = Tensor(rng.standard_normal((32, 3, 3, 3, 3), dtype=np.float32), requires_grad=True)
-        out = ad.conv3d(x, w, Tensor(np.zeros(32, dtype=np.float32)))
+    def test_weight_gradient_holds_the_padded_gradient(self, rng):
+        # the one-channel first conv, 1 -> 8 at 32^3, whose input needs no
+        # gradient: the backward holds the padded output gradient, 8 * 34^3
+        # float32 (1.26 MB), and per column chunk a few (3, 3, 3, 8, 1)
+        # float32 partials
+        x = Tensor(rng.standard_normal((1, 1, 32, 32, 32), dtype=np.float32))
+        w = Tensor(rng.standard_normal((8, 1, 3, 3, 3), dtype=np.float32), requires_grad=True)
+        out = ad.conv3d(x, w, Tensor(np.zeros(8, dtype=np.float32)))
         g = np.ones(out.shape, dtype=np.float32)
-        block = 3 * 27 * 64 * 64 * 4
+        padded = 8 * 34**3 * 4
+        part = 27 * 8 * 1 * 4
         tracemalloc.start()
         try:
             out._backward(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert w.grad.shape == w.shape
-        assert peak < 1.5 * block
+        assert w.grad.shape == w.shape and x.grad is None
+        assert peak < padded + 5 * part + (1 << 16)
 
     def test_conv_holds_one_im2col_stack(self, rng):
         # 2 -> 2 channels at 32^3: a slab is one x-plane of (2*27, 32*32)
@@ -169,14 +170,15 @@ class TestConv3d:
         finally:
             tracemalloc.stop()
         # the padded input and the output, then one stack and less than a
-        # slab of products; the weight gradient reads the same stacks
+        # slab of products; the weight gradient holds the padded output
+        # gradient, 314 KB, and its chunks' partials
         assert forward < padded + x.data.nbytes + stack + slab
         assert backward < stack + slab
 
 
 def _one_slab_per_call(x, w, b, g):
-    """``_conv_all``'s forward output and x and w gradients, as bytes, from
-    one 2-D GEMM per slab of X // (kx·ky·kz) planes, with no stacks."""
+    """``_conv_all``'s forward output and x gradient, as bytes, from one 2-D
+    GEMM per slab of X // (kx·ky·kz) planes, with no stacks."""
     O = w.shape[0]
     kernel = w.shape[2:]
     X = x.shape[2]
@@ -199,11 +201,7 @@ def _one_slab_per_call(x, w, b, g):
     out = correlate(xp, w) + b.reshape(1, O, 1, 1, 1)
     flipped = w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
     gx = correlate(ad._pad(g, w), flipped)
-    go = g.transpose(1, 0, 2, 3, 4)
-    gw = 0
-    for p in planes:
-        gw = gw + go[:, :, p].reshape(O, -1) @ cols(xp, p).T
-    return out.tobytes(), (gx + 0).tobytes(), (gw.reshape(w.shape) + 0).tobytes()
+    return out.tobytes(), (gx + 0).tobytes()
 
 
 # (spatial dims, kernel): cubes from 2^3 to 32^3, which span OpenBLAS's
@@ -228,12 +226,14 @@ class TestStackedGemms:
     def test_bitwise_one_slab_per_call(self, dims, kernel, budget, monkeypatch, rng):
         if budget == "one-stack":
             monkeypatch.setattr(ad, "_STACK_BYTES", 1 << 40)
+        # w has no gradient: the weight gradient has no im2col form, and
+        # TestKn2row checks it against float64
         x = Tensor(rng.standard_normal((2, 4) + dims, dtype=np.float32), requires_grad=True)
-        w = Tensor(rng.standard_normal((6, 4) + kernel, dtype=np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((6, 4) + kernel, dtype=np.float32))
         b = Tensor(rng.standard_normal(6, dtype=np.float32), requires_grad=True)
         g = rng.standard_normal((2, 6) + dims, dtype=np.float32)
-        out, (gx, gw, _) = _conv_all(x, w, b, g)
-        assert (out, gx, gw) == _one_slab_per_call(x.data, w.data, b.data, g)
+        out, (gx, _, _) = _conv_all(x, w, b, g)
+        assert (out, gx) == _one_slab_per_call(x.data, w.data, b.data, g)
 
     def test_stacks_are_full_width_slabs_and_a_tail(self, monkeypatch):
         # X = 88 under a 3^3 kernel: 29 slabs of 3 planes and one of 1
@@ -286,19 +286,25 @@ def _spy_kn2row(monkeypatch):
     return calls
 
 
-# (B, C, O, spatial dims, kernel, and whether the forward pass, the input
-# gradient and the weight gradient run kn2row): kn2row needs C >= 4 input
-# channels, Y·Z >= 256 and C·Y·Z >= 8192, and a correlation must not expand.
-# The kn2row correlations run chunks of 2, 3 or 5 planes over X = 11 and the
-# weight gradients chunks of 819, 1024 or 1724 of the 4310 columns, so each
-# last chunk is short. C32 -> 48 expands: its forward pass stays on im2col.
+# (B, C, O, spatial dims, kernel, and whether the forward pass and the input
+# gradient run kn2row; every weight gradient does): a kn2row correlation
+# needs C >= 4 input channels, Y·Z >= 256 and C·Y·Z >= 8192, and must not
+# expand. The kn2row correlations run chunks of 2, 3 or 5 planes over X = 11,
+# so each last chunk is short; the weight gradients run 1 to 6 chunks of
+# 65536 // (C + O) columns. C32 -> 48 expands: its forward pass stays on
+# im2col. The last four are the one-channel first conv, the golden network's
+# C2 -> 2 at 16^3, a 1x1x1 head and a deep level.
 KN2ROW_CASES = [
-    (2, 32, 32, (11, 16, 20), (3, 3, 3), True, True, True),
-    (2, 32, 32, (11, 16, 20), (3, 1, 5), True, True, True),
-    (2, 32, 6, (11, 16, 20), (3, 3, 3), True, False, True),
-    (2, 32, 48, (11, 16, 20), (3, 3, 3), False, True, True),
-    (2, 4, 6, (11, 16, 20), (3, 3, 3), False, False, False),
-    (2, 32, 32, (11, 8, 20), (3, 1, 5), False, False, False),
+    (2, 32, 32, (11, 16, 20), (3, 3, 3), True, True),
+    (2, 32, 32, (11, 16, 20), (3, 1, 5), True, True),
+    (2, 32, 6, (11, 16, 20), (3, 3, 3), True, False),
+    (2, 32, 48, (11, 16, 20), (3, 3, 3), False, True),
+    (2, 4, 6, (11, 16, 20), (3, 3, 3), False, False),
+    (2, 32, 32, (11, 8, 20), (3, 1, 5), False, False),
+    (2, 1, 8, (11, 16, 20), (3, 3, 3), False, False),
+    (1, 2, 2, (16, 16, 16), (3, 3, 3), False, False),
+    (2, 16, 28, (11, 16, 20), (1, 1, 1), False, False),
+    (2, 64, 64, (8, 8, 8), (3, 3, 3), False, False),
 ]
 
 
@@ -308,7 +314,7 @@ class TestKn2row:
         # kn2row sums each voxel's terms in another order than im2col, so it
         # is compared by tolerance: the largest error at most 1e-5 of the
         # largest reference value, forward, input and weight gradient alike
-        B, C, O, dims, kernel, forward, backward, weight = KN2ROW_CASES[case]
+        B, C, O, dims, kernel, forward, backward = KN2ROW_CASES[case]
         calls = _spy_kn2row(monkeypatch)
         x = Tensor(rng.standard_normal((B, C) + dims, dtype=np.float32), requires_grad=True)
         w = rng.standard_normal((O, C) + kernel) / 8
@@ -317,7 +323,7 @@ class TestKn2row:
         out = ad.conv3d(x, w, Tensor(np.zeros(O, dtype=np.float32)))
         out._backward(g)
         ran = [("correlate", C, O), ("weight", C, O), ("correlate", O, C)]
-        assert calls == [c for c, on in zip(ran, (forward, weight, backward)) if on]
+        assert calls == [c for c, on in zip(ran, (forward, True, backward)) if on]
         assert out.dtype == x.grad.dtype == w.grad.dtype == np.float32
         for got, want in zip((out.data, x.grad, w.grad), _float64_conv(x.data, w.data, g)):
             assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
@@ -404,6 +410,31 @@ class TestKn2row:
         assert w.grad.shape == w.shape
         assert peak < padded + 5 * part + (1 << 16)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_weight_gradient_of_a_strided_unpadded_input(self, workers, monkeypatch, rng):
+        # a 1x1x1 kernel pads nothing, so the weight gradient reads the input
+        # as given; every other column of a wider array flattens to a view
+        # whose columns are 8 bytes apart, not one float32. Its 480 columns
+        # run in 5 chunks, bitwise the same in a region of any size.
+        if workers > 1:
+            _blas_api()
+        monkeypatch.setattr(ad, "_KN2ROW_CHUNK", 100 * (16 + 28))
+        big = rng.standard_normal((2, 16, 6, 8, 20), dtype=np.float32)
+        x = Tensor(big[..., ::2])
+        assert np.shares_memory(x.data.reshape(2, 16, -1), big)
+        w = (rng.standard_normal((28, 16, 1, 1, 1)) / 8).astype(np.float32)
+        w = Tensor(w, requires_grad=True)
+        g = rng.standard_normal((2, 28, 6, 8, 10), dtype=np.float32)
+        out = ad.conv3d(x, w, Tensor(np.zeros(28, dtype=np.float32)))
+        out._backward(g)
+        want = _float64_conv(x.data, w.data, g)[2]
+        assert np.abs(w.grad - want).max() <= 1e-5 * np.abs(want).max()
+        alone, w.grad = w.grad.tobytes(), None
+        monkeypatch.setattr(ad, "parallel_workers", lambda: workers)
+        with ad.parallel():
+            out._backward(g)
+        assert w.grad.tobytes() == alone
+
     @pytest.mark.parametrize(
         "C, dims, kernel",
         [
@@ -423,8 +454,8 @@ class TestKn2row:
     def test_expanding_correlation_stays_on_im2col(self, monkeypatch, rng):
         # 8 -> 16 channels at 32^3, the input gradient of train-32's C16 -> 8
         # decoder conv: kn2row ran it at 1.2-1.3x im2col, so the correlation
-        # stays on im2col, and the weight gradient of a C8 -> 16 conv runs
-        # kn2row, where it ran at 0.5x
+        # stays on im2col; the weight gradient, as every one, runs
+        # _kn2row_weight_grad
         calls = _spy_kn2row(monkeypatch)
         x = Tensor(rng.standard_normal((1, 8, 32, 32, 32), dtype=np.float32), requires_grad=True)
         w = Tensor(rng.standard_normal((16, 8, 3, 3, 3), dtype=np.float32), requires_grad=True)
@@ -442,17 +473,31 @@ class TestKn2row:
         ],
     )
     def test_small_grid_networks_stay_on_im2col(self, spec, monkeypatch):
-        # every conv of these 16^3 networks, forward and backward, keeps the
-        # im2col stacks, so their outputs and the golden digests keep their bits
+        # every correlation of these 16^3 networks, forward and input
+        # gradient, keeps the im2col stacks, so their forward outputs keep
+        # their bits; each conv's weight gradient is one _kn2row_weight_grad
         from neuroseg.unet import ModelSpec, UNet3D
 
+        convs, weights = [], []
+        conv3d, weight_grad = ad.conv3d, ad._kn2row_weight_grad
+
+        def spy_conv3d(x, w, b):
+            convs.append((w.shape[1], w.shape[0], w.shape[2:], x.shape[2:]))
+            return conv3d(x, w, b)
+
+        def spy_weight_grad(xp, gp, kernel, dims):
+            weights.append((xp.shape[1], gp.shape[1], kernel, dims))
+            return weight_grad(xp, gp, kernel, dims)
+
         monkeypatch.setattr(ad, "_kn2row", lambda *a: pytest.fail("kn2row ran"))
-        monkeypatch.setattr(ad, "_kn2row_weight_grad", lambda *a: pytest.fail("kn2row ran"))
+        monkeypatch.setattr(ad, "conv3d", spy_conv3d)
+        monkeypatch.setattr(ad, "_kn2row_weight_grad", spy_weight_grad)
         model = UNet3D(ModelSpec(input_dims=(16, 16, 16), **spec), seed=0)
         x = np.random.default_rng(0).standard_normal((1, 1, 16, 16, 16)).astype(np.float32)
         out = model.forward(x, "train", rng=np.random.default_rng(1))
         ad.sum_all(out).backward()
         assert all(p.grad is not None for p in model.parameters().values())
+        assert convs and sorted(weights) == sorted(convs)
 
     def test_wide_levels_of_the_reference_network_run_kn2row(self, monkeypatch):
         # features 16 at 32^3 (mc-32) and 128^3: the full-resolution convs
@@ -923,12 +968,15 @@ def _conv_all(x, w, b, g):
 
 # (B, C, O, spatial dims, kernel, x has grad): 5 slabs of one plane (2 and 3
 # workers do not divide them) at B = 2; 4 slabs of 3 planes, the last short;
-# one slab for the 1x1x1 head kernel; an input without grad
+# one slab for the 1x1x1 head kernel; an input without grad; a one-channel
+# first conv. Their weight gradients run chunks of 7 columns: 20, 18, 4, 20
+# and 20 chunks.
 PARALLEL_CASES = [
     (2, 3, 4, (5, 4, 3), (3, 3, 3), True),
     (1, 2, 3, (10, 3, 4), (3, 1, 1), True),
     (2, 3, 5, (4, 3, 2), (1, 1, 1), True),
     (1, 2, 2, (5, 4, 3), (3, 3, 3), False),
+    (1, 1, 8, (5, 4, 3), (3, 3, 3), False),
 ]
 
 
@@ -940,6 +988,7 @@ class TestParallelRegion:
         if workers > 1:
             _blas_api()
         monkeypatch.setattr(ad, "_STACK_BYTES", 1)  # one slab per stack
+        monkeypatch.setattr(ad, "_KN2ROW_CHUNK", 7 * (C + O))
         x = Tensor(rng.standard_normal((B, C) + dims, dtype=np.float32), requires_grad=x_grad)
         w = Tensor(rng.standard_normal((O, C) + kernel, dtype=np.float32), requires_grad=True)
         b = Tensor(rng.standard_normal(O, dtype=np.float32), requires_grad=True)
@@ -950,17 +999,17 @@ class TestParallelRegion:
             assert region.workers == workers
             got = _conv_all(x, w, b, g)
         assert got == want
-        if workers == 1 or kernel == (1, 1, 1):
-            assert submits == []
-        else:
-            # forward, input gradient and weight gradient each start
-            # workers - 1 pool threads taking slabs
-            assert len(submits) == (3 if x_grad else 2) * (workers - 1)
+        # the weight gradient, and the forward pass and input gradient where
+        # they have more than one slab, each start workers - 1 pool threads
+        # taking slabs or chunks
+        calls = 1 if kernel == (1, 1, 1) else 3 if x_grad else 2
+        assert len(submits) == calls * (workers - 1)
 
     @pytest.mark.parametrize("slabs_per_stack, stacks", [(1, 5), (2, 3), (3, 2), (5, 1)])
     def test_submits_follow_the_stacks(self, slabs_per_stack, stacks, monkeypatch, rng, submits):
         # 5 one-plane slabs; C = O, so the input gradient's im2col is the
-        # forward's size: a (81, 24) float32 matrix of 7776 bytes per slab
+        # forward's size: a (81, 24) float32 matrix of 7776 bytes per slab.
+        # The weight gradient's 138 columns are one chunk.
         _blas_api()
         x = Tensor(rng.standard_normal((2, 3, 5, 4, 3), dtype=np.float32), requires_grad=True)
         w = Tensor(rng.standard_normal((3, 3, 3, 3, 3), dtype=np.float32), requires_grad=True)
@@ -974,9 +1023,9 @@ class TestParallelRegion:
         with ad.parallel():
             got = _conv_all(x, w, b, g)
         assert got == want
-        # forward, input gradient and weight gradient each start one pool
-        # thread per stack beyond the first, at most workers - 1
-        assert len(submits) == 3 * (min(3, stacks) - 1)
+        # forward and input gradient each start one pool thread per stack
+        # beyond the first, at most workers - 1
+        assert len(submits) == 2 * (min(3, stacks) - 1)
 
     @pytest.mark.parametrize("planes_per_chunk, chunks", [(1, 5), (2, 3), (3, 2), (5, 1)])
     def test_submits_follow_the_kn2row_chunks(
@@ -984,8 +1033,7 @@ class TestParallelRegion:
     ):
         # 16 -> 16 channels on 5 planes of 16 x 32: the forward pass and the
         # input gradient run kn2row, whose chunks of n planes hold
-        # n * 32 * 16 * 32 input and output elements; w has no gradient, so
-        # no im2col runs
+        # n * 32 * 16 * 32 input and output elements; w has no gradient
         _blas_api()
         assert ad._kn2row_wins(16, (5, 16, 32), (3, 3, 3))
         x = Tensor(rng.standard_normal((2, 16, 5, 16, 32), dtype=np.float32), requires_grad=True)
