@@ -12,47 +12,43 @@ convolution, inverted dropout, channel softmax, channel concatenation, and
 elementwise/reduction basics for building small test graphs.
 
 A convolution's forward pass and its input gradient are one correlation
-each (``_correlate``), lowered to matrix products by one of two methods,
-chosen per call from the input's channel count C and plane size Y·Z
-(``_kn2row_wins``):
+each (``_correlate``), run in chunks of output x-planes. One rule, on the
+input and output channel counts C and O and the plane size Y·Z
+(``_kn2row_wins``), picks how each chunk is lowered to matrix products:
 
 - kn2row (Vasudevan, Anderson & Gregg, arXiv:1704.04428) where C >= 4,
   Y·Z >= 256 and C·Y·Z >= ``_KN2ROW_MIN``, under a kernel wider than one
   voxel, and the correlation does not expand (O <= C): the full-resolution
   levels of a wide network. Each kernel offset's input is a strided view of
-  the flattened padded input (``_shifted``), so nothing is gathered. The
-  output is the sum of one (O, C)·(C, L) GEMM per offset, in chunks of
-  output planes sized by ``_KN2ROW_CHUNK``.
+  the flattened padded input (``_shifted``), so nothing is gathered. A
+  chunk's output is the sum of one (O, C)·(C, L) GEMM per offset.
 - im2col (Chetlur et al., cuDNN, arXiv:1410.0759) elsewhere: the one-channel
-  first conv, small grids, narrow levels and the 1x1x1 head. The input is
-  unfolded in slabs of x-planes, each a (C·kx·ky·kz, B·slab·Y·Z) block about
-  the size of the input, and BLAS runs one GEMM per slab. The slab width
-  fixes each GEMM's shape, and so its bits. Consecutive slabs are gathered in
-  stacks of about ``_STACK_BYTES`` of im2col, and one ``np.matmul`` runs a
-  stack's GEMMs (batched BLAS, Dongarra et al., ICCS 2017): a small grid
-  costs a few calls, not one gather, GEMM and write per slab, and every GEMM
-  is the 2-D BLAS call a plain ``@`` on its slab makes.
+  first conv, small grids, narrow levels and the 1x1x1 head. A chunk's
+  input is unfolded into one (C·kx·ky·kz, B·n·Y·Z) matrix and one GEMM with
+  the (O, C·kx·ky·kz) kernel gives its n planes.
 
-The two methods sum each output's terms in different orders, so their
-results agree to float rounding, not bit for bit; a given shape always takes
-the same method. A convolution's weight gradient has one method for every
-shape (``_kn2row_weight_grad``): per kernel offset, one (O, L)·(L, C) GEMM of
-the output gradient and that offset's ``_shifted`` view, in chunks of
-columns.
+A chunk holds max(1, ``_CONV_CHUNK`` // ((rows + O)·Y·Z)) planes, with rows
+the GEMM's inner size: C for kn2row, C·kx·ky·kz for im2col. The two methods
+sum each output's terms in different orders, so their results agree to
+float rounding, not bit for bit; a given shape always takes the same method.
+A convolution's weight gradient has one method for every shape
+(``_kn2row_weight_grad``): per kernel offset, one (O, L)·(L, C) GEMM of the
+output gradient and that offset's ``_shifted`` view, in chunks of columns
+sized by ``_CONV_CHUNK`` too.
 
 ``parallel()`` opens the one parallel region: a pool of one thread per
 usable core (``parallel_workers``), OpenBLAS pinned to one thread while it is
 open if there are two or more, and the region published to the current
 context as ``no_grad`` publishes its flag, for as long as the ``with`` block
 that opened it; a nested ``parallel()`` reuses it. Inside it, a convolution
-shares its im2col stacks or kn2row chunks among the calling thread and the
-workers, which take them in order from one queue, and every stack or chunk
-runs the same GEMMs as outside it; the weight gradient keeps its partial
-sums, one per column chunk, and adds them in that order, so every result is
-bitwise that of one thread. Pool threads see no region and build no graph,
-so work running on them is never split again and records no backward; every
-graph is built on a thread outside the pool. Work that runs ahead of its
-caller on the pool, n items at a time, runs in ``run_ahead``.
+shares its chunks among the calling thread and the workers, which take them
+in order from one queue (``_each_chunk``), and every chunk runs the same
+GEMMs as outside it; the weight gradient keeps its partial sums, one per
+column chunk, and adds them in that order, so every result is bitwise that
+of one thread. Pool threads see no region and build no graph, so work
+running on them is never split again and records no backward; every graph
+is built on a thread outside the pool. Work that runs ahead of its caller on
+the pool, n items at a time, runs in ``run_ahead``.
 """
 
 from __future__ import annotations
@@ -211,8 +207,8 @@ def parallel():
 
     A pool thread sees no region and builds no graph, whoever submits to it:
     an op run there returns a tensor with no backward, even on inputs that
-    require gradients. Nothing that needs a graph runs there: a conv's slab
-    tasks are plain numpy, and an MC pass needs none."""
+    require gradients. Nothing that needs a graph runs there: a conv's chunks
+    are plain numpy, and an MC pass needs none."""
     region = _region.get()
     if region is not None:
         yield region
@@ -228,22 +224,21 @@ def parallel():
             _region.reset(token)
 
 
-def _each_slab(fn, slabs):
-    """Yield ``fn(s)`` for each item of ``slabs``, in order: the stacks of
-    slabs of an im2col correlation (``_slabs``), the chunks of output planes
-    of a kn2row correlation (``_kn2row``) or the column chunks of a weight
-    gradient (``_kn2row_weight_grad``). Outside a parallel region each item
-    runs as it is yielded. In one, the calling thread and one pool thread per
-    further worker take items from one shared queue, in order, until it is
-    empty, so a slow or stalled worker holds up only the item it has; the
-    results are yielded once every item is done."""
+def _each_chunk(fn, chunks):
+    """Yield ``fn(c)`` for each item of ``chunks``, in order: the chunks of
+    output planes of a correlation (``_correlate``) or the column chunks of
+    a weight gradient (``_kn2row_weight_grad``). Outside a parallel region
+    each item runs as it is yielded. In one, the calling thread and one pool
+    thread per further worker take items from one shared queue, in order,
+    until it is empty, so a slow or stalled worker holds up only the item it
+    has; the results are yielded once every item is done."""
     region = _region.get()
-    n = 1 if region is None else min(region.workers, len(slabs))
+    n = 1 if region is None else min(region.workers, len(chunks))
     if n == 1:
-        yield from map(fn, slabs)
+        yield from map(fn, chunks)
         return
-    results = [None] * len(slabs)
-    queue = iter(range(len(slabs)))
+    results = [None] * len(chunks)
+    queue = iter(range(len(chunks)))
     lock = threading.Lock()
 
     def run():
@@ -252,13 +247,13 @@ def _each_slab(fn, slabs):
                 i = next(queue, None)
             if i is None:
                 return
-            results[i] = fn(slabs[i])
+            results[i] = fn(chunks[i])
 
     futures = [region.pool.submit(run) for _ in range(n - 1)]
     try:
         run()
     finally:
-        wait(futures)  # no slab outlives the call, even when one fails
+        wait(futures)  # no chunk outlives the call, even when one fails
     for future in futures:
         future.result()
     yield from results
@@ -396,67 +391,27 @@ def _pad(a, w):
     return out
 
 
-# im2col bytes that one np.matmul call of a convolution gathers: slabs are
-# stacked up to this size (the sweep that set it is in CHANGES.md)
-_STACK_BYTES = 1 << 20
-
-
-def _slabs(xp, w, dims):
-    """``(stacks, gather)``: the stacks of output x-planes, as slices, and
-    ``gather(p)``, the (n, C·kx·ky·kz, B·slab·Y·Z) im2col matrices of the
-    padded input ``xp`` for the n slabs of stack ``p``, rows in
-    ``w.reshape(O, -1)`` order. A slab is X // (kx·ky·kz) planes (at least
-    one), so a matrix holds about one copy of the input, not kx·ky·kz. A
-    stack is as many consecutive slabs of that width as fit in
-    ``_STACK_BYTES`` (at least one); a short last slab is a stack of its own.
-    Each matrix is laid out, copied or viewed, as a gather of its slab alone
-    would be, so a GEMM on it is the same BLAS call."""
-    X = dims[0]
-    B, kernel, K = xp.shape[0], w.shape[2:], w[0].size
-    windows = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=(2, 3, 4))
-    slab = max(1, X // int(np.prod(kernel)))
-    per_slab = K * B * slab * dims[1] * dims[2] * xp.itemsize
-    step = slab * max(1, _STACK_BYTES // max(1, per_slab))
-    full = X - X % slab
-    stacks = [slice(x0, min(x0 + step, full)) for x0 in range(0, full, step)]
-    if full < X:
-        stacks.append(slice(full, X))
-
-    def gather(planes):
-        view = windows[:, :, planes]
-        n = max(1, view.shape[2] // slab)
-        view = view.reshape(view.shape[:2] + (n, view.shape[2] // n) + view.shape[3:])
-        return view.transpose(2, 1, 6, 7, 8, 0, 3, 4, 5).reshape(n, K, -1)
-
-    return stacks, gather
-
-
-def _by_slab(planes, n):
-    """The (O, B, n·slab, Y, Z) ``planes`` as a (n, O, B, slab, Y, Z) view:
-    slab i's planes at index i."""
-    O, B, L, Y, Z = planes.shape
-    return planes.reshape(O, B, n, L // n, Y, Z).transpose(2, 0, 1, 3, 4, 5)
-
-
 # kn2row runs a correlation of C input channels on Y x Z planes, under a
 # kernel wider than one voxel, where C >= 4, Y·Z >= 256 and C·Y·Z >= this:
 # the shapes where it beat im2col on one thread (the sweep is in CHANGES.md).
 # With 1 or 2 channels each offset's GEMM only streams memory (2-28x slower);
 # on 8 x 8 planes kn2row ran at 0.5-1.5x, on convs of a few milliseconds.
 _KN2ROW_MIN = 1 << 13
-# input and output elements of one kn2row chunk, which stay in cache across
-# its kernel offsets: a chunk is max(1, _KN2ROW_CHUNK // ((C + O)·Y·Z))
-# output planes of a kn2row correlation, max(1, _KN2ROW_CHUNK // (C + O))
-# columns of any weight gradient
-_KN2ROW_CHUNK = 1 << 16
+# input and output elements of one conv chunk, which stay in cache across
+# its GEMMs: a chunk is max(1, _CONV_CHUNK // ((rows + O)·Y·Z)) output planes
+# of a correlation, with rows = C for kn2row and C·kx·ky·kz for im2col, and
+# max(1, _CONV_CHUNK // (C + O)) columns of any weight gradient
+_CONV_CHUNK = 1 << 16
 
 
-def _kn2row_wins(C, dims, kernel):
-    """Whether kn2row runs a correlation of C input channels on ``dims``;
-    ``_correlate`` also asks that it not expand (on C8->16 and C32->64 at
-    32^3, kn2row ran at 1.2-1.3x im2col; the sweep is in CHANGES.md)."""
+def _kn2row_wins(C, O, dims, kernel):
+    """Whether kn2row, not im2col, runs a correlation of C input channels
+    into O output channels on ``dims``. An expanding one (O > C) stays on
+    im2col: on C8->16 and C32->64 at 32^3, kn2row ran at 1.2-1.3x im2col
+    (the sweep is in CHANGES.md)."""
     plane = dims[1] * dims[2]
-    return kernel != (1, 1, 1) and C >= 4 and plane >= 256 and C * plane >= _KN2ROW_MIN
+    wide = C >= 4 and plane >= 256 and C * plane >= _KN2ROW_MIN
+    return kernel != (1, 1, 1) and O <= C and wide
 
 
 def _shifted(xp, kernel, dims):
@@ -484,43 +439,6 @@ def _shifted(xp, kernel, dims):
     )
 
 
-def _kn2row(xp, w, dims):
-    """``_correlate`` by kn2row: the output over the padded-plane domain is
-    the sum over kernel offsets of one (O, C)·(C, L) GEMM each on
-    ``_shifted``'s view. Per chunk of output planes, one ``np.matmul`` runs
-    the ky·kz GEMMs of each x-offset i and their products are summed; the
-    x-offsets' sums are added in order of i. So a chunk is a few numpy calls,
-    not two per offset, and threads running chunks side by side seldom wait
-    on each other for the interpreter. Chunks run through ``_each_slab`` and
-    are cropped to (Y, Z) as each is written. Returns a (B, O, X, Y, Z)
-    array."""
-    B, C = xp.shape[:2]
-    O, _, kx = w.shape[:3]
-    X, Y, Z = dims
-    Yp, Zp = xp.shape[3:]
-    plane = Yp * Zp
-    taps = np.ascontiguousarray(w.transpose(2, 3, 4, 0, 1))  # (kx, ky, kz, O, C)
-    windows = _shifted(xp, w.shape[2:], dims)
-    out = np.empty((B, O, *dims), dtype=xp.dtype)
-    step = max(1, _KN2ROW_CHUNK // ((C + O) * Y * Z))
-    chunks = [slice(x0, min(x0 + step, X)) for x0 in range(0, X, step)]
-
-    def chunk(p):
-        n = p.stop - p.start
-        cols = windows[..., p.start * plane : p.stop * plane]
-        acc = np.empty((B, O, n * plane), dtype=xp.dtype)
-        head = acc[:, :, : cols.shape[-1]]
-        np.sum(np.matmul(taps[0], cols[:, 0]), axis=(1, 2), out=head)
-        for i in range(1, kx):
-            head += np.matmul(taps[i], cols[:, i]).sum(axis=(1, 2))
-        # the columns after head are the last plane's padding: cropped unread
-        out[:, :, p] = acc.reshape(B, O, n, Yp, Zp)[..., :Y, :Z]
-
-    for _ in _each_slab(chunk, chunks):
-        pass  # each call writes its own planes of out
-    return out
-
-
 def _kn2row_weight_grad(xp, gp, kernel, dims):
     """A conv's weight gradient, for every kernel, grid and channel count, as
     an (O, C, kx, ky, kz) view: for each kernel offset, the output gradient
@@ -530,10 +448,10 @@ def _kn2row_weight_grad(xp, gp, kernel, dims):
     first interior voxel on, the flat data of ``gp`` hold it on the
     padded-plane domain with every padding column zero, so no copy is made
     and the padding adds nothing. The columns are taken in chunks of
-    max(1, ``_KN2ROW_CHUNK`` // (C + O)), not in whole planes: every offset's
+    max(1, ``_CONV_CHUNK`` // (C + O)), not in whole planes: every offset's
     (O, L)·(L, C) GEMM of a chunk runs in one ``np.matmul``, and on a 64^3
     plane such chunks ran 2x faster than one-plane ones. Chunks run through
-    ``_each_slab`` and their partial sums are added in chunk order, whatever
+    ``_each_chunk`` and their partial sums are added in chunk order, whatever
     the worker count."""
     B, O = gp.shape[:2]
     C = xp.shape[1]
@@ -542,40 +460,72 @@ def _kn2row_weight_grad(xp, gp, kernel, dims):
     end = windows.shape[-1]
     start = sum(k // 2 * n for k, n in zip(kernel, (Yp * Zp, Zp, 1)))
     grads = gp.reshape(B, 1, 1, 1, O, Xp * Yp * Zp)[..., start : start + end]
-    step = max(1, _KN2ROW_CHUNK // (C + O))
+    step = max(1, _CONV_CHUNK // (C + O))
 
     def chunk(c0):
         cols = slice(c0, c0 + step)
         return np.matmul(grads[..., cols], windows[..., cols].swapaxes(-1, -2)).sum(axis=0)
 
     gw = 0
-    for part in _each_slab(chunk, range(0, end, step)):
+    for part in _each_chunk(chunk, range(0, end, step)):
         gw = gw + part
     return gw.transpose(3, 4, 0, 1, 2)
 
 
 def _correlate(xp, w, dims):
     """Cross-correlation of the padded input ``xp`` (B, C, ...) with kernel
-    ``w`` (O, C, kx, ky, kz), returned as a (B, O, X, Y, Z) array or view.
-    Where ``_kn2row_wins`` and O <= C it runs ``_kn2row``; elsewhere
-    im2col: per stack, one gather, one ``np.matmul`` that runs each slab's
-    GEMM and one write."""
+    ``w`` (O, C, kx, ky, kz), returned as a (B, O, X, Y, Z) array. The output
+    planes run in chunks through ``_each_chunk``, each chunk writing its own
+    planes, and ``_kn2row_wins`` picks how a chunk runs.
+
+    kn2row: the chunk's output over the padded-plane domain is the sum over
+    kernel offsets of one (O, C)·(C, L) GEMM each on ``_shifted``'s view. One
+    ``np.matmul`` runs the ky·kz GEMMs of each x-offset i and their products
+    are summed; the x-offsets' sums are added in order of i. So a chunk is a
+    few numpy calls, not two per offset, and threads running chunks side by
+    side seldom wait on each other for the interpreter. The sum is cropped to
+    (Y, Z) as it is written.
+
+    im2col: one gather of the chunk's windows on the output domain, rows in
+    ``w.reshape(O, -1)`` order, and one GEMM with the reshaped kernel."""
     B, C = xp.shape[:2]
-    O = w.shape[0]
-    if O <= C and _kn2row_wins(C, dims, w.shape[2:]):
-        return _kn2row(xp, w, dims)
-    w2 = w.reshape(O, -1)
-    acc = np.empty((O, B, *dims), dtype=xp.dtype)
-    stacks, gather = _slabs(xp, w, dims)
+    O, _, kx = w.shape[:3]
+    X, Y, Z = dims
+    kernel = w.shape[2:]
+    out = np.empty((B, O, *dims), dtype=xp.dtype)
+    if _kn2row_wins(C, O, dims, kernel):
+        rows = C
+        Yp, Zp = xp.shape[3:]
+        plane = Yp * Zp
+        taps = np.ascontiguousarray(w.transpose(2, 3, 4, 0, 1))  # (kx, ky, kz, O, C)
+        windows = _shifted(xp, kernel, dims)
 
-    def stack(p):
-        prods = np.matmul(w2, gather(p))
-        out = _by_slab(acc[:, :, p], len(prods))
-        out[...] = prods.reshape(out.shape)
+        def chunk(p):
+            n = p.stop - p.start
+            cols = windows[..., p.start * plane : p.stop * plane]
+            acc = np.empty((B, O, n * plane), dtype=xp.dtype)
+            head = acc[:, :, : cols.shape[-1]]
+            np.sum(np.matmul(taps[0], cols[:, 0]), axis=(1, 2), out=head)
+            for i in range(1, kx):
+                head += np.matmul(taps[i], cols[:, i]).sum(axis=(1, 2))
+            # the columns after head are the last plane's padding: cropped unread
+            out[:, :, p] = acc.reshape(B, O, n, Yp, Zp)[..., :Y, :Z]
 
-    for _ in _each_slab(stack, stacks):
-        pass  # each call writes its own planes of acc
-    return acc.transpose(1, 0, 2, 3, 4)
+    else:
+        rows = w[0].size
+        w2 = w.reshape(O, rows)
+        windows = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=(2, 3, 4))
+
+        def chunk(p):
+            cols = windows[:, :, p].transpose(1, 5, 6, 7, 0, 2, 3, 4).reshape(rows, -1)
+            prods = (w2 @ cols).reshape(O, B, p.stop - p.start, Y, Z)
+            out[:, :, p] = prods.transpose(1, 0, 2, 3, 4)
+
+    step = max(1, _CONV_CHUNK // ((rows + O) * Y * Z))
+    chunks = [slice(x0, min(x0 + step, X)) for x0 in range(0, X, step)]
+    for _ in _each_chunk(chunk, chunks):
+        pass  # each call writes its own planes of out
+    return out
 
 
 def conv3d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -584,11 +534,11 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x: (B, C_in, X, Y, Z); w: (C_out, C_in, kx, ky, kz); b: (C_out,).
     Output spatial dims equal input dims. The forward pass and the input
     gradient are ``_correlate`` calls (the latter with the kernel flipped in
-    space and its channel axes swapped), so each runs kn2row or im2col by
-    ``_kn2row_wins`` on its own input and output channels: C -> C_out for
-    the forward pass, C_out -> C for the input gradient. The weight gradient
-    is one ``_kn2row_weight_grad`` call on the padded output gradient that
-    the input gradient also reads.
+    space and its channel axes swapped), so each runs in chunks of output
+    planes, by kn2row or im2col as ``_kn2row_wins`` rules on its own input
+    and output channels: C -> C_out for the forward pass, C_out -> C for the
+    input gradient. The weight gradient is one ``_kn2row_weight_grad`` call
+    on the padded output gradient that the input gradient also reads.
     """
     _check_5d(x)
     if w.data.ndim != 5:

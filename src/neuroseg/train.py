@@ -18,9 +18,9 @@ returns only floats, so its softmax field and prediction are freed before
 the next volume and the next epoch.
 
 All epochs run in one parallel region (``autodiff.parallel``): every
-convolution, forward and both gradients, splits its work (im2col stacks,
-kn2row plane chunks or weight-gradient column chunks) over one worker per
-usable core, with OpenBLAS pinned to one thread if there are two or more.
+convolution, forward and both gradients, splits its work (chunks of output
+planes or weight-gradient column chunks) over one worker per usable core,
+with OpenBLAS pinned to one thread if there are two or more.
 A convolution uses all but one of the pool's threads, so the spare one
 prepares the next batch of the epoch (``augment``, then
 ``normalize_intensity``) while the current step runs, one ahead in the

@@ -22,8 +22,7 @@ def scalar_loss(out, weights):
 
 
 # (kernel, spatial dims): the U-Net's 3x3x3 kernel, the 1x1x1 head conv, an
-# anisotropic kernel, and (3,1,1) on X = 7, whose slabs span 2 x-planes with a
-# short last one.
+# anisotropic kernel, and (3,1,1) on a longer X = 7.
 CONV_CASES = [
     ((3, 3, 3), (3, 4, 3)),
     ((1, 1, 1), (3, 4, 3)),
@@ -149,15 +148,16 @@ class TestConv3d:
         assert w.grad.shape == w.shape and x.grad is None
         assert peak < padded + 5 * part + (1 << 16)
 
-    def test_conv_holds_one_im2col_stack(self, rng):
-        # 2 -> 2 channels at 32^3: a slab is one x-plane of (2*27, 32*32)
-        # float32 im2col, and the conv's 32 slabs make several stacks
-        x = Tensor(rng.standard_normal((1, 2, 32, 32, 32), dtype=np.float32))
-        w = Tensor(rng.standard_normal((2, 2, 3, 3, 3), dtype=np.float32), requires_grad=True)
+    def test_conv_holds_one_chunk(self, rng):
+        # 2 -> 2 channels at 32^3 run im2col, and a chunk is one x-plane:
+        # (2 * 27 + 2) * 32 * 32 elements fill _CONV_CHUNK once. The conv
+        # gathers one (2 * 27, 32 * 32) float32 matrix per chunk.
+        x = Tensor(rng.standard_normal((1, 2, 32, 32, 32), dtype=np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 2, 3, 3, 3), dtype=np.float32))
         b = Tensor(np.zeros(2, dtype=np.float32))
-        slab = 2 * 27 * 32 * 32 * 4
-        stack = ad._STACK_BYTES // slab * slab
-        assert 2 * stack < 32 * slab
+        assert not ad._kn2row_wins(2, 2, x.shape[2:], w.shape[2:])
+        assert ad._CONV_CHUNK // ((2 * 27 + 2) * 32 * 32) == 1
+        chunk = 2 * 27 * 32 * 32 * 4
         padded = 2 * 34**3 * 4
         g = np.ones(x.shape, dtype=np.float32)
         tracemalloc.start()
@@ -169,83 +169,11 @@ class TestConv3d:
             backward = tracemalloc.get_traced_memory()[1] - kept
         finally:
             tracemalloc.stop()
-        # the padded input and the output, then one stack and less than a
-        # slab of products; the weight gradient holds the padded output
-        # gradient, 314 KB, and its chunks' partials
-        assert forward < padded + x.data.nbytes + stack + slab
-        assert backward < stack + slab
-
-
-def _one_slab_per_call(x, w, b, g):
-    """``_conv_all``'s forward output and x gradient, as bytes, from one 2-D
-    GEMM per slab of X // (kx·ky·kz) planes, with no stacks."""
-    O = w.shape[0]
-    kernel = w.shape[2:]
-    X = x.shape[2]
-    slab = max(1, X // int(np.prod(kernel)))
-    planes = [slice(x0, x0 + slab) for x0 in range(0, X, slab)]
-
-    def cols(xp, p):
-        windows = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=(2, 3, 4))
-        view = windows[:, :, p].transpose(1, 5, 6, 7, 0, 2, 3, 4)
-        return view.reshape(xp.shape[1] * int(np.prod(kernel)), -1)
-
-    def correlate(xp, k):
-        k2 = k.reshape(k.shape[0], -1)
-        acc = np.empty((k.shape[0], xp.shape[0]) + x.shape[2:], dtype=xp.dtype)
-        for p in planes:
-            acc[:, :, p] = (k2 @ cols(xp, p)).reshape(acc[:, :, p].shape)
-        return acc.transpose(1, 0, 2, 3, 4)
-
-    xp = ad._pad(x, w)
-    out = correlate(xp, w) + b.reshape(1, O, 1, 1, 1)
-    flipped = w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-    gx = correlate(ad._pad(g, w), flipped)
-    return out.tobytes(), (gx + 0).tobytes()
-
-
-# (spatial dims, kernel): cubes from 2^3 to 32^3, which span OpenBLAS's
-# small-matrix and packed GEMM paths, and X = 88, whose 3-plane slabs leave
-# a one-plane tail
-STACK_CASES = [
-    ((n, n, n), kernel)
-    for n in (2, 4, 8, 16, 32)
-    for kernel in ((3, 3, 3), (3, 1, 5), (1, 1, 1))
-] + [((88, 4, 3), (3, 3, 3))]
-
-
-class TestStackedGemms:
-    @pytest.mark.parametrize("budget", ["default", "one-stack"])
-    @pytest.mark.parametrize(
-        "dims, kernel",
-        [
-            pytest.param(d, k, id="-".join("x".join(map(str, t)) for t in (d, k)))
-            for d, k in STACK_CASES
-        ],
-    )
-    def test_bitwise_one_slab_per_call(self, dims, kernel, budget, monkeypatch, rng):
-        if budget == "one-stack":
-            monkeypatch.setattr(ad, "_STACK_BYTES", 1 << 40)
-        # w has no gradient: the weight gradient has no im2col form, and
-        # TestKn2row checks it against float64
-        x = Tensor(rng.standard_normal((2, 4) + dims, dtype=np.float32), requires_grad=True)
-        w = Tensor(rng.standard_normal((6, 4) + kernel, dtype=np.float32))
-        b = Tensor(rng.standard_normal(6, dtype=np.float32), requires_grad=True)
-        g = rng.standard_normal((2, 6) + dims, dtype=np.float32)
-        out, (gx, _, _) = _conv_all(x, w, b, g)
-        assert (out, gx) == _one_slab_per_call(x.data, w.data, b.data, g)
-
-    def test_stacks_are_full_width_slabs_and_a_tail(self, monkeypatch):
-        # X = 88 under a 3^3 kernel: 29 slabs of 3 planes and one of 1
-        xp = np.zeros((1, 1, 90, 6, 5), dtype=np.float32)
-        w = np.zeros((1, 1, 3, 3, 3), dtype=np.float32)
-        slab = 27 * 3 * 4 * 3 * 4
-        monkeypatch.setattr(ad, "_STACK_BYTES", 8 * slab + 1)
-        stacks, gather = ad._slabs(xp, w, (88, 4, 3))
-        assert [(p.start, p.stop) for p in stacks] == [
-            (0, 24), (24, 48), (48, 72), (72, 87), (87, 88)
-        ]
-        assert [gather(p).shape for p in stacks[-2:]] == [(5, 27, 36), (1, 27, 12)]
+        # the padded input and the output, then one chunk's matrix and its
+        # products; the input gradient holds the padded output gradient, the
+        # input gradient itself and one chunk
+        assert forward < padded + x.data.nbytes + chunk + (1 << 16)
+        assert backward < padded + x.data.nbytes + chunk + (1 << 16)
 
 
 def _float64_conv(x, w, g):
@@ -267,21 +195,64 @@ def _float64_conv(x, w, g):
     return out, gxp[crop], gw
 
 
-def _spy_kn2row(monkeypatch):
-    """Record the calls of the kn2row correlation and weight gradient as
-    ("correlate", C, O) and ("weight", C, O)."""
-    calls = []
-    correlate, weight_grad = ad._kn2row, ad._kn2row_weight_grad
+# (spatial dims, kernel): cubes from 2^3 to 32^3, which span OpenBLAS's
+# small-matrix and packed GEMM paths, and X = 88, whose forward chunks of 47
+# planes leave a short last one of 41 (32, 32 and 24 for the input gradient)
+IM2COL_CASES = [
+    ((n, n, n), kernel)
+    for n in (2, 4, 8, 16, 32)
+    for kernel in ((3, 3, 3), (3, 1, 5), (1, 1, 1))
+] + [((88, 4, 3), (3, 3, 3))]
 
-    def spy_correlate(xp, w, dims):
-        calls.append(("correlate", xp.shape[1], w.shape[0]))
-        return correlate(xp, w, dims)
+
+class TestIm2col:
+    @pytest.mark.parametrize("budget", ["default", "one-chunk"])
+    @pytest.mark.parametrize(
+        "dims, kernel",
+        [
+            pytest.param(d, k, id="-".join("x".join(map(str, t)) for t in (d, k)))
+            for d, k in IM2COL_CASES
+        ],
+    )
+    def test_float32_within_1e_5_of_float64(self, dims, kernel, budget, monkeypatch, rng):
+        # 4 -> 6 channels and back are too narrow for kn2row: the forward
+        # pass and the input gradient run im2col, compared by tolerance as
+        # TestKn2row compares kn2row, in chunks of the default size (up to
+        # 32 at 32^3) and as one chunk of every plane. w has no gradient: the
+        # weight gradient has one form, which TestKn2row checks.
+        if budget == "one-chunk":
+            monkeypatch.setattr(ad, "_CONV_CHUNK", 1 << 40)
+        calls = _spy_kn2row(monkeypatch)
+        x = Tensor(rng.standard_normal((2, 4) + dims, dtype=np.float32), requires_grad=True)
+        w = rng.standard_normal((6, 4) + kernel) / 8
+        w = Tensor(w.astype(np.float32))
+        g = rng.standard_normal((2, 6) + dims, dtype=np.float32)
+        out = ad.conv3d(x, w, Tensor(np.zeros(6, dtype=np.float32)))
+        out._backward(g)
+        assert calls == []
+        assert out.dtype == x.grad.dtype == np.float32
+        for got, want in zip((out.data, x.grad), _float64_conv(x.data, w.data, g)[:2]):
+            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
+def _spy_kn2row(monkeypatch):
+    """Record the correlations that ``_kn2row_wins`` sends to kn2row and the
+    calls of the weight gradient, as ("correlate", C, O) and ("weight", C,
+    O)."""
+    calls = []
+    wins, weight_grad = ad._kn2row_wins, ad._kn2row_weight_grad
+
+    def spy_wins(C, O, dims, kernel):
+        won = wins(C, O, dims, kernel)
+        if won:
+            calls.append(("correlate", C, O))
+        return won
 
     def spy_weight_grad(xp, gp, kernel, dims):
         calls.append(("weight", xp.shape[1], gp.shape[1]))
         return weight_grad(xp, gp, kernel, dims)
 
-    monkeypatch.setattr(ad, "_kn2row", spy_correlate)
+    monkeypatch.setattr(ad, "_kn2row_wins", spy_wins)
     monkeypatch.setattr(ad, "_kn2row_weight_grad", spy_weight_grad)
     return calls
 
@@ -334,7 +305,7 @@ class TestKn2row:
         # entry by entry
         gen = np.random.default_rng(7)
         dims = (3, 16, 128)
-        assert ad._kn2row_wins(4, dims, (3, 3, 3))
+        assert ad._kn2row_wins(4, 4, dims, (3, 3, 3))
         x = gen.standard_normal((1, 4) + dims)
         w = gen.standard_normal((4, 4, 3, 3, 3))
         b = gen.standard_normal(4)
@@ -363,7 +334,7 @@ class TestKn2row:
         # both gradients run kn2row
         x = tensor(np.zeros((0, 16, 4, 16, 32)))
         w = tensor(np.ones((16, 16, 3, 3, 3)))
-        assert ad._kn2row_wins(16, x.shape[2:], w.shape[2:])
+        assert ad._kn2row_wins(16, 16, x.shape[2:], w.shape[2:])
         out = ad.conv3d(x, w, tensor(np.zeros(16)))
         assert out.shape == (0, 16, 4, 16, 32)
         out._backward(np.zeros(out.shape))
@@ -374,7 +345,7 @@ class TestKn2row:
         # 32 -> 32 channels at 32^3: a chunk is one plane, so the forward
         # pass holds the padded input, the output, the kernel's taps and, per
         # chunk, 11 float32 (32, 34 * 34) blocks: the products of one
-        # x-offset's 9 GEMMs, their sum and the accumulator. An im2col slab
+        # x-offset's 9 GEMMs, their sum and the accumulator. An im2col chunk
         # of one plane would be (32 * 27, 32 * 32), 3.5 MB.
         x = Tensor(rng.standard_normal((1, 32, 32, 32, 32), dtype=np.float32))
         w = Tensor(rng.standard_normal((32, 32, 3, 3, 3), dtype=np.float32))
@@ -418,7 +389,7 @@ class TestKn2row:
         # run in 5 chunks, bitwise the same in a region of any size.
         if workers > 1:
             _blas_api()
-        monkeypatch.setattr(ad, "_KN2ROW_CHUNK", 100 * (16 + 28))
+        monkeypatch.setattr(ad, "_CONV_CHUNK", 100 * (16 + 28))
         big = rng.standard_normal((2, 16, 6, 8, 20), dtype=np.float32)
         x = Tensor(big[..., ::2])
         assert np.shares_memory(x.data.reshape(2, 16, -1), big)
@@ -444,24 +415,25 @@ class TestKn2row:
             (16, (128, 128, 128), (1, 1, 1)),  # the 1x1x1 head
             (16, (16, 16, 16), (3, 3, 3)),
             (256, (8, 8, 8), (3, 3, 3)),
-            (4, (32, 32, 32), (3, 3, 3)),  # TestStackedGemms' forward
+            (4, (32, 32, 32), (3, 3, 3)),  # TestIm2col's forward
             (6, (32, 32, 32), (3, 3, 3)),  # and input gradient at 32^3
         ],
     )
     def test_shapes_that_stay_on_im2col(self, C, dims, kernel):
-        assert not ad._kn2row_wins(C, dims, kernel)
+        assert not ad._kn2row_wins(C, C, dims, kernel)
 
     def test_expanding_correlation_stays_on_im2col(self, monkeypatch, rng):
         # 8 -> 16 channels at 32^3, the input gradient of train-32's C16 -> 8
         # decoder conv: kn2row ran it at 1.2-1.3x im2col, so the correlation
         # stays on im2col; the weight gradient, as every one, runs
         # _kn2row_weight_grad
+        assert ad._kn2row_wins(8, 8, (32, 32, 32), (3, 3, 3))
+        assert not ad._kn2row_wins(8, 16, (32, 32, 32), (3, 3, 3))
         calls = _spy_kn2row(monkeypatch)
         x = Tensor(rng.standard_normal((1, 8, 32, 32, 32), dtype=np.float32), requires_grad=True)
         w = Tensor(rng.standard_normal((16, 8, 3, 3, 3), dtype=np.float32), requires_grad=True)
         out = ad.conv3d(x, w, Tensor(np.zeros(16, dtype=np.float32)))
         out._backward(np.ones(out.shape, dtype=np.float32))
-        assert ad._kn2row_wins(8, (32, 32, 32), (3, 3, 3))
         assert calls == [("weight", 8, 16), ("correlate", 16, 8)]
 
     @pytest.mark.parametrize(
@@ -474,12 +446,12 @@ class TestKn2row:
     )
     def test_small_grid_networks_stay_on_im2col(self, spec, monkeypatch):
         # every correlation of these 16^3 networks, forward and input
-        # gradient, keeps the im2col stacks, so their forward outputs keep
-        # their bits; each conv's weight gradient is one _kn2row_weight_grad
+        # gradient, runs im2col, so their forward outputs keep their bits;
+        # each conv's weight gradient is one _kn2row_weight_grad
         from neuroseg.unet import ModelSpec, UNet3D
 
         convs, weights = [], []
-        conv3d, weight_grad = ad.conv3d, ad._kn2row_weight_grad
+        conv3d, weight_grad, wins = ad.conv3d, ad._kn2row_weight_grad, ad._kn2row_wins
 
         def spy_conv3d(x, w, b):
             convs.append((w.shape[1], w.shape[0], w.shape[2:], x.shape[2:]))
@@ -489,7 +461,7 @@ class TestKn2row:
             weights.append((xp.shape[1], gp.shape[1], kernel, dims))
             return weight_grad(xp, gp, kernel, dims)
 
-        monkeypatch.setattr(ad, "_kn2row", lambda *a: pytest.fail("kn2row ran"))
+        monkeypatch.setattr(ad, "_kn2row_wins", lambda *a: wins(*a) and pytest.fail("kn2row ran"))
         monkeypatch.setattr(ad, "conv3d", spy_conv3d)
         monkeypatch.setattr(ad, "_kn2row_weight_grad", spy_weight_grad)
         model = UNet3D(ModelSpec(input_dims=(16, 16, 16), **spec), seed=0)
@@ -503,7 +475,7 @@ class TestKn2row:
         # features 16 at 32^3 (mc-32) and 128^3: the full-resolution convs
         # after the first, and 16^3 with 32 or more channels
         for C, n in [(16, 32), (32, 32), (32, 16), (64, 16), (16, 128), (32, 128), (64, 64)]:
-            assert ad._kn2row_wins(C, (n, n, n), (3, 3, 3))
+            assert ad._kn2row_wins(C, C, (n, n, n), (3, 3, 3))
         # none of mc-32's wide forward convs expands, so each of the six runs
         # kn2row
         from neuroseg.unet import ModelSpec, UNet3D
@@ -966,11 +938,11 @@ def _conv_all(x, w, b, g):
     return out.data.tobytes(), grads
 
 
-# (B, C, O, spatial dims, kernel, x has grad): 5 slabs of one plane (2 and 3
-# workers do not divide them) at B = 2; 4 slabs of 3 planes, the last short;
-# one slab for the 1x1x1 head kernel; an input without grad; a one-channel
-# first conv. Their weight gradients run chunks of 7 columns: 20, 18, 4, 20
-# and 20 chunks.
+# (B, C, O, spatial dims, kernel, x has grad): at B = 2, 5 x-planes (2 and 3
+# workers do not divide them); 10 planes under a (3, 1, 1) kernel; the 1x1x1
+# head kernel; an input without grad; a one-channel first conv. Under a
+# _CONV_CHUNK of 7 * (C + O), every correlation runs one-plane chunks and
+# the weight gradients chunks of 7 columns: 20, 18, 4, 20 and 20 chunks.
 PARALLEL_CASES = [
     (2, 3, 4, (5, 4, 3), (3, 3, 3), True),
     (1, 2, 3, (10, 3, 4), (3, 1, 1), True),
@@ -987,8 +959,7 @@ class TestParallelRegion:
         B, C, O, dims, kernel, x_grad = PARALLEL_CASES[case]
         if workers > 1:
             _blas_api()
-        monkeypatch.setattr(ad, "_STACK_BYTES", 1)  # one slab per stack
-        monkeypatch.setattr(ad, "_KN2ROW_CHUNK", 7 * (C + O))
+        monkeypatch.setattr(ad, "_CONV_CHUNK", 7 * (C + O))
         x = Tensor(rng.standard_normal((B, C) + dims, dtype=np.float32), requires_grad=x_grad)
         w = Tensor(rng.standard_normal((O, C) + kernel, dtype=np.float32), requires_grad=True)
         b = Tensor(rng.standard_normal(O, dtype=np.float32), requires_grad=True)
@@ -999,48 +970,36 @@ class TestParallelRegion:
             assert region.workers == workers
             got = _conv_all(x, w, b, g)
         assert got == want
-        # the weight gradient, and the forward pass and input gradient where
-        # they have more than one slab, each start workers - 1 pool threads
-        # taking slabs or chunks
-        calls = 1 if kernel == (1, 1, 1) else 3 if x_grad else 2
+        # the forward pass, the weight gradient and, where x has a gradient,
+        # the input gradient each run at least 4 chunks, so each starts
+        # workers - 1 pool threads taking them
+        calls = 3 if x_grad else 2
         assert len(submits) == calls * (workers - 1)
 
-    @pytest.mark.parametrize("slabs_per_stack, stacks", [(1, 5), (2, 3), (3, 2), (5, 1)])
-    def test_submits_follow_the_stacks(self, slabs_per_stack, stacks, monkeypatch, rng, submits):
-        # 5 one-plane slabs; C = O, so the input gradient's im2col is the
-        # forward's size: a (81, 24) float32 matrix of 7776 bytes per slab.
-        # The weight gradient's 138 columns are one chunk.
-        _blas_api()
-        x = Tensor(rng.standard_normal((2, 3, 5, 4, 3), dtype=np.float32), requires_grad=True)
-        w = Tensor(rng.standard_normal((3, 3, 3, 3, 3), dtype=np.float32), requires_grad=True)
-        b = Tensor(rng.standard_normal(3, dtype=np.float32), requires_grad=True)
-        g = rng.standard_normal((2, 3, 5, 4, 3), dtype=np.float32)
-        monkeypatch.setattr(ad, "_STACK_BYTES", 1)
-        want = _conv_all(x, w, b, g)
-        monkeypatch.setattr(ad, "_STACK_BYTES", slabs_per_stack * 81 * 24 * 4)
-        assert len(ad._slabs(ad._pad(x.data, w.data), w.data, (5, 4, 3))[0]) == stacks
-        monkeypatch.setattr(ad, "parallel_workers", lambda: 3)
-        with ad.parallel():
-            got = _conv_all(x, w, b, g)
-        assert got == want
-        # forward and input gradient each start one pool thread per stack
-        # beyond the first, at most workers - 1
-        assert len(submits) == 2 * (min(3, stacks) - 1)
-
-    @pytest.mark.parametrize("planes_per_chunk, chunks", [(1, 5), (2, 3), (3, 2), (5, 1)])
+    @pytest.mark.parametrize(
+        "form, planes_per_chunk, chunks",
+        [
+            pytest.param(form, planes, chunks, id=f"{prefix}{planes}-{chunks}")
+            for form, prefix in (("kn2row", ""), ("im2col", "im2col-"))
+            for planes, chunks in ((1, 5), (2, 3), (3, 2), (5, 1))
+        ],
+    )
     def test_submits_follow_the_kn2row_chunks(
-        self, planes_per_chunk, chunks, monkeypatch, rng, submits
+        self, form, planes_per_chunk, chunks, monkeypatch, rng, submits
     ):
-        # 16 -> 16 channels on 5 planes of 16 x 32: the forward pass and the
-        # input gradient run kn2row, whose chunks of n planes hold
-        # n * 32 * 16 * 32 input and output elements; w has no gradient
+        # C -> C channels on 5 planes, w without a gradient: the forward pass
+        # and the input gradient take the same form, whose chunks of n
+        # planes hold n * (rows + C) * Y * Z input and output elements. 16
+        # channels on 16 x 32 planes run kn2row (rows = C); 3 channels on
+        # 4 x 3 planes run im2col (rows = C * 27).
         _blas_api()
-        assert ad._kn2row_wins(16, (5, 16, 32), (3, 3, 3))
-        x = Tensor(rng.standard_normal((2, 16, 5, 16, 32), dtype=np.float32), requires_grad=True)
-        w = Tensor(rng.standard_normal((16, 16, 3, 3, 3), dtype=np.float32))
-        b = Tensor(rng.standard_normal(16, dtype=np.float32), requires_grad=True)
-        g = rng.standard_normal((2, 16, 5, 16, 32), dtype=np.float32)
-        monkeypatch.setattr(ad, "_KN2ROW_CHUNK", planes_per_chunk * 32 * 16 * 32)
+        C, Y, Z, rows = (16, 16, 32, 16) if form == "kn2row" else (3, 4, 3, 81)
+        assert ad._kn2row_wins(C, C, (5, Y, Z), (3, 3, 3)) == (form == "kn2row")
+        x = Tensor(rng.standard_normal((2, C, 5, Y, Z), dtype=np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((C, C, 3, 3, 3), dtype=np.float32))
+        b = Tensor(rng.standard_normal(C, dtype=np.float32), requires_grad=True)
+        g = rng.standard_normal((2, C, 5, Y, Z), dtype=np.float32)
+        monkeypatch.setattr(ad, "_CONV_CHUNK", planes_per_chunk * (rows + C) * Y * Z)
         want = _conv_all(x, w, b, g)
         monkeypatch.setattr(ad, "parallel_workers", lambda: 3)
         with ad.parallel():
@@ -1057,14 +1016,14 @@ class TestParallelRegion:
     ):
         # 16 -> 16 channels on 5 planes of 16 x 32: the weight gradient runs
         # kn2row over the 2990 columns of the padded-plane domain, in chunks
-        # of _KN2ROW_CHUNK // 32 columns. Only w has a gradient, and the
+        # of _CONV_CHUNK // 32 columns. Only w has a gradient, and the
         # backward alone runs in the region.
         _blas_api()
         x = Tensor(rng.standard_normal((2, 16, 5, 16, 32), dtype=np.float32))
         w = Tensor(rng.standard_normal((16, 16, 3, 3, 3), dtype=np.float32), requires_grad=True)
         b = Tensor(rng.standard_normal(16, dtype=np.float32))
         g = rng.standard_normal((2, 16, 5, 16, 32), dtype=np.float32)
-        monkeypatch.setattr(ad, "_KN2ROW_CHUNK", -(-2990 // chunks) * 32)
+        monkeypatch.setattr(ad, "_CONV_CHUNK", -(-2990 // chunks) * 32)
         out = ad.conv3d(x, w, b)
         out._backward(g)
         want, w.grad = w.grad.tobytes(), None

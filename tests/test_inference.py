@@ -404,9 +404,9 @@ class TestParallelPasses:
 
     def test_convs_in_pass_threads_submit_nothing(self, three_workers, submits, monkeypatch):
         # only the calling thread hands work to the pool: encoder block 1's
-        # conv slabs and one task per pass; a pass never splits its convs.
-        # One slab per stack, so that these small convs are split at all.
-        monkeypatch.setattr(ad, "_STACK_BYTES", 1)
+        # conv chunks and one task per pass; a pass never splits its convs.
+        # One plane per chunk, so that these small convs are split at all.
+        monkeypatch.setattr(ad, "_CONV_CHUNK", 1)
         model, x = _mc_model()
         fused, got = mc_segment(model, Volume(x[0, 0]), n=5, seed=4)
         assert {thread for thread, _ in submits} == {threading.current_thread()}

@@ -27,6 +27,11 @@ method or of a public class's ``__init__``. Make it a constant, or list it in
 ``perfbench/`` passes it, by keyword or by position. A call matches by the
 name it calls: the function's or method's name, or the class's name for its
 ``__init__``.
+
+A private top-level function, class or module constant of the package is
+used only when ``src/`` reads it: loads its name, reads it as an attribute,
+imports it or names it in a string constant. A private name that only the
+tests reach is left over from code that has gone; delete it.
 """
 
 import ast
@@ -325,6 +330,52 @@ def _unused():
         if not used:
             unused[qualified] = path
     return unused
+
+
+def _private_definitions():
+    """{'module.name': defining file} for every private top-level function,
+    class and module constant of the package (dunder names aside)."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.endswith("__"):
+                    found[f"{path.stem}.{name}"] = path.name
+    return found
+
+
+def _src_reads():
+    """Every identifier that ``src/`` reads: a loaded name, a read
+    attribute, an imported name or a string constant."""
+    read = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return read
+
+
+def test_every_private_name_is_read_in_src():
+    read = _src_reads()
+    dead = sorted(
+        f"{qualified} ({path})"
+        for qualified, path in _private_definitions().items()
+        if qualified.split(".")[-1] not in read
+    )
+    assert not dead, "private names no code in src/ reads: " + ", ".join(dead)
 
 
 def test_every_public_name_has_a_caller():
